@@ -68,7 +68,7 @@ use crate::stats::SolveStats;
 use crate::svd::{prescale_exponent, unscale_values, HestenesSvd, SingularValues, WIDE_TAIL_TOL};
 use crate::sweep::PAIR_TOL;
 use crate::SvdError;
-use hj_matrix::{ops, soa, Matrix};
+use hj_matrix::{ops, soa, Matrix, PackedSymmetric};
 use std::time::Instant;
 
 /// Stable engine name reported in [`SolveStats::engine`] for batched-SoA
@@ -230,6 +230,22 @@ impl BatchWorkspace {
         }
         buf.clear();
         buf.resize(len, fill);
+    }
+
+    /// Problem `p`'s current Gram triangle, gathered out of the interleaved
+    /// layout into packed form — after [`BatchDriver::load`], the
+    /// preprocessor's output for that problem. Allocates; for inspection,
+    /// not the solve path.
+    ///
+    /// # Panics
+    /// Panics if `p` is not a loaded problem.
+    pub fn packed(&self, p: usize) -> PackedSymmetric {
+        assert!(p < self.problems, "problem {p} out of {}", self.problems);
+        let span = self.tri() * self.block;
+        let blk = &self.d[p / self.block * span..][..span];
+        let mut d = PackedSymmetric::zeros(self.n);
+        soa::deinterleave(blk, p % self.block, self.block, d.as_mut_slice());
+        d
     }
 
     /// Number of cache blocks in the loaded batch.
@@ -410,9 +426,11 @@ impl<'a> BatchDriver<'a> {
 
     /// Pack the batch into the workspace's SoA layout: per problem,
     /// validate (empty / non-finite inputs are rejected into their own
-    /// slot), choose the guarded-numerics prescale exponent, and build the
-    /// Gram triangle straight into the problem's lane (the same
-    /// [`ops::dot`] per entry as [`crate::GramState::from_matrix`]).
+    /// slot), choose the guarded-numerics prescale exponent from the same
+    /// single scan ([`ops::finite_max_abs`]), and build the Gram triangle
+    /// straight into the problem's lane with the kernel behind
+    /// [`crate::GramState::from_matrix`] ([`ops::gram_packed`], strided by
+    /// the block width).
     ///
     /// # Panics
     /// Panics if the matrices do not all share one column count — the SoA
@@ -432,34 +450,26 @@ impl<'a> BatchDriver<'a> {
                 ws.outcome[p] = LaneOutcome::Invalid(SvdError::EmptyInput);
                 continue;
             }
-            if !mat.as_slice().iter().all(|v| v.is_finite()) {
+            let Some(max_abs) = ops::finite_max_abs(mat.as_slice()) else {
                 ws.outcome[p] = LaneOutcome::Invalid(SvdError::NonFiniteInput);
                 continue;
-            }
+            };
             if zero_budget {
                 ws.outcome[p] = LaneOutcome::Invalid(SvdError::ZeroSweepBudget);
                 continue;
             }
             ws.active[p] = 1;
-            let exp = prescale_exponent(mat.max_abs());
+            let exp = prescale_exponent(max_abs);
             ws.exps[p] = exp;
             let block = ws.block;
             // Problem p's entries stride by `block` from its lane base.
             let base = (p / block) * ws.tri() * block + (p % block);
-            if exp == 0 {
-                let mut e = 0usize;
-                for i in 0..n {
-                    let ci = mat.col(i);
-                    for j in i..n {
-                        ws.d[base + e * block] = ops::dot(ci, mat.col(j));
-                        e += 1;
-                    }
-                }
+            let data = if exp == 0 {
+                mat.as_slice()
             } else {
                 // Out-of-window input: scale a scratch copy by the exact
                 // power of two first (squaring unscaled entries is what
                 // overflows), then build the Gram from the scratch columns.
-                let m = mat.rows();
                 BatchWorkspace::reset_f64(
                     &mut ws.allocations,
                     &mut ws.scaled,
@@ -468,16 +478,9 @@ impl<'a> BatchDriver<'a> {
                 );
                 ws.scaled.copy_from_slice(mat.as_slice());
                 scale_exact(&mut ws.scaled, exp);
-                let mut e = 0usize;
-                for i in 0..n {
-                    for j in i..n {
-                        let ci = &ws.scaled[i * m..(i + 1) * m];
-                        let cj = &ws.scaled[j * m..(j + 1) * m];
-                        ws.d[base + e * block] = ops::dot(ci, cj);
-                        e += 1;
-                    }
-                }
-            }
+                &ws.scaled
+            };
+            ops::gram_packed(data, mat.rows(), n, &mut ws.d[base..], block);
         }
     }
 

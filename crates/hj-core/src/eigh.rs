@@ -16,7 +16,7 @@ use crate::ordering::{Ordering, PlanBuffers, SweepSchedule};
 use crate::recovery::HealthCheck;
 use crate::stats::SolveStats;
 use crate::SvdError;
-use hj_matrix::{Matrix, PackedSymmetric};
+use hj_matrix::{ops, Matrix, PackedSymmetric};
 
 /// A symmetric eigendecomposition `S = V Λ Vᵀ`.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ pub fn eigh_ordered(
     if n == 0 {
         return Err(SvdError::EmptyInput);
     }
-    if !s.as_slice().iter().all(|v| v.is_finite()) {
+    if ops::finite_max_abs(s.as_slice()).is_none() {
         return Err(SvdError::NonFiniteInput);
     }
     let mut g = GramState::from_packed(s.clone());

@@ -33,38 +33,11 @@ pub struct GramState {
 
 impl GramState {
     /// Build `D = AᵀA` from a matrix — the work of the paper's Hestenes
-    /// preprocessor in the first sweep.
+    /// preprocessor in the first sweep, done by the register-blocked kernel
+    /// [`hj_matrix::ops::gram_packed`] (each entry bit-identical to one
+    /// `ops::dot`).
     pub fn from_matrix(a: &Matrix) -> Self {
         GramState { d: a.gram() }
-    }
-
-    /// Parallel Gram construction (rayon): one task per packed-triangle row.
-    ///
-    /// Bit-identical to [`GramState::from_matrix`] (each entry is the same
-    /// single dot product, just computed on a different thread), so the two
-    /// are interchangeable; use this for large `n` where the `O(m·n²)`
-    /// build dominates.
-    pub fn from_matrix_parallel(a: &Matrix) -> Self {
-        use rayon::prelude::*;
-        let n = a.cols();
-        let mut d = PackedSymmetric::zeros(n);
-        // Split the packed buffer into its triangle rows.
-        let mut rows: Vec<(usize, &mut [f64])> = Vec::with_capacity(n);
-        {
-            let mut rest = d.as_mut_slice();
-            for i in 0..n {
-                let (row, tail) = rest.split_at_mut(n - i);
-                rows.push((i, row));
-                rest = tail;
-            }
-        }
-        rows.par_iter_mut().for_each(|(i, row)| {
-            let ci = a.col(*i);
-            for (off, out) in row.iter_mut().enumerate() {
-                *out = hj_matrix::ops::dot(ci, a.col(*i + off));
-            }
-        });
-        GramState { d }
     }
 
     /// Wrap an existing packed symmetric matrix (must be a Gram matrix, i.e.
@@ -296,16 +269,6 @@ mod tests {
         d.set(1, 1, -1e-18); // roundoff dust
         let g = GramState::from_packed(d);
         assert_eq!(g.singular_values_unsorted(), vec![2.0, 0.0]);
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical() {
-        for &(m, n) in &[(10usize, 3usize), (50, 17), (7, 7), (3, 20)] {
-            let a = gen::uniform(m, n, (m * 100 + n) as u64);
-            let seq = GramState::from_matrix(&a);
-            let par = GramState::from_matrix_parallel(&a);
-            assert_eq!(seq.packed().as_slice(), par.packed().as_slice(), "{m}x{n}");
-        }
     }
 
     #[test]

@@ -335,13 +335,14 @@ impl HestenesSvd {
         self
     }
 
-    pub(crate) fn validate(&self, a: &Matrix) -> Result<(), SvdError> {
+    /// Reject inputs no solve accepts; on success return the input's
+    /// largest magnitude, which the same single scan found and the prescale
+    /// exponent is chosen from.
+    pub(crate) fn validate(&self, a: &Matrix) -> Result<f64, SvdError> {
         if a.is_empty() {
             return Err(SvdError::EmptyInput);
         }
-        if !a.as_slice().iter().all(|v| v.is_finite()) {
-            return Err(SvdError::NonFiniteInput);
-        }
+        let max_abs = ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?;
         if self.options.engine != EngineKind::Sequential
             && self.options.ordering == Ordering::RowCyclic
         {
@@ -353,7 +354,7 @@ impl HestenesSvd {
         if self.options.max_sweeps == 0 {
             return Err(SvdError::ZeroSweepBudget);
         }
-        Ok(())
+        Ok(max_abs)
     }
 
     /// Compute only the singular values — the paper-faithful mode.
@@ -385,8 +386,8 @@ impl HestenesSvd {
         a: &Matrix,
         ws: &mut SweepWorkspace,
     ) -> Result<SingularValues, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, ws, false, None, None)?;
+        let max_abs = self.validate(a)?;
+        let solved = self.solve_guarded(a, max_abs, ws, false, None, None)?;
         self.finish_values(a, solved)
     }
 
@@ -412,9 +413,9 @@ impl HestenesSvd {
         a: &Matrix,
         sink: &mut dyn TraceSink,
     ) -> Result<SingularValues, SvdError> {
-        self.validate(a)?;
+        let max_abs = self.validate(a)?;
         let mut ws = SweepWorkspace::new();
-        let solved = self.solve_guarded(a, &mut ws, false, None, Some(sink))?;
+        let solved = self.solve_guarded(a, max_abs, &mut ws, false, None, Some(sink))?;
         self.finish_values(a, solved)
     }
 
@@ -427,8 +428,8 @@ impl HestenesSvd {
         ws: &mut SweepWorkspace,
         injector: &mut dyn crate::inject::FaultInjector,
     ) -> Result<SingularValues, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, ws, false, Some(injector), None)?;
+        let max_abs = self.validate(a)?;
+        let solved = self.solve_guarded(a, max_abs, ws, false, Some(injector), None)?;
         self.finish_values(a, solved)
     }
 
@@ -441,11 +442,13 @@ impl HestenesSvd {
     /// Every restart rebuilds `D` (and `B`, `V` in full mode) from the
     /// pristine input `a`, so no corrupted intermediate state survives a
     /// recovery. The final stats carry the last attempt's counters plus the
-    /// cumulative `faults`/`recoveries`/`prescale_exp` accounting.
+    /// cumulative `faults`/`recoveries`/`prescale_exp` accounting. `max_abs`
+    /// is the input's largest magnitude, as [`Self::validate`] returned it.
     #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
     fn solve_guarded<'a>(
         &self,
         a: &Matrix,
+        max_abs: f64,
         ws: &mut SweepWorkspace,
         full: bool,
         injector: InjectorSlot<'a>,
@@ -464,7 +467,6 @@ impl HestenesSvd {
         {
             monitor.injector = injector;
         }
-        let max_abs = a.max_abs();
         let mut exp = prescale_exponent(max_abs);
         let mut engine = self.options.engine;
         let mut ordering = self.options.ordering;
@@ -650,8 +652,8 @@ impl HestenesSvd {
         a: &Matrix,
         ws: &mut SweepWorkspace,
     ) -> Result<Svd, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, ws, true, None, None)?;
+        let max_abs = self.validate(a)?;
+        let solved = self.solve_guarded(a, max_abs, ws, true, None, None)?;
         self.finish_decompose(a, solved)
     }
 
@@ -673,9 +675,9 @@ impl HestenesSvd {
     /// assert_eq!(jsonl.lines().filter(|l| l.contains("sweep_end")).count(), svd.sweeps);
     /// ```
     pub fn decompose_traced(&self, a: &Matrix, sink: &mut dyn TraceSink) -> Result<Svd, SvdError> {
-        self.validate(a)?;
+        let max_abs = self.validate(a)?;
         let mut ws = SweepWorkspace::new();
-        let solved = self.solve_guarded(a, &mut ws, true, None, Some(sink))?;
+        let solved = self.solve_guarded(a, max_abs, &mut ws, true, None, Some(sink))?;
         self.finish_decompose(a, solved)
     }
 
@@ -688,8 +690,8 @@ impl HestenesSvd {
         ws: &mut SweepWorkspace,
         injector: &mut dyn crate::inject::FaultInjector,
     ) -> Result<Svd, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, ws, true, Some(injector), None)?;
+        let max_abs = self.validate(a)?;
+        let solved = self.solve_guarded(a, max_abs, ws, true, Some(injector), None)?;
         self.finish_decompose(a, solved)
     }
 

@@ -240,17 +240,12 @@ impl Matrix {
     ///
     /// This is exactly the matrix the paper's Hestenes preprocessor computes
     /// in the first sweep: diagonal entries are squared column 2-norms,
-    /// off-diagonals are covariances between column pairs.
+    /// off-diagonals are covariances between column pairs. Built by
+    /// [`crate::ops::gram_packed`]; every entry is bit-identical to
+    /// `ops::dot` of its two columns.
     pub fn gram(&self) -> PackedSymmetric {
-        let n = self.cols;
-        let mut d = PackedSymmetric::zeros(n);
-        for i in 0..n {
-            let ci = self.col(i);
-            for j in i..n {
-                let cj = self.col(j);
-                d.set(i, j, crate::ops::dot(ci, cj));
-            }
-        }
+        let mut d = PackedSymmetric::zeros(self.cols);
+        crate::ops::gram_packed(&self.data, self.rows, self.cols, d.as_mut_slice(), 1);
         d
     }
 
@@ -310,11 +305,6 @@ impl Matrix {
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
         let (head, tail) = self.data.split_at_mut(hi * rows);
         head[lo * rows..(lo + 1) * rows].swap_with_slice(&mut tail[..rows]);
-    }
-
-    /// Maximum absolute element, or 0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()))
     }
 }
 
@@ -504,13 +494,6 @@ mod tests {
         assert_eq!(d.get(0, 0), 2.0);
         assert_eq!(d.get(1, 1), 3.0);
         assert_eq!(d.get(0, 1), 0.0);
-    }
-
-    #[test]
-    fn max_abs_finds_extreme() {
-        let m = Matrix::from_rows(&[&[1.0, -7.5], &[3.0, 2.0]]);
-        assert_eq!(m.max_abs(), 7.5);
-        assert_eq!(Matrix::zeros(0, 0).max_abs(), 0.0);
     }
 
     #[test]

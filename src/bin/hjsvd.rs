@@ -47,6 +47,12 @@
 //! | 8    | `timeout`       | `--timeout-ms` deadline exceeded              |
 //! | 9    | `cancelled`     | solve cancelled via its cancellation flag     |
 //! | 10   | `rejected`      | serve admission control rejected the job      |
+//! | 141  | —               | stdout closed early; exits without a message  |
+//!
+//! Stdout closed early (`hjsvd svd m.csv | head -1`) is not a failure
+//! worth a message: the CLI stops writing and exits quietly with code 141,
+//! the status a shell reports for a process killed by `SIGPIPE`. Any other
+//! stdout write failure is an `io` error (code 3).
 
 use hjsvd::arch::{resource_usage, ArchConfig, HestenesJacobiArch};
 use hjsvd::core::{
@@ -71,6 +77,9 @@ struct CliError {
     message: String,
 }
 
+/// Exit code when stdout's reader went away (128 + `SIGPIPE`).
+const EXIT_BROKEN_PIPE: u8 = 141;
+
 impl CliError {
     fn usage(message: impl Into<String>) -> CliError {
         CliError { code: 2, kind: "usage", message: message.into() }
@@ -79,6 +88,24 @@ impl CliError {
     fn io(message: impl Into<String>) -> CliError {
         CliError { code: 3, kind: "io", message: message.into() }
     }
+
+    /// A failed write to stdout: a closed pipe ends the run quietly
+    /// ([`EXIT_BROKEN_PIPE`]), anything else is an `io` error.
+    fn stdout(e: std::io::Error) -> CliError {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError { code: EXIT_BROKEN_PIPE, kind: "broken-pipe", message: e.to_string() }
+        } else {
+            CliError::io(format!("stdout: {e}"))
+        }
+    }
+}
+
+/// `writeln!` to a command's stdout writer that returns a failed write as
+/// [`CliError::stdout`] instead of panicking like `println!`.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(CliError::stdout)?
+    };
 }
 
 impl From<SvdError> for CliError {
@@ -101,8 +128,9 @@ impl From<SvdError> for CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(&args, &mut std::io::stdout()) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.code == EXIT_BROKEN_PIPE => ExitCode::from(e.code),
         Err(e) => {
             eprintln!("error[{}]: {}", e.kind, e.message);
             ExitCode::from(e.code)
@@ -110,29 +138,29 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
+/// Run one command; everything it prints goes to `out` (stdout in
+/// `main`), whose write failures come back as [`CliError::stdout`].
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut parsed = ParsedArgs::parse(args).map_err(CliError::usage)?;
     match parsed.command.as_str() {
-        "svd" => cmd_svd(&mut parsed),
-        "pca" => cmd_pca(&mut parsed),
-        "eigh" => cmd_eigh(&mut parsed),
-        "simulate" => cmd_simulate(&mut parsed),
-        "resources" => cmd_resources(&parsed),
-        "generate" => cmd_generate(&mut parsed),
-        "serve" => cmd_serve(&mut parsed),
-        "submit" => cmd_submit(&mut parsed),
-        "submit-batch" => cmd_submit_batch(&mut parsed),
-        "shutdown" => cmd_shutdown(&mut parsed),
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(())
-        }
+        "svd" => cmd_svd(&mut parsed, out),
+        "pca" => cmd_pca(&mut parsed, out),
+        "eigh" => cmd_eigh(&mut parsed, out),
+        "simulate" => cmd_simulate(&mut parsed, out),
+        "resources" => cmd_resources(&parsed, out),
+        "generate" => cmd_generate(&mut parsed, out),
+        "serve" => cmd_serve(&mut parsed, out),
+        "submit" => cmd_submit(&mut parsed, out),
+        "submit-batch" => cmd_submit_batch(&mut parsed, out),
+        "shutdown" => cmd_shutdown(&mut parsed, out),
+        "help" | "--help" | "-h" => print_help(out),
         other => Err(CliError::usage(format!("unknown command '{other}'"))),
     }
 }
 
-fn print_help() {
-    println!(
+fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
+    outln!(
+        out,
         "hjsvd — Hestenes-Jacobi SVD toolkit
 
 USAGE:
@@ -204,6 +232,7 @@ USAGE:
       Gracefully stop a running server: drain in-flight jobs for up to
       --drain-ms (default 5000), then print the final stats JSON."
     );
+    Ok(())
 }
 
 /// Minimal deterministic argument cracker: positionals in order, `--flag`
@@ -284,13 +313,14 @@ fn emit_stats(
     stats: &hjsvd::core::SolveStats,
     path: &str,
     trace_owns_stdout: bool,
+    out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let json = stats.to_json();
     if path == "-" {
         if trace_owns_stdout {
             eprintln!("{json}");
         } else {
-            println!("{json}");
+            outln!(out, "{json}");
         }
         Ok(())
     } else {
@@ -329,10 +359,18 @@ fn open_trace(path: &str) -> Result<JsonlSink<Box<dyn Write>>, CliError> {
     Ok(JsonlSink::new(w))
 }
 
-/// Flush the trace sink and surface any write error it swallowed mid-solve.
+/// Flush the trace sink and surface any write error it swallowed mid-solve
+/// (on stdout, a closed pipe ends the run quietly like any other output).
 fn close_trace(sink: JsonlSink<Box<dyn Write>>, path: &str) -> Result<(), CliError> {
-    let mut w = sink.finish().map_err(|e| CliError::io(format!("{path}: {e}")))?;
-    w.flush().map_err(|e| CliError::io(format!("{path}: {e}")))
+    let fail = |e: std::io::Error| {
+        if path == "-" {
+            CliError::stdout(e)
+        } else {
+            CliError::io(format!("{path}: {e}"))
+        }
+    };
+    let mut w = sink.finish().map_err(fail)?;
+    w.flush().map_err(fail)
 }
 
 /// Parse the `--engine` option into an [`EngineKind`] (default: sequential).
@@ -386,7 +424,7 @@ fn load_batch(spec: &str) -> Result<Vec<(String, Matrix)>, CliError> {
 /// batches ride the SoA engine, everything else the looped path. Slots
 /// succeed and fail independently; `--stats` emits one SolveStats record
 /// per successful problem, in slot order, as JSON Lines.
-fn cmd_svd_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_svd_batch(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = p
         .positional(0, "batch input (directory or comma-separated CSV list)")
         .map_err(CliError::usage)?
@@ -403,38 +441,39 @@ fn cmd_svd_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
     for ((path, _), res) in inputs.iter().zip(batch) {
         match res {
             Ok(sv) => {
-                println!(
+                outln!(
+                    out,
                     "# {path}: {} singular values ({} sweeps, engine {})",
                     sv.values.len(),
                     sv.sweeps,
                     sv.stats.engine
                 );
                 for v in &sv.values {
-                    println!("{v}");
+                    outln!(out, "{v}");
                 }
                 stats_lines.push(sv.stats.to_json());
             }
             Err(e) => {
                 let ce = CliError::from(e);
-                println!("# {path}: error[{}]: {}", ce.kind, ce.message);
+                outln!(out, "# {path}: error[{}]: {}", ce.kind, ce.message);
                 first_err.get_or_insert(ce);
             }
         }
     }
     if let Some(sp) = p.opt("stats") {
-        let doc = stats_lines.join("\n") + "\n";
+        let doc = stats_lines.join("\n");
         if sp == "-" {
-            print!("{doc}");
+            outln!(out, "{doc}");
         } else {
-            std::fs::write(sp, doc).map_err(|e| CliError::io(format!("{sp}: {e}")))?;
+            std::fs::write(sp, doc + "\n").map_err(|e| CliError::io(format!("{sp}: {e}")))?;
         }
     }
     first_err.map_or(Ok(()), Err)
 }
 
-fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_svd(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     if p.flag("batch") {
-        return cmd_svd_batch(p);
+        return cmd_svd_batch(p, out);
     }
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let a = load(&path)?;
@@ -466,12 +505,12 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
             }
             None => solver.singular_values(&a)?,
         };
-        println!("# {} singular values ({} sweeps)", sv.values.len(), sv.sweeps);
+        outln!(out, "# {} singular values ({} sweeps)", sv.values.len(), sv.sweeps);
         for v in &sv.values {
-            println!("{v}");
+            outln!(out, "{v}");
         }
         if let Some(sp) = stats_path {
-            emit_stats(&sv.stats, &sp, trace_owns_stdout)?;
+            emit_stats(&sv.stats, &sp, trace_owns_stdout, out)?;
         }
         return Ok(());
     }
@@ -485,11 +524,12 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
         None => solver.decompose(&a)?,
     };
     if let Some(sp) = stats_path {
-        emit_stats(&svd.stats, &sp, trace_owns_stdout)?;
+        emit_stats(&svd.stats, &sp, trace_owns_stdout, out)?;
     }
     let rank: Option<usize> = p.opt_parse("rank").map_err(CliError::usage)?;
     let k = rank.unwrap_or(svd.singular_values.len()).min(svd.singular_values.len());
-    println!(
+    outln!(
+        out,
         "# {}x{} matrix, {} sweeps, reconstruction error {:.3e}",
         a.rows(),
         a.cols(),
@@ -497,7 +537,7 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
         norms::reconstruction_error(&a, &svd.u, &svd.singular_values, &svd.v)
     );
     for v in &svd.singular_values[..k] {
-        println!("{v}");
+        outln!(out, "{v}");
     }
     if let Some(prefix) = p.opt("out") {
         let mut s = Matrix::zeros(k, 1);
@@ -507,44 +547,44 @@ fn cmd_svd(p: &mut ParsedArgs) -> Result<(), CliError> {
         save(&svd.u.leading_columns(k), &format!("{prefix}_u.csv"))?;
         save(&s, &format!("{prefix}_s.csv"))?;
         save(&svd.v.leading_columns(k), &format!("{prefix}_v.csv"))?;
-        println!("# wrote {prefix}_u.csv, {prefix}_s.csv, {prefix}_v.csv");
+        outln!(out, "# wrote {prefix}_u.csv, {prefix}_s.csv, {prefix}_v.csv");
     }
     Ok(())
 }
 
-fn cmd_pca(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_pca(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = p.positional(0, "input data path").map_err(CliError::usage)?.to_string();
     let k: usize = p.required("components").map_err(CliError::usage)?;
     let data = load(&path)?;
     let pca = Pca::fit_default(&data, k)?;
-    println!("# component, explained variance, ratio");
+    outln!(out, "# component, explained variance, ratio");
     for (i, (ev, r)) in
         pca.explained_variance().iter().zip(pca.explained_variance_ratio()).enumerate()
     {
-        println!("{}, {ev}, {r}", i + 1);
+        outln!(out, "{}, {ev}, {r}", i + 1);
     }
-    println!("# total captured: {:.4}", pca.captured_variance());
+    outln!(out, "# total captured: {:.4}", pca.captured_variance());
     if let Some(prefix) = p.opt("out") {
         save(&pca.transform(&data), &format!("{prefix}_scores.csv"))?;
         save(pca.components(), &format!("{prefix}_components.csv"))?;
-        println!("# wrote {prefix}_scores.csv, {prefix}_components.csv");
+        outln!(out, "# wrote {prefix}_scores.csv, {prefix}_components.csv");
     }
     Ok(())
 }
 
-fn cmd_eigh(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_eigh(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let ordering = ordering_option(p)?;
     let s = load(&path)?;
     let e = eigh::eigh_dense_ordered(&s, 1e-14, ordering)?;
-    println!("# {} eigenvalues ({} sweeps)", e.eigenvalues.len(), e.sweeps);
+    outln!(out, "# {} eigenvalues ({} sweeps)", e.eigenvalues.len(), e.sweeps);
     for v in &e.eigenvalues {
-        println!("{v}");
+        outln!(out, "{v}");
     }
     Ok(())
 }
 
-fn cmd_simulate(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_simulate(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let m: usize = p.required("rows").map_err(CliError::usage)?;
     let n: usize = p.required("cols").map_err(CliError::usage)?;
     let sweeps: Option<usize> = p.opt_parse("sweeps").map_err(CliError::usage)?;
@@ -554,48 +594,56 @@ fn cmd_simulate(p: &mut ParsedArgs) -> Result<(), CliError> {
     }
     let arch = HestenesJacobiArch::new(cfg);
     let r = arch.estimate(m, n);
-    println!("architecture estimate for a {m}x{n} decomposition ({} sweeps):", r.sweeps);
-    println!("  covariance placement: {:?}", r.placement);
-    println!(
+    outln!(out, "architecture estimate for a {m}x{n} decomposition ({} sweeps):", r.sweeps);
+    outln!(out, "  covariance placement: {:?}", r.placement);
+    outln!(
+        out,
         "  preprocess: {} cycles (compute {}, input {})",
-        r.preprocess.total_cycles, r.preprocess.compute_cycles, r.preprocess.input_cycles
+        r.preprocess.total_cycles,
+        r.preprocess.compute_cycles,
+        r.preprocess.input_cycles
     );
     for s in &r.per_sweep {
-        println!(
+        outln!(
+            out,
             "  sweep {}: rot {} / upd {} / io {} -> {}",
-            s.sweep, s.rotation_cycles, s.update_cycles, s.io_cycles, s.total_cycles
+            s.sweep,
+            s.rotation_cycles,
+            s.update_cycles,
+            s.io_cycles,
+            s.total_cycles
         );
     }
-    println!("  finalize: {} cycles", r.finalize_cycles);
-    println!("  total: {} cycles = {:.6} s at 150 MHz", r.total_cycles, r.seconds);
+    outln!(out, "  finalize: {} cycles", r.finalize_cycles);
+    outln!(out, "  total: {} cycles = {:.6} s at 150 MHz", r.total_cycles, r.seconds);
     Ok(())
 }
 
-fn cmd_resources(_p: &ParsedArgs) -> Result<(), CliError> {
+fn cmd_resources(_p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let cfg = ArchConfig::paper();
     let usage = resource_usage(&cfg);
     let chip = ChipCapacity::XC5VLX330;
-    println!("resource usage on {}:", chip.name);
+    outln!(out, "resource usage on {}:", chip.name);
     for (name, cost, bram) in usage.items() {
-        println!("  {name:<14} {:>7} LUT {:>4} DSP {:>4} BRAM36", cost.luts, cost.dsps, bram);
+        outln!(out, "  {name:<14} {:>7} LUT {:>4} DSP {:>4} BRAM36", cost.luts, cost.dsps, bram);
     }
     let (lut, bram, dsp) = usage.utilization(&chip);
-    println!("totals: {lut:.1}% LUT, {bram:.1}% BRAM, {dsp:.1}% DSP (paper: 89/91/53)");
+    outln!(out, "totals: {lut:.1}% LUT, {bram:.1}% BRAM, {dsp:.1}% DSP (paper: 89/91/53)");
     Ok(())
 }
 
-fn cmd_generate(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_generate(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let m: usize = p.required("rows").map_err(CliError::usage)?;
     let n: usize = p.required("cols").map_err(CliError::usage)?;
-    let out = p.positional(0, "output path").map_err(CliError::usage)?.to_string();
+    let path = p.positional(0, "output path").map_err(CliError::usage)?.to_string();
     let seed: u64 = p.opt_parse("seed").map_err(CliError::usage)?.unwrap_or(42);
     let cond: Option<f64> = p.opt_parse("cond").map_err(CliError::usage)?;
     let a = match cond {
         Some(c) => gen::with_condition_number(m, n, c, seed),
         None => gen::uniform(m, n, seed),
     };
-    save(&a, &out)?;
-    println!("# wrote {m}x{n} matrix to {out}");
+    save(&a, &path)?;
+    outln!(out, "# wrote {m}x{n} matrix to {path}");
     Ok(())
 }
 
@@ -626,7 +674,7 @@ fn remote_error(code: u8, kind: &str, message: &str) -> CliError {
     CliError { code, kind: static_kind, message: format!("[{kind}] {message}") }
 }
 
-fn cmd_serve(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_serve(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = p.opt("addr").ok_or_else(|| CliError::usage("--addr is required"))?.to_string();
     let mut config = ServiceConfig::default();
     if let Some(w) = p.opt_parse::<usize>("workers").map_err(CliError::usage)? {
@@ -644,14 +692,14 @@ fn cmd_serve(p: &mut ParsedArgs) -> Result<(), CliError> {
     let server = Server::bind(&addr, config).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     let local = server.local_addr().map_err(|e| CliError::io(e.to_string()))?;
     // One parseable line so scripts (and CI) can discover the ephemeral port.
-    println!("listening on {local}");
-    std::io::stdout().flush().ok();
+    outln!(out, "listening on {local}");
+    out.flush().map_err(CliError::stdout)?;
     let stats = server.run().map_err(|e| CliError::io(e.to_string()))?;
-    println!("{}", stats.to_json());
+    outln!(out, "{}", stats.to_json());
     Ok(())
 }
 
-fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_submit(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let addr = p.opt("addr").ok_or_else(|| CliError::usage("--addr is required"))?.to_string();
     let a = load(&path)?;
@@ -671,14 +719,15 @@ fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {
     let outcome = client
         .submit(&a, SubmitOptions { engine, ordering, priority, deadline_ms, tenant })
         .map_err(client_error)?;
-    println!(
+    outln!(
+        out,
         "# {} singular values ({} sweeps, job {})",
         outcome.values.len(),
         outcome.sweeps,
         outcome.job
     );
     for v in &outcome.values {
-        println!("{v}");
+        outln!(out, "{v}");
     }
     Ok(())
 }
@@ -687,7 +736,7 @@ fn cmd_submit(p: &mut ParsedArgs) -> Result<(), CliError> {
 /// as ONE bulk job (protocol v3 `SubmitBatch`) and print every slot's
 /// spectrum. Bulk jobs ride the batch priority class; per-slot failures
 /// are printed in place and the first one's code becomes the exit code.
-fn cmd_submit_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_submit_batch(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = p
         .positional(0, "batch input (directory or comma-separated CSV list)")
         .map_err(CliError::usage)?
@@ -704,23 +753,24 @@ fn cmd_submit_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
             SubmitOptions { priority: Priority::Batch, deadline_ms, tenant, ..Default::default() },
         )
         .map_err(client_error)?;
-    println!("# job {}: {} problems", outcome.job, outcome.items.len());
+    outln!(out, "# job {}: {} problems", outcome.job, outcome.items.len());
     let mut first_err: Option<CliError> = None;
     for ((path, _), item) in inputs.iter().zip(outcome.items) {
         match item {
             Ok(spectrum) => {
-                println!(
+                outln!(
+                    out,
                     "# {path}: {} singular values ({} sweeps)",
                     spectrum.values.len(),
                     spectrum.sweeps
                 );
                 for v in &spectrum.values {
-                    println!("{v}");
+                    outln!(out, "{v}");
                 }
             }
             Err(f) => {
                 let ce = remote_error(f.code, &f.kind, &f.message);
-                println!("# {path}: error[{}]: {}", ce.kind, ce.message);
+                outln!(out, "# {path}: error[{}]: {}", ce.kind, ce.message);
                 first_err.get_or_insert(ce);
             }
         }
@@ -728,12 +778,12 @@ fn cmd_submit_batch(p: &mut ParsedArgs) -> Result<(), CliError> {
     first_err.map_or(Ok(()), Err)
 }
 
-fn cmd_shutdown(p: &mut ParsedArgs) -> Result<(), CliError> {
+fn cmd_shutdown(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = p.opt("addr").ok_or_else(|| CliError::usage("--addr is required"))?.to_string();
     let drain_ms: u64 = p.opt_parse("drain-ms").map_err(CliError::usage)?.unwrap_or(5000);
     let mut client = Client::connect(&addr).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     let json = client.shutdown(Duration::from_millis(drain_ms)).map_err(client_error)?;
-    println!("{json}");
+    outln!(out, "{json}");
     Ok(())
 }
 
@@ -743,6 +793,11 @@ mod tests {
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// [`super::run`] with the command's stdout discarded.
+    fn run(args: &[String]) -> Result<(), CliError> {
+        super::run(args, &mut std::io::sink())
     }
 
     #[test]

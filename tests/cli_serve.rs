@@ -1,8 +1,8 @@
-//! Spawned-binary tests for the `hjsvd` CLI's service commands and the
-//! stdout stream-collision fix: a real `serve` process on an ephemeral
-//! port, `submit`/`shutdown` against it, bit-identical output versus a
-//! local solve, and the `--stats - --trace -` pin (trace JSONL owns
-//! stdout; the stats object routes to stderr).
+//! Spawned-binary tests for the `hjsvd` CLI's service commands and its
+//! stdout handling: a real `serve` process on an ephemeral port,
+//! `submit`/`shutdown` against it, bit-identical output versus a local
+//! solve, the `--stats - --trace -` pin (trace JSONL owns stdout; the stats
+//! object routes to stderr), and a reader that closes stdout early.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -226,5 +226,32 @@ fn connection_failures_exit_with_io_code() {
 
     let down = hjsvd(&["shutdown", "--addr", &dead]);
     assert_eq!(down.status.code(), Some(3));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `hjsvd svd ... | head -1`: the reader takes one line and goes away. The
+/// CLI must stop writing without a panic or an error line and exit with
+/// the documented closed-pipe code, 141.
+#[test]
+fn closed_stdout_exits_quietly_with_the_pipe_code() {
+    let (dir, mp) = scratch_with_matrix("pipe", "40", "30", "3");
+    // 200 slots of 30 values print far more than a pipe buffers, so the
+    // child is still writing when the read end closes.
+    let list = vec![mp.as_str(); 200].join(",");
+    let mut child = Command::new(BIN)
+        .args(["svd", "--batch", &list])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hjsvd svd");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("svd stdout pipe");
+    BufReader::new(stdout).read_line(&mut first).expect("read one line");
+    assert!(first.contains("30 singular values"), "{first}");
+    let out = child.wait_with_output().expect("wait for hjsvd svd");
+    let stderr = stderr_of(&out);
+    assert!(!stderr.contains("panicked"), "panic on a closed stdout: {stderr}");
+    assert!(stderr.is_empty(), "a closed stdout is not an error worth a line: {stderr}");
+    assert_eq!(out.status.code(), Some(141), "stderr: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

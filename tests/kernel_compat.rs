@@ -15,13 +15,24 @@
 //!   equal to their references on every length and every pair, aligned or
 //!   not.
 //!
+//! * `ops::gram_packed` (the register-blocked Gram kernel behind
+//!   `Matrix::gram`, `GramState::from_matrix` and the SoA batch loader)
+//!   keeps each entry's sixteen partial sums and final reduction, so every
+//!   entry is **bitwise** the per-entry `ops::dot` it replaced, whatever the
+//!   row count, panel split or column tiling.
+//! * `ops::finite_max_abs`, the one input scan behind validation and the
+//!   prescale exponent, rejects a non-finite entry wherever it sits and
+//!   yields the same exponent as the separate scans it replaced.
+//!
 //! All strategies span twelve orders of magnitude in the norms (1e-6..1e6),
 //! like the scalar rotation proptests.
 
 use hjsvd::core::kernel::{batch_params, rotate_packed};
 use hjsvd::core::rotation::{hardware_params, textbook_params, Rotation};
-use hjsvd::core::{EngineKind, GramState, HestenesSvd, SvdOptions};
-use hjsvd::matrix::{gen, ops, PackedSymmetric};
+use hjsvd::core::{
+    BatchDriver, BatchWorkspace, EngineKind, GramState, HestenesSvd, SvdError, SvdOptions,
+};
+use hjsvd::matrix::{gen, ops, Matrix, PackedSymmetric};
 use proptest::prelude::*;
 
 /// A plausible (norm_i, norm_j, cov) triple satisfying Cauchy-Schwarz,
@@ -60,6 +71,138 @@ fn rotate_packed_reference(d: &mut PackedSymmetric, i: usize, j: usize, rot: &Ro
         let djk = d.get(k, j);
         d.set(k, i, dik * rot.cos - djk * rot.sin);
         d.set(k, j, dik * rot.sin + djk * rot.cos);
+    }
+}
+
+/// Per-entry reference for the Gram kernel: the pre-kernel `Matrix::gram`,
+/// one `ops::dot` per packed entry.
+fn gram_reference(a: &Matrix) -> PackedSymmetric {
+    let n = a.cols();
+    let mut d = PackedSymmetric::zeros(n);
+    for i in 0..n {
+        for j in i..n {
+            d.set(i, j, ops::dot(a.col(i), a.col(j)));
+        }
+    }
+    d
+}
+
+/// An `m × n` input whose entries spread over thirteen binary orders, so a
+/// changed summation order would show in the low bits.
+fn spread(m: usize, n: usize, seed: u64) -> Matrix {
+    let mut a = gen::uniform(m, n, seed);
+    for (k, v) in a.as_mut_slice().iter_mut().enumerate() {
+        *v *= 2f64.powi((k * 7 % 13) as i32 - 6);
+    }
+    a
+}
+
+/// First entry where two triangles differ in their bits, if any.
+fn first_bit_difference(got: &PackedSymmetric, want: &PackedSymmetric) -> Option<usize> {
+    assert_eq!(got.dim(), want.dim());
+    got.as_slice().iter().zip(want.as_slice()).position(|(g, w)| g.to_bits() != w.to_bits())
+}
+
+#[test]
+fn gram_kernel_is_bitwise_dot_on_every_row_residue() {
+    // Row counts under one 16-row block, inside one 512-row panel, exactly
+    // filling it, and across one and two panel boundaries — each at every
+    // residue mod 16. Column counts: one, two, odd (a ragged 2×2 block),
+    // and more than one 16-column tile.
+    for base in [0usize, 48, 512, 528, 1040] {
+        for residue in 0..16 {
+            let m = base + residue;
+            for n in [1usize, 2, 7, 17, 33] {
+                if n == 33 && base >= 512 {
+                    continue; // two tiles are covered at the smaller heights
+                }
+                let a = spread(m, n, (m * 64 + n) as u64);
+                let diff = first_bit_difference(&a.gram(), &gram_reference(&a));
+                assert_eq!(diff, None, "{m}x{n}: packed entry differs from ops::dot");
+            }
+        }
+    }
+}
+
+#[test]
+fn soa_loader_triangles_equal_matrix_gram_slot_by_slot() {
+    let solver = HestenesSvd::new(SvdOptions::default());
+    let driver = BatchDriver::new(&solver);
+    let mut ws = BatchWorkspace::new();
+    for (m, n, k) in [(32usize, 32usize, 7usize), (48, 12, 9), (5, 3, 4), (600, 17, 3)] {
+        let mats: Vec<Matrix> = (0..k).map(|p| spread(m, n, p as u64 + 1)).collect();
+        driver.load(&mut ws, &mats);
+        for (p, a) in mats.iter().enumerate() {
+            let diff = first_bit_difference(&ws.packed(p), &a.gram());
+            assert_eq!(diff, None, "{m}x{n} batch of {k}: slot {p} differs");
+        }
+    }
+    // A prescaled slot: the loader builds the triangle of the exactly
+    // scaled copy, which is what `Matrix::gram` of that copy gives.
+    let huge = spread(24, 6, 9).scaled(2f64.powi(700));
+    let mats = vec![spread(24, 6, 8), huge.clone()];
+    let exp = solver.singular_values_batch(&mats)[1].as_ref().unwrap().stats.prescale_exp;
+    assert_ne!(exp, 0, "the guard must engage");
+    driver.load(&mut ws, &mats);
+    let diff = first_bit_difference(&ws.packed(1), &huge.scaled(2f64.powi(exp)).gram());
+    assert_eq!(diff, None, "prescaled slot differs");
+}
+
+#[test]
+fn non_finite_entries_are_rejected_wherever_they_sit() {
+    let solver = HestenesSvd::new(SvdOptions::default());
+    // 7×5 = 35 entries: two whole 16-lane chunks and 3 in the remainder;
+    // 40×13 = 520: a long vector body and 8 in the remainder.
+    for (m, n, spots) in [(7usize, 5usize, [0usize, 17, 33, 34]), (40, 13, [0, 259, 515, 519])] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in spots {
+                let mut a = gen::uniform(m, n, 3);
+                a.as_mut_slice()[at] = bad;
+                let what = format!("{bad} at {at} of {m}x{n}");
+                assert_eq!(ops::finite_max_abs(a.as_slice()), None, "{what}");
+                assert!(
+                    matches!(solver.singular_values(&a), Err(SvdError::NonFiniteInput)),
+                    "singular_values: {what}"
+                );
+                assert!(
+                    matches!(solver.decompose(&a), Err(SvdError::NonFiniteInput)),
+                    "decompose: {what}"
+                );
+                let mats = vec![gen::uniform(m, n, 1), a, gen::uniform(m, n, 2)];
+                let out = solver.singular_values_batch(&mats);
+                assert!(matches!(out[1], Err(SvdError::NonFiniteInput)), "batch: {what}");
+                assert!(out[0].is_ok() && out[2].is_ok(), "batch neighbours: {what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn prescale_exponent_is_unchanged_near_the_range_ends() {
+    // The single scan must feed the prescale the exponent the separate
+    // max|a| fold gave: 0 inside ±250 binary orders, −⌊log₂ max|a|⌋ outside.
+    let solver = HestenesSvd::new(SvdOptions::default());
+    let expected = |a: &Matrix| {
+        let max_abs = a.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let e = max_abs.log2().floor() as i32;
+        if e.abs() <= 250 {
+            0
+        } else {
+            -e
+        }
+    };
+    for scale in [1e160, 1e-160, 1e300, 1e-300] {
+        let a = gen::uniform(20, 6, 41).scaled(scale);
+        let b = gen::uniform(20, 6, 42).scaled(scale * 0.7);
+        let (want_a, want_b) = (expected(&a), expected(&b));
+        assert_ne!(want_a, 0, "scale {scale:e} must engage the guard");
+        let sv = solver.singular_values(&a).unwrap();
+        assert_eq!(sv.stats.prescale_exp, want_a, "singular_values at {scale:e}");
+        let svd = solver.decompose(&a).unwrap();
+        assert_eq!(svd.stats.prescale_exp, want_a, "decompose at {scale:e}");
+        let batch = solver.singular_values_batch(&[a, b]);
+        assert_eq!(batch[0].as_ref().unwrap().stats.prescale_exp, want_a, "batch at {scale:e}");
+        assert_eq!(batch[1].as_ref().unwrap().stats.prescale_exp, want_b, "batch at {scale:e}");
     }
 }
 
@@ -156,6 +299,23 @@ proptest! {
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "pair ({}, {}) n {}", i, j, n);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn gram_kernel_triangle_is_bitwise_per_entry_dot(
+        m in 0usize..1100,
+        n in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        let a = spread(m, n, seed);
+        let diff = first_bit_difference(&a.gram(), &gram_reference(&a));
+        prop_assert_eq!(diff, None, "{}x{}: packed entry differs from ops::dot", m, n);
+        let g = GramState::from_matrix(&a);
+        prop_assert_eq!(first_bit_difference(g.packed(), &gram_reference(&a)), None);
     }
 }
 

@@ -467,38 +467,39 @@ proptest! {
     ) {
         // The ordering refactor moved plan construction behind
         // OrderingStrategy + PlanBuffers; the default cyclic schedule must
-        // still produce the exact bits of the pre-refactor fixed
-        // round_robin(n) sweep loop — on all three engines (below the
-        // single-tile bound the blocked engine does bit-identical work).
-        use hjsvd::core::convergence::{is_converged, Convergence, MAX_SWEEP_CAP};
-        use hjsvd::core::sweep::sweep_full;
+        // still produce the exact bits of the same engine driven over the
+        // fixed round_robin(n) plan — on all three engines. Each engine is
+        // compared with itself: on a pool of two or more threads the
+        // parallel engine's round-synchronous update differs from the
+        // sequential one in rounding (see `hj_core::parallel`).
+        use hjsvd::core::engine::{Blocked, Sequential};
+        use hjsvd::core::parallel::Parallel;
+        use hjsvd::core::{PairGuard, RotationTarget, SolveDriver, SweepState, SweepWorkspace};
         use hjsvd::matrix::{ops, Matrix};
         let engine = [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked][which];
         let m = 2 * n + 3;
         let a = gen::uniform(m, n, seed);
+        let opts = SvdOptions { engine, ordering: Ordering::RoundRobin, ..Default::default() };
 
         let mut b = a.clone();
         let mut g = GramState::from_matrix(&b);
         let mut v = Matrix::identity(n);
+        let driver = SolveDriver { convergence: opts.convergence, max_sweeps: opts.max_sweeps };
         let order = round_robin(n);
-        let crit = Convergence::default();
-        let mut sweeps = 0usize;
-        while sweeps < MAX_SWEEP_CAP {
-            sweeps += 1;
-            let rec = sweep_full(&mut b, &mut g, Some(&mut v), &order, sweeps);
-            if is_converged(&crit, &rec, g.trace(), n) {
-                break;
-            }
-        }
+        let mut ws = SweepWorkspace::new();
+        let mut state = SweepState {
+            gram: &mut g,
+            target: RotationTarget::full(&mut b, &mut v),
+            guard: PairGuard::default(),
+        };
+        let (history, _) = match engine {
+            EngineKind::Sequential => driver.run(&mut Sequential, &mut state, &order),
+            EngineKind::Parallel => driver.run(&mut Parallel::new(&mut ws), &mut state, &order),
+            EngineKind::Blocked => driver.run(&mut Blocked::for_dim(&mut ws, n), &mut state, &order),
+        };
 
-        let svd = HestenesSvd::new(SvdOptions {
-            engine,
-            ordering: Ordering::RoundRobin,
-            ..Default::default()
-        })
-        .decompose(&a)
-        .unwrap();
-        prop_assert_eq!(svd.sweeps, sweeps, "{}: sweep count changed", engine.name());
+        let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
+        prop_assert_eq!(svd.sweeps, history.len(), "{}: sweep count changed", engine.name());
 
         let mut idx: Vec<usize> = (0..n).collect();
         let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();

@@ -59,6 +59,18 @@ fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Run one throwaway parallel sweep on a small problem with its own
+/// workspace. The rayon pool spawns its workers on the process's first
+/// dispatch, and those allocations belong to whichever test dispatches
+/// first; a test that bounds a one-shot warm-up measurement calls this
+/// before measuring.
+fn warm_thread_pool() {
+    let mut b = gen::uniform(8, 4, 1);
+    let mut gram = GramState::from_matrix(&b);
+    let order = round_robin(gram.dim());
+    parallel_sweep_full_ws(&mut b, &mut gram, None, &order, 1, &mut SweepWorkspace::new());
+}
+
 /// Measure the allocation events `f` performs, retrying a few times and
 /// keeping the minimum. The counter is process-global and libtest's main
 /// thread occasionally allocates mid-test (timeout bookkeeping), so a
@@ -285,6 +297,7 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
     // exchanges/growths in that problem's first sweep — but never more, and
     // every subsequent sweep of the same problem allocates exactly zero.
     let _guard = serial_guard();
+    warm_thread_pool();
     let shapes = [(40usize, 20usize), (30, 12), (18, 6)];
     let mut ws = SweepWorkspace::new();
 
