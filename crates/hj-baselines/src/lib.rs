@@ -16,7 +16,7 @@
 //!   whose "repeated calculations" the paper's Gram-maintenance removes.
 //! * [`gpu_model`] — analytic GPU timing model (sync overhead + throughput)
 //!   calibrated to the published 8800-era data points, plus a functional
-//!   round-synchronous parallel run that measures its own barrier counts.
+//!   run of the round-robin schedule that measures its own barrier counts.
 //! * [`fixed_point`] — saturating Q31.32 arithmetic and a fixed-point
 //!   Hestenes driver, quantifying the dynamic-range argument for the
 //!   paper's double-precision choice.

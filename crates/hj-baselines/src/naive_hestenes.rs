@@ -12,9 +12,9 @@
 //! the maintained-Gram implementation as well as an ablation baseline.
 
 use crate::SvdFactors;
+use hj_core::engine::PAIR_TOL;
 use hj_core::ordering::{build_sweep, Ordering};
 use hj_core::rotation::{pair_converged, textbook_params};
-use hj_core::sweep::PAIR_TOL;
 use hj_matrix::{ops, Matrix};
 
 /// Outcome of the naive driver, with the work counters the ablation reports.

@@ -2,12 +2,11 @@
 //! paper's flattened hardware equations (8)–(10) (both produce the same
 //! rotation; the hardware form exists for datapath parallelism, and this
 //! bench shows the two are also comparable in software cost) — plus the
-//! vectorized kernel layer against the scalar paths it replaced: SoA
-//! `batch_params` vs a scalar parameter loop, and the packed three-region
-//! `rotate_packed` walk vs the historical per-element `get`/`set` update.
+//! packed three-region `rotate_packed` walk against the historical
+//! per-element `get`/`set` update it replaced.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hj_core::kernel::{batch_params, rotate_packed};
+use hj_core::kernel::rotate_packed;
 use hj_core::rotation::{hardware_params, textbook_params, Rotation};
 use hj_core::GramState;
 use hj_matrix::{gen, PackedSymmetric};
@@ -40,42 +39,6 @@ fn bench_rotation_kernels(c: &mut Criterion) {
                 acc += r.cos + r.sin;
             }
             black_box(acc)
-        })
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("rotation_params_batch");
-    let ni: Vec<f64> = inputs.iter().map(|t| t.0).collect();
-    let nj: Vec<f64> = inputs.iter().map(|t| t.1).collect();
-    let cv: Vec<f64> = inputs.iter().map(|t| t.2).collect();
-    g.bench_function("scalar_loop_256", |b| {
-        let mut cos = vec![0.0; ni.len()];
-        let mut sin = vec![0.0; ni.len()];
-        let mut t = vec![0.0; ni.len()];
-        b.iter(|| {
-            for k in 0..ni.len() {
-                let r = textbook_params(black_box(ni[k]), black_box(nj[k]), black_box(cv[k]));
-                cos[k] = r.cos;
-                sin[k] = r.sin;
-                t[k] = r.t;
-            }
-            black_box(cos[0] + sin[0] + t[0])
-        })
-    });
-    g.bench_function("batch_soa_256", |b| {
-        let mut cos = vec![0.0; ni.len()];
-        let mut sin = vec![0.0; ni.len()];
-        let mut t = vec![0.0; ni.len()];
-        b.iter(|| {
-            batch_params(
-                black_box(&ni),
-                black_box(&nj),
-                black_box(&cv),
-                &mut cos,
-                &mut sin,
-                &mut t,
-            );
-            black_box(cos[0] + sin[0] + t[0])
         })
     });
     g.finish();

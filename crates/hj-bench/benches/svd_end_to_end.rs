@@ -1,8 +1,7 @@
-//! End-to-end SVD benchmarks: values-only vs full factorization, sequential
-//! vs the rayon round-synchronous driver.
+//! End-to-end SVD benchmarks: values-only vs full factorization.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hj_core::{EngineKind, HestenesSvd, SvdOptions};
+use hj_core::{HestenesSvd, SvdOptions};
 use hj_matrix::gen;
 
 fn bench_svd(c: &mut Criterion) {
@@ -11,13 +10,8 @@ fn bench_svd(c: &mut Criterion) {
     for &(m, n) in &[(128usize, 64usize), (512, 64), (256, 128)] {
         let a = gen::uniform(m, n, 7);
         let seq = HestenesSvd::new(SvdOptions::default());
-        let par =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Parallel, ..Default::default() });
         g.bench_with_input(BenchmarkId::new("values_seq", format!("{m}x{n}")), &a, |b, a| {
             b.iter(|| black_box(seq.singular_values(black_box(a)).unwrap()))
-        });
-        g.bench_with_input(BenchmarkId::new("values_par", format!("{m}x{n}")), &a, |b, a| {
-            b.iter(|| black_box(par.singular_values(black_box(a)).unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("full_seq", format!("{m}x{n}")), &a, |b, a| {
             b.iter(|| black_box(seq.decompose(black_box(a)).unwrap()))

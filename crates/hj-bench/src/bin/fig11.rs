@@ -11,12 +11,16 @@
 //! Run: `cargo run --release -p hj-bench --bin fig11 [--full]`
 
 use hj_bench::{has_flag, print_table, write_csv};
+use hj_core::convergence::Convergence;
+use hj_core::engine::Sequential;
 use hj_core::ordering::{build_sweep, Ordering};
-use hj_core::sweep::sweep_gram_only;
-use hj_core::GramState;
+use hj_core::{GramState, PairGuard, RotationTarget, SolveDriver, SweepState};
 use hj_matrix::gen;
 
 const SWEEPS: usize = 8;
+/// Exactly [`SWEEPS`] sweeps, whatever the convergence state.
+const DRIVER: SolveDriver =
+    SolveDriver { convergence: Convergence::FixedSweeps(SWEEPS), max_sweeps: SWEEPS };
 
 fn main() {
     let full = has_flag("--full");
@@ -33,11 +37,15 @@ fn main() {
         let mut g = GramState::from_matrix(&a);
         let mut row = vec![m.to_string(), format!("{:.3e}", g.mean_abs_covariance())];
         let mut csv_row = vec![m.to_string(), format!("{:.6e}", g.mean_abs_covariance())];
-        for s in 1..=SWEEPS {
-            sweep_gram_only(&mut g, &order, s);
-            let v = g.mean_abs_covariance();
-            row.push(format!("{v:.3e}"));
-            csv_row.push(format!("{v:.6e}"));
+        let mut state = SweepState {
+            gram: &mut g,
+            target: RotationTarget::gram_only(),
+            guard: PairGuard::default(),
+        };
+        let (history, _) = DRIVER.run(&mut Sequential, &mut state, &order);
+        for rec in &history {
+            row.push(format!("{:.3e}", rec.mean_abs_cov));
+            csv_row.push(format!("{:.6e}", rec.mean_abs_cov));
         }
         rows.push(row);
         csv.push(csv_row);

@@ -1,59 +1,48 @@
 //! Reproducible per-sweep benchmark: replay square problems across all
-//! three sweep engines and all pair-ordering strategies with the trace
-//! layer on, cross-check the trace against [`hj_core::SolveStats`], and
-//! emit a machine-readable `BENCH_sweep.json` report.
+//! pair-ordering strategies with the trace layer on, cross-check the trace
+//! against [`hj_core::SolveStats`], and emit a machine-readable
+//! `BENCH_sweep.json` report.
 //!
-//! Two grids run back to back:
-//!
-//! * **Engine grid** — for each `n ∈ {32, 64, 128, 256}` and each engine
-//!   (sequential, parallel, blocked) the values-only solver runs once under
-//!   the default cyclic ordering with a sweep-level
-//!   [`hj_core::RingBufferSink`] attached. The binary then verifies, run by
-//!   run, that the trace's `sweep_end` events agree with the solve's own
-//!   accounting — same sweep count, same per-sweep rotation totals as the
-//!   [`hj_core::SweepRecord`] history, same grand total as
-//!   `SolveStats.rotations_applied` — and aborts with a nonzero exit if any
-//!   run disagrees.
-//! * **Ordering grid** — for each `n`, the sequential engine runs every
-//!   non-default ordering (row-cyclic, sorted-greedy, de Rijk presort) plus
-//!   the threshold-schedule composition of cyclic, greedy, and presort, so
-//!   the report records `sweeps_to_converge` per (n, engine, ordering).
+//! For each `n ∈ {32, 64, 128, 256}` the values-only solver runs once per
+//! entry of the ordering grid — the default cyclic ordering, every
+//! non-default ordering (row-cyclic, sorted-greedy, de Rijk presort), and
+//! the threshold-schedule composition of cyclic, greedy, and presort — with
+//! a sweep-level [`hj_core::RingBufferSink`] attached, so the report
+//! records `sweeps_to_converge` per (n, ordering). The binary verifies, run
+//! by run, that the trace's `sweep_end` events agree with the solve's own
+//! accounting — same sweep count, same per-sweep rotation totals as the
+//! [`hj_core::SweepRecord`] history, same grand total as
+//! `SolveStats.rotations_applied` — and aborts with a nonzero exit if any
+//! run disagrees.
 //!
 //! The summary tables, a per-sweep breakdown at `n = 128`, and the JSON
-//! report (schema `hjsvd-sweep-report/v2`, one entry per run with the full
+//! report (schema `hjsvd-sweep-report/v3`, one entry per run with the full
 //! embedded `SolveStats` record) document the result; see EXPERIMENTS.md
 //! for the schema and regeneration instructions.
 //!
 //! Run: `cargo run --release -p hj-bench --bin sweep_report`
 //!
-//! With `--perf-smoke` the binary additionally enforces two contracts:
-//!
-//! * the engine performance contract fixed by the kernel rewrite: blocked
-//!   wall-clock at the largest size must stay within [`PERF_SMOKE_RATIO`]x
-//!   of sequential (the historical inversion had it ~2x slower);
-//! * the ordering contract from the scheduling subsystem: no plain
-//!   (threshold-free) non-cyclic ordering may need *more* sweeps than
-//!   cyclic at `n = `[`PERF_SMOKE_N`].
-//!
-//! CI runs this mode; any cross-check failure or contract breach exits
-//! nonzero.
+//! With `--perf-smoke` the binary additionally enforces the ordering
+//! contract from the scheduling subsystem: no plain (threshold-free)
+//! non-cyclic ordering may need *more* sweeps than cyclic at
+//! `n = `[`PERF_SMOKE_N`]. CI runs this mode; any cross-check failure or
+//! contract breach exits nonzero.
 
 use hj_bench::{fmt_secs, print_table};
 use hj_core::{
-    EngineKind, HestenesSvd, Ordering, RingBufferSink, SvdOptions, ThresholdSchedule, TraceEvent,
-    TraceLevel,
+    HestenesSvd, Ordering, RingBufferSink, SvdOptions, ThresholdSchedule, TraceEvent, TraceLevel,
 };
 use hj_matrix::gen;
 
 const SIZES: [usize; 4] = [32, 64, 128, 256];
-const ENGINES: [EngineKind; 3] =
-    [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked];
-/// The ordering grid: every non-default strategy plain, plus the
-/// threshold-schedule composition of the three orderings where thresholding
-/// is productive or load-bearing (row-cyclic + threshold is a known
-/// regression — single-pair rounds defer too much work — so it is excluded
-/// from the grid rather than silently reported as a recommendation).
-const ORDERING_GRID: [(Ordering, bool); 6] = [
+/// The ordering grid: the cyclic default, every non-default strategy plain,
+/// plus the threshold-schedule composition of the three orderings where
+/// thresholding is productive or load-bearing (row-cyclic + threshold is a
+/// known regression — single-pair rounds defer too much work — so it is
+/// excluded from the grid rather than silently reported as a
+/// recommendation).
+const ORDERING_GRID: [(Ordering, bool); 7] = [
+    (Ordering::RoundRobin, false),
     (Ordering::RowCyclic, false),
     (Ordering::SortedGreedy, false),
     (Ordering::ColumnNormPresort, false),
@@ -63,11 +52,6 @@ const ORDERING_GRID: [(Ordering, bool); 6] = [
 ];
 const SEED: u64 = 42;
 const BREAKDOWN_N: usize = 128;
-/// `--perf-smoke`: blocked may cost at most this multiple of sequential at
-/// the largest benchmarked size. The two do bit-identical work below the
-/// single-tile bound and near-identical above it, so 1.5 leaves generous
-/// headroom for scheduler noise while still catching a 2x inversion.
-const PERF_SMOKE_RATIO: f64 = 1.5;
 const PERF_SMOKE_N: usize = 256;
 
 /// Per-sweep numbers reconstructed from one run's `sweep_end` trace events.
@@ -79,11 +63,10 @@ struct SweepLine {
     seconds: f64,
 }
 
-/// One (n, engine, ordering) run: the solve's own record plus the trace's
-/// view of it.
+/// One (n, ordering) run: the solve's own record plus the trace's view of
+/// it.
 struct Run {
     n: usize,
-    engine: &'static str,
     ordering: &'static str,
     threshold: bool,
     sweeps: usize,
@@ -100,13 +83,11 @@ struct Run {
 fn run_one(
     a: &hj_matrix::Matrix,
     n: usize,
-    engine: EngineKind,
     ordering: Ordering,
     threshold: bool,
     runs: &mut Vec<Run>,
 ) -> usize {
     let solver = HestenesSvd::new(SvdOptions {
-        engine,
         ordering,
         threshold: threshold.then(ThresholdSchedule::default),
         trace: TraceLevel::Sweep,
@@ -123,7 +104,7 @@ fn run_one(
     let sv = match solver.singular_values_traced(a, &mut sink) {
         Ok(sv) => sv,
         Err(e) => {
-            eprintln!("FAIL n={n} engine={} ordering={label}: {e}", engine.name());
+            eprintln!("FAIL n={n} ordering={label}: {e}");
             return 1;
         }
     };
@@ -154,8 +135,7 @@ fn run_one(
     let trace_total: u64 = per_sweep.iter().map(|s| s.applied as u64).sum();
     if per_sweep.len() != sv.sweeps {
         eprintln!(
-            "FAIL n={n} engine={} ordering={label}: {} sweep_end events for {} sweeps",
-            engine.name(),
+            "FAIL n={n} ordering={label}: {} sweep_end events for {} sweeps",
             per_sweep.len(),
             sv.sweeps
         );
@@ -163,10 +143,8 @@ fn run_one(
     }
     if trace_total != sv.stats.rotations_applied as u64 {
         eprintln!(
-            "FAIL n={n} engine={} ordering={label}: trace counts {} rotations, stats say {}",
-            engine.name(),
-            trace_total,
-            sv.stats.rotations_applied
+            "FAIL n={n} ordering={label}: trace counts {} rotations, stats say {}",
+            trace_total, sv.stats.rotations_applied
         );
         failures += 1;
     }
@@ -176,13 +154,8 @@ fn run_one(
             || line.skipped != rec.rotations_skipped
         {
             eprintln!(
-                "FAIL n={n} engine={} ordering={label}: sweep {} trace ({}/{}) != history ({}/{})",
-                engine.name(),
-                rec.sweep,
-                line.applied,
-                line.skipped,
-                rec.rotations_applied,
-                rec.rotations_skipped
+                "FAIL n={n} ordering={label}: sweep {} trace ({}/{}) != history ({}/{})",
+                rec.sweep, line.applied, line.skipped, rec.rotations_applied, rec.rotations_skipped
             );
             failures += 1;
         }
@@ -191,7 +164,6 @@ fn run_one(
     let final_off = per_sweep.last().map(|s| s.off_frobenius).unwrap_or(0.0);
     runs.push(Run {
         n,
-        engine: engine.name(),
         ordering: ordering.name(),
         threshold,
         sweeps: sv.sweeps,
@@ -212,25 +184,17 @@ fn main() {
 
     for &n in &SIZES {
         let a = gen::uniform(n, n, SEED);
-        // Engine grid under the cyclic default.
-        for &engine in &ENGINES {
-            failures += run_one(&a, n, engine, Ordering::RoundRobin, false, &mut runs);
-        }
-        // Ordering grid on the sequential engine.
         for &(ordering, threshold) in &ORDERING_GRID {
-            failures += run_one(&a, n, EngineKind::Sequential, ordering, threshold, &mut runs);
+            failures += run_one(&a, n, ordering, threshold, &mut runs);
         }
     }
 
-    println!(
-        "sweep_report: engines × sizes × orderings with sweep-level tracing on (seed {SEED})\n"
-    );
+    println!("sweep_report: sizes × orderings with sweep-level tracing on (seed {SEED})\n");
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {
             vec![
                 r.n.to_string(),
-                r.engine.to_string(),
                 ordering_label(r),
                 r.sweeps.to_string(),
                 r.rotations_applied.to_string(),
@@ -239,19 +203,14 @@ fn main() {
             ]
         })
         .collect();
-    print_table(&["n", "engine", "ordering", "sweeps", "rotations", "final off-F", "total"], &rows);
+    print_table(&["n", "ordering", "sweeps", "rotations", "final off-F", "total"], &rows);
 
-    println!("\nsweeps_to_converge by ordering (sequential engine):");
+    println!("\nsweeps_to_converge by ordering:");
     let mut rows: Vec<Vec<String>> = Vec::new();
     for &n in &SIZES {
         let sweeps_of = |ordering: &str, threshold: bool| {
             runs.iter()
-                .find(|r| {
-                    r.n == n
-                        && r.engine == "sequential"
-                        && r.ordering == ordering
-                        && r.threshold == threshold
-                })
+                .find(|r| r.n == n && r.ordering == ordering && r.threshold == threshold)
                 .map(|r| r.sweeps.to_string())
                 .unwrap_or_else(|| "-".into())
         };
@@ -278,7 +237,6 @@ fn main() {
         .flat_map(|r| {
             r.per_sweep.iter().map(|s| {
                 vec![
-                    r.engine.to_string(),
                     s.sweep.to_string(),
                     s.applied.to_string(),
                     s.skipped.to_string(),
@@ -288,10 +246,9 @@ fn main() {
             })
         })
         .collect();
-    print_table(&["engine", "sweep", "applied", "skipped", "off-frobenius", "time"], &rows);
+    print_table(&["sweep", "applied", "skipped", "off-frobenius", "time"], &rows);
 
     if perf_smoke {
-        failures += perf_smoke_check(&runs);
         failures += ordering_smoke_check(&runs);
     }
 
@@ -319,36 +276,6 @@ fn ordering_label(r: &Run) -> String {
     }
 }
 
-/// `--perf-smoke`: fail if blocked wall-clock exceeds
-/// [`PERF_SMOKE_RATIO`] times sequential at n = [`PERF_SMOKE_N`]. Returns
-/// the number of failures to fold into the exit status.
-fn perf_smoke_check(runs: &[Run]) -> usize {
-    let total = |name: &str| {
-        runs.iter()
-            .find(|r| r.n == PERF_SMOKE_N && r.engine == name && r.ordering == "cyclic")
-            .map(|r| r.total_seconds)
-    };
-    let (Some(seq), Some(blk)) = (total("sequential"), total("blocked")) else {
-        eprintln!("FAIL perf-smoke: no n={PERF_SMOKE_N} sequential/blocked runs to compare");
-        return 1;
-    };
-    let ratio = blk / seq.max(1e-12);
-    println!(
-        "\nperf-smoke at n={PERF_SMOKE_N}: blocked {} / sequential {} = {ratio:.2}x \
-         (budget {PERF_SMOKE_RATIO}x)",
-        fmt_secs(blk),
-        fmt_secs(seq)
-    );
-    if ratio > PERF_SMOKE_RATIO {
-        eprintln!(
-            "FAIL perf-smoke: blocked is {ratio:.2}x sequential at n={PERF_SMOKE_N} \
-             (budget {PERF_SMOKE_RATIO}x) — the engine inversion is back"
-        );
-        return 1;
-    }
-    0
-}
-
 /// `--perf-smoke`: fail if any plain (threshold-free) non-cyclic ordering
 /// needs more sweeps than cyclic at n = [`PERF_SMOKE_N`]. The adaptive
 /// orderings exist to cut sweep counts; a regression here means a strategy
@@ -356,12 +283,7 @@ fn perf_smoke_check(runs: &[Run]) -> usize {
 fn ordering_smoke_check(runs: &[Run]) -> usize {
     let sweeps = |ordering: &str| {
         runs.iter()
-            .find(|r| {
-                r.n == PERF_SMOKE_N
-                    && r.engine == "sequential"
-                    && r.ordering == ordering
-                    && !r.threshold
-            })
+            .find(|r| r.n == PERF_SMOKE_N && r.ordering == ordering && !r.threshold)
             .map(|r| r.sweeps)
     };
     let Some(cyclic) = sweeps("cyclic") else {
@@ -390,21 +312,23 @@ fn ordering_smoke_check(runs: &[Run]) -> usize {
 }
 
 /// Render the whole report as one JSON document (schema
-/// `hjsvd-sweep-report/v2` — v2 added the `ordering`, `threshold_schedule`,
-/// and `sweeps_to_converge` fields). Hand-rolled like the rest of the
-/// workspace's JSON — no serde dependency.
+/// `hjsvd-sweep-report/v3` — v2 added the `ordering`, `threshold_schedule`,
+/// and `sweeps_to_converge` fields; v3 dropped the per-run `engine` field,
+/// since every run is on the one sweep engine, and the embedded `SolveStats`
+/// lost `tile_refills`, `tile_bytes`, `parallel_dispatches` and `threads`).
+/// Hand-rolled like the rest of the workspace's JSON — no serde dependency.
 fn report_json(runs: &[Run], failures: usize) -> String {
     let mut out = String::new();
-    out.push_str("{\"schema\":\"hjsvd-sweep-report/v2\",");
+    out.push_str("{\"schema\":\"hjsvd-sweep-report/v3\",");
     out.push_str(&format!("\"seed\":{SEED},\"cross_check_failures\":{failures},\"runs\":["));
     for (i, r) in runs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"n\":{},\"engine\":\"{}\",\"ordering\":\"{}\",\"threshold_schedule\":{},\
+            "{{\"n\":{},\"ordering\":\"{}\",\"threshold_schedule\":{},\
              \"sweeps_to_converge\":{},\"trace_events\":{},\"per_sweep\":[",
-            r.n, r.engine, r.ordering, r.threshold, r.sweeps, r.trace_events
+            r.n, r.ordering, r.threshold, r.sweeps, r.trace_events
         ));
         for (j, s) in r.per_sweep.iter().enumerate() {
             if j > 0 {

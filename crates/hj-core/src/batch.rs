@@ -9,19 +9,16 @@
 //!   `k`, regardless of which worker ran it or in what order solves
 //!   finished.
 //! * **Bit-identical results** — each solve is the exact same computation as
-//!   its one-at-a-time counterpart (the engines are bit-deterministic at any
-//!   thread count, and a solve running on a pool worker degrades its own
-//!   inner parallelism to inline execution, which computes the same bits).
+//!   its one-at-a-time counterpart, whichever worker runs it.
 //! * **Per-solve isolation** — a bad input (e.g. NaN → `NonFiniteInput`)
 //!   yields an `Err` in its own slot and leaves every other solve untouched.
 //! * **Workspace pooling** — every solve checks a [`SweepWorkspace`] out of
 //!   a shared [`WorkspacePool`] and returns it afterwards, so a fan-out of
 //!   `B` matrices over `T` workers warms at most `min(B, T)` workspaces
 //!   instead of allocating a fresh one per matrix. Pooling is transparent:
-//!   the engines record per-solve counter deltas, and a warm workspace
-//!   computes the same bits as a cold one.
+//!   a warm workspace computes the same bits as a cold one.
 
-use crate::parallel::SweepWorkspace;
+use crate::ordering::SweepWorkspace;
 use crate::svd::{HestenesSvd, SingularValues, Svd};
 use crate::SvdError;
 use hj_matrix::Matrix;
@@ -102,13 +99,13 @@ impl HestenesSvd {
     /// Values-only counterpart of [`HestenesSvd::decompose_batch`].
     ///
     /// Uniform-shape batches of small problems (`2 ≤ n ≤ 32`, default
-    /// sequential engine and cyclic ordering) dispatch to the batched SoA
-    /// engine ([`HestenesSvd::singular_values_batch_soa`]), which sweeps
-    /// every problem together — same per-slot error isolation, results
-    /// within the documented `1e-12·σ_max` envelope of the looped path.
-    /// Everything else (mixed shapes, larger problems, explicit engine or
-    /// threshold configurations) takes the looped per-matrix path, which
-    /// stays bit-identical to one-at-a-time solves.
+    /// cyclic ordering) dispatch to the batched SoA engine
+    /// ([`HestenesSvd::singular_values_batch_soa`]), which sweeps every
+    /// problem together — same per-slot error isolation, results within the
+    /// documented `1e-12·σ_max` envelope of the looped path. Everything else
+    /// (mixed shapes, larger problems, other orderings or threshold
+    /// configurations) takes the looped per-matrix path, which stays
+    /// bit-identical to one-at-a-time solves.
     pub fn singular_values_batch(&self, mats: &[Matrix]) -> Vec<Result<SingularValues, SvdError>> {
         if crate::batch_engine::soa_eligible(self, mats) {
             return self.singular_values_batch_soa(mats);
@@ -171,7 +168,6 @@ impl HestenesSvd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineKind;
     use crate::{Convergence, SvdOptions};
     use hj_matrix::gen;
 
@@ -187,18 +183,16 @@ mod tests {
     #[test]
     fn batch_matches_sequential_bitwise() {
         let mats = mixed_batch();
-        for engine in [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked] {
-            let solver = HestenesSvd::new(SvdOptions { engine, ..Default::default() });
-            let batch = solver.decompose_batch(&mats);
-            assert_eq!(batch.len(), mats.len());
-            for (k, res) in batch.iter().enumerate() {
-                let one = solver.decompose(&mats[k]).unwrap();
-                let b = res.as_ref().unwrap();
-                assert_eq!(b.u.as_slice(), one.u.as_slice(), "U[{k}] differs");
-                assert_eq!(b.singular_values, one.singular_values, "σ[{k}] differs");
-                assert_eq!(b.v.as_slice(), one.v.as_slice(), "V[{k}] differs");
-                assert_eq!(b.sweeps, one.sweeps);
-            }
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let batch = solver.decompose_batch(&mats);
+        assert_eq!(batch.len(), mats.len());
+        for (k, res) in batch.iter().enumerate() {
+            let one = solver.decompose(&mats[k]).unwrap();
+            let b = res.as_ref().unwrap();
+            assert_eq!(b.u.as_slice(), one.u.as_slice(), "U[{k}] differs");
+            assert_eq!(b.singular_values, one.singular_values, "σ[{k}] differs");
+            assert_eq!(b.v.as_slice(), one.v.as_slice(), "V[{k}] differs");
+            assert_eq!(b.sweeps, one.sweeps);
         }
     }
 
@@ -259,10 +253,9 @@ mod tests {
         let mats = mixed_batch();
         let pool = WorkspacePool::new();
         let expired = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let faulty =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Blocked, ..Default::default() })
-                .with_budget(crate::SolveBudget::with_deadline(expired))
-                .with_recovery_policy(crate::RecoveryPolicy::abort_only());
+        let faulty = HestenesSvd::new(SvdOptions::default())
+            .with_budget(crate::SolveBudget::with_deadline(expired))
+            .with_recovery_policy(crate::RecoveryPolicy::abort_only());
         let batch = faulty.decompose_batch_pooled(&mats, &pool);
         for (k, res) in batch.iter().enumerate() {
             assert!(
@@ -271,8 +264,7 @@ mod tests {
             );
         }
         // Same pool, healthy solver: bit-identical to a fresh pool.
-        let clean =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Blocked, ..Default::default() });
+        let clean = HestenesSvd::new(SvdOptions::default());
         let reused = clean.decompose_batch_pooled(&mats, &pool);
         let fresh = clean.decompose_batch_pooled(&mats, &WorkspacePool::new());
         for (k, (r, f)) in reused.iter().zip(&fresh).enumerate() {
@@ -318,8 +310,7 @@ mod tests {
         // chunked path pins creation to min(batch, threads) exactly — and a
         // second batch over the warm pool creates nothing.
         let mats: Vec<_> = (0..64).map(|k| gen::uniform(12, 5, 300 + k)).collect();
-        let solver =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Blocked, ..Default::default() });
+        let solver = HestenesSvd::new(SvdOptions::default());
         let pool = WorkspacePool::new();
         solver.decompose_batch_pooled(&mats, &pool);
         let cap = rayon::current_num_threads().max(1).min(mats.len());
@@ -343,30 +334,28 @@ mod tests {
         // worker thread ever exists, all come back, and the results match
         // the unpooled path bit for bit.
         let mats: Vec<_> = (0..8).map(|k| gen::uniform(18, 7, 100 + k)).collect();
-        for engine in [EngineKind::Parallel, EngineKind::Blocked] {
-            let solver = HestenesSvd::new(SvdOptions { engine, ..Default::default() });
-            let pool = WorkspacePool::new();
-            let pooled = solver.decompose_batch_pooled(&mats, &pool);
-            assert!(pool.created() >= 1);
-            assert!(
-                pool.created() <= rayon::current_num_threads().max(1),
-                "pool created {} workspaces for {} workers",
-                pool.created(),
-                rayon::current_num_threads()
-            );
-            assert_eq!(pool.available(), pool.created(), "all workspaces checked back in");
-            // A second batch over the same pool creates nothing new.
-            let again = solver.singular_values_batch_pooled(&mats, &pool);
-            assert_eq!(pool.available(), pool.created());
-            for (k, res) in pooled.iter().enumerate() {
-                let one = solver.decompose(&mats[k]).unwrap();
-                let b = res.as_ref().unwrap();
-                assert_eq!(b.singular_values, one.singular_values, "{engine:?} slot {k}");
-                assert_eq!(b.u.as_slice(), one.u.as_slice());
-                assert_eq!(b.v.as_slice(), one.v.as_slice());
-                let one_values = solver.singular_values(&mats[k]).unwrap();
-                assert_eq!(again[k].as_ref().unwrap().values, one_values.values);
-            }
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let pool = WorkspacePool::new();
+        let pooled = solver.decompose_batch_pooled(&mats, &pool);
+        assert!(pool.created() >= 1);
+        assert!(
+            pool.created() <= rayon::current_num_threads().max(1),
+            "pool created {} workspaces for {} workers",
+            pool.created(),
+            rayon::current_num_threads()
+        );
+        assert_eq!(pool.available(), pool.created(), "all workspaces checked back in");
+        // A second batch over the same pool creates nothing new.
+        let again = solver.singular_values_batch_pooled(&mats, &pool);
+        assert_eq!(pool.available(), pool.created());
+        for (k, res) in pooled.iter().enumerate() {
+            let one = solver.decompose(&mats[k]).unwrap();
+            let b = res.as_ref().unwrap();
+            assert_eq!(b.singular_values, one.singular_values, "slot {k}");
+            assert_eq!(b.u.as_slice(), one.u.as_slice());
+            assert_eq!(b.v.as_slice(), one.v.as_slice());
+            let one_values = solver.singular_values(&mats[k]).unwrap();
+            assert_eq!(again[k].as_ref().unwrap().values, one_values.values);
         }
     }
 }

@@ -43,7 +43,7 @@
 //!   still-active problem at the shared sweep boundary.
 //!
 //! Fault handling is deliberately *abort-only* per problem (no
-//! rescale-restart / engine-fallback recovery inside the batch): restarting
+//! rescale-restart / ordering-fallback recovery inside the batch): restarting
 //! one lane would force the whole batch through extra shared sweeps. The
 //! guarded-numerics prescaling of [`crate::svd`] still applies per problem
 //! at pack time, so the usual overflow/underflow classes never fault in the
@@ -60,13 +60,12 @@
 //! driver only in traversal.
 
 use crate::convergence::{is_converged, SweepRecord, MAX_SWEEP_CAP};
-use crate::engine::EngineKind;
+use crate::engine::PAIR_TOL;
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
 use crate::ordering::{round_robin, Ordering};
 use crate::recovery::{Fault, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR};
 use crate::stats::SolveStats;
 use crate::svd::{prescale_exponent, unscale_values, HestenesSvd, SingularValues, WIDE_TAIL_TOL};
-use crate::sweep::PAIR_TOL;
 use crate::SvdError;
 use hj_matrix::{ops, soa, Matrix, PackedSymmetric};
 use std::time::Instant;
@@ -136,8 +135,7 @@ enum LaneOutcome {
 /// warm workspace solves batch after batch of the same shape with **zero**
 /// steady-state heap allocations (pinned in `tests/zero_alloc.rs`).
 ///
-/// Buffer growth events are counted in [`BatchWorkspace::allocations`],
-/// following the [`crate::parallel::SweepWorkspace`] discipline.
+/// Buffer growth events are counted in [`BatchWorkspace::allocations`].
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     /// Problem dimension `n` of the loaded batch.
@@ -649,7 +647,6 @@ impl<'a> BatchDriver<'a> {
                 let mut stats = SolveStats {
                     engine: BATCH_SOA_ENGINE,
                     ordering: "cyclic",
-                    threads: 1,
                     replans: 1,
                     prescale_exp: ws.exps[p],
                     // Buffer growth is batch-wide (the interleaved triangle
@@ -733,17 +730,14 @@ fn scale_exact(values: &mut [f64], k: i32) {
 /// True when [`crate::HestenesSvd::singular_values_batch`] should route the
 /// batch through the SoA engine: at least two problems, one uniform shape,
 /// `2 ≤ n ≤` [`SOA_DISPATCH_MAX_N`], and the solver running the default
-/// sequential engine / cyclic ordering with no threshold ramp (the
-/// configurations whose semantics the batch engine reproduces).
+/// cyclic ordering with no threshold ramp (the configurations whose
+/// semantics the batch engine reproduces).
 pub(crate) fn soa_eligible(solver: &HestenesSvd, mats: &[Matrix]) -> bool {
     if mats.len() < 2 {
         return false;
     }
     let opts = solver.options();
-    if opts.engine != EngineKind::Sequential
-        || opts.ordering != Ordering::RoundRobin
-        || opts.threshold.is_some()
-    {
+    if opts.ordering != Ordering::RoundRobin || opts.threshold.is_some() {
         return false;
     }
     let shape = mats[0].shape();
@@ -1008,8 +1002,8 @@ mod tests {
         assert!(!soa_eligible(&solver, &mixed), "mixed shapes stay looped");
         let big = uniform_batch(40, SOA_DISPATCH_MAX_N + 1, 3);
         assert!(!soa_eligible(&solver, &big), "n above the gate stays looped");
-        let blocked =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Blocked, ..Default::default() });
-        assert!(!soa_eligible(&blocked, &uniform), "explicit engines stay looped");
+        let greedy =
+            HestenesSvd::new(SvdOptions { ordering: Ordering::SortedGreedy, ..Default::default() });
+        assert!(!soa_eligible(&greedy, &uniform), "other orderings stay looped");
     }
 }

@@ -232,7 +232,6 @@ mod tests {
         assert_eq!(e.stats.sweeps, e.sweeps);
         assert_eq!(e.stats.sweep_seconds.len(), e.sweeps);
         assert_eq!(e.stats.engine, "sequential");
-        assert_eq!(e.stats.threads, 1);
         assert_eq!(
             e.stats.rotations_applied,
             e.history.iter().map(|r| r.rotations_applied).sum::<usize>()

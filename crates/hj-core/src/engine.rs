@@ -1,20 +1,20 @@
-//! The unified sweep-execution pipeline: one driver loop, pluggable engines.
+//! The sweep-execution pipeline: one driver loop, one engine.
 //!
 //! The paper's machine is a single pipeline with pluggable phases
 //! (preprocessor → rotation → update); this module is the software mirror of
 //! that structure. Every solver in the crate — [`crate::HestenesSvd`]'s
 //! values-only and full drivers, [`crate::eigh`], PCA, and the batch API —
 //! runs its sweeps through exactly one loop, [`SolveDriver::run`], against an
-//! engine implementing [`SweepEngine`]:
+//! engine implementing [`SweepEngine`]. The one engine is [`Sequential`],
+//! faithful to Algorithm 1's data flow: pairs are visited one at a time and
+//! `D` (plus any columns) is rotated in place.
 //!
-//! * [`Sequential`] — faithful to Algorithm 1's data flow: pairs are visited
-//!   one at a time and `D` (plus any columns) is rotated in place.
-//! * [`crate::parallel::Parallel`] — the round-synchronous rayon engine
-//!   (double-buffered functional round updates on a reusable zero-allocation
-//!   [`crate::parallel::SweepWorkspace`]).
-//! * [`Blocked`] — a cache-tiled engine that stages round-robin pair groups
-//!   in `D`-tiles sized to L1/L2, the software analogue of the paper's
-//!   BRAM-resident covariance matrix (§V).
+//! The paper's hardware issues each round of disjoint pairs to its rotation
+//! units concurrently (Fig. 6). That concurrency is modelled cycle by cycle
+//! in `hj-arch`'s rotation unit, not executed here: on a CPU with a few
+//! cores, synchronizing once per round costs more than the round's work
+//! (EXPERIMENTS.md, "One sweep engine"). A round kernel that wins on the
+//! measurement ledger would enter as a second [`SweepEngine`].
 //!
 //! What gets rotated is expressed once, by [`RotationTarget`]: the Gram
 //! matrix alone (values-only mode), Gram + matrix columns (maintaining
@@ -31,52 +31,18 @@
 use crate::convergence::{is_converged, Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::gram::GramState;
 use crate::ordering::{Preplanned, Sweep, SweepSchedule};
-use crate::parallel::{plan_round, SweepWorkspace};
 use crate::recovery::{Fault, HealthCheck, HealthState, SolveBudget};
 use crate::rotation::{pair_converged, textbook_params};
 use crate::stats::SolveStats;
-use crate::sweep::{finish_record, PAIR_TOL};
 use crate::trace::{SkipReason, TraceEvent, TraceLevel, TraceSink, Tracer};
 use hj_matrix::Matrix;
 use std::time::Instant;
 
-/// Which sweep engine a solver should run on. The string forms accepted by
-/// [`EngineKind::parse`] (`seq` / `par` / `blocked`) are what the `hjsvd`
-/// CLI's `--engine` flag takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// In-place pair-at-a-time execution ([`Sequential`]); works with any
-    /// ordering. The default.
-    #[default]
-    Sequential,
-    /// Round-synchronous rayon execution ([`crate::parallel::Parallel`]);
-    /// requires an ordering with disjoint rounds (any but row-cyclic).
-    Parallel,
-    /// Cache-tiled group execution ([`Blocked`]); requires an ordering with
-    /// disjoint rounds (any but row-cyclic).
-    Blocked,
-}
-
-impl EngineKind {
-    /// Parse a CLI spelling: `seq`/`sequential`, `par`/`parallel`, `blocked`.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "seq" | "sequential" => Some(EngineKind::Sequential),
-            "par" | "parallel" => Some(EngineKind::Parallel),
-            "blocked" => Some(EngineKind::Blocked),
-            _ => None,
-        }
-    }
-
-    /// Canonical lowercase name (matches [`SweepEngine::name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Sequential => "sequential",
-            EngineKind::Parallel => "parallel",
-            EngineKind::Blocked => "blocked",
-        }
-    }
-}
+/// Per-pair orthogonality guard used by the SVD drivers; pairs with
+/// `|cov| ≤ PAIR_TOL·√(D_ii·D_jj)` are skipped. A few ulps above machine
+/// epsilon: tight enough for 1e-14-level final accuracy, loose enough not to
+/// churn on roundoff noise.
+pub const PAIR_TOL: f64 = 1e-15;
 
 /// Per-pair skip rule — decides, once per visited pair, whether the pair is
 /// already numerically orthogonal and needs no rotation.
@@ -117,7 +83,7 @@ impl Default for PairGuard {
 impl PairGuard {
     /// Resolve the guard against the current `D` for one sweep (the
     /// diagonal-scaled rule samples `max|D_kk|` here).
-    pub(crate) fn ready(&self, gram: &GramState) -> ReadyGuard {
+    fn ready(&self, gram: &GramState) -> ReadyGuard {
         match *self {
             PairGuard::Relative { tol } => {
                 ReadyGuard { relative: true, tol, scale: 0.0, reason: SkipReason::RelativeGuard }
@@ -138,9 +104,9 @@ impl PairGuard {
     }
 }
 
-/// A [`PairGuard`] resolved for one sweep; cheap to copy into round kernels.
+/// A [`PairGuard`] resolved for one sweep.
 #[derive(Clone, Copy)]
-pub(crate) struct ReadyGuard {
+struct ReadyGuard {
     relative: bool,
     tol: f64,
     scale: f64,
@@ -150,7 +116,7 @@ pub(crate) struct ReadyGuard {
 impl ReadyGuard {
     /// True if the pair is already orthogonal enough to skip.
     #[inline]
-    pub(crate) fn skip(&self, norm_i: f64, norm_j: f64, cov: f64) -> bool {
+    fn skip(&self, norm_i: f64, norm_j: f64, cov: f64) -> bool {
         if self.relative {
             pair_converged(norm_i, norm_j, cov, self.tol)
         } else {
@@ -160,14 +126,14 @@ impl ReadyGuard {
 
     /// The [`SkipReason`] this guard reports for skipped pairs.
     #[inline]
-    pub(crate) fn reason(&self) -> SkipReason {
+    fn reason(&self) -> SkipReason {
         self.reason
     }
 }
 
 /// What a sweep rotates besides the maintained covariance matrix `D` —
 /// the single place the Gram-only / Gram+columns / Gram+columns+V decision
-/// lives. Every engine consumes this; no driver re-encodes it.
+/// lives. The engine consumes this; no driver re-encodes it.
 #[derive(Debug, Default)]
 pub struct RotationTarget<'a> {
     /// Column data kept in sync with `D` (the evolving `B = A·V`);
@@ -240,17 +206,9 @@ pub trait SweepEngine {
         self.sweep_traced(state, order, idx, &mut Tracer::disabled())
     }
 
-    /// Fold engine-level counters (workspace allocations, Gram traffic,
-    /// dispatch counts, thread count) into `stats` once the solve's sweep
-    /// loop is done. `n` is the problem dimension.
+    /// Fold engine-level counters (Gram traffic) into `stats` once the
+    /// solve's sweep loop is done. `n` is the problem dimension.
     fn finish(&mut self, stats: &mut SolveStats, n: usize);
-}
-
-/// Modeled packed-triangle bytes touched by one sequential `O(n)` rotation:
-/// `4n − 2` entries (3 reads + 3 writes on the pair's own entries, then
-/// 2 reads + 2 writes for each of the `n − 2` other columns) at 8 bytes.
-pub(crate) fn seq_rotation_gram_bytes(n: usize) -> u64 {
-    8 * (4 * n as u64).saturating_sub(2)
 }
 
 /// The in-place pair-at-a-time engine — Algorithm 1's literal data flow.
@@ -305,374 +263,36 @@ impl SweepEngine for Sequential {
     }
 
     fn finish(&mut self, stats: &mut SolveStats, n: usize) {
-        stats.gram_bytes = stats.rotations_applied as u64 * seq_rotation_gram_bytes(n);
-        // An in-place O(n) rotation reads and rewrites the two logical
-        // columns (rows/cols i and j) of the packed triangle.
+        // Modeled packed-triangle bytes of one in-place O(n) rotation:
+        // `4n − 2` entries (3 reads + 3 writes on the pair's own entries,
+        // then 2 reads + 2 writes for each of the `n − 2` other columns) at
+        // 8 bytes. The rotation reads and rewrites the two logical columns
+        // (rows/cols i and j) of the packed triangle.
+        stats.gram_bytes = stats.rotations_applied as u64 * (8 * (4 * n as u64).saturating_sub(2));
         stats.gram_col_touches = 2 * stats.rotations_applied as u64;
-        stats.threads = 1;
     }
 }
 
-/// The cache-tiled engine: round-robin pair groups staged in `D`-tiles.
-///
-/// Each round of disjoint pairs is processed in groups of `g` pairs, where
-/// `g` is chosen so that the group's working set — the `2g` logical columns
-/// of `D` it touches, `2g·n` doubles — fits the configured tile budget
-/// (default: an L1-sized 32 KiB). One group application:
-///
-/// 1. **Stage** the group's columns of `D` into the tile (and capture the
-///    exact O(1) diagonal updates of Algorithm 1 lines 15–17);
-/// 2. apply the **column transform** `D·J` pairwise inside the tile;
-/// 3. apply the **row transform** `Jᵀ·(D·J)` on the group-row entries;
-/// 4. **write back** and pin the exactly-known entries (pair covariances to
-///    0, diagonals to the O(1) update).
-///
-/// The tile is the software analogue of the paper's BRAM-resident covariance
-/// storage (§V): a bounded on-chip working set per rotation group, with the
-/// rest of `D` untouched. Because groups are applied one after another and
-/// each group is planned from the *current* `D`, the iteration is
-/// Gauss-Seidel-like (as the sequential engine is), not round-snapshot
-/// (as the parallel engine is) — the engines agree on the converged spectrum
-/// to roundoff, which the equivalence tests pin down.
-///
-/// When the **whole packed triangle fits the tile budget** — the common case
-/// under [`Blocked::for_dim`], which sizes the budget from `n` — staging
-/// would copy all of `D` back and forth per group for no locality gain, so
-/// the engine takes a single-tile fast path instead: pairs are rotated in
-/// place with the packed three-region kernel, bit-identical to the
-/// [`Sequential`] engine, and `tile_refills` stays 0.
-///
-/// Scratch lives in the shared [`SweepWorkspace`]; steady-state sweeps
-/// allocate nothing (same invariant, and same test, as the parallel engine).
-pub struct Blocked<'ws> {
-    ws: &'ws mut SweepWorkspace,
-    tile_bytes: usize,
-    allocations0: usize,
-    gram_bytes0: u64,
-    tile_refills: u64,
-    col_touches: u64,
-    /// Rotations applied through the single-tile fast path (billed at the
-    /// sequential engine's per-rotation traffic model in `finish`).
-    fast_applied: u64,
-}
-
-impl<'ws> Blocked<'ws> {
-    /// Default tile budget: a conservative L1-data-cache size.
-    pub const DEFAULT_TILE_BYTES: usize = 32 * 1024;
-
-    /// Fallback ceiling for the dimension-derived budget of
-    /// [`Blocked::for_dim`] when the host probe finds nothing: a
-    /// conservative per-core L2 slice. The whole packed triangle fits under
-    /// it up to `n = 362`, which covers the paper's `n ≤ 256` range — the
-    /// same "keep all of `D` on chip" regime as the FPGA's BRAM (§V).
-    /// [`Blocked::host_tile_budget`] may raise (or an `HJ_TILE_BYTES`
-    /// override may move) this ceiling per host.
-    pub const MAX_TILE_BYTES: usize = 512 * 1024;
-
-    /// Engine over caller-owned scratch with the default (L1) tile budget.
-    pub fn new(ws: &'ws mut SweepWorkspace) -> Blocked<'ws> {
-        Blocked::with_tile_bytes(ws, Blocked::DEFAULT_TILE_BYTES)
-    }
-
-    /// The per-host tile-budget ceiling, probed once at first use:
-    /// the `HJ_TILE_BYTES` environment override if set (plain bytes or a
-    /// `512K`/`1M`-style suffix), else the L2 cache size from
-    /// `/sys/devices/system/cpu/cpu0/cache/index2/size`, else the
-    /// conservative [`Blocked::MAX_TILE_BYTES`] fallback.
-    pub fn host_tile_budget() -> usize {
-        static BUDGET: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *BUDGET.get_or_init(|| {
-            let env = std::env::var("HJ_TILE_BYTES").ok();
-            let sysfs =
-                std::fs::read_to_string("/sys/devices/system/cpu/cpu0/cache/index2/size").ok();
-            resolve_tile_budget(env.as_deref(), sysfs.as_deref())
-        })
-    }
-
-    /// Engine with the tile budget derived from the problem dimension and
-    /// the host: the whole packed triangle (`8·n(n+1)/2` bytes) when it fits
-    /// under [`Blocked::host_tile_budget`] — enabling the single-tile fast
-    /// path — and an L1-class slice of the host budget otherwise. This is
-    /// what the solver front ends construct.
-    pub fn for_dim(ws: &'ws mut SweepWorkspace, n: usize) -> Blocked<'ws> {
-        Blocked::for_dim_with_budget(ws, n, Blocked::host_tile_budget())
-    }
-
-    /// [`Blocked::for_dim`] against an explicit host budget (testable form).
-    pub fn for_dim_with_budget(
-        ws: &'ws mut SweepWorkspace,
-        n: usize,
-        budget: usize,
-    ) -> Blocked<'ws> {
-        let triangle = 8 * (n * (n + 1) / 2);
-        let bytes = if triangle <= budget {
-            triangle.max(Blocked::DEFAULT_TILE_BYTES)
-        } else {
-            // Tiled regime: stage in L1-class slices of the host budget
-            // (1/16 of L2 ≈ 32 KiB on the 512 KiB fallback — identical to
-            // the pre-autotune constant there).
-            Blocked::DEFAULT_TILE_BYTES.max(budget / 16)
-        };
-        Blocked::with_tile_bytes(ws, bytes)
-    }
-
-    /// Engine with an explicit tile budget in bytes (e.g. an L2 size for
-    /// large `n`). Budgets below one column pair are rounded up.
-    pub fn with_tile_bytes(ws: &'ws mut SweepWorkspace, tile_bytes: usize) -> Blocked<'ws> {
-        let allocations0 = ws.allocations();
-        let gram_bytes0 = ws.gram_bytes();
-        Blocked {
-            ws,
-            tile_bytes,
-            allocations0,
-            gram_bytes0,
-            tile_refills: 0,
-            col_touches: 0,
-            fast_applied: 0,
-        }
-    }
-
-    /// Pairs per group such that the staged `2g` columns (`2g·n` doubles)
-    /// fit the tile budget; at least one pair.
-    fn group_pairs(&self, n: usize) -> usize {
-        ((self.tile_bytes / 8) / (2 * n.max(1))).max(1)
-    }
-
-    /// True when the entire packed triangle fits the tile budget — staging
-    /// would copy all of `D` per group for nothing, so the sweep runs the
-    /// in-place packed kernel directly (the fast path).
-    fn single_tile(&self, n: usize) -> bool {
-        8 * (n * (n + 1) / 2) <= self.tile_bytes
-    }
-
-    /// The single-tile fast path: `D` already fits the cache budget, so
-    /// rotate it in place pair by pair with the packed three-region kernel —
-    /// bit-identical to the [`Sequential`] engine — while keeping the
-    /// blocked engine's group trace events and counters. `tile_refills`
-    /// stays 0: nothing is ever staged.
-    fn sweep_single_tile(
-        &mut self,
-        state: &mut SweepState<'_>,
-        order: &Sweep,
-        idx: usize,
-        tracer: &mut Tracer<'_, '_>,
-    ) -> SweepRecord {
-        let guard = state.guard.ready(state.gram);
-        let mut applied = 0usize;
-        let mut skipped = 0usize;
-        for (group_idx, round) in order.rounds().iter().enumerate() {
-            let mut a = 0usize;
-            let mut s = 0usize;
-            for &(i, j) in round.iter() {
-                let (ni, nj, cov) =
-                    (state.gram.norm_sq(i), state.gram.norm_sq(j), state.gram.covariance(i, j));
-                if guard.skip(ni, nj, cov) {
-                    s += 1;
-                    if tracer.rotation_enabled() {
-                        tracer.emit(TraceEvent::RotationSkipped {
-                            sweep: idx,
-                            i,
-                            j,
-                            reason: guard.reason(),
-                        });
-                    }
-                    continue;
-                }
-                let rot = textbook_params(ni, nj, cov);
-                state.gram.rotate(i, j, &rot);
-                if let Some(b) = state.target.columns.as_deref_mut() {
-                    b.column_pair(i, j).expect("round pairs are valid").rotate(rot.cos, rot.sin);
-                }
-                if let Some(vm) = state.target.v.as_deref_mut() {
-                    vm.column_pair(i, j).expect("round pairs are valid").rotate(rot.cos, rot.sin);
-                }
-                a += 1;
-                if tracer.rotation_enabled() {
-                    tracer.emit(TraceEvent::RotationApplied { sweep: idx, i, j });
-                }
-            }
-            if tracer.group_enabled() {
-                tracer.emit(TraceEvent::PairGroupDispatched {
-                    sweep: idx,
-                    round: group_idx,
-                    pairs: round.len(),
-                    applied: a,
-                    skipped: s,
-                });
-            }
-            self.fast_applied += a as u64;
-            self.col_touches += 2 * a as u64;
-            applied += a;
-            skipped += s;
-        }
-        finish_record(state.gram, idx, applied, skipped)
-    }
-}
-
-impl SweepEngine for Blocked<'_> {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
-    fn sweep_traced(
-        &mut self,
-        state: &mut SweepState<'_>,
-        order: &Sweep,
-        idx: usize,
-        tracer: &mut Tracer<'_, '_>,
-    ) -> SweepRecord {
-        let n = state.gram.dim();
-        if self.single_tile(n) {
-            return self.sweep_single_tile(state, order, idx, tracer);
-        }
-        let guard = state.guard.ready(state.gram);
-        let g = self.group_pairs(n);
-        self.ws.prepare_plan(n);
-        self.ws.prepare_tile(2 * g.min(n / 2 + 1), n);
-        let mut applied = 0usize;
-        let mut skipped = 0usize;
-        let mut group_idx = 0usize;
-        for round in order.rounds() {
-            for group in round.chunks(g) {
-                let (a, s) = plan_round(state.gram, group, &guard, idx, tracer, self.ws);
-                applied += a;
-                skipped += s;
-                if tracer.group_enabled() {
-                    tracer.emit(TraceEvent::PairGroupDispatched {
-                        sweep: idx,
-                        round: group_idx,
-                        pairs: group.len(),
-                        applied: a,
-                        skipped: s,
-                    });
-                }
-                group_idx += 1;
-                if a == 0 {
-                    continue;
-                }
-                self.tile_refills += 1;
-                self.col_touches += 2 * a as u64;
-                apply_group_tiled(state.gram, self.ws);
-                // Column data and V are rotated pairwise in place — the
-                // columns are disjoint within a group, and the per-pair
-                // kernel is the bitwise-pinned ColumnPair::rotate.
-                for &(i, j, rot) in self.ws.rotations() {
-                    if let Some(b) = state.target.columns.as_deref_mut() {
-                        b.column_pair(i, j)
-                            .expect("group pairs are valid")
-                            .rotate(rot.cos, rot.sin);
-                    }
-                    if let Some(vm) = state.target.v.as_deref_mut() {
-                        vm.column_pair(i, j)
-                            .expect("group pairs are valid")
-                            .rotate(rot.cos, rot.sin);
-                    }
-                }
-            }
-        }
-        finish_record(state.gram, idx, applied, skipped)
-    }
-
-    fn finish(&mut self, stats: &mut SolveStats, n: usize) {
-        stats.workspace_allocations = self.ws.allocations().saturating_sub(self.allocations0);
-        // Staged groups are metered by the tile model in the workspace;
-        // fast-path rotations are in-place O(n) updates and bill at the
-        // sequential engine's per-rotation rate.
-        stats.gram_bytes = self.ws.gram_bytes().saturating_sub(self.gram_bytes0)
-            + self.fast_applied * seq_rotation_gram_bytes(n);
-        stats.gram_col_touches = self.col_touches;
-        stats.tile_refills = self.tile_refills;
-        stats.tile_bytes = self.tile_bytes as u64;
-        stats.threads = 1;
-    }
-}
-
-/// Resolve the host tile-budget ceiling from an `HJ_TILE_BYTES` override
-/// and/or a sysfs L2-size string, falling back to
-/// [`Blocked::MAX_TILE_BYTES`]. Nonsense inputs fall through to the next
-/// source; budgets are clamped to at least one pair column (4 KiB floor
-/// keeps degenerate overrides from planning 1-pair groups forever).
-pub(crate) fn resolve_tile_budget(env: Option<&str>, sysfs: Option<&str>) -> usize {
-    let floor = 4 * 1024;
-    if let Some(bytes) = env.and_then(parse_byte_size) {
-        return bytes.max(floor);
-    }
-    if let Some(bytes) = sysfs.and_then(parse_byte_size) {
-        return bytes.max(floor);
-    }
-    Blocked::MAX_TILE_BYTES
-}
-
-/// Parse `"524288"`, `"512K"`, or `"8M"` (sysfs spelling, trailing
-/// whitespace tolerated) into bytes. Returns `None` for anything else.
-fn parse_byte_size(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'K' | b'k' => (&s[..s.len() - 1], 1024usize),
-        b'M' | b'm' => (&s[..s.len() - 1], 1024 * 1024),
-        _ => (s, 1),
-    };
-    let value: usize = digits.trim().parse().ok()?;
-    value.checked_mul(mult).filter(|&b| b > 0)
-}
-
-/// Apply the planned group (in `ws.rotations`) to `D` through the staged
-/// tile: stage the group's columns, column-transform, row-transform, write
-/// back, then pin the exactly-known entries.
-fn apply_group_tiled(gram: &mut GramState, ws: &mut SweepWorkspace) {
+/// Close a sweep: its instrumentation record, labelled `sweep_index`.
+fn finish_record(
+    gram: &GramState,
+    sweep_index: usize,
+    applied: usize,
+    skipped: usize,
+) -> SweepRecord {
+    // One fused triangle pass for all three metrics (bit-identical to the
+    // three standalone passes this used to make).
+    let sum = gram.off_summary();
     let n = gram.dim();
-    let (rotations, tile, diag_new, gram_bytes) = ws.tile_parts();
-    let cols = 2 * rotations.len();
-    diag_new.clear();
-    let d = gram.packed_mut();
-    // Stage 0: gather the group's logical columns of D into the tile
-    // (contiguous row tail + strided head per column, no per-element offset
-    // math — [`crate::kernel::gather_column`]); capture the exact O(1)
-    // diagonal updates (Algorithm 1 lines 15–17) before any entry changes.
-    for (r, &(i, j, rot)) in rotations.iter().enumerate() {
-        let cov = d.get(i, j);
-        diag_new.push(d.get(i, i) - rot.t * cov);
-        diag_new.push(d.get(j, j) + rot.t * cov);
-        let (ti, tj) = (2 * r * n, (2 * r + 1) * n);
-        crate::kernel::gather_column(d, i, &mut tile[ti..ti + n]);
-        crate::kernel::gather_column(d, j, &mut tile[tj..tj + n]);
+    let mean_abs_cov = if n < 2 { 0.0 } else { sum.abs_sum / ((n * (n - 1) / 2) as f64) };
+    SweepRecord {
+        sweep: sweep_index,
+        mean_abs_cov,
+        off_frobenius: (2.0 * sum.sum_sq).sqrt(),
+        max_abs_cov: sum.max_abs,
+        rotations_applied: applied,
+        rotations_skipped: skipped,
     }
-    // Stage 1: column transform D·J — each staged column pair is one
-    // lane-friendly paired rotate over all n rows (bit-identical to the
-    // element-wise loop; see `hj_matrix::ops::rotate_pair`).
-    for (r, &(_, _, rot)) in rotations.iter().enumerate() {
-        let (ti, tj) = (2 * r * n, (2 * r + 1) * n);
-        let (head, tail) = tile.split_at_mut(tj);
-        hj_matrix::ops::rotate_pair(&mut head[ti..], &mut tail[..n], rot.cos, rot.sin);
-    }
-    // Stage 2: row transform Jᵀ·(D·J) — the group's own rows of every
-    // staged column. Column-outer, rotations-inner: the tile streams
-    // linearly and each column's row pairs are rotated in one pass.
-    // Bit-identical to the rotations-outer order (the group's pairs are
-    // disjoint, so every element is touched by exactly one rotation).
-    for col in tile[..cols * n].chunks_exact_mut(n) {
-        for &(i, j, rot) in rotations.iter() {
-            let x = col[i];
-            let y = col[j];
-            col[i] = rot.cos * x - rot.sin * y;
-            col[j] = rot.sin * x + rot.cos * y;
-        }
-    }
-    // Write back (the mirror of stage 0's gather), then pin entries known
-    // exactly: each pair's covariance is annihilated, and the diagonals
-    // take the O(1) norm update (more accurate than the quadratic form).
-    for (r, &(i, j, _)) in rotations.iter().enumerate() {
-        let (ti, tj) = (2 * r * n, (2 * r + 1) * n);
-        crate::kernel::scatter_column(d, i, &tile[ti..ti + n]);
-        crate::kernel::scatter_column(d, j, &tile[tj..tj + n]);
-    }
-    for (r, &(i, j, _)) in rotations.iter().enumerate() {
-        d.set(i, i, diag_new[2 * r]);
-        d.set(j, j, diag_new[2 * r + 1]);
-        d.set(i, j, 0.0);
-    }
-    // Tile traffic model: the staged columns are read once and written once.
-    *gram_bytes += 16 * (cols * n) as u64;
 }
 
 /// The one sweep loop in the crate. Owns convergence checking, per-sweep
@@ -922,29 +542,121 @@ impl SolveDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::round_robin;
-    use crate::parallel::Parallel;
-    use hj_matrix::gen;
+    use crate::ordering::{build_sweep, round_robin, Ordering};
+    use hj_matrix::{gen, norms};
 
     fn driver() -> SolveDriver {
         SolveDriver { convergence: Convergence::default(), max_sweeps: MAX_SWEEP_CAP }
     }
 
-    fn spectrum(gram: &GramState) -> Vec<f64> {
-        let mut s = gram.singular_values_unsorted();
-        s.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        s
+    /// One gram-only [`Sequential`] sweep.
+    fn sweep_gram(gram: &mut GramState, order: &Sweep, s: usize) -> SweepRecord {
+        let mut state =
+            SweepState { gram, target: RotationTarget::gram_only(), guard: PairGuard::default() };
+        Sequential.sweep(&mut state, order, s)
+    }
+
+    /// One [`Sequential`] sweep over `D`, the columns of `a` and (if given)
+    /// the accumulated `V`.
+    fn sweep_full(
+        a: &mut Matrix,
+        gram: &mut GramState,
+        v: Option<&mut Matrix>,
+        order: &Sweep,
+        s: usize,
+    ) -> SweepRecord {
+        let target = match v {
+            Some(vm) => RotationTarget::full(a, vm),
+            None => RotationTarget::with_columns(a),
+        };
+        let mut state = SweepState { gram, target, guard: PairGuard::default() };
+        Sequential.sweep(&mut state, order, s)
     }
 
     #[test]
-    fn engine_kind_parses_cli_spellings() {
-        assert_eq!(EngineKind::parse("seq"), Some(EngineKind::Sequential));
-        assert_eq!(EngineKind::parse("sequential"), Some(EngineKind::Sequential));
-        assert_eq!(EngineKind::parse("par"), Some(EngineKind::Parallel));
-        assert_eq!(EngineKind::parse("parallel"), Some(EngineKind::Parallel));
-        assert_eq!(EngineKind::parse("blocked"), Some(EngineKind::Blocked));
-        assert_eq!(EngineKind::parse("simd"), None);
-        assert_eq!(EngineKind::Blocked.name(), "blocked");
+    fn gram_only_sweep_reduces_off_mass() {
+        let a = gen::uniform(30, 8, 11);
+        let mut g = GramState::from_matrix(&a);
+        let order = build_sweep(Ordering::RoundRobin, 8);
+        let before = g.off_frobenius();
+        let rec = sweep_gram(&mut g, &order, 1);
+        assert!(rec.off_frobenius < before);
+        assert_eq!(rec.rotations_applied + rec.rotations_skipped, 8 * 7 / 2);
+        assert_eq!(rec.sweep, 1);
+    }
+
+    #[test]
+    fn repeated_sweeps_converge_to_diagonal() {
+        let a = gen::uniform(20, 6, 3);
+        let mut g = GramState::from_matrix(&a);
+        let order = build_sweep(Ordering::RoundRobin, 6);
+        (1..=10).for_each(|s| {
+            sweep_gram(&mut g, &order, s);
+        });
+        let scale = g.trace() / 6.0;
+        assert!(
+            g.max_abs_covariance() <= 1e-13 * scale,
+            "off-diagonal mass {} did not converge (scale {scale})",
+            g.max_abs_covariance()
+        );
+    }
+
+    #[test]
+    fn row_cyclic_also_converges() {
+        let a = gen::uniform(15, 5, 9);
+        let mut g = GramState::from_matrix(&a);
+        let order = build_sweep(Ordering::RowCyclic, 5);
+        (1..=10).for_each(|s| {
+            sweep_gram(&mut g, &order, s);
+        });
+        assert!(g.max_abs_covariance() <= 1e-13 * g.trace() / 5.0);
+    }
+
+    #[test]
+    fn full_sweep_keeps_gram_consistent_with_columns() {
+        let mut a = gen::uniform(25, 7, 4);
+        let mut g = GramState::from_matrix(&a);
+        let order = build_sweep(Ordering::RoundRobin, 7);
+        sweep_full(&mut a, &mut g, None, &order, 1);
+        let fresh = GramState::from_matrix(&a);
+        for p in 0..7 {
+            for q in p..7 {
+                assert!(
+                    (g.covariance(p, q) - fresh.covariance(p, q)).abs() < 1e-10,
+                    "D[{p}][{q}] inconsistent with rotated columns"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn full_sweep_accumulates_v_such_that_av_equals_b() {
+        let a0 = gen::uniform(12, 5, 21);
+        let mut b = a0.clone();
+        let mut g = GramState::from_matrix(&b);
+        let mut v = Matrix::identity(5);
+        let order = build_sweep(Ordering::RoundRobin, 5);
+        (1..=8).for_each(|s| {
+            sweep_full(&mut b, &mut g, Some(&mut v), &order, s);
+        });
+        // V must stay orthogonal and satisfy A·V = B.
+        assert!(norms::orthonormality_error(&v) < 1e-12);
+        let av = a0.matmul(&v).unwrap();
+        let diff = av.sub(&b).unwrap();
+        assert!(norms::frobenius(&diff) < 1e-10 * norms::frobenius(&a0).max(1.0));
+        // And B's columns are mutually orthogonal after convergence.
+        let bg = GramState::from_matrix(&b);
+        assert!(bg.max_abs_covariance() < 1e-12 * bg.trace() / 5.0);
+    }
+
+    #[test]
+    fn sweep_on_orthogonal_input_applies_nothing() {
+        let q = gen::random_orthonormal(16, 6, 2);
+        let mut g = GramState::from_matrix(&q);
+        let order = build_sweep(Ordering::RoundRobin, 6);
+        let rec = sweep_gram(&mut g, &order, 1);
+        assert_eq!(rec.rotations_applied, 0);
+        assert_eq!(rec.rotations_skipped, 15);
     }
 
     #[test]
@@ -962,8 +674,9 @@ mod tests {
         assert_eq!(stats.sweeps, history.len());
         assert_eq!(stats.sweep_seconds.len(), history.len());
         assert_eq!(stats.engine, "sequential");
-        assert_eq!(stats.threads, 1);
+        assert_eq!(stats.workspace_allocations, 0);
         assert!(stats.gram_bytes > 0);
+        assert_eq!(stats.gram_col_touches, 2 * stats.rotations_applied as u64);
     }
 
     #[test]
@@ -980,231 +693,6 @@ mod tests {
         let (history, stats) = d.run(&mut Sequential, &mut state, &order);
         assert_eq!(history.len(), 3);
         assert_eq!(stats.sweeps, 3);
-    }
-
-    #[test]
-    fn sequential_engine_matches_dedicated_sweeps() {
-        // The engine must be the same computation as the pre-unification
-        // sequential sweep drivers, bit for bit.
-        let a = gen::uniform(25, 8, 3);
-        let order = round_robin(8);
-        let mut g_engine = GramState::from_matrix(&a);
-        let mut g_direct = GramState::from_matrix(&a);
-        let mut state = SweepState {
-            gram: &mut g_engine,
-            target: RotationTarget::gram_only(),
-            guard: PairGuard::default(),
-        };
-        (1..=6).for_each(|s| {
-            Sequential.sweep(&mut state, &order, s);
-            crate::sweep::sweep_gram_only(&mut g_direct, &order, s);
-        });
-        assert_eq!(g_engine.packed().as_slice(), g_direct.packed().as_slice());
-    }
-
-    #[test]
-    fn blocked_engine_converges_to_sequential_spectrum() {
-        for &(m, n, seed) in &[(40usize, 12usize, 7u64), (16, 16, 8), (9, 30, 9)] {
-            let a = gen::uniform(m, n, seed);
-            let order = round_robin(n);
-
-            let mut g_seq = GramState::from_matrix(&a);
-            let mut st = SweepState {
-                gram: &mut g_seq,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            driver().run(&mut Sequential, &mut st, &order);
-
-            let mut g_blk = GramState::from_matrix(&a);
-            let mut ws = SweepWorkspace::new();
-            let mut st = SweepState {
-                gram: &mut g_blk,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            driver().run(&mut Blocked::new(&mut ws), &mut st, &order);
-
-            let (s1, s2) = (spectrum(&g_seq), spectrum(&g_blk));
-            let smax = s1[0].max(1e-300);
-            for (x, y) in s1.iter().zip(&s2) {
-                // Compare on the Gram spectrum (σ²): that is what both
-                // engines iterate on, and it treats the √ε·σ_max dust of
-                // numerically-zero values correctly. For the non-zero part
-                // this is 1e-13-relative agreement of σ.
-                assert!((x * x - y * y).abs() <= 1e-13 * smax * smax, "{m}x{n}: {x} vs {y}");
-                if x.min(*y) > 1e-6 * smax {
-                    assert!((x - y).abs() <= 1e-13 * smax, "{m}x{n}: {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_group_update_matches_gram_recomputation() {
-        // After every tiled group application, D must equal the Gram matrix
-        // recomputed from the identically-rotated columns.
-        let mut a = gen::uniform(20, 8, 5);
-        let mut g = GramState::from_matrix(&a);
-        let order = round_robin(8);
-        let mut ws = SweepWorkspace::new();
-        ws.prepare_plan(8);
-        ws.prepare_tile(8, 8);
-        let guard = PairGuard::default().ready(&g);
-        for round in order.rounds() {
-            for group in round.chunks(2) {
-                let (applied, _) =
-                    plan_round(&g, group, &guard, 1, &mut Tracer::disabled(), &mut ws);
-                if applied == 0 {
-                    continue;
-                }
-                apply_group_tiled(&mut g, &mut ws);
-                for &(i, j, rot) in ws.rotations() {
-                    a.column_pair(i, j).unwrap().rotate(rot.cos, rot.sin);
-                }
-                let fresh = GramState::from_matrix(&a);
-                for p in 0..8 {
-                    for q in p..8 {
-                        assert!(
-                            (g.covariance(p, q) - fresh.covariance(p, q)).abs() < 1e-11,
-                            "D[{p}][{q}] inconsistent after tiled group"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_tile_budget_changes_grouping_not_results_materially() {
-        let a = gen::uniform(30, 10, 21);
-        let order = round_robin(10);
-        let mut spectra = Vec::new();
-        for bytes in [1usize, 512, Blocked::DEFAULT_TILE_BYTES] {
-            let mut g = GramState::from_matrix(&a);
-            let mut ws = SweepWorkspace::new();
-            let mut st = SweepState {
-                gram: &mut g,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            driver().run(&mut Blocked::with_tile_bytes(&mut ws, bytes), &mut st, &order);
-            spectra.push(spectrum(&g));
-        }
-        let smax = spectra[0][0].max(1e-300);
-        for s in &spectra[1..] {
-            for (x, y) in spectra[0].iter().zip(s) {
-                assert!((x - y).abs() <= 1e-12 * smax, "{x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_engines_fill_stats_consistently() {
-        let a = gen::uniform(30, 9, 4);
-        let order = round_robin(9);
-
-        let mut g = GramState::from_matrix(&a);
-        let mut st = SweepState {
-            gram: &mut g,
-            target: RotationTarget::gram_only(),
-            guard: PairGuard::default(),
-        };
-        let (_, seq) = driver().run(&mut Sequential, &mut st, &order);
-        assert_eq!(seq.engine, "sequential");
-        assert_eq!(seq.workspace_allocations, 0);
-
-        let mut g = GramState::from_matrix(&a);
-        let mut ws = SweepWorkspace::new();
-        let mut st = SweepState {
-            gram: &mut g,
-            target: RotationTarget::gram_only(),
-            guard: PairGuard::default(),
-        };
-        let (_, par) = driver().run(&mut Parallel::round_synchronous(&mut ws), &mut st, &order);
-        assert_eq!(par.engine, "parallel");
-        assert!(par.workspace_allocations > 0, "warm-up must allocate");
-        assert!(par.threads >= 1);
-
-        // Parallel::new at one worker thread reports the sequential model
-        // (the fallback), with zero workspace use and zero dispatches.
-        if rayon::current_num_threads() == 1 {
-            let mut g = GramState::from_matrix(&a);
-            let mut ws = SweepWorkspace::new();
-            let mut st = SweepState {
-                gram: &mut g,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            let (_, fb) = driver().run(&mut Parallel::new(&mut ws), &mut st, &order);
-            assert_eq!(fb.engine, "parallel");
-            assert_eq!(fb.workspace_allocations, 0);
-            assert_eq!(fb.parallel_dispatches, 0);
-            assert_eq!(fb.threads, 1);
-            assert!(fb.gram_bytes > 0);
-        }
-
-        // n = 9 fits a single default tile, so the blocked engine takes the
-        // in-place fast path: no staging, no workspace growth, no refills.
-        let mut g = GramState::from_matrix(&a);
-        let mut ws = SweepWorkspace::new();
-        let mut st = SweepState {
-            gram: &mut g,
-            target: RotationTarget::gram_only(),
-            guard: PairGuard::default(),
-        };
-        let (_, blk) = driver().run(&mut Blocked::new(&mut ws), &mut st, &order);
-        assert_eq!(blk.engine, "blocked");
-        assert_eq!(blk.workspace_allocations, 0, "fast path must not stage");
-        assert_eq!(blk.tile_refills, 0);
-        assert!(blk.gram_bytes > 0);
-        assert_eq!(blk.threads, 1);
-
-        // A deliberately tiny budget forces the tiled path and its staging
-        // allocations.
-        let mut g = GramState::from_matrix(&a);
-        let mut ws = SweepWorkspace::new();
-        let mut st = SweepState {
-            gram: &mut g,
-            target: RotationTarget::gram_only(),
-            guard: PairGuard::default(),
-        };
-        let (_, tiled) = driver().run(&mut Blocked::with_tile_bytes(&mut ws, 256), &mut st, &order);
-        assert_eq!(tiled.engine, "blocked");
-        assert!(tiled.workspace_allocations > 0, "tile warm-up must allocate");
-        assert!(tiled.tile_refills > 0);
-        assert!(tiled.gram_bytes > 0);
-    }
-
-    #[test]
-    fn blocked_fast_path_is_bit_identical_to_sequential() {
-        // Under `for_dim` every n ≤ 362 fits one tile; the fast path must
-        // reproduce the sequential engine bit for bit and never refill.
-        for &(m, n, seed) in &[(30usize, 8usize, 6u64), (50, 24, 7), (20, 33, 8)] {
-            let a = gen::uniform(m, n, seed);
-            let order = round_robin(n);
-
-            let mut g_seq = GramState::from_matrix(&a);
-            let mut st = SweepState {
-                gram: &mut g_seq,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            driver().run(&mut Sequential, &mut st, &order);
-
-            let mut g_blk = GramState::from_matrix(&a);
-            let mut ws = SweepWorkspace::new();
-            let mut st = SweepState {
-                gram: &mut g_blk,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            let (_, stats) = driver().run(&mut Blocked::for_dim(&mut ws, n), &mut st, &order);
-
-            assert_eq!(g_seq.packed().as_slice(), g_blk.packed().as_slice(), "{m}x{n}");
-            assert_eq!(stats.tile_refills, 0, "{m}x{n}: single tile must never refill");
-            assert_eq!(stats.workspace_allocations, 0, "{m}x{n}");
-        }
     }
 
     #[test]
@@ -1258,72 +746,49 @@ mod tests {
     #[test]
     fn scheduled_cyclic_run_is_bit_identical_to_static_run() {
         // The schedule-driven driver with the Cyclic strategy must be the
-        // pre-subsystem static round-robin loop, bit for bit — on all three
-        // engines.
+        // pre-subsystem static round-robin loop, bit for bit.
         use crate::ordering::{Cyclic, PlanBuffers, SweepSchedule};
         let a = gen::uniform(40, 12, 31);
         let order = round_robin(12);
-        let run_static = |engine: &mut dyn SweepEngine| {
-            let mut g = GramState::from_matrix(&a);
-            let mut st = SweepState {
-                gram: &mut g,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            let (h, stats) = driver().run(engine, &mut st, &order);
-            (g.packed().as_slice().to_vec(), h, stats)
-        };
-        let run_scheduled = |engine: &mut dyn SweepEngine| {
-            let mut g = GramState::from_matrix(&a);
-            let mut st = SweepState {
-                gram: &mut g,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            let mut strat = Cyclic::new();
-            let mut plan = crate::ordering::Sweep::new();
-            let mut schedule =
-                SweepSchedule { strategy: &mut strat, plan: &mut plan, threshold: None };
-            let run = driver().run_monitored(
-                engine,
-                &mut st,
-                &mut schedule,
-                &mut SolveMonitor::passive(),
-            );
-            (g.packed().as_slice().to_vec(), run.history, run.stats)
-        };
 
-        let (d1, h1, s1) = run_static(&mut Sequential);
-        let (d2, h2, s2) = run_scheduled(&mut Sequential);
-        assert_eq!(d1, d2);
-        assert_eq!(h1, h2);
-        assert_eq!(s2.ordering, "cyclic");
+        let mut g1 = GramState::from_matrix(&a);
+        let mut st = SweepState {
+            gram: &mut g1,
+            target: RotationTarget::gram_only(),
+            guard: PairGuard::default(),
+        };
+        let (h1, s1) = driver().run(&mut Sequential, &mut st, &order);
+
+        let mut g2 = GramState::from_matrix(&a);
+        let mut st = SweepState {
+            gram: &mut g2,
+            target: RotationTarget::gram_only(),
+            guard: PairGuard::default(),
+        };
+        let mut strat = Cyclic::new();
+        let mut plan = crate::ordering::Sweep::new();
+        let mut schedule = SweepSchedule { strategy: &mut strat, plan: &mut plan, threshold: None };
+        let run = driver().run_monitored(
+            &mut Sequential,
+            &mut st,
+            &mut schedule,
+            &mut SolveMonitor::passive(),
+        );
+        assert_eq!(g1.packed().as_slice(), g2.packed().as_slice());
+        assert_eq!(h1, run.history);
+        assert_eq!(run.stats.ordering, "cyclic");
         assert_eq!(s1.ordering, "", "preplanned runs report no ordering");
-        assert_eq!(s2.replans, 1, "cyclic plans once");
-
-        let mut ws1 = SweepWorkspace::new();
-        let mut ws2 = SweepWorkspace::new();
-        let (d1, h1, _) = run_static(&mut Parallel::round_synchronous(&mut ws1));
-        let (d2, h2, _) = run_scheduled(&mut Parallel::round_synchronous(&mut ws2));
-        assert_eq!(d1, d2);
-        assert_eq!(h1, h2);
-
-        let mut ws1 = SweepWorkspace::new();
-        let mut ws2 = SweepWorkspace::new();
-        let (d1, h1, _) = run_static(&mut Blocked::for_dim(&mut ws1, 12));
-        let (d2, h2, _) = run_scheduled(&mut Blocked::for_dim(&mut ws2, 12));
-        assert_eq!(d1, d2);
-        assert_eq!(h1, h2);
+        assert_eq!(run.stats.replans, 1, "cyclic plans once");
 
         // PlanBuffers parts drive the same loop identically.
-        let mut g = GramState::from_matrix(&a);
+        let mut g3 = GramState::from_matrix(&a);
         let mut st = SweepState {
-            gram: &mut g,
+            gram: &mut g3,
             target: RotationTarget::gram_only(),
             guard: PairGuard::default(),
         };
         let mut bufs = PlanBuffers::new();
-        let (strategy, plan) = bufs.schedule_parts(crate::ordering::Ordering::RoundRobin);
+        let (strategy, plan) = bufs.schedule_parts(Ordering::RoundRobin);
         let mut schedule = SweepSchedule { strategy, plan, threshold: None };
         driver().run_monitored(
             &mut Sequential,
@@ -1331,7 +796,7 @@ mod tests {
             &mut schedule,
             &mut SolveMonitor::passive(),
         );
-        assert_eq!(g.packed().as_slice(), d1.as_slice());
+        assert_eq!(g3.packed().as_slice(), g1.packed().as_slice());
     }
 
     #[test]
@@ -1415,58 +880,6 @@ mod tests {
         assert!(run.history[0].rotations_applied == 0, "sweep 1 must be fully deferred");
         assert!(run.history.len() > 1, "NoRotations must not fire on a deferred sweep");
         assert_eq!(run.history.last().unwrap().rotations_applied, 0, "real convergence at the end");
-    }
-
-    #[test]
-    fn tile_budget_resolution_prefers_env_then_sysfs_then_fallback() {
-        assert_eq!(resolve_tile_budget(Some("65536"), Some("512K")), 65536);
-        assert_eq!(resolve_tile_budget(Some("256K"), None), 256 * 1024);
-        assert_eq!(resolve_tile_budget(Some("1M"), None), 1024 * 1024);
-        assert_eq!(resolve_tile_budget(None, Some("512K\n")), 512 * 1024);
-        assert_eq!(resolve_tile_budget(None, Some("8M\n")), 8 * 1024 * 1024);
-        assert_eq!(resolve_tile_budget(None, None), Blocked::MAX_TILE_BYTES);
-        // Garbage falls through; tiny overrides are floored.
-        assert_eq!(resolve_tile_budget(Some("zap"), Some("oops")), Blocked::MAX_TILE_BYTES);
-        assert_eq!(resolve_tile_budget(Some("1"), None), 4 * 1024);
-    }
-
-    #[test]
-    fn for_dim_budget_keeps_fast_path_and_reports_tile_bytes() {
-        // Any n whose triangle fits the host budget takes the single-tile
-        // fast path regardless of what the probe found, so for_dim results
-        // stay bit-identical across hosts in the paper's n ≤ 256 range.
-        let a = gen::uniform(30, 9, 4);
-        let order = round_robin(9);
-        let mut baseline = None;
-        for budget in [Blocked::MAX_TILE_BYTES, 4 * 1024 * 1024] {
-            let mut g = GramState::from_matrix(&a);
-            let mut ws = SweepWorkspace::new();
-            let mut st = SweepState {
-                gram: &mut g,
-                target: RotationTarget::gram_only(),
-                guard: PairGuard::default(),
-            };
-            let (_, stats) = driver().run(
-                &mut Blocked::for_dim_with_budget(&mut ws, 9, budget),
-                &mut st,
-                &order,
-            );
-            assert_eq!(stats.tile_refills, 0);
-            assert_eq!(stats.tile_bytes, Blocked::DEFAULT_TILE_BYTES as u64);
-            let d = g.packed().as_slice().to_vec();
-            match &baseline {
-                None => baseline = Some(d),
-                Some(b) => assert_eq!(b, &d),
-            }
-        }
-        // Above the fast-path range the tiled slice scales with the budget
-        // (n = 1100: the packed triangle is ~4.6 MiB, over both budgets).
-        let mut ws = SweepWorkspace::new();
-        let big = Blocked::for_dim_with_budget(&mut ws, 1100, 4 * 1024 * 1024);
-        assert_eq!(big.tile_bytes, 256 * 1024);
-        let mut ws = SweepWorkspace::new();
-        let small = Blocked::for_dim_with_budget(&mut ws, 1100, Blocked::MAX_TILE_BYTES);
-        assert_eq!(small.tile_bytes, Blocked::DEFAULT_TILE_BYTES);
     }
 
     #[test]

@@ -8,9 +8,6 @@ pub enum SvdError {
     EmptyInput,
     /// Input contains NaN or ±∞; the rotation kernels require finite data.
     NonFiniteInput,
-    /// The selected engine (parallel or blocked) requires the round-robin
-    /// ordering (rounds of disjoint pairs are its unit of work).
-    EngineNeedsRoundRobin,
     /// The selected ordering is not valid in this context — e.g.
     /// [`crate::ordering::Ordering::ColumnNormPresort`] on the indefinite
     /// eigensolver path, where sign-indefinite diagonals make descending-norm
@@ -49,9 +46,6 @@ impl fmt::Display for SvdError {
         match self {
             SvdError::EmptyInput => write!(f, "input matrix has a zero dimension"),
             SvdError::NonFiniteInput => write!(f, "input matrix contains NaN or infinite entries"),
-            SvdError::EngineNeedsRoundRobin => {
-                write!(f, "the selected engine requires the round-robin ordering")
-            }
             SvdError::OrderingUnsupported { ordering, context } => {
                 write!(f, "the {ordering} ordering is not supported by {context}")
             }
@@ -81,7 +75,6 @@ mod tests {
     fn messages() {
         assert!(SvdError::EmptyInput.to_string().contains("zero dimension"));
         assert!(SvdError::NonFiniteInput.to_string().contains("NaN"));
-        assert!(SvdError::EngineNeedsRoundRobin.to_string().contains("round-robin"));
         let unsupported =
             SvdError::OrderingUnsupported { ordering: "presort", context: "the eigensolver" };
         assert!(unsupported.to_string().contains("presort"));

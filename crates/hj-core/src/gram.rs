@@ -70,8 +70,9 @@ impl GramState {
         &self.d
     }
 
-    /// Mutable borrow of the underlying packed matrix — for the blocked
-    /// engine's tiled write-back, which updates `D` entries in place.
+    /// Mutable borrow of the underlying packed matrix — for the fault
+    /// injector's corruptions, which write `D` entries in place.
+    #[cfg(feature = "fault-injection")]
     #[inline]
     pub(crate) fn packed_mut(&mut self) -> &mut PackedSymmetric {
         &mut self.d
@@ -80,17 +81,6 @@ impl GramState {
     /// Consume into the underlying packed matrix.
     pub fn into_packed(self) -> PackedSymmetric {
         self.d
-    }
-
-    /// O(1)-swap the maintained `D` with `buf` — the publish step of the
-    /// double-buffered parallel round update ([`crate::parallel`]). `buf`
-    /// must hold a same-dimension triangle (the new `D` after the round).
-    ///
-    /// # Panics
-    /// Panics on a dimension mismatch.
-    pub fn swap_packed(&mut self, buf: &mut PackedSymmetric) {
-        assert_eq!(self.d.dim(), buf.dim(), "swap_packed: dimension mismatch");
-        self.d.swap(buf);
     }
 
     /// Apply the plane rotation `rot` of column pair `(i, j)` to `D`

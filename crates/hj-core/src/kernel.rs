@@ -1,42 +1,31 @@
 //! Vectorization-friendly inner kernels — the software mirror of the
 //! paper's concurrent-dataflow units (Fig. 4).
 //!
-//! Every hot loop of the three sweep engines routes through this module.
-//! Before it existed, the engines walked the packed covariance triangle
-//! through [`PackedSymmetric::get`]/[`set`](PackedSymmetric::set) — a
-//! branch (argument swap), a multiply (row-offset polynomial), and a bounds
-//! check *per element*, which kept LLVM from vectorizing anything and made
-//! the cache-tiled engine slower than the sequential one (the ROADMAP item-1
-//! inversion). The kernels here replace that with slice traversals:
+//! The sweep engines' hot loops route through this module. Before it
+//! existed, they walked the packed covariance triangle through
+//! [`PackedSymmetric::get`]/[`set`](PackedSymmetric::set) — a branch
+//! (argument swap), a multiply (row-offset polynomial), and a bounds check
+//! *per element*, which kept LLVM from vectorizing anything. The kernels
+//! here replace that with slice traversals:
 //!
 //! * [`rotate_packed`] — the `O(n)` in-place Gram rotation of Algorithm 1
 //!   lines 15–26, decomposed into the triangle's three natural regions so
 //!   the dominant region runs on two contiguous slices (autovectorized via
 //!   [`ops::rotate_pair`]) and the strided regions walk incrementally with
 //!   no per-element offset math.
-//! * [`gather_column`] / [`scatter_column`] — the blocked engine's tile
-//!   staging: a logical column of `D` moved to/from a dense slice, with the
-//!   `k ≥ c` majority as a single `memcpy`.
-//! * [`batch_params`] — rotation parameters for a whole round-robin pair
-//!   group at once, structure-of-arrays in (`D_ii`, `D_jj`, `D_ij` lanes)
-//!   and SoA out (`cos`, `sin`, `t` lanes), mirroring the independent
-//!   per-pair parameter units the paper's Fig. 6 schedules concurrently.
+//! * [`batch_params_soa`] / [`rotate_packed_soa`] — the batch SoA engine's
+//!   lanes-wide kernels: one pair's rotation across many interleaved
+//!   problems at once.
 //!
 //! # Bit-compat policy
 //!
-//! Every kernel computes **exactly** the elementwise expressions of the
+//! [`rotate_packed`] computes **exactly** the elementwise expressions of the
 //! scalar path it replaces — same operations, same order per element, no
 //! re-association, no FMA contraction — so results are bit-identical to the
 //! pre-kernel code. The only freedom taken is *traversal* order across
 //! independent elements (chunking, region splitting, loop interchange),
 //! which cannot change any bit because each element is read and written by
-//! exactly one rotation expression. In particular [`batch_params`] runs the
-//! `ρ → t → cos → sin` chain of [`crate::rotation::textbook_params`] per lane —
-//! the SoA layout gives the batched shape of the paper's eqs. (8)–(10)
-//! dataflow while keeping the engines' pinned bit-compat (the flattened
-//! hardware form itself differs from the textbook chain by re-association;
-//! `tests/kernel_compat.rs` carries the same `1e-12`-absolute pin on
-//! `cos`/`sin` that the two scalar formulations have always had).
+//! exactly one rotation expression.
 //!
 //! Two kernels are deliberately exempt, both confined to the batch engine
 //! whose accuracy contract is a pinned `1e-12·σ_max` envelope rather than
@@ -55,8 +44,8 @@
 //!   diagonal, annihilated-covariance, and skipped-lane entries stay
 //!   bit-exact on every target.
 //!
-//! Every other kernel's compat test pins exact equality against the scalar
-//! references.
+//! [`rotate_packed`]'s compat test pins exact equality against the scalar
+//! reference.
 //!
 //! # Lane layout and tails
 //!
@@ -142,99 +131,8 @@ pub fn rotate_packed(d: &mut PackedSymmetric, i: usize, j: usize, rot: &Rotation
     }
 }
 
-/// Copy logical column `c` of the packed triangle (`out[k] = D[k][c]` for
-/// all `k`) into a dense slice — the blocked engine's tile staging read.
-///
-/// The `k < c` head is the strided walk described on
-/// [`PackedSymmetric::row_offset`]; the `k ≥ c` tail is row `c` itself,
-/// copied with one `memcpy`.
-///
-/// # Panics
-/// Panics if `out.len() != n` or `c ≥ n` (debug: explicit asserts; release:
-/// slice bounds).
-pub fn gather_column(d: &PackedSymmetric, c: usize, out: &mut [f64]) {
-    let n = d.dim();
-    debug_assert!(c < n);
-    debug_assert_eq!(out.len(), n);
-    let data = d.as_slice();
-    let mut o = c;
-    for (k, slot) in out[..c].iter_mut().enumerate() {
-        *slot = data[o];
-        o += n - k - 1;
-    }
-    let rc = d.row_offset(c);
-    out[c..n].copy_from_slice(&data[rc..rc + (n - c)]);
-}
-
-/// Write a dense slice back as logical column `c` of the packed triangle
-/// (`D[k][c] = src[k]` for all `k`) — the blocked engine's tile write-back.
-/// Mirror image of [`gather_column`].
-pub fn scatter_column(d: &mut PackedSymmetric, c: usize, src: &[f64]) {
-    let n = d.dim();
-    debug_assert!(c < n);
-    debug_assert_eq!(src.len(), n);
-    let rc = d.row_offset(c);
-    let data = d.as_mut_slice();
-    let mut o = c;
-    for (k, &v) in src[..c].iter().enumerate() {
-        data[o] = v;
-        o += n - k - 1;
-    }
-    data[rc..rc + (n - c)].copy_from_slice(&src[c..n]);
-}
-
-/// Rotation parameters for a whole pair group at once, SoA in / SoA out.
-///
-/// `norms_i[k]`, `norms_j[k]`, `covs[k]` are the `(D_ii, D_jj, D_ij)` of the
-/// group's `k`-th pair; the outputs land in `cos[k]`, `sin[k]`, `t[k]`.
-/// Each lane runs exactly the [`crate::rotation::textbook_params`] chain
-/// (including its `cov == 0 → identity` case and `sign(0) = +1`
-/// convention), so the batched output is bit-identical to calling the
-/// scalar kernel per pair — the bit-compat policy above. The SoA shape is
-/// what lets the round planner compute a whole round-robin group's
-/// parameters in one straight-line loop, the software analogue of the
-/// paper's concurrently-scheduled parameter units.
-///
-/// # Panics
-/// Panics in debug builds if the six slices disagree on length.
-pub fn batch_params(
-    norms_i: &[f64],
-    norms_j: &[f64],
-    covs: &[f64],
-    cos: &mut [f64],
-    sin: &mut [f64],
-    t: &mut [f64],
-) {
-    let len = norms_i.len();
-    debug_assert!(
-        norms_j.len() == len
-            && covs.len() == len
-            && cos.len() == len
-            && sin.len() == len
-            && t.len() == len,
-        "batch_params: SoA lanes disagree on length"
-    );
-    for k in 0..len {
-        let (ni, nj, cov) = (norms_i[k], norms_j[k], covs[k]);
-        if cov == 0.0 {
-            cos[k] = 1.0;
-            sin[k] = 0.0;
-            t[k] = 0.0;
-            continue;
-        }
-        let zeta = (nj - ni) / (2.0 * cov);
-        let sign = if zeta >= 0.0 { 1.0 } else { -1.0 };
-        let tk = sign / (zeta.abs() + f64::hypot(1.0, zeta));
-        let ck = 1.0 / f64::hypot(1.0, tk);
-        cos[k] = ck;
-        sin[k] = ck * tk;
-        t[k] = tk;
-    }
-}
-
 /// Rotation parameters for the **same** pair `(i, j)` across a whole batch
-/// of interleaved problems — the cross-problem SoA counterpart of
-/// [`batch_params`].
+/// of interleaved problems.
 ///
 /// `norms_i`, `norms_j`, `covs` hold one lane per problem (`(D_ii, D_jj,
 /// D_ij)` of problem `p` in lane `p`); `active` masks lanes that still
@@ -592,44 +490,8 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_round_trip_every_column() {
-        for n in [1usize, 2, 4, 7, 12] {
-            let d = packed_from_seed(n, 100 + n as u64);
-            for c in 0..n {
-                let mut col = vec![0.0; n];
-                gather_column(&d, c, &mut col);
-                for (k, &v) in col.iter().enumerate() {
-                    assert_eq!(v, d.get(k, c), "n={n} col {c} row {k}");
-                }
-                let mut back = d.clone();
-                scatter_column(&mut back, c, &col);
-                assert_eq!(back.as_slice(), d.as_slice(), "n={n} col {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_params_matches_scalar_textbook_bitwise() {
-        let inputs: Vec<(f64, f64, f64)> = (0..64)
-            .map(|k| {
-                let x = (k as f64 + 1.0) * 0.7;
-                (x, 65.0 - x, if k % 3 == 0 { 0.0 } else { (k as f64 - 30.0) * 0.11 })
-            })
-            .collect();
-        let ni: Vec<f64> = inputs.iter().map(|p| p.0).collect();
-        let nj: Vec<f64> = inputs.iter().map(|p| p.1).collect();
-        let cv: Vec<f64> = inputs.iter().map(|p| p.2).collect();
-        let (mut c, mut s, mut t) = (vec![0.0; 64], vec![0.0; 64], vec![0.0; 64]);
-        batch_params(&ni, &nj, &cv, &mut c, &mut s, &mut t);
-        for k in 0..64 {
-            let r = textbook_params(ni[k], nj[k], cv[k]);
-            assert_eq!((c[k], s[k], t[k]), (r.cos, r.sin, r.t), "lane {k}");
-        }
-    }
-
-    #[test]
     fn batch_params_soa_masks_inactive_and_converged_lanes() {
-        use crate::sweep::PAIR_TOL;
+        use crate::engine::PAIR_TOL;
         let ni = [4.0, 9.0, 1.0, 16.0];
         let nj = [2.0, 3.0, 1.0, 8.0];
         // Lane 2's covariance sits under the Drmač guard; lane 3 is inactive.

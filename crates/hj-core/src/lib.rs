@@ -14,31 +14,25 @@
 //!   `ρ→t→cos→sin` chain and the paper's flattened eqs. (8)–(10).
 //! * [`gram`] — the maintained covariance matrix and its O(n) rotation
 //!   update (the Update operator's covariance path).
-//! * [`kernel`] — the vectorization-friendly inner kernels every engine's
-//!   hot loop runs on: the three-region packed rotation, tile
-//!   gather/scatter, and SoA-batched rotation parameters (bit-identical to
-//!   the scalar paths; see the module's bit-compat policy).
+//! * [`kernel`] — the vectorization-friendly inner kernels the sweep hot
+//!   loops run on: the three-region packed rotation and the SoA batch
+//!   kernels (the packed rotation is bit-identical to the scalar path; see
+//!   the module's bit-compat policy).
 //! * [`ordering`] — the pluggable sweep-schedule subsystem: the
 //!   [`ordering::OrderingStrategy`] trait planning each sweep's rounds of
 //!   disjoint pairs, the cyclic round-robin pairing (the paper's Fig. 6),
 //!   the row-cyclic order of the pseudocode, the adaptive sorted-greedy
 //!   planner, the de Rijk column-norm presort, and the
 //!   [`ordering::ThresholdSchedule`] rotation-threshold ramp composable
-//!   with any ordering.
-//! * [`engine`] — the unified sweep pipeline: the [`engine::SweepEngine`]
-//!   trait, the [`engine::RotationTarget`] / [`engine::PairGuard`]
-//!   abstractions, the [`engine::Sequential`] and cache-tiled
-//!   [`engine::Blocked`] engines, and the single [`engine::SolveDriver`]
-//!   loop every solver runs on.
-//! * [`sweep`] — sequential single-sweep entry points (gram-only and full),
-//!   thin wrappers over the [`engine::Sequential`] engine.
-//! * [`parallel`] — the round-synchronous rayon engine
-//!   ([`parallel::Parallel`]) exploiting the same disjoint-pair structure
-//!   the hardware's parallel groups use, built on a reusable
-//!   zero-allocation [`parallel::SweepWorkspace`].
+//!   with any ordering. [`SweepWorkspace`] pools its plan buffers across
+//!   solves.
+//! * [`engine`] — the sweep pipeline: the [`engine::SweepEngine`] trait,
+//!   the [`engine::RotationTarget`] / [`engine::PairGuard`] abstractions,
+//!   the [`engine::Sequential`] engine (Algorithm 1's in-place data flow),
+//!   and the single [`engine::SolveDriver`] loop every solver runs on.
 //! * [`batch`] — batched drivers ([`HestenesSvd::decompose_batch`]) fanning
-//!   independent solves across the pool with per-solve error isolation and
-//!   a shared [`batch::WorkspacePool`] of warm scratch.
+//!   independent solves across the thread pool with per-solve error
+//!   isolation and a shared [`batch::WorkspacePool`] of warm scratch.
 //! * [`batch_engine`] — the batched SoA engine for many tiny SVDs:
 //!   `k` interleaved Gram triangles swept together by one lanes-wide kernel
 //!   invocation per pair ([`batch_engine::BatchWorkspace`] /
@@ -48,14 +42,14 @@
 //! * [`stats`] — [`SolveStats`] observability record (timings, rotation
 //!   counts, allocation events, Gram traffic) attached to every solve.
 //! * [`trace`] — structured solve tracing: the [`trace::TraceSink`]
-//!   contract, typed [`trace::TraceEvent`]s for every sweep / pair group /
+//!   contract, typed [`trace::TraceEvent`]s for every sweep / sweep plan /
 //!   rotation / recovery decision, and the no-op, ring-buffer, and JSONL
 //!   sinks. Zero cost when disabled.
 //! * [`convergence`] — stopping rules and per-sweep instrumentation
 //!   (the paper's Figs. 10–11 metric).
 //! * [`recovery`] — the fault-tolerance layer: [`recovery::Fault`]
 //!   taxonomy, per-sweep [`recovery::HealthCheck`], the
-//!   [`recovery::RecoveryPolicy`] lattice (rescale / engine fallback /
+//!   [`recovery::RecoveryPolicy`] lattice (rescale / ordering fallback /
 //!   budget escalation / abort), and [`recovery::SolveBudget`]
 //!   deadline/cancellation.
 //! * `inject` *(feature `fault-injection` only)* — deterministic
@@ -95,30 +89,27 @@ pub mod inject;
 pub mod kernel;
 pub mod lowrank;
 pub mod ordering;
-pub mod parallel;
 pub mod pca;
 pub mod recovery;
 pub mod rotation;
 pub mod stats;
 pub mod svd;
-pub mod sweep;
 pub mod trace;
 
 pub use batch::WorkspacePool;
 pub use batch_engine::{BatchDriver, BatchWorkspace};
 pub use convergence::{Convergence, SweepRecord};
 pub use engine::{
-    EngineKind, MonitoredRun, PairGuard, RotationTarget, SolveDriver, SolveMonitor, SweepEngine,
-    SweepState,
+    MonitoredRun, PairGuard, RotationTarget, SolveDriver, SolveMonitor, SweepEngine, SweepState,
 };
 pub use error::SvdError;
 pub use gram::{DiagonalScan, GramState};
 #[cfg(feature = "fault-injection")]
 pub use inject::{Corruption, FaultInjector, SeededInjector};
 pub use ordering::{
-    Ordering, OrderingKind, OrderingStrategy, PlanBuffers, SweepSchedule, ThresholdSchedule,
+    Ordering, OrderingKind, OrderingStrategy, PlanBuffers, SweepSchedule, SweepWorkspace,
+    ThresholdSchedule,
 };
-pub use parallel::SweepWorkspace;
 pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, RecoveryAction, RecoveryPolicy, SolveBudget};
 pub use rotation::{hardware_params, textbook_params, Rotation};

@@ -11,8 +11,7 @@
 //! * **Parallelism** — the round-robin ("caterpillar"/Brent-Luk) cyclic order
 //!   arranges each sweep into `rounds` of **pairwise-disjoint** pairs, which
 //!   is exactly what lets the paper's hardware (Fig. 6) issue groups of
-//!   rotations concurrently, and what lets our [`crate::parallel`] driver
-//!   apply a whole round with rayon.
+//!   rotations concurrently (modelled cycle by cycle in `hj-arch`).
 //!
 //! The subsystem has three layers:
 //!
@@ -25,8 +24,8 @@
 //! * [`SweepSchedule`] — the strategy + plan buffer + optional
 //!   [`ThresholdSchedule`] bundle the [`crate::engine::SolveDriver`] consumes.
 
+use crate::engine::PAIR_TOL;
 use crate::gram::GramState;
-use crate::sweep::PAIR_TOL;
 
 /// One sweep's worth of pair visits, grouped into rounds.
 ///
@@ -116,11 +115,11 @@ impl Sweep {
 pub enum Ordering {
     /// Round-robin (tournament) cyclic order: `n−1` rounds of `⌊n/2⌋`
     /// disjoint pairs — the paper's Fig. 6 order and the library default.
-    /// Provably convergent; legal on every engine.
+    /// Provably convergent.
     #[default]
     RoundRobin,
     /// Row-cyclic order: `(0,1), (0,2), …, (0,n−1), (1,2), …` — the literal
-    /// loop nest of Algorithm 1. Sequential only (rounds of one pair).
+    /// loop nest of Algorithm 1 (rounds of one pair).
     RowCyclic,
     /// Data-adaptive greedy order: every sweep re-sorts all pairs by the
     /// current relative covariance `D_ij²/(D_ii·D_jj)` (largest first) and
@@ -303,8 +302,8 @@ fn fill_row_cyclic(n: usize, out: &mut Sweep, spare: &mut Vec<Vec<(usize, usize)
 /// is allocation-free once warm.
 ///
 /// Every produced plan must keep the pairs of each round pairwise disjoint
-/// and visit each unordered pair at most once — the invariant the parallel
-/// and blocked engines (and the hardware they model) rely on.
+/// and visit each unordered pair at most once — the invariant the paper's
+/// concurrent rotation groups (Fig. 6) rely on.
 pub trait OrderingStrategy {
     /// Which [`Ordering`] this strategy implements.
     fn kind(&self) -> Ordering;
@@ -356,7 +355,7 @@ impl OrderingStrategy for Cyclic {
 }
 
 /// The row-cyclic order of Algorithm 1's literal loop nest, planned once per
-/// dimension. Sequential engines only (rounds of one pair).
+/// dimension (rounds of one pair).
 #[derive(Debug, Default)]
 pub struct RowCyclic {
     planned_dim: Option<usize>,
@@ -587,9 +586,9 @@ pub struct SweepSchedule<'a> {
 }
 
 /// One instance of every strategy plus a dedicated plan buffer per strategy,
-/// pooled inside [`crate::parallel::SweepWorkspace`] so repeated solves
-/// replan without reallocating. Each strategy gets its *own* plan buffer —
-/// a shared one would invalidate the once-per-dimension caches whenever the
+/// reused across solves (as [`SweepWorkspace`]) so repeated solves replan
+/// without reallocating. Each strategy gets its *own* plan buffer — a
+/// shared one would invalidate the once-per-dimension caches whenever the
 /// selected ordering changes between solves.
 #[derive(Debug, Default)]
 pub struct PlanBuffers {
@@ -620,6 +619,12 @@ impl PlanBuffers {
         }
     }
 }
+
+/// Caller-owned solve scratch for the `_with_workspace` entry points of
+/// [`crate::HestenesSvd`], the pooled batch drivers and the service
+/// workers: the [`PlanBuffers`] a solve replans into. A warm workspace
+/// computes the same bits as a fresh one.
+pub type SweepWorkspace = PlanBuffers;
 
 /// Compute the descending-column-norm permutation for
 /// [`Ordering::ColumnNormPresort`]: `perm[k]` is the source column holding

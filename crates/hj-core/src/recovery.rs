@@ -17,14 +17,12 @@
 //!   [`crate::SolveDriver::run_monitored`]: non-finite metrics, negative
 //!   diagonals (impossible for a true Gram matrix), and convergence stalls.
 //! * [`RecoveryPolicy`] — maps a detected fault to a [`RecoveryAction`]:
-//!   rescale-and-restart, fall back to the [`crate::engine::Sequential`]
-//!   engine, escalate the sweep budget, or abort with
-//!   [`crate::SvdError::SolveFault`].
+//!   rescale-and-restart, fall back to the cyclic ordering, escalate the
+//!   sweep budget, or abort with [`crate::SvdError::SolveFault`].
 //! * [`SolveBudget`] — deadline/cancellation checked at sweep boundaries, so
 //!   batch and CLI callers can bound worst-case latency.
 
 use crate::convergence::SweepRecord;
-use crate::engine::EngineKind;
 use crate::gram::GramState;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -251,9 +249,6 @@ pub enum RecoveryAction {
     /// power-of-two scale with max-entry exponent 0 — clears any corrupted
     /// intermediate state and maximizes headroom against over/underflow.
     RescaleRestart,
-    /// Restart on the [`crate::engine::Sequential`] engine — Algorithm 1's
-    /// literal data flow, the simplest and most conservative execution path.
-    FallBackToSequential,
     /// Restart with a doubled sweep budget (capped at
     /// [`crate::convergence::MAX_SWEEP_CAP`]) — for stalls caused by a
     /// too-tight budget rather than corruption.
@@ -274,7 +269,6 @@ impl RecoveryAction {
     pub fn name(self) -> &'static str {
         match self {
             RecoveryAction::RescaleRestart => "rescale-restart",
-            RecoveryAction::FallBackToSequential => "fallback-sequential",
             RecoveryAction::EscalateBudget => "escalate-budget",
             RecoveryAction::FallBackToCyclic => "fallback-cyclic",
             RecoveryAction::Abort => "abort",
@@ -286,8 +280,6 @@ impl RecoveryAction {
 /// current attempt when choosing a response.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryContext {
-    /// Engine the faulting attempt ran on.
-    pub engine: EngineKind,
     /// A rescale-restart has already been tried.
     pub rescaled: bool,
     /// A budget escalation has already been tried.
@@ -304,15 +296,13 @@ pub struct RecoveryContext {
 }
 
 /// Maps each detected [`Fault`] to a [`RecoveryAction`] — the recovery
-/// lattice (numeric faults → rescale → sequential fallback → abort; stalls →
-/// cyclic-ordering fallback → budget escalation → sequential fallback →
-/// abort; deadline/cancellation → always abort).
+/// lattice (numeric faults → rescale → abort; stalls → cyclic-ordering
+/// fallback → budget escalation → abort; deadline/cancellation → always
+/// abort).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Allow one rescale-and-restart for numeric faults.
     pub rescale_restart: bool,
-    /// Allow falling back from the parallel/blocked engines to sequential.
-    pub engine_fallback: bool,
     /// Allow doubling the sweep budget (once) for stalls.
     pub escalate_budget: bool,
     /// Allow falling back from an adaptive ordering to cyclic on a stall.
@@ -327,7 +317,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             rescale_restart: true,
-            engine_fallback: true,
             escalate_budget: true,
             ordering_fallback: true,
             max_recoveries: 3,
@@ -340,7 +329,6 @@ impl RecoveryPolicy {
     pub fn abort_only() -> Self {
         RecoveryPolicy {
             rescale_restart: false,
-            engine_fallback: false,
             escalate_budget: false,
             ordering_fallback: false,
             max_recoveries: 0,
@@ -352,13 +340,10 @@ impl RecoveryPolicy {
         if ctx.recoveries >= self.max_recoveries {
             return RecoveryAction::Abort;
         }
-        let can_fall_back = self.engine_fallback && ctx.engine != EngineKind::Sequential;
         match fault {
             Fault::NonFiniteGram { .. } | Fault::NegativeDiagonal { .. } => {
                 if self.rescale_restart && !ctx.rescaled {
                     RecoveryAction::RescaleRestart
-                } else if can_fall_back {
-                    RecoveryAction::FallBackToSequential
                 } else {
                     RecoveryAction::Abort
                 }
@@ -368,8 +353,6 @@ impl RecoveryPolicy {
                     RecoveryAction::FallBackToCyclic
                 } else if self.escalate_budget && ctx.can_escalate && !ctx.escalated {
                     RecoveryAction::EscalateBudget
-                } else if can_fall_back {
-                    RecoveryAction::FallBackToSequential
                 } else {
                     RecoveryAction::Abort
                 }
@@ -494,7 +477,6 @@ mod tests {
     use super::*;
     use crate::convergence::MAX_SWEEP_CAP;
     use crate::ordering::round_robin;
-    use crate::sweep::sweep_gram_only;
     use hj_matrix::{gen, PackedSymmetric};
 
     fn rec(sweep: usize, off: f64) -> SweepRecord {
@@ -528,15 +510,24 @@ mod tests {
 
     #[test]
     fn healthy_solve_raises_no_fault() {
+        use crate::engine::{
+            PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState,
+        };
         let a = gen::uniform(30, 8, 11);
         let mut g = GramState::from_matrix(&a);
         let order = round_robin(8);
-        let hc = HealthCheck::default();
-        let mut st = HealthState::new();
-        for s in 1..=10 {
-            let r = sweep_gram_only(&mut g, &order, s);
-            assert_eq!(hc.inspect(&g, &r, &mut st), None, "false positive at sweep {s}");
-        }
+        let mut state = SweepState {
+            gram: &mut g,
+            target: RotationTarget::gram_only(),
+            guard: PairGuard::default(),
+        };
+        // The monitored driver inspects `D` after every one of the ten sweeps.
+        let mut monitor = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default());
+        let driver =
+            SolveDriver { convergence: crate::Convergence::FixedSweeps(10), max_sweeps: 10 };
+        let run = driver.run_monitored_static(&mut Sequential, &mut state, &order, &mut monitor);
+        assert_eq!(run.fault, None, "false positive");
+        assert_eq!(run.history.len(), 10);
     }
 
     #[test]
@@ -628,7 +619,6 @@ mod tests {
         let policy = RecoveryPolicy::default();
         let fault = Fault::NonFiniteGram { sweep: 1 };
         let mut ctx = RecoveryContext {
-            engine: EngineKind::Parallel,
             rescaled: false,
             escalated: false,
             can_escalate: true,
@@ -639,8 +629,6 @@ mod tests {
         assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::RescaleRestart);
         ctx.rescaled = true;
         ctx.recoveries = 1;
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::FallBackToSequential);
-        ctx.engine = EngineKind::Sequential;
         assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::Abort);
     }
 
@@ -649,7 +637,6 @@ mod tests {
         let policy = RecoveryPolicy::default();
         let fault = Fault::ConvergenceStall { sweep: 9, stalled_sweeps: 6 };
         let mut ctx = RecoveryContext {
-            engine: EngineKind::Blocked,
             rescaled: false,
             escalated: false,
             can_escalate: true,
@@ -659,14 +646,11 @@ mod tests {
         };
         assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::EscalateBudget);
         ctx.escalated = true;
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::FallBackToSequential);
-        ctx.engine = EngineKind::Sequential;
         assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::Abort);
         // A budget already at the cap cannot escalate.
-        ctx.engine = EngineKind::Blocked;
         ctx.escalated = false;
         ctx.can_escalate = false;
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::FallBackToSequential);
+        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::Abort);
     }
 
     #[test]
@@ -674,7 +658,6 @@ mod tests {
         let policy = RecoveryPolicy::default();
         let fault = Fault::ConvergenceStall { sweep: 9, stalled_sweeps: 6 };
         let mut ctx = RecoveryContext {
-            engine: EngineKind::Parallel,
             rescaled: false,
             escalated: false,
             can_escalate: true,
@@ -703,7 +686,6 @@ mod tests {
     fn policy_latency_faults_always_abort_and_cap_binds() {
         let policy = RecoveryPolicy::default();
         let ctx = RecoveryContext {
-            engine: EngineKind::Parallel,
             rescaled: false,
             escalated: false,
             can_escalate: true,

@@ -11,16 +11,10 @@
 use crate::convergence::SweepRecord;
 
 /// Observability record for one solver run.
-///
-/// The zero-allocation invariant of the parallel engine is visible here:
-/// after the first sweep warms the workspace up, `workspace_allocations`
-/// stops growing — rounds swap double buffers instead of allocating (see
-/// DESIGN.md, "Zero-allocation parallel engine").
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveStats {
-    /// Canonical name of the engine that ran the solve (`"sequential"`,
-    /// `"parallel"`, `"blocked"`, or `"batch-soa"`); empty for a
-    /// default-constructed record.
+    /// Canonical name of the engine that ran the solve (`"sequential"` or
+    /// `"batch-soa"`); empty for a default-constructed record.
     pub engine: &'static str,
     /// Canonical name of the pair ordering the solve was scheduled with
     /// (`"cyclic"`, `"row-cyclic"`, `"greedy"`, or `"presort"`); empty for a
@@ -37,37 +31,23 @@ pub struct SolveStats {
     pub rotations_applied: usize,
     /// Pairs skipped by the per-pair orthogonality guard across all sweeps.
     pub rotations_skipped: usize,
-    /// Heap allocation events charged to the sweep engine's reusable
-    /// workspace (buffer creations/growths only — steady-state rounds
-    /// perform none). Always 0 for the sequential engine, which rotates `D`
-    /// in place.
+    /// Heap allocation events charged to the engine's reusable workspace
+    /// (buffer creations/growths only). Always 0 for the sequential engine,
+    /// which rotates `D` in place; the batch SoA engine reports its
+    /// workspace's cumulative count.
     pub workspace_allocations: usize,
-    /// Bytes of packed-triangle traffic generated by covariance updates.
-    /// Parallel engine: one write plus up to four reads per packed entry per
-    /// applied round (`40·n(n+1)/2` bytes). Sequential engine: the `O(n)`
-    /// in-place rotation touches `4n − 2` entries (`8·(4n − 2)` bytes per
-    /// applied rotation). An accounting model of the engines' access
-    /// patterns, not a hardware measurement.
+    /// Bytes of packed-triangle traffic generated by covariance updates:
+    /// the `O(n)` in-place rotation touches `4n − 2` entries (`8·(4n − 2)`
+    /// bytes per applied rotation). An accounting model of the engine's
+    /// access pattern, not a hardware measurement.
     pub gram_bytes: u64,
-    /// Logical columns of `D` read-and-rewritten while applying rotations.
-    /// The sequential and blocked engines touch the pair's two columns per
-    /// applied rotation; the parallel engine's functional round update
-    /// rewrites all `n` columns per applied round — this counter is what
-    /// makes that traffic difference visible.
+    /// Logical columns of `D` read-and-rewritten while applying rotations:
+    /// the pair's two columns per applied rotation.
     pub gram_col_touches: u64,
-    /// Times the blocked engine staged a pair group's columns into its
-    /// cache tile (0 for the other engines) — the software analogue of a
-    /// BRAM refill in the paper's memory hierarchy.
-    pub tile_refills: u64,
-    /// Thread-pool broadcasts issued while this solve ran (0 for the
-    /// sequential engine; approximate if other solves dispatch concurrently).
-    pub parallel_dispatches: usize,
-    /// Worker threads available to the engine (1 for sequential).
-    pub threads: usize,
     /// Mid-solve faults detected by the health check or solve budget
     /// (0 for a clean solve; counts faults in recovered attempts too).
     pub faults: usize,
-    /// Recovery actions taken (rescale-restart, engine fallback, budget
+    /// Recovery actions taken (rescale-restart, ordering fallback, budget
     /// escalation). 0 means the returned factorization came from the first
     /// attempt.
     pub recoveries: usize,
@@ -77,17 +57,14 @@ pub struct SolveStats {
     /// already in the safe range and no scaling occurred.
     pub prescale_exp: i32,
     /// Pairs deferred by an active [`crate::ordering::ThresholdSchedule`]
-    /// ramp (sweeps whose threshold was still above the [`crate::sweep::PAIR_TOL`]
-    /// floor). 0 when no threshold schedule was attached.
+    /// ramp (sweeps whose threshold was still above the
+    /// [`crate::engine::PAIR_TOL`] floor). 0 when no threshold schedule was
+    /// attached.
     pub pairs_skipped_by_threshold: usize,
     /// Times the ordering strategy rebuilt the sweep plan (1 for the static
     /// cyclic family, one per sweep for adaptive orderings, 0 for a fixed
     /// caller-built plan) — the replan-cost counter.
     pub replans: usize,
-    /// The blocked engine's resolved tile budget in bytes (0 for the other
-    /// engines) — reports what the per-host autotune / `HJ_TILE_BYTES`
-    /// override chose.
-    pub tile_bytes: u64,
 }
 
 impl SolveStats {
@@ -106,7 +83,7 @@ impl SolveStats {
     /// a finite number, so `{:?}` formatting yields valid JSON numbers. The
     /// schema — field names, order, and types — is pinned by the round-trip
     /// through [`SolveStats::from_json`] in this module's tests, so the
-    /// documented nineteen-field shape cannot drift silently.
+    /// documented fifteen-field shape cannot drift silently.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut s = String::with_capacity(256);
@@ -125,11 +102,9 @@ impl SolveStats {
                 "\"total_seconds\":{:?},",
                 "\"rotations_applied\":{},\"rotations_skipped\":{},",
                 "\"workspace_allocations\":{},\"gram_bytes\":{},",
-                "\"gram_col_touches\":{},\"tile_refills\":{},",
-                "\"parallel_dispatches\":{},\"threads\":{},",
+                "\"gram_col_touches\":{},",
                 "\"faults\":{},\"recoveries\":{},\"prescale_exp\":{},",
-                "\"pairs_skipped_by_threshold\":{},\"replans\":{},",
-                "\"tile_bytes\":{}}}"
+                "\"pairs_skipped_by_threshold\":{},\"replans\":{}}}"
             ),
             self.engine,
             self.ordering,
@@ -141,15 +116,11 @@ impl SolveStats {
             self.workspace_allocations,
             self.gram_bytes,
             self.gram_col_touches,
-            self.tile_refills,
-            self.parallel_dispatches,
-            self.threads,
             self.faults,
             self.recoveries,
             self.prescale_exp,
             self.pairs_skipped_by_threshold,
             self.replans,
-            self.tile_bytes,
         )
         .expect("write to String");
         s
@@ -171,8 +142,6 @@ impl SolveStats {
                 "engine" => {
                     st.engine = match parse_string(value)?.as_str() {
                         "sequential" => "sequential",
-                        "parallel" => "parallel",
-                        "blocked" => "blocked",
                         "batch-soa" => "batch-soa",
                         "" => "",
                         _ => return None,
@@ -216,29 +185,17 @@ impl SolveStats {
                     st.gram_col_touches = value.parse().ok()?;
                     1 << 8
                 }
-                "tile_refills" => {
-                    st.tile_refills = value.parse().ok()?;
-                    1 << 9
-                }
-                "parallel_dispatches" => {
-                    st.parallel_dispatches = value.parse().ok()?;
-                    1 << 10
-                }
-                "threads" => {
-                    st.threads = value.parse().ok()?;
-                    1 << 11
-                }
                 "faults" => {
                     st.faults = value.parse().ok()?;
-                    1 << 12
+                    1 << 9
                 }
                 "recoveries" => {
                     st.recoveries = value.parse().ok()?;
-                    1 << 13
+                    1 << 10
                 }
                 "prescale_exp" => {
                     st.prescale_exp = value.parse().ok()?;
-                    1 << 14
+                    1 << 11
                 }
                 "ordering" => {
                     st.ordering = match parse_string(value)?.as_str() {
@@ -249,19 +206,15 @@ impl SolveStats {
                         "" => "",
                         _ => return None,
                     };
-                    1 << 15
+                    1 << 12
                 }
                 "pairs_skipped_by_threshold" => {
                     st.pairs_skipped_by_threshold = value.parse().ok()?;
-                    1 << 16
+                    1 << 13
                 }
                 "replans" => {
                     st.replans = value.parse().ok()?;
-                    1 << 17
-                }
-                "tile_bytes" => {
-                    st.tile_bytes = value.parse().ok()?;
-                    1 << 18
+                    1 << 14
                 }
                 _ => return None,
             };
@@ -270,7 +223,7 @@ impl SolveStats {
             }
             seen |= bit;
         }
-        if seen != (1 << 19) - 1 {
+        if seen != (1 << 15) - 1 {
             return None; // missing field(s)
         }
         Some(st)
@@ -354,20 +307,16 @@ mod tests {
                 rotations_skipped: 8,
             },
         );
-        st.engine = "parallel";
+        st.engine = "batch-soa";
         st.ordering = "cyclic";
         st.workspace_allocations = 4;
         st.gram_bytes = 1234;
         st.gram_col_touches = 56;
-        st.tile_refills = 7;
-        st.parallel_dispatches = 9;
-        st.threads = 4;
         st.faults = 1;
         st.recoveries = 1;
         st.prescale_exp = -532;
         st.pairs_skipped_by_threshold = 13;
         st.replans = 2;
-        st.tile_bytes = 32768;
         st
     }
 
@@ -385,7 +334,7 @@ mod tests {
     fn json_shape_is_stable() {
         let j = sample().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"engine\":\"parallel\""));
+        assert!(j.contains("\"engine\":\"batch-soa\""));
         assert!(j.contains("\"ordering\":\"cyclic\""));
         assert!(j.contains("\"sweeps\":2"));
         assert!(j.contains("\"sweep_seconds\":[0.5,0.25]"));
@@ -393,15 +342,11 @@ mod tests {
         assert!(j.contains("\"workspace_allocations\":4"));
         assert!(j.contains("\"gram_bytes\":1234"));
         assert!(j.contains("\"gram_col_touches\":56"));
-        assert!(j.contains("\"tile_refills\":7"));
-        assert!(j.contains("\"parallel_dispatches\":9"));
-        assert!(j.contains("\"threads\":4"));
         assert!(j.contains("\"faults\":1"));
         assert!(j.contains("\"recoveries\":1"));
         assert!(j.contains("\"prescale_exp\":-532"));
         assert!(j.contains("\"pairs_skipped_by_threshold\":13"));
         assert!(j.contains("\"replans\":2"));
-        assert!(j.contains("\"tile_bytes\":32768"));
         // No trailing commas, balanced brackets — cheap well-formedness check.
         assert!(!j.contains(",]") && !j.contains(",}"));
         assert_eq!(j.matches('[').count(), j.matches(']').count());
@@ -432,16 +377,16 @@ mod tests {
         let extra = good.replacen('{', "{\"bogus\":1,", 1);
         assert_eq!(SolveStats::from_json(&extra), None);
         // Missing field.
-        let missing = good.replacen("\"tile_refills\":7,", "", 1);
+        let missing = good.replacen("\"gram_col_touches\":56,", "", 1);
         assert_eq!(SolveStats::from_json(&missing), None);
         // Unknown engine string.
-        let engine = good.replacen("parallel", "warp", 1);
+        let engine = good.replacen("batch-soa", "warp", 1);
         assert_eq!(SolveStats::from_json(&engine), None);
         // Unknown ordering string.
         let ordering = good.replacen("cyclic", "zigzag", 1);
         assert_eq!(SolveStats::from_json(&ordering), None);
         // Wrong value type.
-        let bad_type = good.replacen("\"threads\":4", "\"threads\":\"4\"", 1);
+        let bad_type = good.replacen("\"faults\":1", "\"faults\":\"1\"", 1);
         assert_eq!(SolveStats::from_json(&bad_type), None);
         // Not an object at all.
         assert_eq!(SolveStats::from_json("[1,2,3]"), None);

@@ -7,13 +7,9 @@
 //! `A = U Σ Vᵀ`.
 
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
-use crate::engine::{
-    Blocked, EngineKind, MonitoredRun, PairGuard, RotationTarget, Sequential, SolveDriver,
-    SolveMonitor, SweepState,
-};
+use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
-use crate::ordering::{Ordering, SweepSchedule, ThresholdSchedule};
-use crate::parallel::{Parallel, SweepWorkspace};
+use crate::ordering::{Ordering, SweepSchedule, SweepWorkspace, ThresholdSchedule};
 use crate::recovery::{HealthCheck, RecoveryAction, RecoveryContext, RecoveryPolicy, SolveBudget};
 use crate::stats::SolveStats;
 use crate::trace::{emit_to, TraceEvent, TraceLevel, TraceSink};
@@ -123,16 +119,16 @@ pub(crate) fn unscale_values(values: &mut [f64], k: i32) {
 /// syntax:
 ///
 /// ```
-/// use hj_core::{EngineKind, HestenesSvd, SvdOptions, TraceLevel};
+/// use hj_core::{HestenesSvd, Ordering, SvdOptions, TraceLevel};
 /// use hj_matrix::gen;
 ///
 /// let options = SvdOptions {
-///     engine: EngineKind::Blocked,
+///     ordering: Ordering::SortedGreedy,
 ///     trace: TraceLevel::Sweep,
 ///     ..Default::default()
 /// };
 /// let svd = HestenesSvd::new(options).decompose(&gen::uniform(30, 8, 1)).unwrap();
-/// assert_eq!(svd.stats.engine, "blocked");
+/// assert_eq!(svd.stats.ordering, "greedy");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvdOptions {
@@ -149,11 +145,6 @@ pub struct SvdOptions {
     /// ordering. `None` (the default) keeps the standard fixed pair guard —
     /// and the bit-identical default solve path.
     pub threshold: Option<ThresholdSchedule>,
-    /// Sweep engine. [`EngineKind::Parallel`] and [`EngineKind::Blocked`]
-    /// require an ordering with disjoint rounds (any but
-    /// [`Ordering::RowCyclic`]). Default: sequential (faithful to
-    /// Algorithm 1's data flow).
-    pub engine: EngineKind,
     /// Event granularity for the `*_traced` entry points
     /// ([`HestenesSvd::decompose_traced`],
     /// [`HestenesSvd::singular_values_traced`]). Ignored — and costless — on
@@ -171,7 +162,6 @@ impl Default for SvdOptions {
             max_sweeps: MAX_SWEEP_CAP,
             ordering: Ordering::RoundRobin,
             threshold: None,
-            engine: EngineKind::Sequential,
             trace: TraceLevel::Off,
         }
     }
@@ -185,7 +175,6 @@ impl SvdOptions {
             max_sweeps: 6,
             ordering: Ordering::RoundRobin,
             threshold: None,
-            engine: EngineKind::Sequential,
             trace: TraceLevel::Off,
         }
     }
@@ -343,14 +332,6 @@ impl HestenesSvd {
             return Err(SvdError::EmptyInput);
         }
         let max_abs = ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?;
-        if self.options.engine != EngineKind::Sequential
-            && self.options.ordering == Ordering::RowCyclic
-        {
-            // Parallel/blocked engines consume rounds of disjoint pairs;
-            // row-cyclic's one-pair rounds defeat them. Every other ordering
-            // (cyclic, greedy, presort) produces legal disjoint rounds.
-            return Err(SvdError::EngineNeedsRoundRobin);
-        }
         if self.options.max_sweeps == 0 {
             return Err(SvdError::ZeroSweepBudget);
         }
@@ -379,8 +360,7 @@ impl HestenesSvd {
 
     /// [`Self::singular_values`] over caller-owned scratch. Reusing a warm
     /// workspace across solves (e.g. from a [`crate::batch::WorkspacePool`])
-    /// skips the warm-up allocations of the parallel and blocked engines;
-    /// results are bit-identical either way.
+    /// replans without reallocating; results are bit-identical either way.
     pub fn singular_values_with_workspace(
         &self,
         a: &Matrix,
@@ -434,10 +414,10 @@ impl HestenesSvd {
     }
 
     /// Run the guarded solve loop: pre-scale out-of-window inputs, run the
-    /// monitored driver on the configured engine, and — when the monitor
+    /// monitored driver on the [`Sequential`] engine, and — when the monitor
     /// detects a [`crate::recovery::Fault`] — apply the recovery policy
-    /// (rescale-and-restart / engine fallback / budget escalation) until the
-    /// solve succeeds or the policy aborts.
+    /// (rescale-and-restart / ordering fallback / budget escalation) until
+    /// the solve succeeds or the policy aborts.
     ///
     /// Every restart rebuilds `D` (and `B`, `V` in full mode) from the
     /// pristine input `a`, so no corrupted intermediate state survives a
@@ -468,7 +448,6 @@ impl HestenesSvd {
             monitor.injector = injector;
         }
         let mut exp = prescale_exponent(max_abs);
-        let mut engine = self.options.engine;
         let mut ordering = self.options.ordering;
         let mut max_sweeps = self.options.max_sweeps.min(MAX_SWEEP_CAP);
         let mut rescaled = exp != 0;
@@ -477,9 +456,6 @@ impl HestenesSvd {
         let mut recoveries = 0usize;
         let mut total_faults = 0usize;
         let mut cumulative_sweeps = 0usize;
-        // Strategy + plan scratch pooled in the workspace: repeated solves
-        // over a warm workspace replan without reallocating.
-        let mut plan_buffers = ws.take_plan_buffers();
         loop {
             let presort = ordering == Ordering::ColumnNormPresort;
             // Build this attempt's working state from the pristine input.
@@ -525,25 +501,12 @@ impl HestenesSvd {
                 _ => RotationTarget::gram_only(),
             };
             let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
-            let (strategy, plan) = plan_buffers.schedule_parts(ordering);
+            // Strategy + plan scratch pooled in the workspace: repeated
+            // solves over a warm workspace replan without reallocating.
+            let (strategy, plan) = ws.schedule_parts(ordering);
             let mut schedule = SweepSchedule { strategy, plan, threshold: self.options.threshold };
-            let run: MonitoredRun = match engine {
-                EngineKind::Sequential => {
-                    driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor)
-                }
-                EngineKind::Parallel => driver.run_monitored(
-                    &mut Parallel::new(ws),
-                    &mut state,
-                    &mut schedule,
-                    &mut monitor,
-                ),
-                EngineKind::Blocked => driver.run_monitored(
-                    &mut Blocked::for_dim(ws, n),
-                    &mut state,
-                    &mut schedule,
-                    &mut monitor,
-                ),
-            };
+            let run =
+                driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
             cumulative_sweeps += run.stats.sweeps;
             total_faults += run.stats.faults;
             let Some(fault) = run.fault else {
@@ -551,7 +514,6 @@ impl HestenesSvd {
                 stats.faults = total_faults;
                 stats.recoveries = recoveries;
                 stats.prescale_exp = exp;
-                ws.put_plan_buffers(plan_buffers);
                 return Ok(GuardedSolve {
                     gram,
                     b,
@@ -562,7 +524,6 @@ impl HestenesSvd {
                 });
             };
             let ctx = RecoveryContext {
-                engine,
                 rescaled,
                 escalated,
                 can_escalate: max_sweeps < MAX_SWEEP_CAP,
@@ -583,7 +544,6 @@ impl HestenesSvd {
             );
             match action {
                 RecoveryAction::Abort => {
-                    ws.put_plan_buffers(plan_buffers);
                     return Err(SvdError::SolveFault {
                         fault,
                         sweeps_completed: cumulative_sweeps,
@@ -594,7 +554,6 @@ impl HestenesSvd {
                     exp = forced_exponent(max_abs);
                     rescaled = true;
                 }
-                RecoveryAction::FallBackToSequential => engine = EngineKind::Sequential,
                 RecoveryAction::EscalateBudget => {
                     max_sweeps = (max_sweeps * 2).min(MAX_SWEEP_CAP);
                     escalated = true;
@@ -645,8 +604,7 @@ impl HestenesSvd {
 
     /// [`Self::decompose`] over caller-owned scratch. Reusing a warm
     /// workspace across solves (e.g. from a [`crate::batch::WorkspacePool`])
-    /// skips the warm-up allocations of the parallel and blocked engines;
-    /// results are bit-identical either way.
+    /// replans without reallocating; results are bit-identical either way.
     pub fn decompose_with_workspace(
         &self,
         a: &Matrix,
@@ -930,78 +888,36 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_populated_in_all_engines() {
+    fn stats_are_populated() {
         let a = gen::uniform(30, 10, 77);
-        for engine in [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked] {
-            let opts = SvdOptions { engine, ..Default::default() };
-            let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
-            assert_eq!(svd.stats.engine, engine.name());
-            assert_eq!(svd.stats.sweeps, svd.sweeps);
-            assert_eq!(svd.stats.sweep_seconds.len(), svd.sweeps);
-            assert_eq!(
-                svd.stats.rotations_applied,
-                svd.history.iter().map(|r| r.rotations_applied).sum::<usize>()
-            );
-            assert!(svd.stats.gram_bytes > 0, "rotations imply Gram traffic");
-            assert!(svd.stats.threads >= 1);
-            match engine {
-                EngineKind::Sequential => {
-                    assert_eq!(svd.stats.workspace_allocations, 0);
-                    assert_eq!(svd.stats.parallel_dispatches, 0);
-                }
-                EngineKind::Parallel => {
-                    if svd.stats.threads == 1 {
-                        // Sequential fallback: no workspace, no dispatches.
-                        assert_eq!(svd.stats.workspace_allocations, 0);
-                        assert_eq!(svd.stats.parallel_dispatches, 0);
-                    } else {
-                        assert!(svd.stats.workspace_allocations > 0, "warm-up allocates");
-                    }
-                }
-                EngineKind::Blocked => {
-                    // n = 10 fits one `for_dim` tile: the in-place fast
-                    // path never stages or grows the workspace.
-                    assert_eq!(svd.stats.workspace_allocations, 0);
-                    assert_eq!(svd.stats.tile_refills, 0);
-                    assert_eq!(svd.stats.parallel_dispatches, 0);
-                    assert_eq!(svd.stats.threads, 1);
-                }
-            }
-            let sv = HestenesSvd::new(opts).singular_values(&a).unwrap();
-            assert_eq!(sv.stats.sweeps, sv.sweeps);
-            assert!(sv.stats.to_json().contains("\"sweeps\""));
-            assert!(sv.stats.to_json().contains(engine.name()));
-        }
+        let svd = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
+        assert_eq!(svd.stats.engine, "sequential");
+        assert_eq!(svd.stats.sweeps, svd.sweeps);
+        assert_eq!(svd.stats.sweep_seconds.len(), svd.sweeps);
+        assert_eq!(
+            svd.stats.rotations_applied,
+            svd.history.iter().map(|r| r.rotations_applied).sum::<usize>()
+        );
+        assert!(svd.stats.gram_bytes > 0, "rotations imply Gram traffic");
+        assert_eq!(svd.stats.workspace_allocations, 0);
+        let sv = HestenesSvd::new(SvdOptions::default()).singular_values(&a).unwrap();
+        assert_eq!(sv.stats.sweeps, sv.sweeps);
+        assert!(sv.stats.to_json().contains("\"sweeps\""));
+        assert!(sv.stats.to_json().contains("\"engine\":\"sequential\""));
     }
 
     #[test]
     fn warm_workspace_solves_are_bit_identical_and_allocation_free() {
         let a = gen::uniform(30, 10, 78);
-        for engine in [EngineKind::Parallel, EngineKind::Blocked] {
-            let solver = HestenesSvd::new(SvdOptions { engine, ..Default::default() });
-            let cold = solver.decompose(&a).unwrap();
-            let mut ws = SweepWorkspace::new();
-            let first = solver.decompose_with_workspace(&a, &mut ws).unwrap();
-            let warm = solver.decompose_with_workspace(&a, &mut ws).unwrap();
-            // At n = 10 the blocked engine takes the single-tile fast path
-            // (no staging at all), and the parallel engine either falls back
-            // to the sequential kernels (one-thread pool; workspace untouched)
-            // or pays the documented bounded buffer exchange (fresh `B`/`V`
-            // buffers swap through the column back buffer) per solve — never
-            // more, and never growing on a warm same-shape solve.
-            let bound = if engine == EngineKind::Parallel { 2 } else { 0 };
-            assert!(
-                warm.stats.workspace_allocations <= bound,
-                "{engine:?}: warm solve allocated {} times (bound {bound})",
-                warm.stats.workspace_allocations
-            );
-            assert!(warm.stats.workspace_allocations <= first.stats.workspace_allocations);
-            for (x, y) in cold.singular_values.iter().zip(&warm.singular_values) {
-                assert_eq!(x, y, "{engine:?}: pooled workspace changed the result");
-            }
-            assert_eq!(cold.u.as_slice(), warm.u.as_slice());
-            assert_eq!(cold.v.as_slice(), warm.v.as_slice());
-        }
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let cold = solver.decompose(&a).unwrap();
+        let mut ws = SweepWorkspace::new();
+        solver.decompose_with_workspace(&a, &mut ws).unwrap();
+        let warm = solver.decompose_with_workspace(&a, &mut ws).unwrap();
+        assert_eq!(warm.stats.workspace_allocations, 0);
+        assert_eq!(cold.singular_values, warm.singular_values, "pooled workspace changed σ");
+        assert_eq!(cold.u.as_slice(), warm.u.as_slice());
+        assert_eq!(cold.v.as_slice(), warm.v.as_slice());
     }
 
     #[test]
@@ -1049,25 +965,22 @@ mod tests {
         let solver = HestenesSvd::new(SvdOptions::default());
         let clean = solver.decompose(&base).unwrap();
 
-        for engine in [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked] {
-            let solver = HestenesSvd::new(SvdOptions { engine, ..Default::default() });
-            let svd = solver.decompose(&huge).unwrap();
-            assert_ne!(svd.stats.prescale_exp, 0, "{engine:?}: guard must have engaged");
-            assert_eq!(svd.stats.faults, 0);
-            assert!(svd.singular_values.iter().all(|s| s.is_finite()));
-            assert!(svd.u.as_slice().iter().all(|v| v.is_finite()));
-            for (got, want) in svd.singular_values.iter().zip(&clean.singular_values) {
-                let scaled = want * 1e160;
-                assert!(
-                    (got - scaled).abs() <= 1e-10 * clean.singular_values[0] * 1e160,
-                    "{engine:?}: σ {got:e} vs expected {scaled:e}"
-                );
-            }
-            let sv = solver.singular_values(&huge).unwrap();
-            assert_ne!(sv.stats.prescale_exp, 0);
-            for (x, y) in sv.values.iter().zip(&svd.singular_values) {
-                assert!((x - y).abs() <= 1e-10 * svd.singular_values[0], "{x:e} vs {y:e}");
-            }
+        let svd = solver.decompose(&huge).unwrap();
+        assert_ne!(svd.stats.prescale_exp, 0, "guard must have engaged");
+        assert_eq!(svd.stats.faults, 0);
+        assert!(svd.singular_values.iter().all(|s| s.is_finite()));
+        assert!(svd.u.as_slice().iter().all(|v| v.is_finite()));
+        for (got, want) in svd.singular_values.iter().zip(&clean.singular_values) {
+            let scaled = want * 1e160;
+            assert!(
+                (got - scaled).abs() <= 1e-10 * clean.singular_values[0] * 1e160,
+                "σ {got:e} vs expected {scaled:e}"
+            );
+        }
+        let sv = solver.singular_values(&huge).unwrap();
+        assert_ne!(sv.stats.prescale_exp, 0);
+        for (x, y) in sv.values.iter().zip(&svd.singular_values) {
+            assert!((x - y).abs() <= 1e-10 * svd.singular_values[0], "{x:e} vs {y:e}");
         }
     }
 
@@ -1140,44 +1053,26 @@ mod tests {
     #[test]
     fn invalid_option_combinations_error() {
         let a = gen::uniform(4, 4, 0);
-        for engine in [EngineKind::Parallel, EngineKind::Blocked] {
-            let opts = SvdOptions { engine, ordering: Ordering::RowCyclic, ..Default::default() };
-            assert!(matches!(
-                HestenesSvd::new(opts).decompose(&a),
-                Err(SvdError::EngineNeedsRoundRobin)
-            ));
-            // The disjoint-round orderings are legal on every engine.
-            for ordering in [Ordering::SortedGreedy, Ordering::ColumnNormPresort] {
-                let opts = SvdOptions { engine, ordering, ..Default::default() };
-                assert!(HestenesSvd::new(opts).decompose(&a).is_ok(), "{engine:?}/{ordering:?}");
-            }
+        for ordering in Ordering::ALL {
+            let opts = SvdOptions { ordering, ..Default::default() };
+            assert!(HestenesSvd::new(opts).decompose(&a).is_ok(), "{ordering:?}");
         }
-        let opts = SvdOptions { ordering: Ordering::RowCyclic, ..Default::default() };
-        assert!(HestenesSvd::new(opts).decompose(&a).is_ok(), "sequential allows any ordering");
         let opts = SvdOptions { max_sweeps: 0, ..Default::default() };
         assert!(matches!(HestenesSvd::new(opts).decompose(&a), Err(SvdError::ZeroSweepBudget)));
     }
 
     #[test]
-    fn every_ordering_converges_on_every_legal_engine() {
+    fn every_ordering_converges() {
         let a = gen::uniform(40, 12, 19);
         let reference = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
         for ordering in Ordering::ALL {
-            for engine in [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked] {
-                if engine != EngineKind::Sequential && ordering == Ordering::RowCyclic {
-                    continue;
-                }
-                let opts = SvdOptions { engine, ordering, ..Default::default() };
-                let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
-                check_svd(&a, &svd, 1e-11);
-                assert_eq!(svd.stats.ordering, ordering.name(), "{engine:?}/{ordering:?}");
-                assert!(svd.stats.replans >= 1, "scheduled solves must plan at least once");
-                for (x, y) in svd.singular_values.iter().zip(&reference.singular_values) {
-                    assert!(
-                        (x - y).abs() < 1e-10 * y.max(1.0),
-                        "{engine:?}/{ordering:?}: σ {x} vs {y}"
-                    );
-                }
+            let opts = SvdOptions { ordering, ..Default::default() };
+            let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
+            check_svd(&a, &svd, 1e-11);
+            assert_eq!(svd.stats.ordering, ordering.name(), "{ordering:?}");
+            assert!(svd.stats.replans >= 1, "scheduled solves must plan at least once");
+            for (x, y) in svd.singular_values.iter().zip(&reference.singular_values) {
+                assert!((x - y).abs() < 1e-10 * y.max(1.0), "{ordering:?}: σ {x} vs {y}");
             }
         }
     }
@@ -1188,15 +1083,13 @@ mod tests {
         // schedule exactly, so the default options' results are pinned bitwise
         // across the refactor (same rotations in the same order).
         let a = gen::uniform(36, 11, 23);
-        for engine in [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked] {
-            let opts = SvdOptions { engine, ordering: Ordering::RoundRobin, ..Default::default() };
-            let one = HestenesSvd::new(opts).decompose(&a).unwrap();
-            let two = HestenesSvd::new(opts).decompose(&a).unwrap();
-            assert_eq!(one.singular_values, two.singular_values);
-            assert_eq!(one.u.as_slice(), two.u.as_slice());
-            assert_eq!(one.v.as_slice(), two.v.as_slice());
-            assert_eq!(one.stats.ordering, "cyclic");
-        }
+        let opts = SvdOptions { ordering: Ordering::RoundRobin, ..Default::default() };
+        let one = HestenesSvd::new(opts).decompose(&a).unwrap();
+        let two = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
+        assert_eq!(one.singular_values, two.singular_values);
+        assert_eq!(one.u.as_slice(), two.u.as_slice());
+        assert_eq!(one.v.as_slice(), two.v.as_slice());
+        assert_eq!(one.stats.ordering, "cyclic");
     }
 
     #[test]

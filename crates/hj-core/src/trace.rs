@@ -2,13 +2,13 @@
 //!
 //! [`crate::SolveStats`] answers *how much* a solve did (rotations, seconds,
 //! Gram traffic); this module answers *what happened, in order*: every sweep
-//! boundary, pair-group dispatch, individual rotation decision, convergence
-//! check, and recovery action is a typed [`TraceEvent`] that the solver
-//! pushes into a caller-supplied [`TraceSink`]. The event vocabulary mirrors
-//! the stages of the paper's pipeline (Figs. 2, 4, 5): a `SweepStart` is the
+//! boundary, sweep plan, individual rotation decision, convergence check,
+//! and recovery action is a typed [`TraceEvent`] that the solver pushes into
+//! a caller-supplied [`TraceSink`]. The event vocabulary mirrors the stages
+//! of the paper's pipeline (Figs. 2, 4, 5): a `SweepStart` is the
 //! preprocessor handing control to the rotation/update loop, a
-//! `PairGroupDispatched` is one Fig. 6 group issued to the rotation unit,
-//! and `RotationApplied`/`RotationSkipped` are the per-pair decisions the
+//! `SweepPlanned` is the sweep's schedule of Fig. 6 rounds, and
+//! `RotationApplied`/`RotationSkipped` are the per-pair decisions the
 //! hardware's orthogonality guard makes. The cycle-accurate simulator emits
 //! the same stream shape through [`TraceEvent::PipelineStage`], so software
 //! and hardware traces can be lined up event for event.
@@ -47,8 +47,8 @@ pub enum TraceLevel {
     Off,
     /// Sweep boundaries, convergence checks, and recovery actions.
     Sweep,
-    /// Additionally one event per dispatched pair group (round or tile
-    /// group).
+    /// Additionally one event per sweep plan (the sweep's rounds of
+    /// disjoint pairs).
     Group,
     /// Additionally one event per visited pair — every applied and skipped
     /// rotation.
@@ -88,7 +88,7 @@ pub enum SkipReason {
     DiagonalScaleGuard,
     /// An active [`crate::ordering::ThresholdSchedule`] ramp deferred the
     /// pair: `|D_ij| ≤ tol_sweep·√(D_ii·D_jj)` with `tol_sweep` still above
-    /// the [`crate::sweep::PAIR_TOL`] floor.
+    /// the [`crate::engine::PAIR_TOL`] floor.
     ThresholdGuard,
 }
 
@@ -115,7 +115,7 @@ pub enum TraceEvent {
     SweepStart {
         /// 1-based sweep index.
         sweep: usize,
-        /// Canonical engine name (`"sequential"`, `"parallel"`, `"blocked"`).
+        /// Canonical engine name (`"sequential"`).
         engine: &'static str,
     },
     /// The ordering strategy produced (or reused) this sweep's plan of
@@ -147,21 +147,6 @@ pub enum TraceEvent {
         off_frobenius: f64,
         /// Wall-clock seconds of the sweep.
         seconds: f64,
-    },
-    /// One group of pairwise-disjoint pairs was issued to an engine — a
-    /// round (parallel engine) or a tile group (blocked engine). The
-    /// sequential engine visits pairs singly and emits no group events.
-    PairGroupDispatched {
-        /// 1-based sweep index.
-        sweep: usize,
-        /// 0-based round index within the sweep.
-        round: usize,
-        /// Pairs in the group.
-        pairs: usize,
-        /// Pairs that produced a rotation.
-        applied: usize,
-        /// Pairs skipped by the guard.
-        skipped: usize,
     },
     /// A plane rotation was applied to columns `(i, j)`.
     RotationApplied {
@@ -276,7 +261,6 @@ impl TraceEvent {
             TraceEvent::SweepStart { .. } => "sweep_start",
             TraceEvent::SweepPlanned { .. } => "sweep_planned",
             TraceEvent::SweepEnd { .. } => "sweep_end",
-            TraceEvent::PairGroupDispatched { .. } => "pair_group_dispatched",
             TraceEvent::RotationApplied { .. } => "rotation_applied",
             TraceEvent::RotationSkipped { .. } => "rotation_skipped",
             TraceEvent::ConvergenceCheck { .. } => "convergence_check",
@@ -303,9 +287,7 @@ impl TraceEvent {
             | TraceEvent::JobCompleted { .. }
             | TraceEvent::JobFaulted { .. }
             | TraceEvent::PipelineStage { .. } => TraceLevel::Sweep,
-            TraceEvent::SweepPlanned { .. } | TraceEvent::PairGroupDispatched { .. } => {
-                TraceLevel::Group
-            }
+            TraceEvent::SweepPlanned { .. } => TraceLevel::Group,
             TraceEvent::RotationApplied { .. } | TraceEvent::RotationSkipped { .. } => {
                 TraceLevel::Rotation
             }
@@ -320,7 +302,6 @@ impl TraceEvent {
             TraceEvent::SweepStart { sweep, .. }
             | TraceEvent::SweepPlanned { sweep, .. }
             | TraceEvent::SweepEnd { sweep, .. }
-            | TraceEvent::PairGroupDispatched { sweep, .. }
             | TraceEvent::RotationApplied { sweep, .. }
             | TraceEvent::RotationSkipped { sweep, .. }
             | TraceEvent::ConvergenceCheck { sweep, .. }
@@ -369,13 +350,6 @@ impl TraceEvent {
                 write_num(&mut s, "rotations_skipped", *rotations_skipped as f64);
                 write_f64(&mut s, "off_frobenius", *off_frobenius);
                 write_f64(&mut s, "seconds", *seconds);
-            }
-            TraceEvent::PairGroupDispatched { sweep, round, pairs, applied, skipped } => {
-                write_num(&mut s, "sweep", *sweep as f64);
-                write_num(&mut s, "round", *round as f64);
-                write_num(&mut s, "pairs", *pairs as f64);
-                write_num(&mut s, "applied", *applied as f64);
-                write_num(&mut s, "skipped", *skipped as f64);
             }
             TraceEvent::RotationApplied { sweep, i, j } => {
                 write_num(&mut s, "sweep", *sweep as f64);
@@ -720,12 +694,12 @@ mod tests {
         let mut t = Tracer::new(&mut sink, TraceLevel::Sweep);
         t.emit(TraceEvent::SweepStart { sweep: 1, engine: "sequential" });
         t.emit(TraceEvent::RotationApplied { sweep: 1, i: 0, j: 1 });
-        t.emit(TraceEvent::PairGroupDispatched {
+        t.emit(TraceEvent::SweepPlanned {
             sweep: 1,
-            round: 0,
-            pairs: 4,
-            applied: 4,
-            skipped: 0,
+            ordering: "cyclic",
+            rounds: 7,
+            pairs: 28,
+            replanned: true,
         });
         assert_eq!(sink.events().len(), 1, "only the sweep-level event passes");
         assert!(!Tracer::disabled().rotation_enabled());
@@ -754,7 +728,7 @@ mod tests {
     #[test]
     fn jsonl_sink_writes_one_line_per_event() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&TraceEvent::SweepStart { sweep: 1, engine: "blocked" });
+        sink.record(&TraceEvent::SweepStart { sweep: 1, engine: "sequential" });
         sink.record(&TraceEvent::ConvergenceCheck {
             sweep: 1,
             max_abs_cov: 0.25,
@@ -766,7 +740,7 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "{\"event\":\"sweep_start\",\"sweep\":1,\"engine\":\"blocked\"}");
+        assert_eq!(lines[0], "{\"event\":\"sweep_start\",\"sweep\":1,\"engine\":\"sequential\"}");
         assert!(lines[1].contains("\"converged\":false"));
     }
 
@@ -809,13 +783,6 @@ mod tests {
                 rotations_skipped: 0,
                 off_frobenius: 0.0,
                 seconds: 0.0,
-            },
-            TraceEvent::PairGroupDispatched {
-                sweep: 1,
-                round: 0,
-                pairs: 1,
-                applied: 1,
-                skipped: 0,
             },
             TraceEvent::RotationApplied { sweep: 1, i: 0, j: 1 },
             TraceEvent::RotationSkipped { sweep: 1, i: 0, j: 1, reason: SkipReason::RelativeGuard },

@@ -175,25 +175,6 @@ impl Matrix {
         self.data
     }
 
-    /// Swap the backing column-major buffer with `buf` in O(1).
-    ///
-    /// `buf` must hold exactly `rows·cols` entries; it becomes the matrix's
-    /// new contents (interpreted column-major) and the old contents land in
-    /// `buf`. This is the publish step of double-buffered column transforms:
-    /// one scratch buffer serves every round with no per-call allocation.
-    ///
-    /// # Panics
-    /// Panics when `buf.len() != rows * cols`.
-    pub fn swap_data(&mut self, buf: &mut Vec<f64>) {
-        assert_eq!(
-            buf.len(),
-            self.data.len(),
-            "swap_data: buffer length must equal rows*cols = {}",
-            self.data.len()
-        );
-        std::mem::swap(&mut self.data, buf);
-    }
-
     /// The transpose `Aᵀ` as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -356,25 +337,6 @@ mod tests {
         assert_eq!(m.col(0), &[1.0, 3.0]);
         assert_eq!(m.col(1), &[2.0, 4.0]);
         assert_eq!(m.row(1), vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn swap_data_exchanges_buffers_without_copying() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut buf = vec![5.0, 6.0, 7.0, 8.0];
-        let buf_ptr = buf.as_ptr();
-        m.swap_data(&mut buf);
-        assert_eq!(m.as_slice(), &[5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(buf, vec![1.0, 3.0, 2.0, 4.0]);
-        assert!(std::ptr::eq(m.as_slice().as_ptr(), buf_ptr), "must be a pointer swap");
-    }
-
-    #[test]
-    #[should_panic(expected = "swap_data")]
-    fn swap_data_rejects_wrong_length() {
-        let mut m = Matrix::zeros(2, 2);
-        let mut buf = vec![0.0; 3];
-        m.swap_data(&mut buf);
     }
 
     #[test]

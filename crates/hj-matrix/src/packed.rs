@@ -168,27 +168,6 @@ impl PackedSymmetric {
         m
     }
 
-    /// Reshape in place for dimension `n`, zeroing all entries. Reuses the
-    /// existing heap allocation whenever its capacity suffices; returns
-    /// `true` when the buffer had to grow (an allocation event, counted by
-    /// hj-core's sweep workspace for its zero-allocation invariant).
-    pub fn reset_for_dim(&mut self, n: usize) -> bool {
-        let len = n * (n + 1) / 2;
-        let grew = self.data.capacity() < len;
-        self.n = n;
-        self.data.clear();
-        self.data.resize(len, 0.0);
-        grew
-    }
-
-    /// Swap contents with `other` in O(1) (pointer swap, no element copies).
-    /// The double-buffered parallel sweep publishes each round's result this
-    /// way instead of reallocating.
-    #[inline]
-    pub fn swap(&mut self, other: &mut PackedSymmetric) {
-        std::mem::swap(self, other);
-    }
-
     /// Raw packed buffer (row-within-triangle order).
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -316,32 +295,6 @@ mod tests {
         assert_eq!(m.get(0, 1), 4.0);
         assert_eq!(m.get(1, 0), 4.0);
         assert_eq!(m.get(1, 1), 9.0);
-    }
-
-    #[test]
-    fn reset_for_dim_reuses_capacity() {
-        let mut d = PackedSymmetric::zeros(8);
-        d.set(2, 3, 7.0);
-        // Shrinking (or same size) must not allocate and must zero contents.
-        assert!(!d.reset_for_dim(5));
-        assert_eq!(d.dim(), 5);
-        assert_eq!(d.len(), 15);
-        assert!(d.as_slice().iter().all(|&x| x == 0.0));
-        // Growing past capacity reports the allocation.
-        assert!(d.reset_for_dim(100));
-        assert_eq!(d.len(), 100 * 101 / 2);
-    }
-
-    #[test]
-    fn swap_exchanges_contents() {
-        let mut a = PackedSymmetric::zeros(3);
-        a.set(0, 1, 4.0);
-        let mut b = PackedSymmetric::zeros(3);
-        b.set(2, 2, 9.0);
-        a.swap(&mut b);
-        assert_eq!(a.get(2, 2), 9.0);
-        assert_eq!(a.get(0, 1), 0.0);
-        assert_eq!(b.get(0, 1), 4.0);
     }
 
     #[test]

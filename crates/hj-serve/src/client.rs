@@ -3,17 +3,15 @@
 
 use crate::job::Priority;
 use crate::protocol::{BatchItem, Frame, ProtoError, NO_DEADLINE};
-use hj_core::{EngineKind, OrderingKind};
+use hj_core::OrderingKind;
 use hj_matrix::Matrix;
 use std::io::BufWriter;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// Per-submission options (engine, class, deadline, tenant).
+/// Per-submission options (ordering, class, deadline, tenant).
 #[derive(Debug, Clone)]
 pub struct SubmitOptions {
-    /// Sweep engine to run the solve on.
-    pub engine: EngineKind,
     /// Pair-ordering strategy for the sweeps.
     pub ordering: OrderingKind,
     /// Priority class.
@@ -27,7 +25,6 @@ pub struct SubmitOptions {
 impl Default for SubmitOptions {
     fn default() -> Self {
         SubmitOptions {
-            engine: EngineKind::Sequential,
             ordering: OrderingKind::default(),
             priority: Priority::Interactive,
             deadline_ms: None,
@@ -158,14 +155,9 @@ impl Client {
         matrix: &Matrix,
         options: SubmitOptions,
     ) -> Result<RemoteOutcome, ClientError> {
-        let engine_byte = match options.engine {
-            EngineKind::Sequential => 0u8,
-            EngineKind::Parallel => 1,
-            EngineKind::Blocked => 2,
-        };
         let frame = Frame::Submit {
             priority: options.priority.index() as u8,
-            engine: engine_byte,
+            engine: 0,
             ordering: options.ordering.index() as u8,
             deadline_ms: options.deadline_ms.unwrap_or(NO_DEADLINE),
             tenant: options.tenant,
@@ -191,14 +183,9 @@ impl Client {
         matrices: &[Matrix],
         options: SubmitOptions,
     ) -> Result<RemoteBatchOutcome, ClientError> {
-        let engine_byte = match options.engine {
-            EngineKind::Sequential => 0u8,
-            EngineKind::Parallel => 1,
-            EngineKind::Blocked => 2,
-        };
         let frame = Frame::SubmitBatch {
             priority: options.priority.index() as u8,
-            engine: engine_byte,
+            engine: 0,
             ordering: options.ordering.index() as u8,
             deadline_ms: options.deadline_ms.unwrap_or(NO_DEADLINE),
             tenant: options.tenant,

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hj_core::{EngineKind, OrderingKind};
+use hj_core::OrderingKind;
 
 /// Priority class of a job. Dispatch is strict-priority between classes and
 /// earliest-deadline-first within a class.
@@ -89,13 +89,11 @@ impl JobPayload {
 ///
 /// The builder methods cover the optional fields; a bare
 /// [`JobSpec::new`] is an interactive, deadline-free, anonymous-tenant job
-/// on the sequential engine.
+/// on the default cyclic ordering.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// What to solve: one matrix or a bulk batch.
     pub payload: JobPayload,
-    /// Which sweep engine runs the solve.
-    pub engine: EngineKind,
     /// Which pair-ordering strategy plans the sweeps.
     pub ordering: OrderingKind,
     /// Priority class for dispatch ordering.
@@ -109,8 +107,8 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// An interactive, deadline-free job for `matrix` on the sequential
-    /// engine under the anonymous tenant.
+    /// An interactive, deadline-free job for `matrix` under the anonymous
+    /// tenant.
     pub fn new(matrix: Matrix) -> JobSpec {
         JobSpec::with_payload(JobPayload::Single(matrix))
     }
@@ -125,18 +123,11 @@ impl JobSpec {
     fn with_payload(payload: JobPayload) -> JobSpec {
         JobSpec {
             payload,
-            engine: EngineKind::Sequential,
             ordering: OrderingKind::default(),
             priority: Priority::Interactive,
             deadline: None,
             tenant: String::new(),
         }
-    }
-
-    /// Select the sweep engine.
-    pub fn engine(mut self, engine: EngineKind) -> JobSpec {
-        self.engine = engine;
-        self
     }
 
     /// Select the pair-ordering strategy.
@@ -228,7 +219,7 @@ impl std::error::Error for RejectReason {}
 pub enum JobResult {
     /// Outcome of a [`JobPayload::Single`] job — bit-identical to a direct
     /// [`hj_core::HestenesSvd::singular_values`] call on the same matrix
-    /// and engine.
+    /// and ordering.
     Single(Result<SingularValues, SvdError>),
     /// Per-problem outcomes of a [`JobPayload::Bulk`] job, in slot order.
     /// A failed slot (bad input, mid-solve fault) never disturbs its
@@ -382,12 +373,10 @@ mod tests {
     #[test]
     fn spec_builder_sets_every_field() {
         let spec = JobSpec::new(Matrix::zeros(2, 2))
-            .engine(EngineKind::Blocked)
             .ordering(OrderingKind::SortedGreedy)
             .priority(Priority::Batch)
             .deadline_in(Duration::from_secs(1))
             .tenant("acme");
-        assert_eq!(spec.engine, EngineKind::Blocked);
         assert_eq!(spec.ordering, OrderingKind::SortedGreedy);
         assert_eq!(spec.priority, Priority::Batch);
         assert!(spec.deadline.is_some());

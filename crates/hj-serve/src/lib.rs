@@ -10,7 +10,7 @@
 //! Components (std-only, no external dependencies):
 //!
 //! * **Jobs** ([`JobSpec`], [`Priority`], [`JobTicket`]) — a solve request
-//!   with an engine, a priority class, an optional wall-clock deadline, and
+//!   with an ordering, a priority class, an optional wall-clock deadline, and
 //!   a tenant identity. A job's [`JobPayload`] is either one matrix or a
 //!   **bulk** batch of many ([`JobSpec::bulk`]): one queue entry, one
 //!   ticket, per-problem results ([`JobResult`]). Uniform small-`n` bulk

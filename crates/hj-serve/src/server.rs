@@ -14,7 +14,7 @@ use crate::job::{JobSpec, Priority, RejectReason};
 use crate::protocol::{BatchItem, Frame, ProtoError, NO_DEADLINE};
 use crate::service::{ServiceConfig, SolveService};
 use crate::stats::ServiceStats;
-use hj_core::{EngineKind, OrderingKind, SvdError};
+use hj_core::{OrderingKind, SvdError};
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -173,7 +173,8 @@ fn handle_connection(
 }
 
 /// Decode the shared submit option bytes into a configured spec, or an
-/// error frame when a byte is out of range.
+/// error frame when a byte is out of range. The engine byte is reserved and
+/// must be 0: the one sweep engine needs no selector.
 fn decode_spec(
     spec: JobSpec,
     priority: u8,
@@ -189,18 +190,13 @@ fn decode_spec(
             message: format!("unknown priority byte {priority}"),
         });
     };
-    let engine = match engine {
-        0 => EngineKind::Sequential,
-        1 => EngineKind::Parallel,
-        2 => EngineKind::Blocked,
-        b => {
-            return Err(Frame::Error {
-                code: CODE_BAD_REQUEST,
-                kind: "bad-engine".to_string(),
-                message: format!("unknown engine byte {b}"),
-            })
-        }
-    };
+    if engine != 0 {
+        return Err(Frame::Error {
+            code: CODE_BAD_REQUEST,
+            kind: "bad-engine".to_string(),
+            message: format!("engine byte {engine} is reserved and must be 0"),
+        });
+    }
     let Some(ordering) = OrderingKind::from_index(ordering as usize) else {
         return Err(Frame::Error {
             code: CODE_BAD_REQUEST,
@@ -208,7 +204,7 @@ fn decode_spec(
             message: format!("unknown ordering byte {ordering}"),
         });
     };
-    let mut spec = spec.engine(engine).ordering(ordering).priority(priority).tenant(tenant);
+    let mut spec = spec.ordering(ordering).priority(priority).tenant(tenant);
     if deadline_ms != NO_DEADLINE {
         let now = Instant::now();
         spec.deadline = Some(now.checked_add(Duration::from_millis(deadline_ms)).unwrap_or(now));
@@ -322,7 +318,6 @@ pub fn error_kind(err: &SvdError) -> &'static str {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
         SvdError::NonFiniteInput => "non-finite-input",
-        SvdError::EngineNeedsRoundRobin => "engine-needs-round-robin",
         SvdError::OrderingUnsupported { .. } => "ordering-unsupported",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
@@ -384,24 +379,6 @@ mod tests {
         assert_eq!(outcome.sweeps, direct.sweeps);
         for (x, y) in outcome.values.iter().zip(direct.values.iter()) {
             assert_eq!(x.to_bits(), y.to_bits(), "greedy wire spectrum must be bit-identical");
-        }
-        // Row-cyclic on a grouped engine surfaces the structured config error.
-        let err = client
-            .submit(
-                &a,
-                SubmitOptions {
-                    ordering: OrderingKind::RowCyclic,
-                    engine: EngineKind::Blocked,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-        match err {
-            ClientError::Remote { code, kind, .. } => {
-                assert_eq!(code, CODE_BAD_REQUEST);
-                assert_eq!(kind, "engine-needs-round-robin");
-            }
-            other => panic!("expected remote error, got {other:?}"),
         }
         // An out-of-range ordering byte is rejected before admission.
         let raw = Frame::Submit {

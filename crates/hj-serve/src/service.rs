@@ -30,8 +30,8 @@ pub struct ServiceConfig {
     pub max_attempts: usize,
     /// Base retry backoff; attempt `k` waits `base · 2^(k-1)`.
     pub retry_backoff: Duration,
-    /// Base solver options. The engine field is overridden per job by
-    /// [`JobSpec::engine`].
+    /// Base solver options. The ordering field is overridden per job by
+    /// [`JobSpec::ordering`].
     pub options: SvdOptions,
 }
 
@@ -331,11 +331,10 @@ fn run_bulk(
 }
 
 /// The configured solver for a dispatched job: base options with the job's
-/// engine/ordering override and its deadline + cancellation flag as the
-/// solve budget.
+/// ordering override and its deadline + cancellation flag as the solve
+/// budget.
 fn solver_for(shared: &Shared, job: &QueuedJob) -> HestenesSvd {
     let mut options = shared.config.options;
-    options.engine = job.spec.engine;
     options.ordering = job.spec.ordering;
     let mut budget = match job.spec.deadline {
         Some(deadline) => SolveBudget::with_deadline(deadline),
@@ -351,7 +350,6 @@ fn fault_kind(err: &SvdError) -> &'static str {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
         SvdError::NonFiniteInput => "non-finite-input",
-        SvdError::EngineNeedsRoundRobin => "engine-needs-round-robin",
         SvdError::OrderingUnsupported { .. } => "ordering-unsupported",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",

@@ -2,23 +2,28 @@
 //!
 //! ```text
 //! hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-//!           [--engine seq|par|blocked] [--ordering cyclic|row|greedy|presort]
+//!           [--ordering cyclic|row|greedy|presort]
 //!           [--threshold-schedule] [--timeout-ms T]
 //!           [--trace PATH] [--trace-level off|sweep|group|rotation]
-//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--engine ...] [--ordering ...]
+//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--ordering ...]
+//!           [--threshold-schedule]
 //! hjsvd pca <data.csv> --components K [--out PREFIX]
-//! hjsvd eigh <symmetric.csv>
+//! hjsvd eigh <symmetric.csv> [--ordering cyclic|row|greedy]
 //! hjsvd simulate --rows M --cols N [--sweeps S]
 //! hjsvd resources
 //! hjsvd generate --rows M --cols N <out.csv> [--seed S] [--cond C]
 //! hjsvd serve --addr HOST:PORT [--workers N] [--queue-cap N] [--tenant-cap N]
+//!             [--max-attempts N]
 //! hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
-//!             [--priority interactive|batch] [--engine seq|par|blocked]
+//!             [--priority interactive|batch]
 //!             [--ordering cyclic|row|greedy|presort] [--tenant NAME]
 //! hjsvd submit-batch <dir-or-csv-list> --addr HOST:PORT [--tenant NAME]
 //!                    [--deadline-ms T]
 //! hjsvd shutdown --addr HOST:PORT [--drain-ms T]
 //! ```
+//!
+//! Each command accepts exactly the options listed for it; any other
+//! `--name` is a usage error that names the option.
 //!
 //! Batch inputs (`svd --batch`, `submit-batch`) name either a directory —
 //! every `*.csv` inside, sorted by file name — or a comma-separated list of
@@ -38,7 +43,7 @@
 //!
 //! | code | kind            | cause                                         |
 //! |------|-----------------|-----------------------------------------------|
-//! | 2    | `usage`         | bad arguments / unknown command               |
+//! | 2    | `usage`         | bad arguments / unknown command or option     |
 //! | 3    | `io`            | file read/write failure                       |
 //! | 4    | `bad-input`     | empty or non-finite input matrix              |
 //! | 5    | `bad-config`    | inconsistent solver configuration             |
@@ -56,7 +61,7 @@
 
 use hjsvd::arch::{resource_usage, ArchConfig, HestenesJacobiArch};
 use hjsvd::core::{
-    eigh, EngineKind, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SvdError, SvdOptions,
+    eigh, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SvdError, SvdOptions,
     ThresholdSchedule, TraceLevel,
 };
 use hjsvd::fpsim::resources::ChipCapacity;
@@ -112,9 +117,7 @@ impl From<SvdError> for CliError {
     fn from(e: SvdError) -> CliError {
         let (code, kind) = match &e {
             SvdError::EmptyInput | SvdError::NonFiniteInput => (4, "bad-input"),
-            SvdError::EngineNeedsRoundRobin
-            | SvdError::OrderingUnsupported { .. }
-            | SvdError::ZeroSweepBudget => (5, "bad-config"),
+            SvdError::OrderingUnsupported { .. } | SvdError::ZeroSweepBudget => (5, "bad-config"),
             SvdError::TruncatedTailNotNegligible => (6, "not-converged"),
             SvdError::SolveFault { fault, .. } => match fault.kind() {
                 "deadline" => (8, "timeout"),
@@ -153,28 +156,30 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "submit" => cmd_submit(&mut parsed, out),
         "submit-batch" => cmd_submit_batch(&mut parsed, out),
         "shutdown" => cmd_shutdown(&mut parsed, out),
-        "help" | "--help" | "-h" => print_help(out),
-        other => Err(CliError::usage(format!("unknown command '{other}'"))),
+        // `help`, `--help` and `-h`: parsing rejected every other name.
+        _ => print_help(out),
     }
 }
 
 fn print_help(out: &mut dyn Write) -> Result<(), CliError> {
-    outln!(
-        out,
-        "hjsvd — Hestenes-Jacobi SVD toolkit
+    outln!(out, "{HELP}");
+    Ok(())
+}
+
+/// The help text. Every `--name` in a command's entry must parse for that
+/// command (pinned by the `help_text_options_all_parse` test).
+const HELP: &str = "hjsvd — Hestenes-Jacobi SVD toolkit
 
 USAGE:
   hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-            [--engine seq|par|blocked] [--ordering cyclic|row|greedy|presort]
+            [--ordering cyclic|row|greedy|presort]
             [--threshold-schedule] [--timeout-ms T]
             [--trace PATH] [--trace-level off|sweep|group|rotation]
       Decompose a CSV matrix. Prints singular values; with --out, writes
       PREFIX_u.csv / PREFIX_s.csv / PREFIX_v.csv. --rank truncates.
       --stats writes the solve's SolveStats record as JSON (PATH of '-'
-      prints it to stdout). --engine picks the sweep engine: seq
-      (Algorithm 1, default), par (rayon round-synchronous), or blocked
-      (cache-tiled groups). --ordering picks the sweep pair schedule:
-      cyclic (round-robin, default), row (row-cyclic, seq only), greedy
+      prints it to stdout). --ordering picks the sweep pair schedule:
+      cyclic (round-robin, default), row (row-cyclic), greedy
       (largest off-diagonal pairs first, replanned every sweep), or
       presort (de Rijk descending-column-norm permutation up front).
       --threshold-schedule ramps the early-sweep rotation threshold down
@@ -183,15 +188,14 @@ USAGE:
       aborts at the next sweep boundary past the deadline (exit code 8).
       --trace streams structured solve events as JSON Lines to PATH ('-'
       = stdout); --trace-level picks the verbosity (default sweep:
-      per-sweep summaries; group adds pair-group dispatches; rotation
-      adds every applied/skipped rotation).
+      per-sweep summaries; group adds each sweep's plan; rotation adds
+      every applied/skipped rotation).
   hjsvd svd --batch <dir-or-csv-list> [--stats PATH]
-            [--engine seq|par|blocked] [--ordering cyclic|row|greedy|presort]
-            [--threshold-schedule]
+            [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
       Decompose a whole set of matrices in one batch solve (values only).
       The input names a directory (every *.csv inside, sorted) or a
       comma-separated list of CSV paths. Uniform batches of small problems
-      (n <= 32, default engine/ordering) run on the batched SoA engine;
+      (n <= 32, default ordering) run on the batched SoA engine;
       everything else takes the looped per-matrix path. Slots succeed and
       fail independently; --stats writes one SolveStats JSON record per
       successful problem, in slot order, as JSON Lines ('-' = stdout).
@@ -215,7 +219,7 @@ USAGE:
       the worker pool, --queue-cap bounds the admission queue,
       --tenant-cap limits per-tenant in-flight jobs (0 = unlimited).
   hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
-              [--priority interactive|batch] [--engine seq|par|blocked]
+              [--priority interactive|batch]
               [--ordering cyclic|row|greedy|presort] [--tenant NAME]
       Submit a matrix to a running server and print the singular values
       (bit-identical to a local 'svd --values-only' run). --deadline-ms
@@ -230,13 +234,39 @@ USAGE:
       and the exit code is the first failing slot's.
   hjsvd shutdown --addr HOST:PORT [--drain-ms T]
       Gracefully stop a running server: drain in-flight jobs for up to
-      --drain-ms (default 5000), then print the final stats JSON."
-    );
-    Ok(())
+      --drain-ms (default 5000), then print the final stats JSON.
+
+Each command accepts only the options listed for it; any other option is
+a usage error (exit code 2).";
+
+/// `(options, flags)`: the `--key value` options and `--flag` booleans a
+/// command accepts.
+type Accepted = (&'static [&'static str], &'static [&'static str]);
+
+/// What `command` accepts — exactly what its help entry lists — or `None`
+/// for an unknown command. `svd --batch` is its own entry.
+fn accepted(command: &str, batch: bool) -> Option<Accepted> {
+    Some(match command {
+        "svd" if batch => (&["stats", "ordering"], &["batch", "threshold-schedule"]),
+        "svd" => (
+            &["rank", "out", "stats", "ordering", "timeout-ms", "trace", "trace-level"],
+            &["values-only", "threshold-schedule"],
+        ),
+        "pca" => (&["components", "out"], &[]),
+        "eigh" => (&["ordering"], &[]),
+        "simulate" => (&["rows", "cols", "sweeps"], &[]),
+        "generate" => (&["rows", "cols", "seed", "cond"], &[]),
+        "serve" => (&["addr", "workers", "queue-cap", "tenant-cap", "max-attempts"], &[]),
+        "submit" => (&["addr", "deadline-ms", "priority", "ordering", "tenant"], &[]),
+        "submit-batch" => (&["addr", "tenant", "deadline-ms"], &[]),
+        "shutdown" => (&["addr", "drain-ms"], &[]),
+        "resources" | "help" | "--help" | "-h" => (&[], &[]),
+        _ => return None,
+    })
 }
 
 /// Minimal deterministic argument cracker: positionals in order, `--flag`
-/// booleans, `--key value` options.
+/// booleans, `--key value` options — only the ones the command accepts.
 struct ParsedArgs {
     command: String,
     positionals: Vec<String>,
@@ -247,6 +277,9 @@ struct ParsedArgs {
 impl ParsedArgs {
     fn parse(args: &[String]) -> Result<ParsedArgs, String> {
         let command = args.first().cloned().unwrap_or_else(|| "help".to_string());
+        let batch = args.iter().skip(1).any(|a| a == "--batch");
+        let (accepted_options, accepted_flags) =
+            accepted(&command, batch).ok_or_else(|| format!("unknown command '{command}'"))?;
         let mut positionals = Vec::new();
         let mut flags = Vec::new();
         let mut options = Vec::new();
@@ -254,14 +287,19 @@ impl ParsedArgs {
         while i < args.len() {
             let a = &args[i];
             if let Some(name) = a.strip_prefix("--") {
-                // Boolean flags take no value; everything else consumes one.
-                if matches!(name, "values-only" | "threshold-schedule" | "help" | "batch") {
+                // Boolean flags take no value; options consume one.
+                if accepted_flags.contains(&name) {
                     flags.push(name.to_string());
-                } else {
+                } else if accepted_options.contains(&name) {
                     let v =
                         args.get(i + 1).ok_or_else(|| format!("option --{name} needs a value"))?;
                     options.push((name.to_string(), v.clone()));
                     i += 1;
+                } else {
+                    let shown = if batch && command == "svd" { "svd --batch" } else { &command };
+                    return Err(format!(
+                        "unknown option --{name} for '{shown}' (see 'hjsvd help')"
+                    ));
                 }
             } else {
                 positionals.push(a.clone());
@@ -373,16 +411,6 @@ fn close_trace(sink: JsonlSink<Box<dyn Write>>, path: &str) -> Result<(), CliErr
     w.flush().map_err(fail)
 }
 
-/// Parse the `--engine` option into an [`EngineKind`] (default: sequential).
-fn engine_option(p: &ParsedArgs) -> Result<EngineKind, CliError> {
-    match p.opt("engine") {
-        None => Ok(EngineKind::default()),
-        Some(v) => EngineKind::parse(v).ok_or_else(|| {
-            CliError::usage(format!("--engine: unknown engine '{v}' (choose seq, par, or blocked)"))
-        }),
-    }
-}
-
 /// Parse the `--ordering` option into an [`Ordering`] (default: cyclic).
 fn ordering_option(p: &ParsedArgs) -> Result<Ordering, CliError> {
     match p.opt("ordering") {
@@ -429,10 +457,9 @@ fn cmd_svd_batch(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError
         .positional(0, "batch input (directory or comma-separated CSV list)")
         .map_err(CliError::usage)?
         .to_string();
-    let engine = engine_option(p)?;
     let ordering = ordering_option(p)?;
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
-    let solver = HestenesSvd::new(SvdOptions { engine, ordering, threshold, ..Default::default() });
+    let solver = HestenesSvd::new(SvdOptions { ordering, threshold, ..Default::default() });
     let inputs = load_batch(&spec)?;
     let mats: Vec<Matrix> = inputs.iter().map(|(_, m)| m.clone()).collect();
     let batch = solver.singular_values_batch(&mats);
@@ -477,14 +504,12 @@ fn cmd_svd(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let a = load(&path)?;
-    let engine = engine_option(p)?;
     let ordering = ordering_option(p)?;
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
     let timeout_ms: Option<u64> = p.opt_parse("timeout-ms").map_err(CliError::usage)?;
     let trace = trace_option(p)?;
     let trace_level = trace.as_ref().map(|(_, l)| *l).unwrap_or(TraceLevel::Off);
     let mut solver = HestenesSvd::new(SvdOptions {
-        engine,
         ordering,
         threshold,
         trace: trace_level,
@@ -703,7 +728,6 @@ fn cmd_submit(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let addr = p.opt("addr").ok_or_else(|| CliError::usage("--addr is required"))?.to_string();
     let a = load(&path)?;
-    let engine = engine_option(p)?;
     let ordering = ordering_option(p)?;
     let priority = match p.opt("priority") {
         None => Priority::Interactive,
@@ -717,7 +741,7 @@ fn cmd_submit(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let tenant = p.opt("tenant").unwrap_or("").to_string();
     let mut client = Client::connect(&addr).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     let outcome = client
-        .submit(&a, SubmitOptions { engine, ordering, priority, deadline_ms, tenant })
+        .submit(&a, SubmitOptions { ordering, priority, deadline_ms, tenant })
         .map_err(client_error)?;
     outln!(
         out,
@@ -873,18 +897,64 @@ mod tests {
     }
 
     #[test]
-    fn svd_engine_option_selects_engines_and_rejects_unknown() {
-        let dir = std::env::temp_dir().join("hjsvd_cli_engine");
+    fn unknown_options_fail_with_usage_naming_the_option() {
+        let dir = std::env::temp_dir().join("hjsvd_cli_unknown_option");
         std::fs::create_dir_all(&dir).unwrap();
         let mp = dir.join("m.csv").to_str().unwrap().to_string();
         run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
-        run(&args(&["svd", &mp, "--engine", "par"])).unwrap();
-        run(&args(&["svd", &mp, "--values-only", "--engine", "blocked"])).unwrap();
-        run(&args(&["svd", &mp, "--engine", "sequential"])).unwrap();
-        let err = run(&args(&["svd", &mp, "--engine", "warp"])).unwrap_err();
-        assert!(err.message.contains("choose seq, par, or blocked"), "{}", err.message);
-        assert_eq!((err.code, err.kind), (2, "usage"));
+        let cases: [(&[&str], &str); 6] = [
+            (&["svd", &mp, "--engine", "par"], "--engine"),
+            (&["submit", &mp, "--addr", "127.0.0.1:1", "--engine", "seq"], "--engine"),
+            (&["svd", &mp, "--bogus", "1"], "--bogus"),
+            (&["svd", &mp, "--values-only", "--bogus", "7"], "--bogus"),
+            (&["svd", "--batch", &mp, "--rank", "2"], "--rank"),
+            (&["generate", "--rows", "2", "--cols", "2", &mp, "--sede", "1"], "--sede"),
+        ];
+        for (argv, name) in cases {
+            let e = run(&args(argv)).unwrap_err();
+            assert_eq!((e.code, e.kind), (2, "usage"), "{argv:?}");
+            assert!(e.message.contains(name), "{argv:?}: {}", e.message);
+        }
+        // The unknown command still wins over its options.
+        let e = run(&args(&["frobnicate", "--engine", "par"])).unwrap_err();
+        assert!(e.message.contains("unknown command"), "{}", e.message);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn help_text_options_all_parse() {
+        // Every `--name` in a command's synopsis (its `hjsvd` line and the
+        // `[...]` lines under it) parses for that command.
+        let mut entries: Vec<(String, Vec<String>)> = Vec::new();
+        for line in HELP.lines() {
+            if let Some(rest) = line.strip_prefix("  hjsvd ") {
+                let command = rest.split_whitespace().next().unwrap().to_string();
+                entries.push((command, option_names(line)));
+            } else if line.trim_start().starts_with('[') {
+                entries.last_mut().unwrap().1.extend(option_names(line));
+            }
+        }
+        assert_eq!(entries.len(), 11, "one entry per command line of the help text");
+        for (command, names) in &entries {
+            assert!(!names.is_empty() || command == "resources", "{command}: no options found");
+            let mut argv = vec![command.clone()];
+            for name in names {
+                argv.push(format!("--{name}"));
+                argv.push("1".to_string());
+            }
+            if let Err(e) = ParsedArgs::parse(&argv) {
+                panic!("{argv:?}: {e}");
+            }
+        }
+    }
+
+    /// The `--name` tokens of one help line.
+    fn option_names(line: &str) -> Vec<String> {
+        line.split("--")
+            .skip(1)
+            .map(|t| t.chars().take_while(|c| c.is_ascii_lowercase() || *c == '-').collect())
+            .filter(|t: &String| !t.is_empty())
+            .collect()
     }
 
     #[test]
@@ -894,13 +964,10 @@ mod tests {
         let mp = dir.join("m.csv").to_str().unwrap().to_string();
         run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
         run(&args(&["svd", &mp, "--ordering", "greedy"])).unwrap();
-        run(&args(&["svd", &mp, "--ordering", "presort", "--engine", "blocked"])).unwrap();
+        run(&args(&["svd", &mp, "--ordering", "presort"])).unwrap();
         run(&args(&["svd", &mp, "--values-only", "--ordering", "cyclic", "--threshold-schedule"]))
             .unwrap();
         run(&args(&["svd", &mp, "--ordering", "row"])).unwrap();
-        // Row-cyclic on a grouped engine is an invalid configuration.
-        let e = run(&args(&["svd", &mp, "--ordering", "row", "--engine", "par"])).unwrap_err();
-        assert_eq!((e.code, e.kind), (5, "bad-config"));
         let e = run(&args(&["svd", &mp, "--ordering", "zigzag"])).unwrap_err();
         assert_eq!((e.code, e.kind), (2, "usage"));
         assert!(e.message.contains("choose cyclic, row, greedy, or presort"), "{}", e.message);
@@ -973,23 +1040,13 @@ mod tests {
         assert!(starts > 0 && starts == ends, "unbalanced sweeps: {starts} vs {ends}");
         assert!(!text.contains("rotation_applied"), "sweep level must not emit rotations");
 
-        // Rotation level adds per-rotation events; the grouped engines also
-        // report their round dispatches. Values-only path.
-        run(&args(&[
-            "svd",
-            &mp,
-            "--values-only",
-            "--engine",
-            "blocked",
-            "--trace",
-            &tp,
-            "--trace-level",
-            "rotation",
-        ]))
-        .unwrap();
+        // Rotation level adds per-rotation events on top of each sweep's
+        // plan. Values-only path.
+        run(&args(&["svd", &mp, "--values-only", "--trace", &tp, "--trace-level", "rotation"]))
+            .unwrap();
         let rot = std::fs::read_to_string(&tp).unwrap();
         assert!(rot.contains("\"event\":\"rotation_applied\""));
-        assert!(rot.contains("\"event\":\"pair_group_dispatched\""));
+        assert!(rot.contains("\"event\":\"sweep_planned\""));
 
         // '-' streams to stdout without error.
         run(&args(&["svd", &mp, "--values-only", "--trace", "-"])).unwrap();
@@ -1104,13 +1161,14 @@ mod tests {
             assert!(line.contains("\"engine\":\"batch-soa\""), "{line}");
         }
 
-        // Comma-separated list input; a non-default engine opts out of the
+        // Comma-separated list input; a non-default ordering opts out of the
         // SoA dispatch and the stats name the engine that actually ran.
-        run(&args(&["svd", "--batch", &paths.join(","), "--engine", "blocked", "--stats", &sp]))
+        run(&args(&["svd", "--batch", &paths.join(","), "--ordering", "greedy", "--stats", &sp]))
             .unwrap();
         let looped = std::fs::read_to_string(&sp).unwrap();
         assert_eq!(looped.lines().count(), 3);
-        assert!(looped.contains("\"engine\":\"blocked\""), "{looped}");
+        assert!(looped.contains("\"engine\":\"sequential\""), "{looped}");
+        assert!(looped.contains("\"ordering\":\"greedy\""), "{looped}");
 
         // A poisoned slot fails alone with the bad-input exit code while
         // every other slot still solves (and still reports stats).

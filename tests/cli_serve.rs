@@ -65,25 +65,26 @@ fn spawn_serve(extra: &[&str]) -> (Child, String) {
 }
 
 /// End-to-end over real processes: serve on an ephemeral port, submit a
-/// matrix on each engine, compare the printed spectra line-for-line with a
-/// local `svd --values-only` run (bit-identical `{v}` formatting), then
+/// matrix under each of three orderings, compare the printed spectra
+/// line-for-line with a local `svd --values-only` run under the same
+/// ordering (bit-identical `{v}` formatting), then
 /// shut the server down gracefully and check its final stats line.
 #[test]
 fn serve_submit_shutdown_round_trip_is_bit_identical() {
     let (dir, mp) = scratch_with_matrix("e2e", "20", "6", "42");
     let (mut child, addr) = spawn_serve(&["--workers", "2"]);
 
-    for engine in ["seq", "par", "blocked"] {
-        let local = hjsvd(&["svd", &mp, "--values-only", "--engine", engine]);
+    for ordering in ["cyclic", "greedy", "presort"] {
+        let local = hjsvd(&["svd", &mp, "--values-only", "--ordering", ordering]);
         assert!(local.status.success(), "local svd failed: {}", stderr_of(&local));
-        let remote = hjsvd(&["submit", &mp, "--addr", &addr, "--engine", engine]);
+        let remote = hjsvd(&["submit", &mp, "--addr", &addr, "--ordering", ordering]);
         assert!(remote.status.success(), "submit failed: {}", stderr_of(&remote));
         let local_values = value_lines(&stdout_of(&local));
         let remote_values = value_lines(&stdout_of(&remote));
         assert_eq!(local_values.len(), 6);
         assert_eq!(
             local_values, remote_values,
-            "spectrum over TCP differs from local solve on {engine}"
+            "spectrum over TCP differs from local solve under {ordering}"
         );
         // The submit banner carries the job id.
         assert!(stdout_of(&remote).starts_with("# 6 singular values"), "{}", stdout_of(&remote));

@@ -6,7 +6,7 @@
 //! evidence all four are correct.
 
 use hjsvd::baselines::{householder, naive_hestenes, two_sided};
-use hjsvd::core::{EngineKind, HestenesSvd, Ordering, SvdOptions};
+use hjsvd::core::{HestenesSvd, Ordering, SvdOptions};
 use hjsvd::matrix::{gen, norms, Matrix};
 
 fn hestenes(a: &Matrix) -> Vec<f64> {
@@ -99,20 +99,6 @@ fn hilbert_matrix_relative_accuracy() {
     }
     // κ(H₁₀) ≈ 1.6e13: the smallest value is ~1e-13 and must be positive.
     assert!(rr.singular_values[9] > 0.0);
-}
-
-#[test]
-fn parallel_and_blocked_drivers_agree_with_sequential() {
-    let a = gen::uniform(50, 20, 107);
-    let seq = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-    for engine in [EngineKind::Parallel, EngineKind::Blocked] {
-        let alt =
-            HestenesSvd::new(SvdOptions { engine, ..Default::default() }).decompose(&a).unwrap();
-        let d = norms::spectrum_disagreement(&seq.singular_values, &alt.singular_values);
-        assert!(d < 1e-10, "{engine:?} vs sequential spectra disagree by {d}");
-        let err = norms::reconstruction_error(&a, &alt.u, &alt.singular_values, &alt.v);
-        assert!(err < 1e-11, "{engine:?} reconstruction error {err}");
-    }
 }
 
 #[test]

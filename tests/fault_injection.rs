@@ -1,7 +1,7 @@
 //! Fault-injection campaign (requires `--features fault-injection`).
 //!
 //! Drives the public solver API with a deterministic [`SeededInjector`]
-//! corrupting the solve mid-flight, and proves the ISSUE-3 contract: every
+//! corrupting the solve mid-flight, and proves the recovery contract: every
 //! fault class is detected by the health check within one sweep of firing,
 //! and each solve either *recovers* (spectrum within `1e-10 · σ_max` of the
 //! clean solve) or is *rejected* with the matching structured
@@ -9,16 +9,16 @@
 #![cfg(feature = "fault-injection")]
 
 use hjsvd::core::{
-    Corruption, EngineKind, Fault, HestenesSvd, RecoveryPolicy, SeededInjector, SolveBudget,
-    SvdError, SvdOptions, SweepWorkspace,
+    Corruption, Fault, HestenesSvd, RecoveryPolicy, SeededInjector, SolveBudget, SvdError,
+    SvdOptions, SweepWorkspace,
 };
 use hjsvd::matrix::{gen, norms};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn solver(engine: EngineKind) -> HestenesSvd {
-    HestenesSvd::new(SvdOptions { engine, ..Default::default() })
+fn solver() -> HestenesSvd {
+    HestenesSvd::new(SvdOptions::default())
 }
 
 /// Recovered spectra must match the clean solve to `1e-10 · σ_max`.
@@ -33,27 +33,25 @@ fn assert_spectrum_close(got: &[f64], clean: &[f64]) {
 #[test]
 fn transient_nan_gram_entry_is_recovered_on_every_engine() {
     let a = gen::uniform(24, 8, 42);
-    for engine in [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked] {
-        let s = solver(engine);
-        let clean = s.singular_values(&a).unwrap();
-        let mut ws = SweepWorkspace::new();
-        let mut inj = SeededInjector::new(7)
-            .at_sweep(2, Corruption::GramEntry { i: 1, j: 4, value: f64::NAN });
-        let sv = s
-            .singular_values_injected(&a, &mut ws, &mut inj)
-            .unwrap_or_else(|e| panic!("{engine:?}: transient NaN must be recovered, got {e}"));
-        assert_eq!(inj.fired().len(), 1, "{engine:?}: corruption fired once");
-        assert_eq!(sv.stats.faults, 1, "{engine:?}: one fault observed");
-        assert!(sv.stats.recoveries >= 1, "{engine:?}: at least one recovery");
-        assert!(sv.values.iter().all(|v| v.is_finite()));
-        assert_spectrum_close(&sv.values, &clean.values);
-    }
+    let s = solver();
+    let clean = s.singular_values(&a).unwrap();
+    let mut ws = SweepWorkspace::new();
+    let mut inj =
+        SeededInjector::new(7).at_sweep(2, Corruption::GramEntry { i: 1, j: 4, value: f64::NAN });
+    let sv = s
+        .singular_values_injected(&a, &mut ws, &mut inj)
+        .unwrap_or_else(|e| panic!("transient NaN must be recovered, got {e}"));
+    assert_eq!(inj.fired().len(), 1, "corruption fired once");
+    assert_eq!(sv.stats.faults, 1, "one fault observed");
+    assert!(sv.stats.recoveries >= 1, "at least one recovery");
+    assert!(sv.values.iter().all(|v| v.is_finite()));
+    assert_spectrum_close(&sv.values, &clean.values);
 }
 
 #[test]
 fn transient_negative_diagonal_is_recovered() {
     let a = gen::uniform(20, 6, 11);
-    let s = solver(EngineKind::Sequential);
+    let s = solver();
     let clean = s.decompose(&a).unwrap();
     let mut ws = SweepWorkspace::new();
     // A corrupted norm update: a squared column norm goes hard negative.
@@ -70,7 +68,7 @@ fn transient_negative_diagonal_is_recovered() {
 #[test]
 fn persistent_nan_aborts_with_non_finite_gram_fault() {
     let a = gen::uniform(18, 6, 5);
-    let s = solver(EngineKind::Sequential);
+    let s = solver();
     let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(9)
         .at_sweep(1, Corruption::GramEntry { i: 0, j: 2, value: f64::INFINITY })
@@ -89,34 +87,12 @@ fn persistent_nan_aborts_with_non_finite_gram_fault() {
 }
 
 #[test]
-fn persistent_fault_walks_the_full_recovery_chain_on_parallel_engines() {
-    // Parallel engine + hard fault: rescale-restart, then sequential
-    // fallback, then abort — two recoveries attempted, loud error.
-    let a = gen::uniform(18, 6, 13);
-    for engine in [EngineKind::Parallel, EngineKind::Blocked] {
-        let s = solver(engine);
-        let mut ws = SweepWorkspace::new();
-        let mut inj = SeededInjector::new(21)
-            .at_sweep(1, Corruption::GramEntry { i: 2, j: 2, value: f64::NAN })
-            .persistent();
-        let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
-        match err {
-            SvdError::SolveFault { fault: Fault::NonFiniteGram { .. }, recoveries, .. } => {
-                assert_eq!(recoveries, 2, "{engine:?}: rescale then engine fallback");
-            }
-            other => panic!("{engine:?}: expected NonFiniteGram, got {other:?}"),
-        }
-        assert_eq!(inj.fired().len(), 3, "{engine:?}: fired once per attempt");
-    }
-}
-
-#[test]
 fn persistent_bogus_rotation_never_returns_a_silent_answer() {
     // A broken rotation kernel (cos² + sin² = 2) re-corrupts the Gram state
     // before every sweep. Whatever path the policy takes, the one forbidden
     // outcome is Ok with a spectrum that disagrees with the clean solve.
     let a = gen::uniform(20, 6, 17);
-    let s = solver(EngineKind::Sequential);
+    let s = solver();
     let clean = s.singular_values(&a).unwrap();
     let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(31)
@@ -146,8 +122,7 @@ fn persistent_bogus_rotation_never_returns_a_silent_answer() {
 #[test]
 fn slow_sweeps_trip_the_deadline() {
     let a = gen::uniform(30, 10, 23);
-    let s = solver(EngineKind::Sequential)
-        .with_budget(SolveBudget::with_timeout(Duration::from_millis(20)));
+    let s = solver().with_budget(SolveBudget::with_timeout(Duration::from_millis(20)));
     let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(1).at_sweep(1, Corruption::Delay { millis: 60 }).persistent();
     let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
@@ -164,8 +139,7 @@ fn slow_sweeps_trip_the_deadline() {
 fn cancellation_flag_aborts_between_sweeps() {
     let a = gen::uniform(16, 5, 29);
     let flag = Arc::new(AtomicBool::new(true));
-    let s = solver(EngineKind::Sequential)
-        .with_budget(SolveBudget::unlimited().cancelled_by(flag.clone()));
+    let s = solver().with_budget(SolveBudget::unlimited().cancelled_by(flag.clone()));
     let err = s.singular_values(&a).unwrap_err();
     assert!(
         matches!(
@@ -182,7 +156,7 @@ fn cancellation_flag_aborts_between_sweeps() {
 #[test]
 fn abort_only_policy_rejects_even_transient_faults() {
     let a = gen::uniform(14, 5, 37);
-    let s = solver(EngineKind::Sequential).with_recovery_policy(RecoveryPolicy::abort_only());
+    let s = solver().with_recovery_policy(RecoveryPolicy::abort_only());
     let mut ws = SweepWorkspace::new();
     let mut inj =
         SeededInjector::new(2).at_sweep(1, Corruption::GramEntry { i: 0, j: 0, value: -1.0 });
@@ -203,40 +177,36 @@ fn faulted_solve_does_not_poison_its_workspace() {
     // as a fresh one on the next (clean) solve — per-slot isolation for the
     // batch API's pooled workspaces.
     let a = gen::uniform(22, 7, 41);
-    for engine in [EngineKind::Parallel, EngineKind::Blocked] {
-        let s = solver(engine).with_recovery_policy(RecoveryPolicy::abort_only());
-        let mut ws = SweepWorkspace::new();
-        let mut inj = SeededInjector::new(6)
-            .at_sweep(1, Corruption::GramEntry { i: 1, j: 1, value: f64::NAN })
-            .persistent();
-        assert!(s.decompose_injected(&a, &mut ws, &mut inj).is_err());
+    let s = solver().with_recovery_policy(RecoveryPolicy::abort_only());
+    let mut ws = SweepWorkspace::new();
+    let mut inj = SeededInjector::new(6)
+        .at_sweep(1, Corruption::GramEntry { i: 1, j: 1, value: f64::NAN })
+        .persistent();
+    assert!(s.decompose_injected(&a, &mut ws, &mut inj).is_err());
 
-        let clean = solver(engine);
-        let reused = clean.decompose_with_workspace(&a, &mut ws).unwrap();
-        let fresh = clean.decompose_with_workspace(&a, &mut SweepWorkspace::new()).unwrap();
-        assert_eq!(reused.singular_values, fresh.singular_values, "{engine:?} σ");
-        assert_eq!(reused.u.as_slice(), fresh.u.as_slice(), "{engine:?} U");
-        assert_eq!(reused.v.as_slice(), fresh.v.as_slice(), "{engine:?} V");
-    }
+    let clean = solver();
+    let reused = clean.decompose_with_workspace(&a, &mut ws).unwrap();
+    let fresh = clean.decompose_with_workspace(&a, &mut SweepWorkspace::new()).unwrap();
+    assert_eq!(reused.singular_values, fresh.singular_values, "σ");
+    assert_eq!(reused.u.as_slice(), fresh.u.as_slice(), "U");
+    assert_eq!(reused.v.as_slice(), fresh.v.as_slice(), "V");
 }
 
 #[test]
 fn injected_run_with_no_planned_corruptions_matches_clean_run_bitwise() {
     // The monitoring/injection plumbing itself must not perturb results.
     let a = gen::uniform(20, 6, 53);
-    for engine in [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked] {
-        let s = solver(engine);
-        let clean = s.decompose(&a).unwrap();
-        let mut ws = SweepWorkspace::new();
-        let mut inj = SeededInjector::new(1);
-        let injected = s.decompose_injected(&a, &mut ws, &mut inj).unwrap();
-        assert!(inj.fired().is_empty());
-        assert_eq!(injected.singular_values, clean.singular_values, "{engine:?}");
-        assert_eq!(injected.u.as_slice(), clean.u.as_slice(), "{engine:?}");
-        assert_eq!(injected.v.as_slice(), clean.v.as_slice(), "{engine:?}");
-        assert_eq!(injected.stats.faults, 0);
-        assert_eq!(injected.stats.recoveries, 0);
-    }
+    let s = solver();
+    let clean = s.decompose(&a).unwrap();
+    let mut ws = SweepWorkspace::new();
+    let mut inj = SeededInjector::new(1);
+    let injected = s.decompose_injected(&a, &mut ws, &mut inj).unwrap();
+    assert!(inj.fired().is_empty());
+    assert_eq!(injected.singular_values, clean.singular_values);
+    assert_eq!(injected.u.as_slice(), clean.u.as_slice());
+    assert_eq!(injected.v.as_slice(), clean.v.as_slice());
+    assert_eq!(injected.stats.faults, 0);
+    assert_eq!(injected.stats.recoveries, 0);
 }
 
 #[test]
@@ -249,7 +219,7 @@ fn poisoned_batch_lane_aborts_alone_and_neighbors_are_bit_unaffected() {
     use hjsvd::core::batch_engine::{BatchDriver, BatchWorkspace, LaneCorruption};
 
     let mats: Vec<_> = (0..12).map(|k| gen::uniform(18, 6, 500 + k)).collect();
-    let s = solver(EngineKind::Sequential);
+    let s = solver();
     let clean = s.singular_values_batch_soa(&mats);
 
     let driver = BatchDriver::new(&s);
@@ -285,7 +255,7 @@ fn multiple_poisoned_lanes_fail_independently() {
     use hjsvd::core::batch_engine::{BatchDriver, BatchWorkspace, LaneCorruption};
 
     let mats: Vec<_> = (0..8).map(|k| gen::uniform(16, 5, 800 + k)).collect();
-    let s = solver(EngineKind::Sequential);
+    let s = solver();
     let clean = s.singular_values_batch_soa(&mats);
 
     let driver = BatchDriver::new(&s);

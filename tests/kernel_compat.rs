@@ -1,14 +1,8 @@
-//! Kernel-compat layer: pins the vectorized kernels introduced for the
-//! engine-inversion fix against the scalar paths they replaced.
+//! Kernel-compat layer: pins the vectorized kernels against the scalar
+//! paths they replaced.
 //!
 //! Compat policy (also documented in `hj_core::kernel`):
 //!
-//! * `kernel::batch_params` runs the exact `textbook_params` expression
-//!   chain per lane, so it is **bitwise** equal to the scalar kernel — 0 ulp,
-//!   well inside the ≤1 ulp budget. Against `hardware_params` it inherits
-//!   the existing textbook↔hardware pin (≤1e-12 absolute on `cos`/`sin`,
-//!   `tests/properties.rs::hardware_equals_textbook`) — the two scalar
-//!   formulations legitimately differ by re-association.
 //! * `ops::rotate_pair` (lane-chunked + scalar tail) and
 //!   `kernel::rotate_packed` (three-region packed walk) keep the per-element
 //!   expressions of the scalar loops unchanged, so both are **bitwise**
@@ -27,11 +21,9 @@
 //! All strategies span twelve orders of magnitude in the norms (1e-6..1e6),
 //! like the scalar rotation proptests.
 
-use hjsvd::core::kernel::{batch_params, rotate_packed};
-use hjsvd::core::rotation::{hardware_params, textbook_params, Rotation};
-use hjsvd::core::{
-    BatchDriver, BatchWorkspace, EngineKind, GramState, HestenesSvd, SvdError, SvdOptions,
-};
+use hjsvd::core::kernel::rotate_packed;
+use hjsvd::core::rotation::{textbook_params, Rotation};
+use hjsvd::core::{BatchDriver, BatchWorkspace, GramState, HestenesSvd, SvdError, SvdOptions};
 use hjsvd::matrix::{gen, ops, Matrix, PackedSymmetric};
 use proptest::prelude::*;
 
@@ -40,18 +32,6 @@ use proptest::prelude::*;
 fn gram_pair() -> impl Strategy<Value = (f64, f64, f64)> {
     (1e-6f64..1e6, 1e-6f64..1e6, -0.999f64..0.999)
         .prop_map(|(a, b, frac)| (a, b, frac * (a * b).sqrt()))
-}
-
-/// `Vec<_>` strategy: a length drawn from `range`, then that many draws of
-/// `inner`. (The vendored proptest stand-in has no `prop::collection`.)
-struct VecOf<S>(S, std::ops::Range<usize>);
-
-impl<S: Strategy> Strategy for VecOf<S> {
-    type Value = Vec<S::Value>;
-    fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-        let len = self.1.clone().generate(rng);
-        (0..len).map(|_| self.0.generate(rng)).collect()
-    }
 }
 
 /// Scalar reference for the packed rotation: the pre-kernel `get`/`set`
@@ -208,47 +188,6 @@ fn prescale_exponent_is_unchanged_near_the_range_ends() {
 
 proptest! {
     #[test]
-    fn batched_params_are_bitwise_textbook(triples in VecOf(gram_pair(), 0..40)) {
-        let ni: Vec<f64> = triples.iter().map(|t| t.0).collect();
-        let nj: Vec<f64> = triples.iter().map(|t| t.1).collect();
-        let cov: Vec<f64> = triples.iter().map(|t| t.2).collect();
-        let mut cos = vec![0.0; triples.len()];
-        let mut sin = vec![0.0; triples.len()];
-        let mut t = vec![0.0; triples.len()];
-        batch_params(&ni, &nj, &cov, &mut cos, &mut sin, &mut t);
-        for (k, &(a, b, c)) in triples.iter().enumerate() {
-            let scalar = textbook_params(a, b, c);
-            prop_assert_eq!(cos[k].to_bits(), scalar.cos.to_bits(), "cos lane {}", k);
-            prop_assert_eq!(sin[k].to_bits(), scalar.sin.to_bits(), "sin lane {}", k);
-            prop_assert_eq!(t[k].to_bits(), scalar.t.to_bits(), "t lane {}", k);
-        }
-    }
-
-    #[test]
-    fn batched_params_match_hardware_formulation((a, b, c) in gram_pair()) {
-        // The batch kernel is textbook bitwise; against the re-associated
-        // hardware dataflow it carries the same pin the scalar kernels do.
-        let mut cos = [0.0];
-        let mut sin = [0.0];
-        let mut t = [0.0];
-        batch_params(&[a], &[b], &[c], &mut cos, &mut sin, &mut t);
-        let hw = hardware_params(a, b, c);
-        prop_assert!((cos[0] - hw.cos).abs() < 1e-12, "cos {} vs {}", cos[0], hw.cos);
-        prop_assert!((sin[0] - hw.sin).abs() < 1e-12, "sin {} vs {}", sin[0], hw.sin);
-    }
-
-    #[test]
-    fn batched_params_zero_covariance_is_identity(a in 1e-6f64..1e6, b in 1e-6f64..1e6) {
-        let mut cos = [9.0];
-        let mut sin = [9.0];
-        let mut t = [9.0];
-        batch_params(&[a], &[b], &[0.0], &mut cos, &mut sin, &mut t);
-        prop_assert_eq!(cos[0], 1.0);
-        prop_assert_eq!(sin[0], 0.0);
-        prop_assert_eq!(t[0], 0.0);
-    }
-
-    #[test]
     fn paired_rotate_is_bitwise_scalar_on_any_length(
         len in 0usize..130,
         seed in 0u64..500,
@@ -316,46 +255,5 @@ proptest! {
         prop_assert_eq!(diff, None, "{}x{}: packed entry differs from ops::dot", m, n);
         let g = GramState::from_matrix(&a);
         prop_assert_eq!(first_bit_difference(g.packed(), &gram_reference(&a)), None);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn blocked_fast_path_equals_sequential_bitwise(seed in 0u64..60, n in 2usize..20) {
-        // Engine equivalence over the vectorized paths: under `for_dim`
-        // every n here fits one tile, and the fast path must reproduce the
-        // sequential engine's bits exactly — values, U, and V.
-        let a = gen::uniform(2 * n + 3, n, seed);
-        let seq = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        let blk =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Blocked, ..Default::default() })
-                .decompose(&a)
-                .unwrap();
-        prop_assert_eq!(&seq.singular_values, &blk.singular_values);
-        prop_assert_eq!(seq.u.as_slice(), blk.u.as_slice());
-        prop_assert_eq!(seq.v.as_slice(), blk.v.as_slice());
-        prop_assert_eq!(blk.stats.tile_refills, 0, "single tile must never refill");
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential_bitwise_on_one_thread(seed in 0u64..60, n in 2usize..16) {
-        // The 1-thread fallback is the sequential engine, bit for bit. On
-        // wider pools the engines legitimately differ in rounding, so this
-        // pin only applies where the fallback engages.
-        let a = gen::uniform(2 * n + 1, n, seed);
-        let par =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Parallel, ..Default::default() })
-                .decompose(&a)
-                .unwrap();
-        if par.stats.threads != 1 {
-            return Ok(());
-        }
-        let seq = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        prop_assert_eq!(&seq.singular_values, &par.singular_values);
-        prop_assert_eq!(seq.u.as_slice(), par.u.as_slice());
-        prop_assert_eq!(seq.v.as_slice(), par.v.as_slice());
-        prop_assert_eq!(par.stats.parallel_dispatches, 0);
     }
 }

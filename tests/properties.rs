@@ -3,7 +3,7 @@
 
 use hjsvd::core::ordering::{round_robin, row_cyclic, Ordering, PlanBuffers};
 use hjsvd::core::rotation::{hardware_params, rotate_norms, textbook_params};
-use hjsvd::core::{EngineKind, GramState, HestenesSvd, SvdOptions};
+use hjsvd::core::{GramState, HestenesSvd, SvdOptions, SweepWorkspace};
 use hjsvd::matrix::{gen, norms, PackedSymmetric};
 use proptest::prelude::*;
 
@@ -190,9 +190,7 @@ proptest! {
     fn batched_solves_are_bitwise_identical_to_sequential(
         seed in 0u64..100,
         count in 1usize..6,
-        which in 0usize..3,
     ) {
-        let engine = [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked][which];
         // decompose_batch must return, slot for slot, the exact bits the
         // one-at-a-time driver produces — at whatever thread count the pool
         // was launched with (fan-out order must never leak into results).
@@ -203,7 +201,7 @@ proptest! {
                 gen::uniform(m, n, seed.wrapping_add(k as u64))
             })
             .collect();
-        let solver = HestenesSvd::new(SvdOptions { engine, ..Default::default() });
+        let solver = HestenesSvd::new(SvdOptions::default());
         let batch = solver.decompose_batch(&mats);
         prop_assert_eq!(batch.len(), mats.len());
         for (k, res) in batch.iter().enumerate() {
@@ -264,116 +262,22 @@ proptest! {
         n1 in 2usize..12,
         n2 in 2usize..12,
     ) {
-        // One workspace carried across two different-shaped solves produces
-        // the same bits as a fresh workspace per solve: no state leaks.
-        use hjsvd::core::parallel::{parallel_sweep_full_ws, SweepWorkspace};
-        use hjsvd::matrix::Matrix;
+        // One workspace carried across two different-shaped solves (and
+        // across orderings, whose plan buffers it pools) produces the same
+        // bits as a fresh workspace per solve: no state leaks.
         let shapes = [(2 * n1 + 1, n1), (3 * n2, n2)];
         let mut ws = SweepWorkspace::new();
         for (k, &(m, n)) in shapes.iter().enumerate() {
             let src = gen::uniform(m, n, seed.wrapping_add(k as u64));
-            let order = round_robin(n);
-
-            let mut b_reused = src.clone();
-            let mut g_reused = GramState::from_matrix(&b_reused);
-            let mut v_reused = Matrix::identity(n);
-
-            let mut b_fresh = src.clone();
-            let mut g_fresh = GramState::from_matrix(&b_fresh);
-            let mut v_fresh = Matrix::identity(n);
-            let mut fresh = SweepWorkspace::new();
-
-            for s in 1..=3 {
-                parallel_sweep_full_ws(&mut b_reused, &mut g_reused, Some(&mut v_reused), &order, s, &mut ws);
-                parallel_sweep_full_ws(&mut b_fresh, &mut g_fresh, Some(&mut v_fresh), &order, s, &mut fresh);
+            for ordering in [Ordering::RoundRobin, Ordering::SortedGreedy] {
+                let solver = HestenesSvd::new(SvdOptions { ordering, ..Default::default() });
+                let reused = solver.decompose_with_workspace(&src, &mut ws).unwrap();
+                let fresh = solver.decompose_with_workspace(&src, &mut SweepWorkspace::new()).unwrap();
+                prop_assert_eq!(&reused.singular_values, &fresh.singular_values,
+                    "σ differs on solve {} ({:?})", k, ordering);
+                prop_assert_eq!(reused.u.as_slice(), fresh.u.as_slice(), "U differs on solve {}", k);
+                prop_assert_eq!(reused.v.as_slice(), fresh.v.as_slice(), "V differs on solve {}", k);
             }
-            prop_assert_eq!(b_reused.as_slice(), b_fresh.as_slice(), "B differs on solve {}", k);
-            prop_assert_eq!(v_reused.as_slice(), v_fresh.as_slice(), "V differs on solve {}", k);
-            prop_assert_eq!(g_reused.packed().as_slice(), g_fresh.packed().as_slice(),
-                "D differs on solve {}", k);
-        }
-    }
-
-    #[test]
-    fn sequential_and_blocked_engines_agree(seed in 0u64..60, shape in 0usize..4) {
-        // Tall, square, wide, rank-deficient — the cache-tiled blocked engine
-        // takes a different (group-sequential) path through each sweep, so it
-        // is not bit-identical to the sequential engine, but the spectra must
-        // agree to near machine precision.
-        let a = match shape {
-            0 => gen::uniform(36, 11, seed),          // tall
-            1 => gen::uniform(14, 14, seed),          // square
-            2 => gen::uniform(8, 22, seed),           // wide
-            _ => gen::rank_deficient(24, 9, 4, seed), // rank-deficient
-        };
-        let seq = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        let blk = HestenesSvd::new(SvdOptions { engine: EngineKind::Blocked, ..Default::default() })
-            .decompose(&a)
-            .unwrap();
-        prop_assert_eq!(seq.singular_values.len(), blk.singular_values.len());
-        let smax = seq.singular_values.first().copied().unwrap_or(0.0).max(1e-300);
-        for (x, y) in seq.singular_values.iter().zip(&blk.singular_values) {
-            // Compare the Gram spectrum (σ²): numerically-zero values are
-            // O(√ε·σmax) dust whose exact bits legitimately differ between
-            // engines, but their squared mass is pinned to 1e-13 relative.
-            prop_assert!(
-                (x * x - y * y).abs() <= 1e-13 * smax * smax,
-                "σ² mismatch: {} vs {}", x, y
-            );
-            if x.min(*y) > 1e-6 * smax {
-                prop_assert!((x - y).abs() <= 1e-13 * smax, "σ mismatch: {} vs {}", x, y);
-            }
-        }
-        let err = norms::reconstruction_error(&a, &blk.u, &blk.singular_values, &blk.v);
-        prop_assert!(err < 1e-10, "blocked reconstruction error {}", err);
-    }
-
-    #[test]
-    fn parallel_engine_is_bit_identical_to_manual_sweep_loop(seed in 0u64..60, n in 2usize..12) {
-        // The refactor moved the parallel path behind SolveDriver; the exact
-        // bits the pre-refactor driver produced (a hand-rolled
-        // parallel_sweep_full_ws loop with the same convergence rule) must be
-        // preserved.
-        use hjsvd::core::convergence::{is_converged, Convergence, MAX_SWEEP_CAP};
-        use hjsvd::core::parallel::{parallel_sweep_full_ws, SweepWorkspace};
-        use hjsvd::matrix::{ops, Matrix};
-        let m = 2 * n + 3;
-        let a = gen::uniform(m, n, seed);
-
-        let mut b = a.clone();
-        let mut g = GramState::from_matrix(&b);
-        let mut v = Matrix::identity(n);
-        let order = round_robin(n);
-        let mut ws = SweepWorkspace::new();
-        let crit = Convergence::default();
-        let mut sweeps = 0usize;
-        while sweeps < MAX_SWEEP_CAP {
-            sweeps += 1;
-            let rec =
-                parallel_sweep_full_ws(&mut b, &mut g, Some(&mut v), &order, sweeps, &mut ws);
-            if is_converged(&crit, &rec, g.trace(), n) {
-                break;
-            }
-        }
-
-        let svd =
-            HestenesSvd::new(SvdOptions { engine: EngineKind::Parallel, ..Default::default() })
-                .decompose(&a)
-                .unwrap();
-        prop_assert_eq!(svd.sweeps, sweeps, "sweep count changed");
-
-        // σ must be the column norms of the manual B, bitwise, in sorted
-        // order; V's columns must be the manual V's columns, bitwise.
-        let mut idx: Vec<usize> = (0..n).collect();
-        let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();
-        idx.sort_by(|&x, &y| col_norms[y].partial_cmp(&col_norms[x]).unwrap());
-        for (t, &c) in idx.iter().take(m.min(n)).enumerate() {
-            prop_assert_eq!(
-                svd.singular_values[t].to_bits(),
-                col_norms[c].to_bits(),
-                "σ[{}] bits differ", t
-            );
-            prop_assert_eq!(svd.v.col(t), v.col(c), "V column {} bits differ", t);
         }
     }
 
@@ -463,43 +367,32 @@ proptest! {
     fn cyclic_ordering_is_bit_identical_to_the_fixed_plan_on_every_engine(
         seed in 0u64..60,
         n in 2usize..12,
-        which in 0usize..3,
     ) {
         // The ordering refactor moved plan construction behind
         // OrderingStrategy + PlanBuffers; the default cyclic schedule must
-        // still produce the exact bits of the same engine driven over the
-        // fixed round_robin(n) plan — on all three engines. Each engine is
-        // compared with itself: on a pool of two or more threads the
-        // parallel engine's round-synchronous update differs from the
-        // sequential one in rounding (see `hj_core::parallel`).
-        use hjsvd::core::engine::{Blocked, Sequential};
-        use hjsvd::core::parallel::Parallel;
-        use hjsvd::core::{PairGuard, RotationTarget, SolveDriver, SweepState, SweepWorkspace};
+        // still produce the exact bits of the engine driven over the fixed
+        // round_robin(n) plan.
+        use hjsvd::core::engine::Sequential;
+        use hjsvd::core::{PairGuard, RotationTarget, SolveDriver, SweepState};
         use hjsvd::matrix::{ops, Matrix};
-        let engine = [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked][which];
         let m = 2 * n + 3;
         let a = gen::uniform(m, n, seed);
-        let opts = SvdOptions { engine, ordering: Ordering::RoundRobin, ..Default::default() };
+        let opts = SvdOptions { ordering: Ordering::RoundRobin, ..Default::default() };
 
         let mut b = a.clone();
         let mut g = GramState::from_matrix(&b);
         let mut v = Matrix::identity(n);
         let driver = SolveDriver { convergence: opts.convergence, max_sweeps: opts.max_sweeps };
         let order = round_robin(n);
-        let mut ws = SweepWorkspace::new();
         let mut state = SweepState {
             gram: &mut g,
             target: RotationTarget::full(&mut b, &mut v),
             guard: PairGuard::default(),
         };
-        let (history, _) = match engine {
-            EngineKind::Sequential => driver.run(&mut Sequential, &mut state, &order),
-            EngineKind::Parallel => driver.run(&mut Parallel::new(&mut ws), &mut state, &order),
-            EngineKind::Blocked => driver.run(&mut Blocked::for_dim(&mut ws, n), &mut state, &order),
-        };
+        let (history, _) = driver.run(&mut Sequential, &mut state, &order);
 
         let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
-        prop_assert_eq!(svd.sweeps, history.len(), "{}: sweep count changed", engine.name());
+        prop_assert_eq!(svd.sweeps, history.len(), "sweep count changed");
 
         let mut idx: Vec<usize> = (0..n).collect();
         let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();
@@ -508,10 +401,9 @@ proptest! {
             prop_assert_eq!(
                 svd.singular_values[t].to_bits(),
                 col_norms[c].to_bits(),
-                "{}: σ[{}] bits differ", engine.name(), t
+                "σ[{}] bits differ", t
             );
-            prop_assert_eq!(svd.v.col(t), v.col(c), "{}: V column {} bits differ",
-                engine.name(), t);
+            prop_assert_eq!(svd.v.col(t), v.col(c), "V column {} bits differ", t);
         }
     }
 

@@ -1,13 +1,13 @@
 //! Integration tests for the `hj-serve` subsystem through the public
 //! `hjsvd` facade: admission-control stress, lifecycle guarantees, trace
-//! event flow, and end-to-end TCP bit-identity against direct solver calls
-//! on all three sweep engines.
+//! event flow, and end-to-end TCP bit-identity against direct solver calls.
 
-use hjsvd::core::{EngineKind, HestenesSvd, SvdError, SvdOptions, TraceEvent, TraceSink};
+use hjsvd::core::{HestenesSvd, SvdError, SvdOptions, TraceEvent, TraceSink};
 use hjsvd::matrix::gen;
+use hjsvd::serve::protocol::{Frame, NO_DEADLINE};
 use hjsvd::serve::{
     Client, ClientError, JobSpec, Priority, RejectReason, Server, ServiceConfig, SolveService,
-    SubmitOptions, CODE_DEADLINE,
+    SubmitOptions, CODE_BAD_REQUEST, CODE_DEADLINE,
 };
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -262,39 +262,71 @@ fn spawn_server(config: ServiceConfig) -> (std::net::SocketAddr, std::thread::Jo
 
 /// The acceptance criterion for the wire front-end: for a fixed seed
 /// corpus, singular values obtained via the TCP protocol are bitwise equal
-/// to direct `HestenesSvd::singular_values` results, on all three engines.
+/// to direct `HestenesSvd::singular_values` results on the one sweep
+/// engine. The submit frames' engine byte is reserved: 1 and 2 (the retired
+/// parallel and blocked engines' bytes) get the structured `bad-engine`
+/// error, and the same connection then solves with engine byte 0.
 #[test]
 fn tcp_spectra_are_bit_identical_to_direct_solves_on_all_engines() {
     let corpus: &[(usize, usize, u64)] = &[(24, 8, 11), (30, 10, 22), (17, 5, 33), (40, 40, 44)];
-    let engines = [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked];
 
     let (addr, handle) = spawn_server(ServiceConfig { workers: 2, ..ServiceConfig::default() });
-    let mut client = Client::connect(addr).expect("connect");
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let mut request = |frame: Frame| {
+        frame.write_to(&mut raw).expect("write frame");
+        Frame::read_from(&mut raw).expect("read reply")
+    };
+    let submit = |engine: u8, a: &hjsvd::matrix::Matrix| Frame::Submit {
+        priority: 0,
+        engine,
+        ordering: 0,
+        deadline_ms: NO_DEADLINE,
+        tenant: String::new(),
+        matrix: a.clone(),
+    };
 
     for &(m, n, seed) in corpus {
         let a = gen::uniform(m, n, seed);
-        for engine in engines {
-            let options = SvdOptions { engine, ..SvdOptions::default() };
-            let direct = HestenesSvd::new(options).singular_values(&a).expect("direct solve");
-            let remote = client
-                .submit(&a, SubmitOptions { engine, ..SubmitOptions::default() })
-                .expect("remote solve");
-            assert_eq!(remote.sweeps, direct.sweeps, "{m}x{n}/{seed} {engine:?}");
-            assert_eq!(remote.values.len(), direct.values.len());
-            for (i, (r, d)) in remote.values.iter().zip(direct.values.iter()).enumerate() {
-                assert_eq!(
-                    r.to_bits(),
-                    d.to_bits(),
-                    "σ[{i}] differs over the wire for {m}x{n}/{seed} on {engine:?}"
-                );
+        for engine in [1u8, 2] {
+            match request(submit(engine, &a)) {
+                Frame::Error { code, kind, .. } => {
+                    assert_eq!((code, kind.as_str()), (CODE_BAD_REQUEST, "bad-engine"));
+                }
+                other => panic!("engine byte {engine} must be rejected, got {other:?}"),
             }
         }
+        let direct =
+            HestenesSvd::new(SvdOptions::default()).singular_values(&a).expect("direct solve");
+        let Frame::Result { sweeps, values, .. } = request(submit(0, &a)) else {
+            panic!("engine byte 0 must solve {m}x{n}/{seed}");
+        };
+        assert_eq!(sweeps as usize, direct.sweeps, "{m}x{n}/{seed}");
+        assert_eq!(values.len(), direct.values.len());
+        for (i, (r, d)) in values.iter().zip(direct.values.iter()).enumerate() {
+            assert_eq!(r.to_bits(), d.to_bits(), "σ[{i}] differs over the wire for {m}x{n}/{seed}");
+        }
+    }
+    // The bulk frame's engine byte is reserved the same way.
+    let bulk = Frame::SubmitBatch {
+        priority: 1,
+        engine: 2,
+        ordering: 0,
+        deadline_ms: NO_DEADLINE,
+        tenant: String::new(),
+        matrices: vec![gen::uniform(8, 4, 1), gen::uniform(8, 4, 2)],
+    };
+    match request(bulk) {
+        Frame::Error { code, kind, .. } => {
+            assert_eq!((code, kind.as_str()), (CODE_BAD_REQUEST, "bad-engine"));
+        }
+        other => panic!("bulk engine byte 2 must be rejected, got {other:?}"),
     }
 
+    let mut client = Client::connect(addr).expect("connect");
     let stats_json = client.stats_json().expect("stats frame");
     assert!(stats_json.contains("\"schema\":\"hjsvd-serve-stats/v1\""));
     let final_json = client.shutdown(Duration::from_secs(5)).expect("shutdown frame");
-    assert!(final_json.contains("\"completed\":12"), "{final_json}");
+    assert!(final_json.contains("\"completed\":4"), "{final_json}");
     handle.join().expect("server thread");
 }
 

@@ -5,8 +5,7 @@
 //!
 //! 1. **Bit identity** — attaching a sink never perturbs the numerics. A
 //!    traced solve (no-op sink, and a recording sink at the chattiest
-//!    level) produces bit-identical `U`, `Σ`, `V` to an untraced solve, on
-//!    every engine.
+//!    level) produces bit-identical `U`, `Σ`, `V` to an untraced solve.
 //! 2. **Zero extra allocations** — a solve traced into a [`NoopSink`]
 //!    performs exactly as many heap allocations as an untraced solve:
 //!    software trace events are built from numbers and `&'static str`s,
@@ -18,9 +17,7 @@
 //! Lives in the root package (not hj-core) because hj-core carries
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl requires unsafe.
 
-use hjsvd::core::{
-    EngineKind, HestenesSvd, JsonlSink, NoopSink, RingBufferSink, SvdOptions, TraceLevel,
-};
+use hjsvd::core::{HestenesSvd, JsonlSink, NoopSink, RingBufferSink, SvdOptions, TraceLevel};
 use hjsvd::matrix::{gen, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,9 +56,6 @@ fn allocation_count() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-const ENGINES: [EngineKind; 3] =
-    [EngineKind::Sequential, EngineKind::Parallel, EngineKind::Blocked];
-
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -70,39 +64,31 @@ fn bits(m: &Matrix) -> Vec<u64> {
 fn traced_solves_are_bit_identical_to_untraced_on_every_engine() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(40, 16, 23);
-    for engine in ENGINES {
-        // The untraced baseline (trace level in the options is irrelevant
-        // without a sink, but keep it Off to model the production default).
-        let base =
-            HestenesSvd::new(SvdOptions { engine, ..SvdOptions::default() }).decompose(&a).unwrap();
+    // The untraced baseline (trace level in the options is irrelevant
+    // without a sink, but keep it Off to model the production default).
+    let base = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
 
-        // No-op sink at the default (promoted) sweep level.
-        let quiet = HestenesSvd::new(SvdOptions { engine, ..SvdOptions::default() })
-            .decompose_traced(&a, &mut NoopSink)
+    // No-op sink at the default (promoted) sweep level.
+    let quiet =
+        HestenesSvd::new(SvdOptions::default()).decompose_traced(&a, &mut NoopSink).unwrap();
+
+    // Recording sink at the chattiest level.
+    let mut ring = RingBufferSink::new(1 << 16);
+    let loud =
+        HestenesSvd::new(SvdOptions { trace: TraceLevel::Rotation, ..SvdOptions::default() })
+            .decompose_traced(&a, &mut ring)
             .unwrap();
+    assert!(ring.recorded() > 0, "rotation-level trace was empty");
 
-        // Recording sink at the chattiest level.
-        let mut ring = RingBufferSink::new(1 << 16);
-        let loud = HestenesSvd::new(SvdOptions {
-            engine,
-            trace: TraceLevel::Rotation,
-            ..SvdOptions::default()
-        })
-        .decompose_traced(&a, &mut ring)
-        .unwrap();
-        assert!(ring.recorded() > 0, "{}: rotation-level trace was empty", engine.name());
-
-        for traced in [&quiet, &loud] {
-            assert_eq!(
-                base.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                traced.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{}: singular values drifted under tracing",
-                engine.name()
-            );
-            assert_eq!(bits(&base.u), bits(&traced.u), "{}: U drifted", engine.name());
-            assert_eq!(bits(&base.v), bits(&traced.v), "{}: V drifted", engine.name());
-            assert_eq!(base.sweeps, traced.sweeps, "{}: sweep count drifted", engine.name());
-        }
+    for traced in [&quiet, &loud] {
+        assert_eq!(
+            base.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            traced.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "singular values drifted under tracing"
+        );
+        assert_eq!(bits(&base.u), bits(&traced.u), "U drifted");
+        assert_eq!(bits(&base.v), bits(&traced.v), "V drifted");
+        assert_eq!(base.sweeps, traced.sweeps, "sweep count drifted");
     }
 }
 
@@ -110,97 +96,77 @@ fn traced_solves_are_bit_identical_to_untraced_on_every_engine() {
 fn noop_traced_solve_allocates_exactly_as_much_as_untraced() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(48, 24, 29);
-    for engine in ENGINES {
-        let solver = HestenesSvd::new(SvdOptions { engine, ..SvdOptions::default() });
-        // Warm up the rayon pool (parallel engine) and the allocator's
-        // internal arenas so both measured runs see identical conditions.
-        solver.decompose(&a).unwrap();
-        solver.decompose_traced(&a, &mut NoopSink).unwrap();
+    let solver = HestenesSvd::new(SvdOptions::default());
+    // Warm up the allocator's internal arenas so both measured runs see
+    // identical conditions.
+    solver.decompose(&a).unwrap();
+    solver.decompose_traced(&a, &mut NoopSink).unwrap();
 
-        let before = allocation_count();
-        solver.decompose(&a).unwrap();
-        let untraced = allocation_count() - before;
+    let before = allocation_count();
+    solver.decompose(&a).unwrap();
+    let untraced = allocation_count() - before;
 
-        let before = allocation_count();
-        solver.decompose_traced(&a, &mut NoopSink).unwrap();
-        let traced = allocation_count() - before;
+    let before = allocation_count();
+    solver.decompose_traced(&a, &mut NoopSink).unwrap();
+    let traced = allocation_count() - before;
 
-        assert_eq!(
-            traced,
-            untraced,
-            "{}: no-op tracing changed the allocation count",
-            engine.name()
-        );
-    }
+    assert_eq!(traced, untraced, "no-op tracing changed the allocation count");
 }
 
 #[test]
 fn jsonl_stream_is_valid_and_rotation_counts_match_stats() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(36, 18, 31);
-    for engine in ENGINES {
-        let solver = HestenesSvd::new(SvdOptions {
-            engine,
-            trace: TraceLevel::Rotation,
-            ..SvdOptions::default()
-        });
-        let mut sink = JsonlSink::new(Vec::new());
-        let svd = solver.decompose_traced(&a, &mut sink).unwrap();
-        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+    let solver =
+        HestenesSvd::new(SvdOptions { trace: TraceLevel::Rotation, ..SvdOptions::default() });
+    let mut sink = JsonlSink::new(Vec::new());
+    let svd = solver.decompose_traced(&a, &mut sink).unwrap();
+    let text = String::from_utf8(sink.finish().unwrap()).unwrap();
 
-        let mut sweep_end_rotations = 0usize;
-        let mut applied_events = 0usize;
-        let mut lines = 0usize;
-        for line in text.lines() {
-            lines += 1;
-            assert!(
-                line.starts_with('{') && line.ends_with('}'),
-                "{}: not a JSON object: {line}",
-                engine.name()
-            );
-            // Minimal structural validity: balanced quoting and braces
-            // outside strings — enough to catch malformed hand-rolled JSON.
-            let mut depth = 0i64;
-            let mut in_str = false;
-            let mut escaped = false;
-            for c in line.chars() {
-                match (in_str, escaped, c) {
-                    (true, true, _) => escaped = false,
-                    (true, false, '\\') => escaped = true,
-                    (true, false, '"') => in_str = false,
-                    (false, _, '"') => in_str = true,
-                    (false, _, '{') | (false, _, '[') => depth += 1,
-                    (false, _, '}') | (false, _, ']') => depth -= 1,
-                    _ => {}
-                }
-                assert!(depth >= 0, "{}: unbalanced braces: {line}", engine.name());
+    let mut sweep_end_rotations = 0usize;
+    let mut applied_events = 0usize;
+    let mut lines = 0usize;
+    for line in text.lines() {
+        lines += 1;
+        assert!(line.starts_with('{') && line.ends_with('}'), "not a JSON object: {line}");
+        // Minimal structural validity: balanced quoting and braces
+        // outside strings — enough to catch malformed hand-rolled JSON.
+        let mut depth = 0i64;
+        let mut in_str = false;
+        let mut escaped = false;
+        for c in line.chars() {
+            match (in_str, escaped, c) {
+                (true, true, _) => escaped = false,
+                (true, false, '\\') => escaped = true,
+                (true, false, '"') => in_str = false,
+                (false, _, '"') => in_str = true,
+                (false, _, '{') | (false, _, '[') => depth += 1,
+                (false, _, '}') | (false, _, ']') => depth -= 1,
+                _ => {}
             }
-            assert!(depth == 0 && !in_str, "{}: truncated JSON: {line}", engine.name());
-
-            if let Some(rest) = line.split_once("\"event\":\"sweep_end\"").map(|(_, r)| r) {
-                let count = rest
-                    .split_once("\"rotations_applied\":")
-                    .and_then(|(_, r)| {
-                        r.split(|c: char| !c.is_ascii_digit()).next()?.parse::<usize>().ok()
-                    })
-                    .expect("sweep_end must carry rotations_applied");
-                sweep_end_rotations += count;
-            } else if line.contains("\"event\":\"rotation_applied\"") {
-                applied_events += 1;
-            }
+            assert!(depth >= 0, "unbalanced braces: {line}");
         }
-        assert!(lines > 0, "{}: empty trace", engine.name());
-        assert_eq!(
-            sweep_end_rotations,
-            svd.stats.rotations_applied,
-            "{}: sweep_end totals disagree with SolveStats",
-            engine.name()
-        );
-        assert_eq!(
-            applied_events,
-            svd.stats.rotations_applied,
-            "{}: rotation_applied event count disagrees with SolveStats",
-            engine.name()
-        );
+        assert!(depth == 0 && !in_str, "truncated JSON: {line}");
+
+        if let Some(rest) = line.split_once("\"event\":\"sweep_end\"").map(|(_, r)| r) {
+            let count = rest
+                .split_once("\"rotations_applied\":")
+                .and_then(|(_, r)| {
+                    r.split(|c: char| !c.is_ascii_digit()).next()?.parse::<usize>().ok()
+                })
+                .expect("sweep_end must carry rotations_applied");
+            sweep_end_rotations += count;
+        } else if line.contains("\"event\":\"rotation_applied\"") {
+            applied_events += 1;
+        }
     }
+    assert!(lines > 0, "empty trace");
+    assert_eq!(
+        sweep_end_rotations, svd.stats.rotations_applied,
+        "sweep_end totals disagree with SolveStats"
+    );
+    assert_eq!(
+        applied_events, svd.stats.rotations_applied,
+        "rotation_applied event count disagrees with SolveStats"
+    );
 }

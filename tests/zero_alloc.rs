@@ -1,18 +1,24 @@
-//! Pins the zero-allocation invariant of the parallel sweep engine.
+//! Pins the zero-allocation invariants of the solve paths.
 //!
-//! A counting global allocator wraps `System`; after one warm-up sweep sizes
-//! the [`SweepWorkspace`], further sweeps — gram-only and full (B, Gram, V)
-//! — must perform **zero** heap allocations: rounds publish results by
-//! swapping double buffers, never by allocating fresh ones. This is the
-//! software analogue of the paper's fixed BRAM budget: the FPGA design
-//! claims all covariance/column storage up front and reuses it every sweep.
+//! A counting global allocator wraps `System`. Sweeps — gram-only and full
+//! (B, Gram, V) — must perform **zero** heap allocations after the first:
+//! the [`Sequential`] engine rotates `D` and the columns in place, and the
+//! schedule replans into warm plan buffers. This is the software analogue of
+//! the paper's fixed BRAM budget: the FPGA design claims all
+//! covariance/column storage up front and reuses it every sweep. The serving
+//! loop and the SoA batch workspace are pinned to bounded per-job /
+//! per-batch allocation counts.
 //!
 //! Lives in the root package (not hj-core) because hj-core carries
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl requires unsafe.
 
+use hjsvd::core::convergence::Convergence;
+use hjsvd::core::engine::Sequential;
 use hjsvd::core::ordering::round_robin;
-use hjsvd::core::parallel::{parallel_sweep_full_ws, parallel_sweep_gram_ws, SweepWorkspace};
-use hjsvd::core::GramState;
+use hjsvd::core::{
+    GramState, Ordering as SweepOrdering, PairGuard, PlanBuffers, RotationTarget, SolveDriver,
+    SolveMonitor, SweepEngine, SweepSchedule, SweepState,
+};
 use hjsvd::matrix::{gen, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,30 +65,39 @@ fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Run one throwaway parallel sweep on a small problem with its own
-/// workspace. The rayon pool spawns its workers on the process's first
-/// dispatch, and those allocations belong to whichever test dispatches
-/// first; a test that bounds a one-shot warm-up measurement calls this
-/// before measuring.
-fn warm_thread_pool() {
-    let mut b = gen::uniform(8, 4, 1);
-    let mut gram = GramState::from_matrix(&b);
-    let order = round_robin(gram.dim());
-    parallel_sweep_full_ws(&mut b, &mut gram, None, &order, 1, &mut SweepWorkspace::new());
-}
-
-/// Measure the allocation events `f` performs, retrying a few times and
-/// keeping the minimum. The counter is process-global and libtest's main
-/// thread occasionally allocates mid-test (timeout bookkeeping), so a
-/// single measurement can pick up a couple of unrelated events; code that
-/// genuinely allocates per call fails every retry, so the invariant under
-/// test is not weakened.
-fn min_alloc_delta(mut f: impl FnMut()) -> usize {
+/// Allocation events of one [`SolveDriver`] run of exactly `sweeps`
+/// [`Sequential`] sweeps over a fresh copy of `a` (values-only, or with the
+/// columns and `V` when `full`), replanning into `plans`. The state is built
+/// outside the measured region.
+///
+/// The minimum over `tries` runs is kept: the counter is process-global and
+/// libtest's main thread occasionally allocates mid-test (timeout
+/// bookkeeping), so a single measurement can pick up a couple of unrelated
+/// events; code that genuinely allocates per sweep fails every retry, so the
+/// invariant under test is not weakened.
+fn driver_run_allocations(
+    a: &Matrix,
+    sweeps: usize,
+    full: bool,
+    plans: &mut PlanBuffers,
+    tries: usize,
+) -> usize {
+    let driver = SolveDriver { convergence: Convergence::FixedSweeps(sweeps), max_sweeps: sweeps };
     let mut best = usize::MAX;
-    for _ in 0..5 {
+    for _ in 0..tries {
+        let mut b = a.clone();
+        let mut v = Matrix::identity(a.cols());
+        let mut gram = GramState::from_matrix(a);
+        let target =
+            if full { RotationTarget::full(&mut b, &mut v) } else { RotationTarget::gram_only() };
+        let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
+        let (strategy, plan) = plans.schedule_parts(SweepOrdering::RoundRobin);
+        let mut schedule = SweepSchedule { strategy, plan, threshold: None };
+        let mut monitor = SolveMonitor::passive();
         let before = allocation_count();
-        f();
+        let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
         best = best.min(allocation_count() - before);
+        assert_eq!(run.history.len(), sweeps, "the fixed budget must run every sweep");
         if best == 0 {
             break;
         }
@@ -92,113 +107,55 @@ fn min_alloc_delta(mut f: impl FnMut()) -> usize {
 
 #[test]
 fn gram_sweeps_allocate_nothing_after_warmup() {
-    // Drive the round-synchronous path explicitly: on a one-thread pool
-    // `Parallel::new` (and the `parallel_sweep_*` helpers) fall back to the
-    // sequential kernels without touching the workspace, which would make
-    // this warm-up assertion vacuous.
+    // A one-sweep run and a four-sweep run of the same problem allocate
+    // the same: the driver's bookkeeping (history, per-sweep timings) is
+    // sized on sweep 1, and sweeps 2–4 add nothing.
     let _guard = serial_guard();
-    use hjsvd::core::parallel::Parallel;
-    use hjsvd::core::{PairGuard, RotationTarget, SweepEngine, SweepState};
     let a = gen::uniform(48, 24, 11);
-    let mut gram = GramState::from_matrix(&a);
-    let order = round_robin(gram.dim());
-    let mut ws = SweepWorkspace::new();
-
-    // Warm-up sweep: sizes the back buffer and scratch.
-    let mut state = SweepState {
-        gram: &mut gram,
-        target: RotationTarget::gram_only(),
-        guard: PairGuard::default(),
-    };
-    Parallel::round_synchronous(&mut ws).sweep(&mut state, &order, 1);
-    let warm = ws.allocations();
-    assert!(warm > 0, "warm-up must have sized the workspace");
-
-    let mut s = 1;
-    let delta = min_alloc_delta(|| {
-        for _ in 0..3 {
-            s += 1;
-            Parallel::round_synchronous(&mut ws).sweep(&mut state, &order, s);
-        }
-    });
-    assert_eq!(delta, 0, "steady-state gram sweeps allocated {delta} times");
-    assert_eq!(ws.allocations(), warm, "workspace grew after warm-up");
+    let mut plans = PlanBuffers::new();
+    let one = driver_run_allocations(&a, 1, false, &mut plans, 5);
+    let four = driver_run_allocations(&a, 4, false, &mut plans, 5);
+    assert!(four <= one, "gram sweeps 2–4 allocated: {four} events vs {one} for one sweep");
 }
 
 #[test]
 fn sequential_fallback_sweeps_allocate_nothing_at_all() {
-    // At one worker thread the parallel helpers run the in-place sequential
-    // kernels; those have no scratch, so even the warm-up costs nothing.
+    // The in-place sequential kernels — what the solve falls back to when
+    // there is nothing to parallelize, and now the only sweep engine — have
+    // no scratch: driven directly over a fixed order, without the driver's
+    // bookkeeping, not even the first sweep allocates.
     let _guard = serial_guard();
     let a = gen::uniform(48, 24, 11);
-    let mut gram = GramState::from_matrix(&a);
-    let order = round_robin(gram.dim());
-    let mut ws = SweepWorkspace::new();
-    parallel_sweep_gram_ws(&mut gram, &order, 1, &mut ws);
-
-    let mut s = 1;
-    let delta = min_alloc_delta(|| {
-        for _ in 0..3 {
-            s += 1;
-            parallel_sweep_gram_ws(&mut gram, &order, s, &mut ws);
+    let order = round_robin(a.cols());
+    let mut best = usize::MAX;
+    for _ in 0..5 {
+        let mut gram = GramState::from_matrix(&a);
+        let mut state = SweepState {
+            gram: &mut gram,
+            target: RotationTarget::gram_only(),
+            guard: PairGuard::default(),
+        };
+        let before = allocation_count();
+        for s in 1..=4 {
+            Sequential.sweep(&mut state, &order, s);
         }
-    });
-    assert_eq!(delta, 0, "steady-state sweeps allocated {delta} times");
+        best = best.min(allocation_count() - before);
+        if best == 0 {
+            break;
+        }
+    }
+    assert_eq!(best, 0, "sequential sweeps allocated {best} times");
 }
 
 #[test]
 fn full_sweeps_allocate_nothing_after_warmup() {
+    // Full mode rotates B's columns and accumulates V in place too.
     let _guard = serial_guard();
-    let src = gen::uniform(32, 12, 13);
-    let mut b = src.clone();
-    let mut gram = GramState::from_matrix(&b);
-    let mut v = Matrix::identity(b.cols());
-    let order = round_robin(gram.dim());
-    let mut ws = SweepWorkspace::new();
-
-    parallel_sweep_full_ws(&mut b, &mut gram, Some(&mut v), &order, 1, &mut ws);
-
-    let mut s = 1;
-    let delta = min_alloc_delta(|| {
-        for _ in 0..3 {
-            s += 1;
-            parallel_sweep_full_ws(&mut b, &mut gram, Some(&mut v), &order, s, &mut ws);
-        }
-    });
-    assert_eq!(delta, 0, "steady-state full sweeps allocated {delta} times");
-}
-
-#[test]
-fn blocked_engine_sweeps_allocate_nothing_after_warmup() {
-    // The cache-tiled engine shares the workspace's discipline: the first
-    // sweep sizes the tile, plan, and rotation buffers; every later sweep —
-    // even with column and V accumulation — reuses them verbatim.
-    let _guard = serial_guard();
-    use hjsvd::core::engine::Blocked;
-    use hjsvd::core::{PairGuard, RotationTarget, SweepEngine, SweepState};
-    let src = gen::uniform(48, 24, 19);
-    let mut b = src.clone();
-    let mut gram = GramState::from_matrix(&b);
-    let mut v = Matrix::identity(b.cols());
-    let order = round_robin(gram.dim());
-    let mut ws = SweepWorkspace::new();
-    let mut engine = Blocked::new(&mut ws);
-    let mut state = SweepState {
-        gram: &mut gram,
-        target: RotationTarget::full(&mut b, &mut v),
-        guard: PairGuard::default(),
-    };
-
-    engine.sweep(&mut state, &order, 1);
-
-    let mut s = 1;
-    let delta = min_alloc_delta(|| {
-        for _ in 0..3 {
-            s += 1;
-            engine.sweep(&mut state, &order, s);
-        }
-    });
-    assert_eq!(delta, 0, "steady-state blocked sweeps allocated {delta} times");
+    let a = gen::uniform(32, 12, 13);
+    let mut plans = PlanBuffers::new();
+    let one = driver_run_allocations(&a, 1, true, &mut plans, 5);
+    let four = driver_run_allocations(&a, 4, true, &mut plans, 5);
+    assert!(four <= one, "full sweeps 2–4 allocated: {four} events vs {one} for one sweep");
 }
 
 #[test]
@@ -292,40 +249,40 @@ fn batch_workspace_solves_allocate_only_results_after_warmup() {
 
 #[test]
 fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
-    // Swap-publishing trades buffers with the caller's matrices, so moving a
-    // warm workspace to a NEW problem can cost a bounded handful of buffer
-    // exchanges/growths in that problem's first sweep — but never more, and
-    // every subsequent sweep of the same problem allocates exactly zero.
+    // One set of plan buffers (what a `SweepWorkspace` pools) carried across
+    // problems of different shapes: a new problem's first sweep costs a
+    // bounded handful of events — the driver's bookkeeping plus any plan
+    // regrowth — and every later sweep of that problem costs zero.
     let _guard = serial_guard();
-    warm_thread_pool();
-    let shapes = [(40usize, 20usize), (30, 12), (18, 6)];
-    let mut ws = SweepWorkspace::new();
+    let problems: Vec<Matrix> = [(40usize, 20usize), (30, 12), (18, 6)]
+        .iter()
+        .enumerate()
+        .map(|(k, &(m, n))| gen::uniform(m, n, 17 + k as u64))
+        .collect();
+    let mut plans = PlanBuffers::new();
 
-    for (k, &(m, n)) in shapes.iter().enumerate() {
-        let mut b = gen::uniform(m, n, 17 + k as u64);
-        let mut gram = GramState::from_matrix(&b);
-        let mut v = Matrix::identity(n);
-        let order = round_robin(gram.dim());
-
-        // First sweep of this problem: the per-problem warm-up. Bounded by a
-        // few buffer events, independent of the number of rounds or sweeps.
-        // The workspace's own event budget is 8; the bound carries a little
-        // slack for harness-thread noise (see `min_alloc_delta`), which a
-        // one-shot warm-up measurement cannot retry away.
-        let before = allocation_count();
-        parallel_sweep_full_ws(&mut b, &mut gram, Some(&mut v), &order, 1, &mut ws);
-        let warmup = allocation_count() - before;
+    for (k, a) in problems.iter().enumerate() {
+        let (m, n) = a.shape();
+        // First sweep of this problem on buffers that last served another
+        // shape: the per-problem warm-up. Bounded by a few buffer events,
+        // independent of the number of rounds or sweeps. Each try first
+        // runs the previous problem, and the minimum of five is kept (see
+        // `driver_run_allocations`), which also leaves out the one-time
+        // growth of the fresh buffer set (one plan vector per round).
+        let previous = &problems[(k + problems.len() - 1) % problems.len()];
+        let warmup = (0..5)
+            .map(|_| {
+                driver_run_allocations(previous, 1, true, &mut plans, 1);
+                driver_run_allocations(a, 1, true, &mut plans, 1)
+            })
+            .min()
+            .expect("five tries");
         let bound = 11;
         assert!(warmup <= bound, "warm-up on {m}x{n} allocated {warmup} times (> {bound})");
 
         // Steady state: zero allocations per sweep, hence zero per round.
-        let mut s = 1;
-        let delta = min_alloc_delta(|| {
-            for _ in 0..3 {
-                s += 1;
-                parallel_sweep_full_ws(&mut b, &mut gram, Some(&mut v), &order, s, &mut ws);
-            }
-        });
-        assert_eq!(delta, 0, "steady-state sweeps on {m}x{n} allocated {delta} times");
+        let one = driver_run_allocations(a, 1, true, &mut plans, 5);
+        let four = driver_run_allocations(a, 4, true, &mut plans, 5);
+        assert!(four <= one, "steady-state sweeps on {m}x{n} allocated ({four} vs {one})");
     }
 }
