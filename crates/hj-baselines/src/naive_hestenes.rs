@@ -13,7 +13,7 @@
 
 use crate::SvdFactors;
 use hj_core::engine::PAIR_TOL;
-use hj_core::ordering::{build_sweep, Ordering};
+use hj_core::ordering::round_robin;
 use hj_core::rotation::{pair_converged, textbook_params};
 use hj_matrix::{ops, Matrix};
 
@@ -39,7 +39,7 @@ pub fn svd(a: &Matrix, max_sweeps: usize) -> NaiveOutcome {
     assert!(!a.is_empty(), "naive driver requires a non-empty matrix");
     let mut b = a.clone();
     let mut v = Matrix::identity(n);
-    let order = build_sweep(Ordering::RoundRobin, n);
+    let order = round_robin(n);
     let mut dot_products = 0usize;
     let mut sweeps = 0usize;
 

@@ -19,7 +19,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::SvdFactors;
-use hj_core::ordering::{build_sweep, Ordering};
+use hj_core::ordering::round_robin;
 use hj_matrix::Matrix;
 
 /// Errors from the two-sided driver.
@@ -110,7 +110,7 @@ pub fn svd(a: &Matrix, max_sweeps: usize) -> Result<SvdFactors, TwoSidedError> {
     let mut w = a.clone();
     let mut u = Matrix::identity(n); // accumulates Lᵀ products
     let mut v = Matrix::identity(n); // accumulates R products
-    let order = build_sweep(Ordering::RoundRobin, n);
+    let order = round_robin(n);
     let fro = hj_matrix::norms::frobenius(&w);
     let tol = 1e-14 * fro / n as f64;
 

@@ -14,7 +14,7 @@
 use hj_bench::{has_flag, print_table, write_csv};
 use hj_core::convergence::Convergence;
 use hj_core::engine::Sequential;
-use hj_core::ordering::{build_sweep, Ordering};
+use hj_core::ordering::round_robin;
 use hj_core::{GramState, PairGuard, RotationTarget, SolveDriver, SweepState};
 use hj_matrix::gen;
 
@@ -34,7 +34,7 @@ fn main() {
     for &n in sizes {
         let a = gen::uniform(n, n, 0xA16 + n as u64);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RoundRobin, n);
+        let order = round_robin(n);
         let mut row = vec![n.to_string(), format!("{:.3e}", g.mean_abs_covariance())];
         let mut csv_row = vec![n.to_string(), format!("{:.6e}", g.mean_abs_covariance())];
         let mut state = SweepState {

@@ -13,7 +13,7 @@
 use hj_bench::{has_flag, print_table, write_csv};
 use hj_core::convergence::Convergence;
 use hj_core::engine::Sequential;
-use hj_core::ordering::{build_sweep, Ordering};
+use hj_core::ordering::round_robin;
 use hj_core::{GramState, PairGuard, RotationTarget, SolveDriver, SweepState};
 use hj_matrix::gen;
 
@@ -29,7 +29,7 @@ fn main() {
         if full { &[256, 512, 1024, 2048] } else { &[64, 128, 256, 512, 1024] };
 
     println!("Fig. 11: mean |covariance| per sweep, column dimension n = {n}, various m\n");
-    let order = build_sweep(Ordering::RoundRobin, n);
+    let order = round_robin(n);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for &m in rows_dims {

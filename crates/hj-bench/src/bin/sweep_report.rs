@@ -4,10 +4,10 @@
 //! `BENCH_sweep.json` report.
 //!
 //! For each `n ∈ {32, 64, 128, 256}` the values-only solver runs once per
-//! entry of the ordering grid — the default cyclic ordering, every
-//! non-default ordering (row-cyclic, sorted-greedy, de Rijk presort), and
-//! the threshold-schedule composition of cyclic, greedy, and presort — with
-//! a sweep-level [`hj_core::RingBufferSink`] attached, so the report
+//! entry of the ordering grid — the default cyclic ordering, the
+//! row-cyclic order of Algorithm 1, and cyclic composed with the threshold
+//! schedule — with a sweep-level [`hj_core::RingBufferSink`] attached, so
+//! the report
 //! records `sweeps_to_converge` per (n, ordering). The binary verifies, run
 //! by run, that the trace's `sweep_end` events agree with the solve's own
 //! accounting — same sweep count, same per-sweep rotation totals as the
@@ -35,21 +35,12 @@ use hj_core::{
 use hj_matrix::gen;
 
 const SIZES: [usize; 4] = [32, 64, 128, 256];
-/// The ordering grid: the cyclic default, every non-default strategy plain,
-/// plus the threshold-schedule composition of the three orderings where
-/// thresholding is productive or load-bearing (row-cyclic + threshold is a
-/// known regression — single-pair rounds defer too much work — so it is
-/// excluded from the grid rather than silently reported as a
-/// recommendation).
-const ORDERING_GRID: [(Ordering, bool); 7] = [
-    (Ordering::RoundRobin, false),
-    (Ordering::RowCyclic, false),
-    (Ordering::SortedGreedy, false),
-    (Ordering::ColumnNormPresort, false),
-    (Ordering::RoundRobin, true),
-    (Ordering::SortedGreedy, true),
-    (Ordering::ColumnNormPresort, true),
-];
+/// The ordering grid: both orderings plain, plus the threshold-schedule
+/// composition of cyclic (row-cyclic + threshold is a known regression —
+/// single-pair rounds defer too much work — so it is excluded from the grid
+/// rather than silently reported as a recommendation).
+const ORDERING_GRID: [(Ordering, bool); 3] =
+    [(Ordering::RoundRobin, false), (Ordering::RowCyclic, false), (Ordering::RoundRobin, true)];
 const SEED: u64 = 42;
 const BREAKDOWN_N: usize = 128;
 const PERF_SMOKE_N: usize = 256;
@@ -218,17 +209,10 @@ fn main() {
             n.to_string(),
             sweeps_of("cyclic", false),
             sweeps_of("row-cyclic", false),
-            sweeps_of("greedy", false),
-            sweeps_of("presort", false),
             sweeps_of("cyclic", true),
-            sweeps_of("greedy", true),
-            sweeps_of("presort", true),
         ]);
     }
-    print_table(
-        &["n", "cyclic", "row", "greedy", "presort", "cyclic+th", "greedy+th", "presort+th"],
-        &rows,
-    );
+    print_table(&["n", "cyclic", "row", "cyclic+th"], &rows);
 
     println!("\nper-sweep breakdown at n = {BREAKDOWN_N} (from sweep_end trace events):");
     let rows: Vec<Vec<String>> = runs
@@ -276,10 +260,9 @@ fn ordering_label(r: &Run) -> String {
     }
 }
 
-/// `--perf-smoke`: fail if any plain (threshold-free) non-cyclic ordering
-/// needs more sweeps than cyclic at n = [`PERF_SMOKE_N`]. The adaptive
-/// orderings exist to cut sweep counts; a regression here means a strategy
-/// change made scheduling worse than the default it is meant to beat.
+/// `--perf-smoke`: fail if the plain (threshold-free) non-cyclic ordering
+/// needs more sweeps than cyclic at n = [`PERF_SMOKE_N`]; a regression here
+/// means a scheduling change made it worse than the default.
 fn ordering_smoke_check(runs: &[Run]) -> usize {
     let sweeps = |ordering: &str| {
         runs.iter()
@@ -292,7 +275,7 @@ fn ordering_smoke_check(runs: &[Run]) -> usize {
     };
     let mut failures = 0usize;
     println!("\nordering-smoke at n={PERF_SMOKE_N}: cyclic baseline = {cyclic} sweeps");
-    for name in ["row-cyclic", "greedy", "presort"] {
+    for name in ["row-cyclic"] {
         match sweeps(name) {
             Some(s) if s > cyclic => {
                 eprintln!(

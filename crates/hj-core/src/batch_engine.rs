@@ -43,7 +43,7 @@
 //!   still-active problem at the shared sweep boundary.
 //!
 //! Fault handling is deliberately *abort-only* per problem (no
-//! rescale-restart / ordering-fallback recovery inside the batch): restarting
+//! rescale-restart / budget-escalation recovery inside the batch): restarting
 //! one lane would force the whole batch through extra shared sweeps. The
 //! guarded-numerics prescaling of [`crate::svd`] still applies per problem
 //! at pack time, so the usual overflow/underflow classes never fault in the
@@ -1002,8 +1002,8 @@ mod tests {
         assert!(!soa_eligible(&solver, &mixed), "mixed shapes stay looped");
         let big = uniform_batch(40, SOA_DISPATCH_MAX_N + 1, 3);
         assert!(!soa_eligible(&solver, &big), "n above the gate stays looped");
-        let greedy =
-            HestenesSvd::new(SvdOptions { ordering: Ordering::SortedGreedy, ..Default::default() });
-        assert!(!soa_eligible(&greedy, &uniform), "other orderings stay looped");
+        let row =
+            HestenesSvd::new(SvdOptions { ordering: Ordering::RowCyclic, ..Default::default() });
+        assert!(!soa_eligible(&row, &uniform), "other orderings stay looped");
     }
 }

@@ -59,27 +59,13 @@ pub fn eigh(s: &PackedSymmetric, tol: f64) -> Result<SymmetricEigen, SvdError> {
     eigh_ordered(s, tol, Ordering::RoundRobin)
 }
 
-/// [`eigh`] with an explicit pair-ordering strategy.
-///
-/// Any ordering with per-sweep plans is accepted **except**
-/// [`Ordering::ColumnNormPresort`]: the presort ranks pivot columns by
-/// descending column norm, which is a convergence heuristic for the
-/// positive-semidefinite Gram spectrum. On an indefinite symmetric matrix
-/// the diagonal carries both signs, so "largest norm first" no longer
-/// orders pivots by dominance and the heuristic silently degrades into a
-/// slow, arbitrary order. That combination is rejected up front with
-/// [`SvdError::OrderingUnsupported`] instead.
+/// [`eigh`] with an explicit pair ordering (either cyclic order converges
+/// on indefinite matrices too).
 pub fn eigh_ordered(
     s: &PackedSymmetric,
     tol: f64,
     ordering: Ordering,
 ) -> Result<SymmetricEigen, SvdError> {
-    if ordering == Ordering::ColumnNormPresort {
-        return Err(SvdError::OrderingUnsupported {
-            ordering: ordering.name(),
-            context: "the indefinite eigensolver",
-        });
-    }
     let n = s.dim();
     if n == 0 {
         return Err(SvdError::EmptyInput);
@@ -132,8 +118,7 @@ pub fn eigh_dense(s: &Matrix, tol: f64) -> Result<SymmetricEigen, SvdError> {
     eigh_dense_ordered(s, tol, Ordering::RoundRobin)
 }
 
-/// [`eigh_dense`] with an explicit pair-ordering strategy; rejects
-/// [`Ordering::ColumnNormPresort`] like [`eigh_ordered`].
+/// [`eigh_dense`] with an explicit pair ordering, like [`eigh_ordered`].
 pub fn eigh_dense_ordered(
     s: &Matrix,
     tol: f64,
@@ -285,22 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn presort_ordering_is_rejected_on_the_indefinite_path() {
-        // Regression: descending-column-norm presort assumes a PSD spectrum;
-        // on an indefinite matrix it used to be accepted and just converge
-        // slowly. It must now fail fast with a structured error.
+    fn every_ordering_solves_and_the_spectra_agree() {
         let a = gen::uniform(12, 5, 11);
-        let err = eigh_ordered(&a.gram(), 1e-14, Ordering::ColumnNormPresort).unwrap_err();
-        assert_eq!(
-            err,
-            SvdError::OrderingUnsupported {
-                ordering: "presort",
-                context: "the indefinite eigensolver"
-            }
-        );
-        // Every other ordering still solves, and the spectra agree.
         let reference = eigh(&a.gram(), 1e-14).unwrap();
-        for ordering in [Ordering::RoundRobin, Ordering::RowCyclic, Ordering::SortedGreedy] {
+        for ordering in Ordering::ALL {
             let e = eigh_ordered(&a.gram(), 1e-14, ordering).unwrap();
             check_decomposition(&a.gram(), &e, 1e-9);
             for (got, want) in e.eigenvalues.iter().zip(&reference.eigenvalues) {

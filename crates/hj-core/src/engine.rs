@@ -461,6 +461,9 @@ impl SolveDriver {
             if let Some(inj) = monitor.injector.as_deref_mut() {
                 inj.before_sweep(s, state.gram);
             }
+            // The sweep's clock covers its planning: a strategy that replans
+            // pays for it in `sweep_seconds`.
+            let t0 = Instant::now();
             let replanned = schedule.strategy.plan_sweep(state.gram, s, schedule.plan);
             if replanned {
                 stats.replans += 1;
@@ -485,7 +488,6 @@ impl SolveDriver {
                     replanned,
                 });
             }
-            let t0 = Instant::now();
             let rec = engine.sweep_traced(state, schedule.plan, s, &mut tracer);
             #[cfg(feature = "fault-injection")]
             if let Some(inj) = monitor.injector.as_deref_mut() {
@@ -542,7 +544,7 @@ impl SolveDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::{build_sweep, round_robin, Ordering};
+    use crate::ordering::{round_robin, row_cyclic, Ordering};
     use hj_matrix::{gen, norms};
 
     fn driver() -> SolveDriver {
@@ -577,7 +579,7 @@ mod tests {
     fn gram_only_sweep_reduces_off_mass() {
         let a = gen::uniform(30, 8, 11);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RoundRobin, 8);
+        let order = round_robin(8);
         let before = g.off_frobenius();
         let rec = sweep_gram(&mut g, &order, 1);
         assert!(rec.off_frobenius < before);
@@ -589,7 +591,7 @@ mod tests {
     fn repeated_sweeps_converge_to_diagonal() {
         let a = gen::uniform(20, 6, 3);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RoundRobin, 6);
+        let order = round_robin(6);
         (1..=10).for_each(|s| {
             sweep_gram(&mut g, &order, s);
         });
@@ -605,7 +607,7 @@ mod tests {
     fn row_cyclic_also_converges() {
         let a = gen::uniform(15, 5, 9);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RowCyclic, 5);
+        let order = row_cyclic(5);
         (1..=10).for_each(|s| {
             sweep_gram(&mut g, &order, s);
         });
@@ -616,7 +618,7 @@ mod tests {
     fn full_sweep_keeps_gram_consistent_with_columns() {
         let mut a = gen::uniform(25, 7, 4);
         let mut g = GramState::from_matrix(&a);
-        let order = build_sweep(Ordering::RoundRobin, 7);
+        let order = round_robin(7);
         sweep_full(&mut a, &mut g, None, &order, 1);
         let fresh = GramState::from_matrix(&a);
         for p in 0..7 {
@@ -635,7 +637,7 @@ mod tests {
         let mut b = a0.clone();
         let mut g = GramState::from_matrix(&b);
         let mut v = Matrix::identity(5);
-        let order = build_sweep(Ordering::RoundRobin, 5);
+        let order = round_robin(5);
         (1..=8).for_each(|s| {
             sweep_full(&mut b, &mut g, Some(&mut v), &order, s);
         });
@@ -653,7 +655,7 @@ mod tests {
     fn sweep_on_orthogonal_input_applies_nothing() {
         let q = gen::random_orthonormal(16, 6, 2);
         let mut g = GramState::from_matrix(&q);
-        let order = build_sweep(Ordering::RoundRobin, 6);
+        let order = round_robin(6);
         let rec = sweep_gram(&mut g, &order, 1);
         assert_eq!(rec.rotations_applied, 0);
         assert_eq!(rec.rotations_skipped, 15);
@@ -800,28 +802,54 @@ mod tests {
     }
 
     #[test]
-    fn greedy_schedule_converges_and_counts_replans() {
-        use crate::ordering::{SortedGreedy, SweepSchedule};
-        let a = gen::uniform(40, 14, 17);
+    fn sweep_timer_covers_planning() {
+        use crate::ordering::{OrderingStrategy, SweepSchedule};
+        const PLAN_COST: std::time::Duration = std::time::Duration::from_millis(2);
+        // Round-robin, but every `plan_sweep` spins for `PLAN_COST`.
+        struct SlowPlanner;
+        impl OrderingStrategy for SlowPlanner {
+            fn kind(&self) -> Ordering {
+                Ordering::RoundRobin
+            }
+            fn plan_sweep(&mut self, gram: &GramState, _s: usize, out: &mut Sweep) -> bool {
+                let start = Instant::now();
+                while start.elapsed() < PLAN_COST {
+                    std::hint::spin_loop();
+                }
+                *out = round_robin(gram.dim());
+                true
+            }
+        }
+        let a = gen::uniform(20, 6, 7);
         let mut g = GramState::from_matrix(&a);
         let mut st = SweepState {
             gram: &mut g,
             target: RotationTarget::gram_only(),
             guard: PairGuard::default(),
         };
-        let mut strat = SortedGreedy::new();
-        let mut plan = crate::ordering::Sweep::new();
-        let mut schedule = SweepSchedule { strategy: &mut strat, plan: &mut plan, threshold: None };
+        let mut plan = Sweep::new();
+        let mut schedule =
+            SweepSchedule { strategy: &mut SlowPlanner, plan: &mut plan, threshold: None };
         let run = driver().run_monitored(
             &mut Sequential,
             &mut st,
             &mut schedule,
             &mut SolveMonitor::passive(),
         );
-        assert_eq!(run.fault, None);
-        assert_eq!(run.stats.ordering, "greedy");
-        assert_eq!(run.stats.replans, run.stats.sweeps, "greedy replans every sweep");
-        assert!(g.max_abs_covariance() <= 1e-14 * (g.trace() / 14.0).max(f64::MIN_POSITIVE));
+        let sweeps = run.stats.sweeps;
+        assert!(sweeps >= 2, "the solve must take several sweeps, took {sweeps}");
+        assert_eq!(run.stats.replans, sweeps);
+        let floor = PLAN_COST.as_secs_f64();
+        assert!(
+            run.stats.total_seconds >= floor * sweeps as f64,
+            "total_seconds {} must include {sweeps} plans of {floor} s",
+            run.stats.total_seconds
+        );
+        assert!(
+            run.stats.sweep_seconds.iter().all(|&t| t >= floor),
+            "{:?}",
+            run.stats.sweep_seconds
+        );
     }
 
     #[test]

@@ -8,16 +8,6 @@ pub enum SvdError {
     EmptyInput,
     /// Input contains NaN or ±∞; the rotation kernels require finite data.
     NonFiniteInput,
-    /// The selected ordering is not valid in this context — e.g.
-    /// [`crate::ordering::Ordering::ColumnNormPresort`] on the indefinite
-    /// eigensolver path, where sign-indefinite diagonals make descending-norm
-    /// pivot ordering meaningless.
-    OrderingUnsupported {
-        /// Canonical name of the rejected ordering.
-        ordering: &'static str,
-        /// Short description of the context that rejects it.
-        context: &'static str,
-    },
     /// `max_sweeps` was 0; at least one sweep is required.
     ZeroSweepBudget,
     /// Values-only mode on a wide matrix (`m < n`) truncates the Gram
@@ -46,9 +36,6 @@ impl fmt::Display for SvdError {
         match self {
             SvdError::EmptyInput => write!(f, "input matrix has a zero dimension"),
             SvdError::NonFiniteInput => write!(f, "input matrix contains NaN or infinite entries"),
-            SvdError::OrderingUnsupported { ordering, context } => {
-                write!(f, "the {ordering} ordering is not supported by {context}")
-            }
             SvdError::ZeroSweepBudget => write!(f, "max_sweeps must be at least 1"),
             SvdError::TruncatedTailNotNegligible => write!(
                 f,
@@ -75,10 +62,6 @@ mod tests {
     fn messages() {
         assert!(SvdError::EmptyInput.to_string().contains("zero dimension"));
         assert!(SvdError::NonFiniteInput.to_string().contains("NaN"));
-        let unsupported =
-            SvdError::OrderingUnsupported { ordering: "presort", context: "the eigensolver" };
-        assert!(unsupported.to_string().contains("presort"));
-        assert!(unsupported.to_string().contains("eigensolver"));
         assert!(SvdError::ZeroSweepBudget.to_string().contains("at least 1"));
         assert!(SvdError::TruncatedTailNotNegligible.to_string().contains("non-negligible"));
         let fault = SvdError::SolveFault {

@@ -18,14 +18,13 @@
 //!   loops run on: the three-region packed rotation and the SoA batch
 //!   kernels (the packed rotation is bit-identical to the scalar path; see
 //!   the module's bit-compat policy).
-//! * [`ordering`] — the pluggable sweep-schedule subsystem: the
+//! * [`ordering`] — the sweep-schedule subsystem: the
 //!   [`ordering::OrderingStrategy`] trait planning each sweep's rounds of
-//!   disjoint pairs, the cyclic round-robin pairing (the paper's Fig. 6),
-//!   the row-cyclic order of the pseudocode, the adaptive sorted-greedy
-//!   planner, the de Rijk column-norm presort, and the
-//!   [`ordering::ThresholdSchedule`] rotation-threshold ramp composable
-//!   with any ordering. [`SweepWorkspace`] pools its plan buffers across
-//!   solves.
+//!   disjoint pairs, the two cyclic orders — round-robin pairing (the
+//!   paper's Fig. 6, the default) and the row-cyclic loop nest of
+//!   Algorithm 1 — and the [`ordering::ThresholdSchedule`]
+//!   rotation-threshold ramp composable with either. [`SweepWorkspace`]
+//!   pools its plan buffers across solves.
 //! * [`engine`] — the sweep pipeline: the [`engine::SweepEngine`] trait,
 //!   the [`engine::RotationTarget`] / [`engine::PairGuard`] abstractions,
 //!   the [`engine::Sequential`] engine (Algorithm 1's in-place data flow),
@@ -49,8 +48,8 @@
 //!   (the paper's Figs. 10–11 metric).
 //! * [`recovery`] — the fault-tolerance layer: [`recovery::Fault`]
 //!   taxonomy, per-sweep [`recovery::HealthCheck`], the
-//!   [`recovery::RecoveryPolicy`] lattice (rescale / ordering fallback /
-//!   budget escalation / abort), and [`recovery::SolveBudget`]
+//!   [`recovery::RecoveryPolicy`] lattice (rescale / budget escalation /
+//!   abort), and [`recovery::SolveBudget`]
 //!   deadline/cancellation.
 //! * `inject` *(feature `fault-injection` only)* — deterministic
 //!   fault-injection harness used by the robustness test campaign; compiles
@@ -107,8 +106,7 @@ pub use gram::{DiagonalScan, GramState};
 #[cfg(feature = "fault-injection")]
 pub use inject::{Corruption, FaultInjector, SeededInjector};
 pub use ordering::{
-    Ordering, OrderingKind, OrderingStrategy, PlanBuffers, SweepSchedule, SweepWorkspace,
-    ThresholdSchedule,
+    Ordering, OrderingStrategy, PlanBuffers, SweepSchedule, SweepWorkspace, ThresholdSchedule,
 };
 pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, RecoveryAction, RecoveryPolicy, SolveBudget};

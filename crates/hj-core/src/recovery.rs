@@ -17,8 +17,8 @@
 //!   [`crate::SolveDriver::run_monitored`]: non-finite metrics, negative
 //!   diagonals (impossible for a true Gram matrix), and convergence stalls.
 //! * [`RecoveryPolicy`] — maps a detected fault to a [`RecoveryAction`]:
-//!   rescale-and-restart, fall back to the cyclic ordering, escalate the
-//!   sweep budget, or abort with [`crate::SvdError::SolveFault`].
+//!   rescale-and-restart, escalate the sweep budget, or abort with
+//!   [`crate::SvdError::SolveFault`].
 //! * [`SolveBudget`] — deadline/cancellation checked at sweep boundaries, so
 //!   batch and CLI callers can bound worst-case latency.
 
@@ -253,12 +253,6 @@ pub enum RecoveryAction {
     /// [`crate::convergence::MAX_SWEEP_CAP`]) — for stalls caused by a
     /// too-tight budget rather than corruption.
     EscalateBudget,
-    /// Restart with the default cyclic ordering — for stalls under an
-    /// adaptive ordering ([`crate::ordering::Ordering::SortedGreedy`]),
-    /// which lacks the cyclic family's classical convergence proof. Tried
-    /// before budget escalation, since a wedged adaptive schedule rarely
-    /// unwedges with more of the same sweeps.
-    FallBackToCyclic,
     /// Give up: surface [`crate::SvdError::SolveFault`] to the caller.
     Abort,
 }
@@ -270,7 +264,6 @@ impl RecoveryAction {
         match self {
             RecoveryAction::RescaleRestart => "rescale-restart",
             RecoveryAction::EscalateBudget => "escalate-budget",
-            RecoveryAction::FallBackToCyclic => "fallback-cyclic",
             RecoveryAction::Abort => "abort",
         }
     }
@@ -286,27 +279,19 @@ pub struct RecoveryContext {
     pub escalated: bool,
     /// The sweep budget still has room below the hard cap.
     pub can_escalate: bool,
-    /// The faulting attempt ran an adaptive ordering (no classical
-    /// convergence proof).
-    pub adaptive_ordering: bool,
-    /// A fallback to the cyclic ordering has already been tried.
-    pub ordering_fell_back: bool,
     /// Recovery actions taken so far in this solve.
     pub recoveries: usize,
 }
 
 /// Maps each detected [`Fault`] to a [`RecoveryAction`] — the recovery
-/// lattice (numeric faults → rescale → abort; stalls → cyclic-ordering
-/// fallback → budget escalation → abort; deadline/cancellation → always
-/// abort).
+/// lattice (numeric faults → rescale → abort; stalls → budget escalation
+/// → abort; deadline/cancellation → always abort).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Allow one rescale-and-restart for numeric faults.
     pub rescale_restart: bool,
     /// Allow doubling the sweep budget (once) for stalls.
     pub escalate_budget: bool,
-    /// Allow falling back from an adaptive ordering to cyclic on a stall.
-    pub ordering_fallback: bool,
     /// Hard cap on total recovery actions per solve; once reached, every
     /// further fault aborts.
     pub max_recoveries: usize,
@@ -315,24 +300,14 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     /// Everything enabled, at most 3 recoveries per solve.
     fn default() -> Self {
-        RecoveryPolicy {
-            rescale_restart: true,
-            escalate_budget: true,
-            ordering_fallback: true,
-            max_recoveries: 3,
-        }
+        RecoveryPolicy { rescale_restart: true, escalate_budget: true, max_recoveries: 3 }
     }
 }
 
 impl RecoveryPolicy {
     /// Fail-fast policy: every fault aborts immediately.
     pub fn abort_only() -> Self {
-        RecoveryPolicy {
-            rescale_restart: false,
-            escalate_budget: false,
-            ordering_fallback: false,
-            max_recoveries: 0,
-        }
+        RecoveryPolicy { rescale_restart: false, escalate_budget: false, max_recoveries: 0 }
     }
 
     /// Choose the response to `fault` given the attempt context.
@@ -349,9 +324,7 @@ impl RecoveryPolicy {
                 }
             }
             Fault::ConvergenceStall { .. } => {
-                if self.ordering_fallback && ctx.adaptive_ordering && !ctx.ordering_fell_back {
-                    RecoveryAction::FallBackToCyclic
-                } else if self.escalate_budget && ctx.can_escalate && !ctx.escalated {
+                if self.escalate_budget && ctx.can_escalate && !ctx.escalated {
                     RecoveryAction::EscalateBudget
                 } else {
                     RecoveryAction::Abort
@@ -622,8 +595,6 @@ mod tests {
             rescaled: false,
             escalated: false,
             can_escalate: true,
-            adaptive_ordering: false,
-            ordering_fell_back: false,
             recoveries: 0,
         };
         assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::RescaleRestart);
@@ -640,8 +611,6 @@ mod tests {
             rescaled: false,
             escalated: false,
             can_escalate: true,
-            adaptive_ordering: false,
-            ordering_fell_back: false,
             recoveries: 0,
         };
         assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::EscalateBudget);
@@ -654,43 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_lattice_adaptive_ordering_falls_back_first() {
-        let policy = RecoveryPolicy::default();
-        let fault = Fault::ConvergenceStall { sweep: 9, stalled_sweeps: 6 };
-        let mut ctx = RecoveryContext {
-            rescaled: false,
-            escalated: false,
-            can_escalate: true,
-            adaptive_ordering: true,
-            ordering_fell_back: false,
-            recoveries: 0,
-        };
-        // The adaptive-ordering rung precedes budget escalation.
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::FallBackToCyclic);
-        ctx.ordering_fell_back = true;
-        ctx.recoveries = 1;
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::EscalateBudget);
-        // Disabled by policy → skips straight to the budget rung.
-        let no_fallback = RecoveryPolicy { ordering_fallback: false, ..policy };
-        ctx.ordering_fell_back = false;
-        assert_eq!(no_fallback.action_for(&fault, &ctx), RecoveryAction::EscalateBudget);
-        // Numeric faults never consult the ordering rung.
-        assert_eq!(
-            policy.action_for(&Fault::NonFiniteGram { sweep: 1 }, &ctx),
-            RecoveryAction::RescaleRestart
-        );
-        assert_eq!(RecoveryAction::FallBackToCyclic.name(), "fallback-cyclic");
-    }
-
-    #[test]
     fn policy_latency_faults_always_abort_and_cap_binds() {
         let policy = RecoveryPolicy::default();
         let ctx = RecoveryContext {
             rescaled: false,
             escalated: false,
             can_escalate: true,
-            adaptive_ordering: false,
-            ordering_fell_back: false,
             recoveries: 0,
         };
         assert_eq!(

@@ -17,15 +17,17 @@ pub struct SolveStats {
     /// `"batch-soa"`); empty for a default-constructed record.
     pub engine: &'static str,
     /// Canonical name of the pair ordering the solve was scheduled with
-    /// (`"cyclic"`, `"row-cyclic"`, `"greedy"`, or `"presort"`); empty for a
-    /// default-constructed record or a fixed caller-built plan.
+    /// (`"cyclic"` or `"row-cyclic"`); empty for a default-constructed
+    /// record or a fixed caller-built plan.
     pub ordering: &'static str,
     /// Sweeps executed.
     pub sweeps: usize,
-    /// Wall-clock seconds of each sweep, in execution order.
+    /// Wall-clock seconds of each sweep, in execution order: planning the
+    /// sweep's rounds plus applying its rotations.
     pub sweep_seconds: Vec<f64>,
-    /// Total wall-clock seconds across all sweeps (excludes the initial
-    /// Gram build and the final factor-extraction stage).
+    /// Total wall-clock seconds across all sweeps, planning included
+    /// (excludes the initial Gram build and the final factor-extraction
+    /// stage).
     pub total_seconds: f64,
     /// Rotations applied across all sweeps.
     pub rotations_applied: usize,
@@ -47,8 +49,7 @@ pub struct SolveStats {
     /// Mid-solve faults detected by the health check or solve budget
     /// (0 for a clean solve; counts faults in recovered attempts too).
     pub faults: usize,
-    /// Recovery actions taken (rescale-restart, ordering fallback, budget
-    /// escalation). 0 means the returned factorization came from the first
+    /// Recovery actions taken (rescale-restart, budget escalation). 0 means the returned factorization came from the first
     /// attempt.
     pub recoveries: usize,
     /// Binary exponent of the guarded-numerics pre-scaling applied to the
@@ -61,8 +62,8 @@ pub struct SolveStats {
     /// [`crate::engine::PAIR_TOL`] floor). 0 when no threshold schedule was
     /// attached.
     pub pairs_skipped_by_threshold: usize,
-    /// Times the ordering strategy rebuilt the sweep plan (1 for the static
-    /// cyclic family, one per sweep for adaptive orderings, 0 for a fixed
+    /// Times the ordering strategy rebuilt the sweep plan (1 for either
+    /// shipped ordering, which plans once per dimension; 0 for a fixed
     /// caller-built plan) — the replan-cost counter.
     pub replans: usize,
 }
@@ -201,8 +202,6 @@ impl SolveStats {
                     st.ordering = match parse_string(value)?.as_str() {
                         "cyclic" => "cyclic",
                         "row-cyclic" => "row-cyclic",
-                        "greedy" => "greedy",
-                        "presort" => "presort",
                         "" => "",
                         _ => return None,
                     };

@@ -123,12 +123,12 @@ pub(crate) fn unscale_values(values: &mut [f64], k: i32) {
 /// use hj_matrix::gen;
 ///
 /// let options = SvdOptions {
-///     ordering: Ordering::SortedGreedy,
+///     ordering: Ordering::RowCyclic,
 ///     trace: TraceLevel::Sweep,
 ///     ..Default::default()
 /// };
 /// let svd = HestenesSvd::new(options).decompose(&gen::uniform(30, 8, 1)).unwrap();
-/// assert_eq!(svd.stats.ordering, "greedy");
+/// assert_eq!(svd.stats.ordering, "row-cyclic");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvdOptions {
@@ -416,8 +416,8 @@ impl HestenesSvd {
     /// Run the guarded solve loop: pre-scale out-of-window inputs, run the
     /// monitored driver on the [`Sequential`] engine, and — when the monitor
     /// detects a [`crate::recovery::Fault`] — apply the recovery policy
-    /// (rescale-and-restart / ordering fallback / budget escalation) until
-    /// the solve succeeds or the policy aborts.
+    /// (rescale-and-restart / budget escalation) until the solve succeeds or
+    /// the policy aborts.
     ///
     /// Every restart rebuilds `D` (and `B`, `V` in full mode) from the
     /// pristine input `a`, so no corrupted intermediate state survives a
@@ -448,44 +448,19 @@ impl HestenesSvd {
             monitor.injector = injector;
         }
         let mut exp = prescale_exponent(max_abs);
-        let mut ordering = self.options.ordering;
         let mut max_sweeps = self.options.max_sweeps.min(MAX_SWEEP_CAP);
         let mut rescaled = exp != 0;
         let mut escalated = false;
-        let mut ordering_fell_back = false;
         let mut recoveries = 0usize;
         let mut total_faults = 0usize;
         let mut cumulative_sweeps = 0usize;
         loop {
-            let presort = ordering == Ordering::ColumnNormPresort;
             // Build this attempt's working state from the pristine input.
             let (mut gram, mut b, mut v) = if full {
                 let mut b = a.clone();
                 apply_exp2(&mut b, exp);
-                if presort {
-                    // de Rijk presort: permute the working columns into
-                    // descending-norm order and fold the permutation into
-                    // V's starting value (B = A·V holds from sweep 0, so no
-                    // undo pass is needed on output).
-                    let perm = presort_permutation(&b);
-                    let b = permuted_columns(&b, &perm);
-                    let mut v = Matrix::zeros(n, n);
-                    for (t, &c) in perm.iter().enumerate() {
-                        v.set(c, t, 1.0);
-                    }
-                    let gram = GramState::from_matrix(&b);
-                    (gram, Some(b), Some(v))
-                } else {
-                    let gram = GramState::from_matrix(&b);
-                    (gram, Some(b), Some(Matrix::identity(n)))
-                }
-            } else if presort {
-                // Values-only: the spectrum is permutation-invariant, so the
-                // presorted Gram needs no bookkeeping at all.
-                let mut scaled = a.clone();
-                apply_exp2(&mut scaled, exp);
-                let perm = presort_permutation(&scaled);
-                (GramState::from_matrix(&permuted_columns(&scaled, &perm)), None, None)
+                let gram = GramState::from_matrix(&b);
+                (gram, Some(b), Some(Matrix::identity(n)))
             } else if exp == 0 {
                 // Values-only fast path: D is built straight off the caller's
                 // matrix, no clone.
@@ -503,7 +478,7 @@ impl HestenesSvd {
             let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
             // Strategy + plan scratch pooled in the workspace: repeated
             // solves over a warm workspace replan without reallocating.
-            let (strategy, plan) = ws.schedule_parts(ordering);
+            let (strategy, plan) = ws.schedule_parts(self.options.ordering);
             let mut schedule = SweepSchedule { strategy, plan, threshold: self.options.threshold };
             let run =
                 driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
@@ -527,8 +502,6 @@ impl HestenesSvd {
                 rescaled,
                 escalated,
                 can_escalate: max_sweeps < MAX_SWEEP_CAP,
-                adaptive_ordering: ordering.adaptive(),
-                ordering_fell_back,
                 recoveries,
             };
             let action = self.policy.action_for(&fault, &ctx);
@@ -557,10 +530,6 @@ impl HestenesSvd {
                 RecoveryAction::EscalateBudget => {
                     max_sweeps = (max_sweeps * 2).min(MAX_SWEEP_CAP);
                     escalated = true;
-                }
-                RecoveryAction::FallBackToCyclic => {
-                    ordering = Ordering::RoundRobin;
-                    ordering_fell_back = true;
                 }
             }
             recoveries += 1;
@@ -695,28 +664,6 @@ impl HestenesSvd {
         unscale_values(&mut sigma, scale_exp);
         Ok(Svd { u, singular_values: sigma, v: v_sorted, sweeps, history, stats })
     }
-}
-
-/// Descending-column-norm permutation for the de Rijk presort: `perm[t]` is
-/// the source column holding the `t`-th largest norm (ties break by column
-/// index, keeping the permutation — and the whole solve — deterministic;
-/// same comparator as [`crate::ordering::column_norm_permutation`]).
-fn presort_permutation(b: &Matrix) -> Vec<usize> {
-    let n = b.cols();
-    let norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();
-    let mut perm: Vec<usize> = (0..n).collect();
-    perm.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]).then(x.cmp(&y)));
-    perm
-}
-
-/// A copy of `b` with column `t` taken from source column `perm[t]`.
-fn permuted_columns(b: &Matrix, perm: &[usize]) -> Matrix {
-    let (m, n) = b.shape();
-    let mut out = Matrix::zeros(m, n);
-    for (t, &c) in perm.iter().enumerate() {
-        out.col_mut(t).copy_from_slice(b.col(c));
-    }
-    out
 }
 
 /// A finished guarded solve, before factor extraction: the converged `D`,
@@ -1090,32 +1037,6 @@ mod tests {
         assert_eq!(one.u.as_slice(), two.u.as_slice());
         assert_eq!(one.v.as_slice(), two.v.as_slice());
         assert_eq!(one.stats.ordering, "cyclic");
-    }
-
-    #[test]
-    fn presort_folds_the_permutation_into_the_factors() {
-        // Columns generated in descending-norm order make the presort
-        // permutation the identity: the presorted solve must then be
-        // bit-identical to the cyclic solve (same data, same plan). A
-        // shuffled copy of the same matrix must still reconstruct exactly.
-        let sigma = [9.0, 5.0, 3.0, 1.5, 0.75, 0.2];
-        let a = gen::with_singular_values(24, 6, &sigma, 55);
-        let cyclic = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
-        let presorted = HestenesSvd::new(SvdOptions {
-            ordering: Ordering::ColumnNormPresort,
-            ..Default::default()
-        })
-        .decompose(&a)
-        .unwrap();
-        check_svd(&a, &presorted, 1e-12);
-        assert_eq!(presorted.stats.ordering, "presort");
-        for (x, y) in presorted.singular_values.iter().zip(&cyclic.singular_values) {
-            assert!((x - y).abs() < 1e-12 * y.max(1.0), "{x} vs {y}");
-        }
-        // U/V round-trip: the permutation is folded into V, so U·Σ·Vᵀ
-        // reconstructs A without any undo pass, and V stays orthonormal.
-        assert!(norms::orthonormality_error(&presorted.u) < 1e-12);
-        assert!(norms::orthonormality_error(&presorted.v) < 1e-12);
     }
 
     #[test]

@@ -124,15 +124,14 @@ pub enum TraceEvent {
     SweepPlanned {
         /// 1-based sweep index.
         sweep: usize,
-        /// Canonical ordering name (`"cyclic"`, `"row-cyclic"`, `"greedy"`,
-        /// `"presort"`).
+        /// Canonical ordering name (`"cyclic"` or `"row-cyclic"`).
         ordering: &'static str,
         /// Rounds in the plan.
         rounds: usize,
         /// Total pairs across all rounds.
         pairs: usize,
         /// Whether the strategy rebuilt the plan for this sweep (false when
-        /// a static ordering reused the cached plan).
+        /// it reused the cached plan).
         replanned: bool,
     },
     /// A sweep finished; carries its rotation counts and timing.
@@ -145,7 +144,7 @@ pub enum TraceEvent {
         rotations_skipped: usize,
         /// Off-diagonal Frobenius mass of `D` after the sweep.
         off_frobenius: f64,
-        /// Wall-clock seconds of the sweep.
+        /// Wall-clock seconds of the sweep, planning included.
         seconds: f64,
     },
     /// A plane rotation was applied to columns `(i, j)`.
@@ -772,7 +771,7 @@ mod tests {
             TraceEvent::SweepStart { sweep: 1, engine: "sequential" },
             TraceEvent::SweepPlanned {
                 sweep: 1,
-                ordering: "greedy",
+                ordering: "cyclic",
                 rounds: 7,
                 pairs: 28,
                 replanned: true,

@@ -3,7 +3,7 @@
 
 use crate::job::Priority;
 use crate::protocol::{BatchItem, Frame, ProtoError, NO_DEADLINE};
-use hj_core::OrderingKind;
+use hj_core::Ordering;
 use hj_matrix::Matrix;
 use std::io::BufWriter;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -13,7 +13,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct SubmitOptions {
     /// Pair-ordering strategy for the sweeps.
-    pub ordering: OrderingKind,
+    pub ordering: Ordering,
     /// Priority class.
     pub priority: Priority,
     /// Relative deadline in milliseconds (None = no deadline).
@@ -25,7 +25,7 @@ pub struct SubmitOptions {
 impl Default for SubmitOptions {
     fn default() -> Self {
         SubmitOptions {
-            ordering: OrderingKind::default(),
+            ordering: Ordering::default(),
             priority: Priority::Interactive,
             deadline_ms: None,
             tenant: String::new(),

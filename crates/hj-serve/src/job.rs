@@ -3,11 +3,11 @@
 
 use hj_core::{SingularValues, SvdError};
 use hj_matrix::Matrix;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hj_core::OrderingKind;
+use hj_core::Ordering;
 
 /// Priority class of a job. Dispatch is strict-priority between classes and
 /// earliest-deadline-first within a class.
@@ -95,7 +95,7 @@ pub struct JobSpec {
     /// What to solve: one matrix or a bulk batch.
     pub payload: JobPayload,
     /// Which pair-ordering strategy plans the sweeps.
-    pub ordering: OrderingKind,
+    pub ordering: Ordering,
     /// Priority class for dispatch ordering.
     pub priority: Priority,
     /// Optional absolute wall-clock deadline; translated into the solve's
@@ -123,7 +123,7 @@ impl JobSpec {
     fn with_payload(payload: JobPayload) -> JobSpec {
         JobSpec {
             payload,
-            ordering: OrderingKind::default(),
+            ordering: Ordering::default(),
             priority: Priority::Interactive,
             deadline: None,
             tenant: String::new(),
@@ -131,7 +131,7 @@ impl JobSpec {
     }
 
     /// Select the pair-ordering strategy.
-    pub fn ordering(mut self, ordering: OrderingKind) -> JobSpec {
+    pub fn ordering(mut self, ordering: Ordering) -> JobSpec {
         self.ordering = ordering;
         self
     }
@@ -298,7 +298,7 @@ impl JobTicket {
     /// aborts at its next sweep boundary. The outcome still arrives through
     /// [`JobTicket::wait`].
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        self.cancel.store(true, AtomicOrdering::Relaxed);
     }
 
     /// Block until the job reaches a terminal state.
@@ -373,11 +373,11 @@ mod tests {
     #[test]
     fn spec_builder_sets_every_field() {
         let spec = JobSpec::new(Matrix::zeros(2, 2))
-            .ordering(OrderingKind::SortedGreedy)
+            .ordering(Ordering::RowCyclic)
             .priority(Priority::Batch)
             .deadline_in(Duration::from_secs(1))
             .tenant("acme");
-        assert_eq!(spec.ordering, OrderingKind::SortedGreedy);
+        assert_eq!(spec.ordering, Ordering::RowCyclic);
         assert_eq!(spec.priority, Priority::Batch);
         assert!(spec.deadline.is_some());
         assert_eq!(spec.tenant, "acme");

@@ -13,13 +13,13 @@
 //!
 //! | type | name | body |
 //! |------|------|------|
-//! | 1 | submit | `u8` priority, `u8` engine (reserved, must be 0), `u8` ordering ([`hj_core::OrderingKind::index`]), `u64` deadline_ms ([`NO_DEADLINE`] = none), `u16` tenant length + tenant bytes (UTF-8), then an [`hj_matrix::wire`] matrix frame |
+//! | 1 | submit | `u8` priority, `u8` engine (reserved, must be 0), `u8` ordering ([`hj_core::Ordering::index`]: 0 cyclic, 1 row-cyclic; any other byte is rejected), `u64` deadline_ms ([`NO_DEADLINE`] = none), `u16` tenant length + tenant bytes (UTF-8), then an [`hj_matrix::wire`] matrix frame |
 //! | 2 | result | `u64` job id, `u32` sweeps, `u32` n, then n × `f64::to_bits` LE values |
 //! | 3 | error | `u8` code, `u16` kind length + kind bytes, `u16` message length + message bytes |
 //! | 4 | stats request | empty |
 //! | 5 | stats | UTF-8 JSON object (the [`crate::ServiceStats`] schema) |
 //! | 6 | shutdown | `u64` drain_ms |
-//! | 7 | submit-batch | `u8` priority, `u8` engine (reserved, must be 0), `u8` ordering, `u64` deadline_ms, `u16` tenant length + tenant bytes, `u32` matrix count, then per matrix a `u32` byte length + an [`hj_matrix::wire`] matrix frame |
+//! | 7 | submit-batch | `u8` priority, `u8` engine (reserved, must be 0), `u8` ordering (as in submit), `u64` deadline_ms, `u16` tenant length + tenant bytes, `u32` matrix count, then per matrix a `u32` byte length + an [`hj_matrix::wire`] matrix frame |
 //! | 8 | batch-result | `u64` job id, `u32` item count, then per item a `u8` status: `0` (ok) followed by `u32` sweeps, `u32` n, n × `f64::to_bits` LE values; `1` (error) followed by `u8` code, `u16` kind length + kind bytes, `u16` message length + message bytes |
 //!
 //! Singular values travel as raw `f64::to_bits` exactly like the matrix
@@ -57,8 +57,8 @@ pub enum Frame {
         /// Engine byte: reserved, must be 0 (the server answers any other
         /// value with a `bad-engine` error).
         engine: u8,
-        /// Ordering byte ([`hj_core::OrderingKind::index`]: 0 cyclic,
-        /// 1 row-cyclic, 2 greedy, 3 presort).
+        /// Ordering byte ([`hj_core::Ordering::index`]): 0 cyclic,
+        /// 1 row-cyclic; any other byte is rejected.
         ordering: u8,
         /// Relative deadline in milliseconds from receipt, or
         /// [`NO_DEADLINE`].
@@ -106,7 +106,7 @@ pub enum Frame {
         priority: u8,
         /// Engine byte: reserved, must be 0.
         engine: u8,
-        /// Ordering byte ([`hj_core::OrderingKind::index`]).
+        /// Ordering byte, as in [`Frame::Submit`].
         ordering: u8,
         /// Relative deadline in milliseconds from receipt, or
         /// [`NO_DEADLINE`]. The deadline covers the whole batch.

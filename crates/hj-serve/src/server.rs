@@ -14,10 +14,10 @@ use crate::job::{JobSpec, Priority, RejectReason};
 use crate::protocol::{BatchItem, Frame, ProtoError, NO_DEADLINE};
 use crate::service::{ServiceConfig, SolveService};
 use crate::stats::ServiceStats;
-use hj_core::{OrderingKind, SvdError};
+use hj_core::{Ordering, SvdError};
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,7 +71,7 @@ impl Server {
     pub fn run(&self) -> std::io::Result<ServiceStats> {
         let addr = self.local_addr()?;
         for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::Relaxed) {
+            if self.stop.load(AtomicOrdering::Relaxed) {
                 break;
             }
             match stream {
@@ -84,7 +84,7 @@ impl Server {
                         .expect("spawn connection handler");
                 }
                 Err(e) => {
-                    if self.stop.load(Ordering::Relaxed) {
+                    if self.stop.load(AtomicOrdering::Relaxed) {
                         break;
                     }
                     return Err(e);
@@ -150,7 +150,7 @@ fn handle_connection(
                 service.shutdown(Duration::from_millis(drain_ms));
                 let reply = Frame::Stats { json: service.stats().to_json() };
                 let _ = reply.write_to(&mut writer);
-                stop.store(true, Ordering::Relaxed);
+                stop.store(true, AtomicOrdering::Relaxed);
                 // Unblock the accept loop so `run` can observe the flag.
                 let _ = TcpStream::connect(server_addr);
                 return;
@@ -197,7 +197,7 @@ fn decode_spec(
             message: format!("engine byte {engine} is reserved and must be 0"),
         });
     }
-    let Some(ordering) = OrderingKind::from_index(ordering as usize) else {
+    let Some(ordering) = Ordering::from_index(ordering as usize) else {
         return Err(Frame::Error {
             code: CODE_BAD_REQUEST,
             kind: "bad-ordering".to_string(),
@@ -318,7 +318,6 @@ pub fn error_kind(err: &SvdError) -> &'static str {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
         SvdError::NonFiniteInput => "non-finite-input",
-        SvdError::OrderingUnsupported { .. } => "ordering-unsupported",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
     }
@@ -363,42 +362,52 @@ mod tests {
         let (handle, addr) = spawn_server(ServiceConfig::default());
         let mut client = Client::connect(addr).unwrap();
         let a = gen::uniform(24, 8, 17);
-        // A greedy-ordered remote solve is bit-identical to the local one.
+        // A row-cyclic remote solve is bit-identical to the local one.
         let direct = hj_core::HestenesSvd::new(hj_core::SvdOptions {
-            ordering: OrderingKind::SortedGreedy,
+            ordering: Ordering::RowCyclic,
             ..Default::default()
         })
         .singular_values(&a)
         .unwrap();
         let outcome = client
-            .submit(
-                &a,
-                SubmitOptions { ordering: OrderingKind::SortedGreedy, ..Default::default() },
-            )
+            .submit(&a, SubmitOptions { ordering: Ordering::RowCyclic, ..Default::default() })
             .unwrap();
         assert_eq!(outcome.sweeps, direct.sweeps);
         for (x, y) in outcome.values.iter().zip(direct.values.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "greedy wire spectrum must be bit-identical");
+            assert_eq!(x.to_bits(), y.to_bits(), "row-cyclic wire spectrum must be bit-identical");
         }
-        // An out-of-range ordering byte is rejected before admission.
-        let raw = Frame::Submit {
-            priority: 0,
-            engine: 0,
-            ordering: 9,
-            deadline_ms: crate::protocol::NO_DEADLINE,
-            tenant: String::new(),
-            matrix: a.clone(),
-        };
-        let reply = handle_submit_frame(addr, raw);
-        match reply {
-            Frame::Error { code, kind, .. } => {
-                assert_eq!(code, CODE_BAD_REQUEST);
-                assert_eq!(kind, "bad-ordering");
+        // Bytes 0 and 1 are the only orderings; the retired 2 and 3 and any
+        // other byte are rejected before admission, single or bulk.
+        for ordering in [2u8, 3, 9] {
+            let single = Frame::Submit {
+                priority: 0,
+                engine: 0,
+                ordering,
+                deadline_ms: crate::protocol::NO_DEADLINE,
+                tenant: String::new(),
+                matrix: a.clone(),
+            };
+            let bulk = Frame::SubmitBatch {
+                priority: 0,
+                engine: 0,
+                ordering,
+                deadline_ms: crate::protocol::NO_DEADLINE,
+                tenant: String::new(),
+                matrices: vec![a.clone(), a.clone()],
+            };
+            for raw in [single, bulk] {
+                match handle_submit_frame(addr, raw) {
+                    Frame::Error { code, kind, .. } => {
+                        assert_eq!(code, CODE_BAD_REQUEST, "byte {ordering}");
+                        assert_eq!(kind, "bad-ordering", "byte {ordering}");
+                    }
+                    other => panic!("byte {ordering}: expected error frame, got {other:?}"),
+                }
             }
-            other => panic!("expected error frame, got {other:?}"),
         }
         client.shutdown(Duration::from_secs(5)).unwrap();
-        handle.join().unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.admitted, 1, "only the row-cyclic submit may be admitted");
     }
 
     /// Send one raw frame and read the single reply (bypasses the typed

@@ -223,10 +223,12 @@ impl Drop for SolveService {
 
 /// One worker: checkout a workspace once (plus a lazy batch workspace for
 /// bulk jobs), then pull-solve-report until the scheduler signals shutdown.
-/// The scalar workspace goes back to the pool warm, so a later restart (or
-/// test harness reuse) skips the warm-up allocations; the batch workspace
-/// stays worker-local and warm for the worker's lifetime, so steady bulk
-/// traffic of one shape allocates nothing after the first job.
+/// Both workspaces stay worker-local and warm for the worker's lifetime, so
+/// steady traffic of one shape allocates nothing after the first job. The
+/// scalar workspace is not checked back in at exit: workers never restart
+/// and the pool dies with the service, so a checkin would only allocate a
+/// pool slot on an exiting thread for another thread to free later, which
+/// can keep the exited worker's glibc malloc arena resident.
 fn worker_loop(index: usize, shared: &Shared) {
     let mut ws = shared.pool.checkout();
     let mut batch_ws = hj_core::BatchWorkspace::new();
@@ -296,7 +298,6 @@ fn worker_loop(index: usize, shared: &Shared) {
             }
         }
     }
-    shared.pool.checkin(ws);
 }
 
 /// Solve one dispatched job on the worker's workspace. The job's deadline
@@ -350,7 +351,6 @@ fn fault_kind(err: &SvdError) -> &'static str {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
         SvdError::NonFiniteInput => "non-finite-input",
-        SvdError::OrderingUnsupported { .. } => "ordering-unsupported",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
     }

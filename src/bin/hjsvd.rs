@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-//!           [--ordering cyclic|row|greedy|presort]
+//!           [--ordering cyclic|row]
 //!           [--threshold-schedule] [--timeout-ms T]
 //!           [--trace PATH] [--trace-level off|sweep|group|rotation]
-//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--ordering ...]
+//! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--ordering cyclic|row]
 //!           [--threshold-schedule]
 //! hjsvd pca <data.csv> --components K [--out PREFIX]
-//! hjsvd eigh <symmetric.csv> [--ordering cyclic|row|greedy]
+//! hjsvd eigh <symmetric.csv> [--ordering cyclic|row]
 //! hjsvd simulate --rows M --cols N [--sweeps S]
 //! hjsvd resources
 //! hjsvd generate --rows M --cols N <out.csv> [--seed S] [--cond C]
@@ -16,7 +16,7 @@
 //!             [--max-attempts N]
 //! hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
 //!             [--priority interactive|batch]
-//!             [--ordering cyclic|row|greedy|presort] [--tenant NAME]
+//!             [--ordering cyclic|row] [--tenant NAME]
 //! hjsvd submit-batch <dir-or-csv-list> --addr HOST:PORT [--tenant NAME]
 //!                    [--deadline-ms T]
 //! hjsvd shutdown --addr HOST:PORT [--drain-ms T]
@@ -117,7 +117,7 @@ impl From<SvdError> for CliError {
     fn from(e: SvdError) -> CliError {
         let (code, kind) = match &e {
             SvdError::EmptyInput | SvdError::NonFiniteInput => (4, "bad-input"),
-            SvdError::OrderingUnsupported { .. } | SvdError::ZeroSweepBudget => (5, "bad-config"),
+            SvdError::ZeroSweepBudget => (5, "bad-config"),
             SvdError::TruncatedTailNotNegligible => (6, "not-converged"),
             SvdError::SolveFault { fault, .. } => match fault.kind() {
                 "deadline" => (8, "timeout"),
@@ -172,16 +172,15 @@ const HELP: &str = "hjsvd — Hestenes-Jacobi SVD toolkit
 
 USAGE:
   hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
-            [--ordering cyclic|row|greedy|presort]
+            [--ordering cyclic|row]
             [--threshold-schedule] [--timeout-ms T]
             [--trace PATH] [--trace-level off|sweep|group|rotation]
       Decompose a CSV matrix. Prints singular values; with --out, writes
       PREFIX_u.csv / PREFIX_s.csv / PREFIX_v.csv. --rank truncates.
       --stats writes the solve's SolveStats record as JSON (PATH of '-'
       prints it to stdout). --ordering picks the sweep pair schedule:
-      cyclic (round-robin, default), row (row-cyclic), greedy
-      (largest off-diagonal pairs first, replanned every sweep), or
-      presort (de Rijk descending-column-norm permutation up front).
+      cyclic (round-robin, default) or row (row-cyclic, the paper's
+      Algorithm 1 loop nest).
       --threshold-schedule ramps the early-sweep rotation threshold down
       to the convergence tolerance, skipping negligible pairs early.
       --timeout-ms bounds wall-clock time: the solve
@@ -191,7 +190,7 @@ USAGE:
       per-sweep summaries; group adds each sweep's plan; rotation adds
       every applied/skipped rotation).
   hjsvd svd --batch <dir-or-csv-list> [--stats PATH]
-            [--ordering cyclic|row|greedy|presort] [--threshold-schedule]
+            [--ordering cyclic|row] [--threshold-schedule]
       Decompose a whole set of matrices in one batch solve (values only).
       The input names a directory (every *.csv inside, sorted) or a
       comma-separated list of CSV paths. Uniform batches of small problems
@@ -202,9 +201,8 @@ USAGE:
   hjsvd pca <data.csv> --components K [--out PREFIX]
       PCA (rows = observations). Prints explained variance; with --out,
       writes PREFIX_scores.csv and PREFIX_components.csv.
-  hjsvd eigh <symmetric.csv> [--ordering cyclic|row|greedy]
-      Eigendecompose a symmetric matrix (Jacobi). presort is rejected:
-      descending-norm pivoting assumes a PSD spectrum.
+  hjsvd eigh <symmetric.csv> [--ordering cyclic|row]
+      Eigendecompose a symmetric matrix (Jacobi).
   hjsvd simulate --rows M --cols N [--sweeps S]
       Cycle-level timing estimate of the paper's architecture (150 MHz).
   hjsvd resources
@@ -220,7 +218,7 @@ USAGE:
       --tenant-cap limits per-tenant in-flight jobs (0 = unlimited).
   hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
               [--priority interactive|batch]
-              [--ordering cyclic|row|greedy|presort] [--tenant NAME]
+              [--ordering cyclic|row] [--tenant NAME]
       Submit a matrix to a running server and print the singular values
       (bit-identical to a local 'svd --values-only' run). --deadline-ms
       bounds the job's wall-clock time (exit code 8 when exceeded);
@@ -416,9 +414,7 @@ fn ordering_option(p: &ParsedArgs) -> Result<Ordering, CliError> {
     match p.opt("ordering") {
         None => Ok(Ordering::default()),
         Some(v) => Ordering::parse(v).ok_or_else(|| {
-            CliError::usage(format!(
-                "--ordering: unknown ordering '{v}' (choose cyclic, row, greedy, or presort)"
-            ))
+            CliError::usage(format!("--ordering: unknown ordering '{v}' (choose cyclic or row)"))
         }),
     }
 }
@@ -963,29 +959,45 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mp = dir.join("m.csv").to_str().unwrap().to_string();
         run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
-        run(&args(&["svd", &mp, "--ordering", "greedy"])).unwrap();
-        run(&args(&["svd", &mp, "--ordering", "presort"])).unwrap();
         run(&args(&["svd", &mp, "--values-only", "--ordering", "cyclic", "--threshold-schedule"]))
             .unwrap();
         run(&args(&["svd", &mp, "--ordering", "row"])).unwrap();
+        run(&args(&["svd", &mp, "--ordering", "round-robin"])).unwrap();
+        run(&args(&["svd", &mp, "--ordering", "row-cyclic"])).unwrap();
         let e = run(&args(&["svd", &mp, "--ordering", "zigzag"])).unwrap_err();
         assert_eq!((e.code, e.kind), (2, "usage"));
-        assert!(e.message.contains("choose cyclic, row, greedy, or presort"), "{}", e.message);
+        assert!(e.message.contains("choose cyclic or row"), "{}", e.message);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn eigh_rejects_presort_ordering_with_bad_config() {
-        let dir = std::env::temp_dir().join("hjsvd_cli_eigh_ordering");
+    fn retired_orderings_are_usage_errors_on_every_command() {
+        // The retired greedy and presort spellings are usage errors on every
+        // command that takes --ordering, naming the value and the two real
+        // choices (submit fails before dialling a server).
+        let dir = std::env::temp_dir().join("hjsvd_cli_retired_orderings");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.csv");
-        let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        io::save_csv(&s, &path).unwrap();
-        let sp = path.to_str().unwrap().to_string();
-        run(&args(&["eigh", &sp, "--ordering", "greedy"])).unwrap();
-        let e = run(&args(&["eigh", &sp, "--ordering", "presort"])).unwrap_err();
-        assert_eq!((e.code, e.kind), (5, "bad-config"));
-        assert!(e.message.contains("presort"), "{}", e.message);
+        let mp = dir.join("m.csv").to_str().unwrap().to_string();
+        run(&args(&["generate", "--rows", "12", "--cols", "5", &mp, "--seed", "9"])).unwrap();
+        let sp = dir.join("s.csv").to_str().unwrap().to_string();
+        io::save_csv(&Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]), &sp).unwrap();
+        for value in ["greedy", "presort", "sorted-greedy", "column-presort"] {
+            let commands: [Vec<&str>; 4] = [
+                vec!["svd", &mp],
+                vec!["svd", "--batch", &mp],
+                vec!["eigh", &sp],
+                vec!["submit", &mp, "--addr", "127.0.0.1:1"],
+            ];
+            for mut argv in commands {
+                argv.extend(["--ordering", value]);
+                let e = run(&args(&argv)).unwrap_err();
+                assert_eq!((e.code, e.kind), (2, "usage"), "{argv:?}: {}", e.message);
+                assert!(e.message.contains(&format!("'{value}'")), "{argv:?}: {}", e.message);
+                assert!(e.message.contains("cyclic") && e.message.contains("row"), "{}", e.message);
+            }
+        }
+        // The remaining orderings still solve on eigh.
+        run(&args(&["eigh", &sp, "--ordering", "row"])).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1163,12 +1175,12 @@ mod tests {
 
         // Comma-separated list input; a non-default ordering opts out of the
         // SoA dispatch and the stats name the engine that actually ran.
-        run(&args(&["svd", "--batch", &paths.join(","), "--ordering", "greedy", "--stats", &sp]))
+        run(&args(&["svd", "--batch", &paths.join(","), "--ordering", "row", "--stats", &sp]))
             .unwrap();
         let looped = std::fs::read_to_string(&sp).unwrap();
         assert_eq!(looped.lines().count(), 3);
         assert!(looped.contains("\"engine\":\"sequential\""), "{looped}");
-        assert!(looped.contains("\"ordering\":\"greedy\""), "{looped}");
+        assert!(looped.contains("\"ordering\":\"row-cyclic\""), "{looped}");
 
         // A poisoned slot fails alone with the bad-input exit code while
         // every other slot still solves (and still reports stats).

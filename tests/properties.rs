@@ -269,7 +269,7 @@ proptest! {
         let mut ws = SweepWorkspace::new();
         for (k, &(m, n)) in shapes.iter().enumerate() {
             let src = gen::uniform(m, n, seed.wrapping_add(k as u64));
-            for ordering in [Ordering::RoundRobin, Ordering::SortedGreedy] {
+            for ordering in Ordering::ALL {
                 let solver = HestenesSvd::new(SvdOptions { ordering, ..Default::default() });
                 let reused = solver.decompose_with_workspace(&src, &mut ws).unwrap();
                 let fresh = solver.decompose_with_workspace(&src, &mut SweepWorkspace::new()).unwrap();
@@ -288,8 +288,7 @@ proptest! {
     ) {
         // The scheduling contract every strategy must honor, sweep after
         // sweep: pairs are (i, j) with i < j < n, no pair is visited twice
-        // within one sweep, no column appears twice within one round, and —
-        // for the strategies shipped today, which are all full-coverage —
+        // within one sweep, no column appears twice within one round, and
         // every pair is visited exactly once per sweep.
         let a = gen::uniform(2 * n + 1, n, seed);
         let gram = GramState::from_matrix(&a);
@@ -314,53 +313,6 @@ proptest! {
                     "{}: sweep {} must cover every pair", kind.name(), sweep_index);
             }
         }
-    }
-
-    #[test]
-    fn presort_folds_the_permutation_into_v_bit_exactly(seed in 0u64..60, n in 2usize..12) {
-        // The de Rijk presort is "cyclic on the column-permuted matrix with
-        // the permutation folded into V's starting value" — so against a
-        // manual permute-then-cyclic solve it must reproduce U and σ bit for
-        // bit, and V row-permuted by the same permutation, with no undo pass.
-        use hjsvd::matrix::{ops, Matrix};
-        let m = 2 * n + 3;
-        let a = gen::uniform(m, n, seed);
-
-        // Replicate the solver's permutation: descending column norm, ties
-        // (and NaN) by column index via total_cmp.
-        let norms_v: Vec<f64> = (0..n).map(|c| ops::norm(a.col(c))).collect();
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_by(|&x, &y| norms_v[y].total_cmp(&norms_v[x]).then(x.cmp(&y)));
-        let mut ap = Matrix::zeros(m, n);
-        for (t, &c) in perm.iter().enumerate() {
-            ap.col_mut(t).copy_from_slice(a.col(c));
-        }
-
-        let pre = HestenesSvd::new(SvdOptions {
-            ordering: Ordering::ColumnNormPresort,
-            ..Default::default()
-        })
-        .decompose(&a)
-        .unwrap();
-        let cyc = HestenesSvd::new(SvdOptions::default()).decompose(&ap).unwrap();
-
-        prop_assert_eq!(pre.sweeps, cyc.sweeps, "sweep counts differ");
-        prop_assert_eq!(pre.u.as_slice(), cyc.u.as_slice(), "U bits differ");
-        for (s_pre, s_cyc) in pre.singular_values.iter().zip(&cyc.singular_values) {
-            prop_assert_eq!(s_pre.to_bits(), s_cyc.to_bits(), "σ bits differ");
-        }
-        // V_presort = P·V_cyclic: row perm[t] of the presort V is row t of
-        // the cyclic-on-permuted V, bitwise.
-        for k in 0..pre.v.cols() {
-            let (col_pre, col_cyc) = (pre.v.col(k), cyc.v.col(k));
-            for t in 0..n {
-                prop_assert_eq!(col_pre[perm[t]].to_bits(), col_cyc[t].to_bits(),
-                    "V row permutation broken at (t={t}, k={k})");
-            }
-        }
-        // And the presorted solve still factors the *original* matrix.
-        let err = norms::reconstruction_error(&a, &pre.u, &pre.singular_values, &pre.v);
-        prop_assert!(err < 1e-10, "presort reconstruction error {err}");
     }
 
     #[test]
