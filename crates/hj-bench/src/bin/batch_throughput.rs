@@ -10,8 +10,8 @@
 //! path pays `k` times over.
 //!
 //! Each point solves the same fixed-seed corpus of `k = 256` well-formed
-//! `2n x n` matrices through both paths (warm workspaces, median of
-//! several runs) and cross-checks the SoA spectra against the looped ones
+//! `2n x n` matrices through both paths (the SoA path on a warm
+//! `BatchWorkspace`, median of several runs) and cross-checks the SoA spectra against the looped ones
 //! to `1e-12 * sigma_max` so a throughput win can never hide an accuracy
 //! regression. The JSON report (schema `hjsvd-batch-throughput/v1`) lands
 //! in `bench_results/batch.json`; a full run also refreshes the checked-in
@@ -23,7 +23,7 @@
 //! run's acceptance bar, recorded in BENCH_batch.json, is 5x).
 
 use hj_bench::{has_flag, measure, print_table};
-use hj_core::{BatchWorkspace, HestenesSvd, SvdOptions};
+use hj_core::{BatchDriver, BatchWorkspace, HestenesSvd, SvdOptions};
 use hj_matrix::gen;
 use hj_matrix::Matrix;
 
@@ -121,8 +121,8 @@ fn run_point(n: usize, reps: usize) -> Point {
         .into_iter()
         .map(|r| r.expect("benchmark corpus is well-formed"))
         .collect();
-    let soa: Vec<_> = solver
-        .singular_values_batch_soa(&mats)
+    let soa: Vec<_> = BatchDriver::new(&solver)
+        .solve(&mut BatchWorkspace::new(), &mats)
         .into_iter()
         .map(|r| r.expect("benchmark corpus is well-formed"))
         .collect();
@@ -143,7 +143,7 @@ fn run_point(n: usize, reps: usize) -> Point {
     });
     let mut ws = BatchWorkspace::new();
     let soa_seconds = measure(reps, || {
-        for r in solver.singular_values_batch_soa_with_workspace(&mats, &mut ws) {
+        for r in BatchDriver::new(&solver).solve(&mut ws, &mats) {
             r.expect("benchmark corpus is well-formed");
         }
     });

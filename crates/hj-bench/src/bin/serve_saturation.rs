@@ -7,7 +7,7 @@
 //! This is the software analogue of the paper's throughput argument: the
 //! FPGA datapath issues 8 independent rotations every 64 cycles because
 //! the memory system keeps every rotation unit fed. Here the "rotation
-//! units" are worker threads with warm workspaces, and the question is
+//! units" are worker threads, and the question is
 //! the same — how does sustained solve throughput scale with the number
 //! of units, and where does the bounded admission queue start shedding
 //! load?

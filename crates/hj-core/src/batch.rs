@@ -12,61 +12,12 @@
 //!   its one-at-a-time counterpart, whichever worker runs it.
 //! * **Per-solve isolation** — a bad input (e.g. NaN → `NonFiniteInput`)
 //!   yields an `Err` in its own slot and leaves every other solve untouched.
-//! * **Workspace pooling** — every solve checks a [`SweepWorkspace`] out of
-//!   a shared [`WorkspacePool`] and returns it afterwards, so a fan-out of
-//!   `B` matrices over `T` workers warms at most `min(B, T)` workspaces
-//!   instead of allocating a fresh one per matrix. Pooling is transparent:
-//!   a warm workspace computes the same bits as a cold one.
 
-use crate::ordering::SweepWorkspace;
+use crate::batch_engine::{soa_eligible, BatchDriver, BatchWorkspace};
 use crate::svd::{HestenesSvd, SingularValues, Svd};
 use crate::SvdError;
 use hj_matrix::Matrix;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A checkout/checkin pool of [`SweepWorkspace`]s for fan-out solves.
-///
-/// `checkout` hands back the most recently returned workspace (warmest
-/// first) or creates a fresh one when the pool is empty; `checkin` returns
-/// it for the next solve. The pool never shrinks and is safe to share
-/// across threads.
-#[derive(Default)]
-pub struct WorkspacePool {
-    free: Mutex<Vec<SweepWorkspace>>,
-    created: AtomicUsize,
-}
-
-impl WorkspacePool {
-    /// An empty pool; workspaces are created on demand.
-    pub fn new() -> Self {
-        WorkspacePool::default()
-    }
-
-    /// Take a workspace (warmest available, or a fresh one).
-    pub fn checkout(&self) -> SweepWorkspace {
-        if let Some(ws) = self.free.lock().expect("workspace pool poisoned").pop() {
-            return ws;
-        }
-        self.created.fetch_add(1, Ordering::Relaxed);
-        SweepWorkspace::new()
-    }
-
-    /// Return a workspace for reuse by later solves.
-    pub fn checkin(&self, ws: SweepWorkspace) {
-        self.free.lock().expect("workspace pool poisoned").push(ws);
-    }
-
-    /// Total workspaces ever created by this pool.
-    pub fn created(&self) -> usize {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Workspaces currently checked in and idle.
-    pub fn available(&self) -> usize {
-        self.free.lock().expect("workspace pool poisoned").len()
-    }
-}
+use rayon::prelude::*;
 
 impl HestenesSvd {
     /// Decompose every matrix of the batch with this solver's options.
@@ -82,33 +33,35 @@ impl HestenesSvd {
     /// assert!(results.iter().all(|r| r.is_ok()));
     /// ```
     pub fn decompose_batch(&self, mats: &[Matrix]) -> Vec<Result<Svd, SvdError>> {
-        self.decompose_batch_pooled(mats, &WorkspacePool::new())
-    }
-
-    /// [`HestenesSvd::decompose_batch`] drawing scratch from a caller-owned
-    /// pool — reuse one pool across repeated batches to keep the workspaces
-    /// warm between calls.
-    pub fn decompose_batch_pooled(
-        &self,
-        mats: &[Matrix],
-        pool: &WorkspacePool,
-    ) -> Vec<Result<Svd, SvdError>> {
-        self.batch(mats, pool, |m, ws| self.decompose_with_workspace(m, ws))
+        fan_out(mats, |m| self.decompose(m))
     }
 
     /// Values-only counterpart of [`HestenesSvd::decompose_batch`].
     ///
     /// Uniform-shape batches of small problems (`2 ≤ n ≤ 32`, default
     /// cyclic ordering) dispatch to the batched SoA engine
-    /// ([`HestenesSvd::singular_values_batch_soa`]), which sweeps every
-    /// problem together — same per-slot error isolation, results within the
-    /// documented `1e-12·σ_max` envelope of the looped path. Everything else
-    /// (mixed shapes, larger problems, other orderings or threshold
-    /// configurations) takes the looped per-matrix path, which stays
-    /// bit-identical to one-at-a-time solves.
+    /// ([`BatchDriver`]), which sweeps every problem together — same
+    /// per-slot error isolation, results within the documented
+    /// `1e-12·σ_max` envelope of the looped path. Everything else (mixed
+    /// shapes, larger problems, other orderings or threshold configurations)
+    /// takes the looped per-matrix path, which stays bit-identical to
+    /// one-at-a-time solves.
     pub fn singular_values_batch(&self, mats: &[Matrix]) -> Vec<Result<SingularValues, SvdError>> {
-        if crate::batch_engine::soa_eligible(self, mats) {
-            return self.singular_values_batch_soa(mats);
+        self.singular_values_batch_with_workspace(mats, &mut BatchWorkspace::new())
+    }
+
+    /// [`HestenesSvd::singular_values_batch`]'s dispatch over caller-owned
+    /// SoA scratch: uniform small batches run the SoA engine on `ws`,
+    /// everything else takes the looped per-matrix path. Long-lived servers
+    /// keep one warm [`BatchWorkspace`] per worker and route every bulk job
+    /// through this.
+    pub fn singular_values_batch_with_workspace(
+        &self,
+        mats: &[Matrix],
+        ws: &mut BatchWorkspace,
+    ) -> Vec<Result<SingularValues, SvdError>> {
+        if soa_eligible(self, mats) {
+            return BatchDriver::new(self).solve(ws, mats);
         }
         self.singular_values_batch_looped(mats)
     }
@@ -122,47 +75,20 @@ impl HestenesSvd {
         &self,
         mats: &[Matrix],
     ) -> Vec<Result<SingularValues, SvdError>> {
-        self.singular_values_batch_pooled(mats, &WorkspacePool::new())
+        fan_out(mats, |m| self.singular_values(m))
     }
+}
 
-    /// [`HestenesSvd::singular_values_batch`] drawing scratch from a
-    /// caller-owned pool.
-    pub fn singular_values_batch_pooled(
-        &self,
-        mats: &[Matrix],
-        pool: &WorkspacePool,
-    ) -> Vec<Result<SingularValues, SvdError>> {
-        self.batch(mats, pool, |m, ws| self.singular_values_with_workspace(m, ws))
-    }
-
-    fn batch<T, F>(
-        &self,
-        mats: &[Matrix],
-        pool: &WorkspacePool,
-        solve: F,
-    ) -> Vec<Result<T, SvdError>>
-    where
-        T: Send,
-        F: Fn(&Matrix, &mut SweepWorkspace) -> Result<T, SvdError> + Sync,
-    {
-        // One checkout per worker-sized chunk, not per matrix: per-item
-        // checkout/checkin let a large batch cycle workspaces through the
-        // pool faster than warm ones came back, re-creating (and re-warming)
-        // workspaces mid-batch. Chunking pins the checkout count to the
-        // chunk count — at most one workspace per worker, deterministically.
-        let chunk = mats.len().div_ceil(rayon::current_num_threads().max(1)).max(1);
-        let parts = mats.len().div_ceil(chunk);
-        let starts: Vec<usize> = (0..=parts).map(|r| (r * chunk).min(mats.len())).collect();
-        let mut out: Vec<Option<Result<T, SvdError>>> = (0..mats.len()).map(|_| None).collect();
-        rayon::par_rows_for_each(&mut out, &starts, |r, slots| {
-            let mut ws = pool.checkout();
-            for (off, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(solve(&mats[r * chunk + off], &mut ws));
-            }
-            pool.checkin(ws);
-        });
-        out.into_iter().map(|r| r.expect("every batch slot is filled")).collect()
-    }
+/// One `solve` per matrix across the thread pool, each worker taking a
+/// contiguous block of slots; result `k` is always input `k`'s.
+fn fan_out<T, F>(mats: &[Matrix], solve: F) -> Vec<Result<T, SvdError>>
+where
+    T: Send,
+    F: Fn(&Matrix) -> Result<T, SvdError> + Sync,
+{
+    let mut out: Vec<Option<Result<T, SvdError>>> = (0..mats.len()).map(|_| None).collect();
+    out.par_iter_mut().enumerate().for_each(|(k, slot)| *slot = Some(solve(&mats[k])));
+    out.into_iter().map(|r| r.expect("every batch slot is filled")).collect()
 }
 
 #[cfg(test)]
@@ -242,37 +168,18 @@ mod tests {
         let batch = HestenesSvd::new(opts).singular_values_batch(&mats);
         assert!(matches!(batch[0], Err(SvdError::TruncatedTailNotNegligible)));
         assert!(batch[1].is_ok());
-    }
-
-    #[test]
-    fn faulted_solves_do_not_poison_the_pool() {
-        // Every solve under an already-expired deadline aborts with a
-        // structured fault in its own slot — and the workspaces those
-        // aborted solves checked back in must be indistinguishable from
-        // fresh ones for the next batch.
+        // Under an already-expired deadline every solve aborts with a
+        // structured fault in its own slot.
         let mats = mixed_batch();
-        let pool = WorkspacePool::new();
         let expired = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let faulty = HestenesSvd::new(SvdOptions::default())
             .with_budget(crate::SolveBudget::with_deadline(expired))
             .with_recovery_policy(crate::RecoveryPolicy::abort_only());
-        let batch = faulty.decompose_batch_pooled(&mats, &pool);
-        for (k, res) in batch.iter().enumerate() {
+        for (k, res) in faulty.decompose_batch(&mats).iter().enumerate() {
             assert!(
                 matches!(res, Err(SvdError::SolveFault { .. })),
                 "slot {k} should abort on the expired deadline, got {res:?}"
             );
-        }
-        // Same pool, healthy solver: bit-identical to a fresh pool.
-        let clean = HestenesSvd::new(SvdOptions::default());
-        let reused = clean.decompose_batch_pooled(&mats, &pool);
-        let fresh = clean.decompose_batch_pooled(&mats, &WorkspacePool::new());
-        for (k, (r, f)) in reused.iter().zip(&fresh).enumerate() {
-            let r = r.as_ref().expect("healthy solve");
-            let f = f.as_ref().expect("healthy solve");
-            assert_eq!(r.singular_values, f.singular_values, "slot {k} σ poisoned");
-            assert_eq!(r.u.as_slice(), f.u.as_slice(), "slot {k} U poisoned");
-            assert_eq!(r.v.as_slice(), f.v.as_slice(), "slot {k} V poisoned");
         }
     }
 
@@ -304,58 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_checkout_is_chunk_deterministic() {
-        // Regression: the per-item checkout/checkin cycle could create more
-        // workspaces than workers when a big batch outpaced checkins. The
-        // chunked path pins creation to min(batch, threads) exactly — and a
-        // second batch over the warm pool creates nothing.
-        let mats: Vec<_> = (0..64).map(|k| gen::uniform(12, 5, 300 + k)).collect();
-        let solver = HestenesSvd::new(SvdOptions::default());
-        let pool = WorkspacePool::new();
-        solver.decompose_batch_pooled(&mats, &pool);
-        let cap = rayon::current_num_threads().max(1).min(mats.len());
-        assert!(pool.created() <= cap, "created {} workspaces for a cap of {cap}", pool.created());
-        assert_eq!(pool.available(), pool.created());
-        let created = pool.created();
-        solver.decompose_batch_pooled(&mats, &pool);
-        assert_eq!(pool.created(), created, "warm pool must not re-create workspaces");
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let solver = HestenesSvd::new(SvdOptions::default());
         assert!(solver.decompose_batch(&[]).is_empty());
         assert!(solver.singular_values_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn pool_bounds_workspace_creation_and_is_transparent() {
-        // 8 same-shape solves through one pool: at most one workspace per
-        // worker thread ever exists, all come back, and the results match
-        // the unpooled path bit for bit.
-        let mats: Vec<_> = (0..8).map(|k| gen::uniform(18, 7, 100 + k)).collect();
-        let solver = HestenesSvd::new(SvdOptions::default());
-        let pool = WorkspacePool::new();
-        let pooled = solver.decompose_batch_pooled(&mats, &pool);
-        assert!(pool.created() >= 1);
-        assert!(
-            pool.created() <= rayon::current_num_threads().max(1),
-            "pool created {} workspaces for {} workers",
-            pool.created(),
-            rayon::current_num_threads()
-        );
-        assert_eq!(pool.available(), pool.created(), "all workspaces checked back in");
-        // A second batch over the same pool creates nothing new.
-        let again = solver.singular_values_batch_pooled(&mats, &pool);
-        assert_eq!(pool.available(), pool.created());
-        for (k, res) in pooled.iter().enumerate() {
-            let one = solver.decompose(&mats[k]).unwrap();
-            let b = res.as_ref().unwrap();
-            assert_eq!(b.singular_values, one.singular_values, "slot {k}");
-            assert_eq!(b.u.as_slice(), one.u.as_slice());
-            assert_eq!(b.v.as_slice(), one.v.as_slice());
-            let one_values = solver.singular_values(&mats[k]).unwrap();
-            assert_eq!(again[k].as_ref().unwrap().values, one_values.values);
-        }
     }
 }

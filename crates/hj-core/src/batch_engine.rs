@@ -63,7 +63,7 @@ use crate::convergence::{is_converged, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::PAIR_TOL;
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
 use crate::ordering::{round_robin, Ordering};
-use crate::recovery::{Fault, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR};
+use crate::recovery::{Fault, HealthCheck, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR};
 use crate::stats::SolveStats;
 use crate::svd::{prescale_exponent, unscale_values, HestenesSvd, SingularValues, WIDE_TAIL_TOL};
 use crate::SvdError;
@@ -407,7 +407,27 @@ impl<'a> BatchDriver<'a> {
         BatchDriver { solver }
     }
 
-    /// Load + sweep + extract in one call.
+    /// Load + sweep + extract in one call: all problems swept together, one
+    /// rotation kernel invocation per `(i, j)` pair across the whole batch.
+    /// Results are within `1e-12·σ_max` of the looped
+    /// [`crate::HestenesSvd::singular_values`] per problem; per-problem
+    /// errors (invalid input, mid-solve faults) land in their own slots. A
+    /// warm workspace solves repeated same-shape batches with zero
+    /// steady-state heap allocations.
+    ///
+    /// ```
+    /// use hj_core::{BatchDriver, BatchWorkspace, HestenesSvd, SvdOptions};
+    /// use hj_matrix::gen;
+    ///
+    /// let mats: Vec<_> = (0..64).map(|k| gen::uniform(24, 12, k)).collect();
+    /// let solver = HestenesSvd::new(SvdOptions::default());
+    /// let batch = BatchDriver::new(&solver).solve(&mut BatchWorkspace::new(), &mats);
+    /// let one = solver.singular_values(&mats[7]).unwrap();
+    /// let soa = batch[7].as_ref().unwrap();
+    /// for (x, y) in soa.values.iter().zip(&one.values) {
+    ///     assert!((x - y).abs() <= 1e-12 * one.values[0]);
+    /// }
+    /// ```
     ///
     /// # Panics
     /// Panics if the matrices do not all share one column count (see
@@ -500,7 +520,7 @@ impl<'a> BatchDriver<'a> {
     #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
     fn sweep_inner(&self, ws: &mut BatchWorkspace, plan: CorruptionPlan<'_>) {
         let opts = self.solver.options();
-        let health = *self.solver.health();
+        let health = HealthCheck::default();
         let budget = self.solver.budget();
         let max_sweeps = opts.max_sweeps.min(MAX_SWEEP_CAP);
         let n = ws.n;
@@ -670,10 +690,10 @@ impl<'a> BatchDriver<'a> {
     }
 }
 
-/// Per-lane replica of [`crate::HealthCheck`]'s inspection, over the
+/// Per-lane replica of [`HealthCheck`]'s inspection, over the
 /// workspace's fused metric scan — same thresholds, same check order.
 fn lane_health(
-    health: &crate::HealthCheck,
+    health: &HealthCheck,
     ws: &mut BatchWorkspace,
     p: usize,
     rec: &SweepRecord,
@@ -747,68 +767,6 @@ pub(crate) fn soa_eligible(solver: &HestenesSvd, mats: &[Matrix]) -> bool {
     mats.iter().all(|m| m.shape() == shape)
 }
 
-impl HestenesSvd {
-    /// Batched singular values through the SoA engine: all problems swept
-    /// together, one rotation kernel invocation per `(i, j)` pair across
-    /// the whole batch. Results are within `1e-12·σ_max` of the looped
-    /// [`crate::HestenesSvd::singular_values`] per problem; per-problem
-    /// errors (invalid input, mid-solve faults) land in their own slots.
-    ///
-    /// ```
-    /// use hj_core::{HestenesSvd, SvdOptions};
-    /// use hj_matrix::gen;
-    ///
-    /// let mats: Vec<_> = (0..64).map(|k| gen::uniform(24, 12, k)).collect();
-    /// let solver = HestenesSvd::new(SvdOptions::default());
-    /// let batch = solver.singular_values_batch_soa(&mats);
-    /// let one = solver.singular_values(&mats[7]).unwrap();
-    /// let soa = batch[7].as_ref().unwrap();
-    /// for (x, y) in soa.values.iter().zip(&one.values) {
-    ///     assert!((x - y).abs() <= 1e-12 * one.values[0]);
-    /// }
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if the matrices do not all share one column count.
-    pub fn singular_values_batch_soa(
-        &self,
-        mats: &[Matrix],
-    ) -> Vec<Result<SingularValues, SvdError>> {
-        let mut ws = BatchWorkspace::new();
-        self.singular_values_batch_soa_with_workspace(mats, &mut ws)
-    }
-
-    /// [`HestenesSvd::singular_values_batch_soa`] over caller-owned scratch.
-    /// A warm workspace solves repeated same-shape batches with zero
-    /// steady-state heap allocations.
-    ///
-    /// # Panics
-    /// Panics if the matrices do not all share one column count.
-    pub fn singular_values_batch_soa_with_workspace(
-        &self,
-        mats: &[Matrix],
-        ws: &mut BatchWorkspace,
-    ) -> Vec<Result<SingularValues, SvdError>> {
-        BatchDriver::new(self).solve(ws, mats)
-    }
-
-    /// [`HestenesSvd::singular_values_batch`]'s dispatch over caller-owned
-    /// SoA scratch: uniform small batches run the SoA engine on `ws`,
-    /// everything else falls back to the looped per-matrix path (which
-    /// manages its own scalar workspaces). Long-lived servers keep one warm
-    /// [`BatchWorkspace`] per worker and route every bulk job through this.
-    pub fn singular_values_batch_with_workspace(
-        &self,
-        mats: &[Matrix],
-        ws: &mut BatchWorkspace,
-    ) -> Vec<Result<SingularValues, SvdError>> {
-        if soa_eligible(self, mats) {
-            return self.singular_values_batch_soa_with_workspace(mats, ws);
-        }
-        self.singular_values_batch_looped(mats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,11 +777,16 @@ mod tests {
         (0..count).map(|k| gen::uniform(m, n, 900 + k as u64)).collect()
     }
 
+    /// One SoA solve of `mats` on a fresh workspace.
+    fn soa(solver: &HestenesSvd, mats: &[Matrix]) -> Vec<Result<SingularValues, SvdError>> {
+        BatchDriver::new(solver).solve(&mut BatchWorkspace::new(), mats)
+    }
+
     #[test]
     fn soa_batch_matches_looped_within_envelope() {
         let mats = uniform_batch(20, 8, 11);
         let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.singular_values_batch_soa(&mats);
+        let batch = soa(&solver, &mats);
         for (k, res) in batch.iter().enumerate() {
             let one = solver.singular_values(&mats[k]).unwrap();
             let soa = res.as_ref().unwrap();
@@ -855,7 +818,7 @@ mod tests {
             gen::uniform(24, 6, 5),
         ];
         let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.singular_values_batch_soa(&mats);
+        let batch = soa(&solver, &mats);
         let mut sweep_counts = Vec::new();
         for (k, res) in batch.iter().enumerate() {
             let one = solver.singular_values(&mats[k]).unwrap();
@@ -889,7 +852,7 @@ mod tests {
         poisoned.set(3, 2, f64::NAN);
         mats[1] = poisoned;
         let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.singular_values_batch_soa(&mats);
+        let batch = soa(&solver, &mats);
         assert!(matches!(batch[1], Err(SvdError::NonFiniteInput)));
         for (k, res) in batch.iter().enumerate() {
             if k == 1 {
@@ -909,7 +872,7 @@ mod tests {
         let mut mats = base.clone();
         mats[1] = base[1].scaled(1e160); // Gram would overflow unscaled
         let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.singular_values_batch_soa(&mats);
+        let batch = soa(&solver, &mats);
         let huge = batch[1].as_ref().unwrap();
         assert_ne!(huge.stats.prescale_exp, 0);
         let clean = solver.singular_values(&base[1]).unwrap();
@@ -928,7 +891,7 @@ mod tests {
         let mats = uniform_batch(12, 4, 3);
         let solver = HestenesSvd::new(SvdOptions::default())
             .with_budget(SolveBudget::with_deadline(Instant::now() - Duration::from_millis(1)));
-        for res in solver.singular_values_batch_soa(&mats) {
+        for res in soa(&solver, &mats) {
             match res {
                 Err(SvdError::SolveFault { fault, sweeps_completed, recoveries }) => {
                     assert_eq!(fault, Fault::DeadlineExceeded { sweep: 1 });
@@ -944,7 +907,7 @@ mod tests {
     fn wide_batch_truncates_or_rejects_like_the_scalar_driver() {
         let mats = vec![gen::uniform(4, 9, 7), gen::uniform(4, 9, 8)];
         let solver = HestenesSvd::new(SvdOptions::default());
-        let ok = solver.singular_values_batch_soa(&mats);
+        let ok = soa(&solver, &mats);
         for (res, mat) in ok.iter().zip(&mats) {
             let sv = res.as_ref().unwrap();
             assert_eq!(sv.values.len(), 4);
@@ -959,7 +922,7 @@ mod tests {
             max_sweeps: 1,
             ..Default::default()
         });
-        for res in rushed.singular_values_batch_soa(&mats) {
+        for res in soa(&rushed, &mats) {
             assert!(matches!(res, Err(SvdError::TruncatedTailNotNegligible)));
         }
     }
@@ -969,10 +932,10 @@ mod tests {
         let mats = uniform_batch(18, 6, 9);
         let solver = HestenesSvd::new(SvdOptions::default());
         let mut ws = BatchWorkspace::new();
-        let first = solver.singular_values_batch_soa_with_workspace(&mats, &mut ws);
+        let first = BatchDriver::new(&solver).solve(&mut ws, &mats);
         let warm_allocs = ws.allocations();
         assert!(warm_allocs > 0, "first load must size the buffers");
-        let second = solver.singular_values_batch_soa_with_workspace(&mats, &mut ws);
+        let second = BatchDriver::new(&solver).solve(&mut ws, &mats);
         assert_eq!(ws.allocations(), warm_allocs, "steady-state batches must not grow buffers");
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.as_ref().unwrap().values, b.as_ref().unwrap().values);
@@ -982,9 +945,9 @@ mod tests {
     #[test]
     fn empty_batch_and_n1_edge_cases() {
         let solver = HestenesSvd::new(SvdOptions::default());
-        assert!(solver.singular_values_batch_soa(&[]).is_empty());
+        assert!(soa(&solver, &[]).is_empty());
         let mats = vec![Matrix::from_rows(&[&[3.0], &[4.0]]); 3];
-        let batch = solver.singular_values_batch_soa(&mats);
+        let batch = soa(&solver, &mats);
         for res in batch {
             let sv = res.unwrap();
             assert!((sv.values[0] - 5.0).abs() < 1e-12);

@@ -33,7 +33,8 @@ pub struct SymmetricEigen {
     pub stats: SolveStats,
 }
 
-/// Eigendecompose a symmetric matrix given in packed form.
+/// Eigendecompose a symmetric matrix given in packed form, visiting pairs
+/// in `ordering` (either cyclic order converges on indefinite matrices too).
 ///
 /// `tol` is the relative off-diagonal threshold: pairs with
 /// `|off-diagonal| ≤ tol · max|diagonal|` are skipped, and iteration stops
@@ -45,27 +46,18 @@ pub struct SymmetricEigen {
 ///
 /// ```
 /// use hj_core::eigh::eigh;
+/// use hj_core::Ordering;
 /// use hj_matrix::PackedSymmetric;
 ///
 /// let mut s = PackedSymmetric::zeros(2);
 /// s.set(0, 0, 2.0);
 /// s.set(1, 1, 2.0);
 /// s.set(0, 1, 1.0);
-/// let e = eigh(&s, 1e-14).unwrap();
+/// let e = eigh(&s, 1e-14, Ordering::RoundRobin).unwrap();
 /// assert!((e.eigenvalues[0] - 3.0).abs() < 1e-12);
 /// assert!((e.eigenvalues[1] - 1.0).abs() < 1e-12);
 /// ```
-pub fn eigh(s: &PackedSymmetric, tol: f64) -> Result<SymmetricEigen, SvdError> {
-    eigh_ordered(s, tol, Ordering::RoundRobin)
-}
-
-/// [`eigh`] with an explicit pair ordering (either cyclic order converges
-/// on indefinite matrices too).
-pub fn eigh_ordered(
-    s: &PackedSymmetric,
-    tol: f64,
-    ordering: Ordering,
-) -> Result<SymmetricEigen, SvdError> {
+pub fn eigh(s: &PackedSymmetric, tol: f64, ordering: Ordering) -> Result<SymmetricEigen, SvdError> {
     let n = s.dim();
     if n == 0 {
         return Err(SvdError::EmptyInput);
@@ -112,21 +104,12 @@ pub fn eigh_ordered(
     Ok(SymmetricEigen { eigenvalues, eigenvectors, sweeps, history, stats })
 }
 
-/// Convenience: eigendecompose a dense symmetric matrix (symmetry is
-/// enforced by averaging `(S + Sᵀ)/2` into the packed form).
-pub fn eigh_dense(s: &Matrix, tol: f64) -> Result<SymmetricEigen, SvdError> {
-    eigh_dense_ordered(s, tol, Ordering::RoundRobin)
-}
-
-/// [`eigh_dense`] with an explicit pair ordering, like [`eigh_ordered`].
-pub fn eigh_dense_ordered(
-    s: &Matrix,
-    tol: f64,
-    ordering: Ordering,
-) -> Result<SymmetricEigen, SvdError> {
-    let (m, n) = s.shape();
-    if m != n {
-        return Err(SvdError::EmptyInput);
+/// Eigendecompose a dense symmetric matrix (symmetry is enforced by
+/// averaging `(S + Sᵀ)/2` into the packed form), like [`eigh`].
+pub fn eigh_dense(s: &Matrix, tol: f64, ordering: Ordering) -> Result<SymmetricEigen, SvdError> {
+    let (rows, n) = s.shape();
+    if rows != n {
+        return Err(SvdError::NotSquare { rows, cols: n });
     }
     let mut p = PackedSymmetric::zeros(n);
     for i in 0..n {
@@ -134,7 +117,7 @@ pub fn eigh_dense_ordered(
             p.set(i, j, 0.5 * (s.get(i, j) + s.get(j, i)));
         }
     }
-    eigh_ordered(&p, tol, ordering)
+    eigh(&p, tol, ordering)
 }
 
 #[cfg(test)]
@@ -165,7 +148,7 @@ mod tests {
     fn psd_gram_matrix() {
         let a = gen::uniform(20, 6, 1);
         let s = a.gram();
-        let e = eigh(&s, 1e-14).unwrap();
+        let e = eigh(&s, 1e-14, Ordering::RoundRobin).unwrap();
         check_decomposition(&s, &e, 1e-9);
         assert!(e.eigenvalues.iter().all(|&l| l >= -1e-10), "Gram eigenvalues are ≥ 0");
     }
@@ -173,7 +156,7 @@ mod tests {
     #[test]
     fn eigenvalues_are_squared_singular_values() {
         let a = gen::uniform(25, 7, 2);
-        let e = eigh(&a.gram(), 1e-14).unwrap();
+        let e = eigh(&a.gram(), 1e-14, Ordering::RoundRobin).unwrap();
         let sv = crate::HestenesSvd::new(crate::SvdOptions::default()).singular_values(&a).unwrap();
         for (l, s) in e.eigenvalues.iter().zip(&sv.values) {
             assert!((l - s * s).abs() < 1e-9 * (s * s).max(1.0), "λ {l} vs σ² {}", s * s);
@@ -190,7 +173,7 @@ mod tests {
         s.set(0, 1, 1.0);
         s.set(0, 2, -0.5);
         s.set(1, 2, 0.25);
-        let e = eigh(&s, 1e-14).unwrap();
+        let e = eigh(&s, 1e-14, Ordering::RoundRobin).unwrap();
         check_decomposition(&s, &e, 1e-10);
         assert!(e.eigenvalues[0] > 0.0 && e.eigenvalues[2] < 0.0);
         // Trace is preserved.
@@ -204,7 +187,7 @@ mod tests {
         for (i, &d) in [3.0, -1.0, 7.0, 0.0].iter().enumerate() {
             s.set(i, i, d);
         }
-        let e = eigh(&s, 1e-14).unwrap();
+        let e = eigh(&s, 1e-14, Ordering::RoundRobin).unwrap();
         assert_eq!(e.sweeps, 1);
         assert_eq!(e.eigenvalues, vec![7.0, 3.0, 0.0, -1.0]);
     }
@@ -212,7 +195,7 @@ mod tests {
     #[test]
     fn history_and_stats_are_populated() {
         let a = gen::uniform(18, 5, 6);
-        let e = eigh(&a.gram(), 1e-14).unwrap();
+        let e = eigh(&a.gram(), 1e-14, Ordering::RoundRobin).unwrap();
         assert_eq!(e.history.len(), e.sweeps);
         assert_eq!(e.stats.sweeps, e.sweeps);
         assert_eq!(e.stats.sweep_seconds.len(), e.sweeps);
@@ -240,7 +223,7 @@ mod tests {
                 s.set(i, j, v);
             }
         }
-        let e = eigh(&s, 1e-14).unwrap();
+        let e = eigh(&s, 1e-14, Ordering::RoundRobin).unwrap();
         for (got, want) in e.eigenvalues.iter().zip(&lambda) {
             assert!((got - want).abs() < 1e-11, "{got} vs {want}");
         }
@@ -255,26 +238,32 @@ mod tests {
     fn eigh_dense_symmetrizes() {
         // Slightly asymmetric input is averaged.
         let s = Matrix::from_rows(&[&[1.0, 0.5 + 1e-13], &[0.5 - 1e-13, 2.0]]);
-        let e = eigh_dense(&s, 1e-14).unwrap();
+        let e = eigh_dense(&s, 1e-14, Ordering::RoundRobin).unwrap();
         assert_eq!(e.eigenvalues.len(), 2);
         assert!((e.eigenvalues[0] + e.eigenvalues[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn errors() {
-        assert!(matches!(eigh(&PackedSymmetric::zeros(0), 1e-14), Err(SvdError::EmptyInput)));
+        assert!(matches!(
+            eigh(&PackedSymmetric::zeros(0), 1e-14, Ordering::RoundRobin),
+            Err(SvdError::EmptyInput)
+        ));
         let mut s = PackedSymmetric::zeros(2);
         s.set(0, 1, f64::NAN);
-        assert!(matches!(eigh(&s, 1e-14), Err(SvdError::NonFiniteInput)));
-        assert!(matches!(eigh_dense(&Matrix::zeros(2, 3), 1e-14), Err(SvdError::EmptyInput)));
+        assert!(matches!(eigh(&s, 1e-14, Ordering::RoundRobin), Err(SvdError::NonFiniteInput)));
+        assert_eq!(
+            eigh_dense(&Matrix::zeros(2, 3), 1e-14, Ordering::RoundRobin).unwrap_err(),
+            SvdError::NotSquare { rows: 2, cols: 3 }
+        );
     }
 
     #[test]
     fn every_ordering_solves_and_the_spectra_agree() {
         let a = gen::uniform(12, 5, 11);
-        let reference = eigh(&a.gram(), 1e-14).unwrap();
+        let reference = eigh(&a.gram(), 1e-14, Ordering::RoundRobin).unwrap();
         for ordering in Ordering::ALL {
-            let e = eigh_ordered(&a.gram(), 1e-14, ordering).unwrap();
+            let e = eigh(&a.gram(), 1e-14, ordering).unwrap();
             check_decomposition(&a.gram(), &e, 1e-9);
             for (got, want) in e.eigenvalues.iter().zip(&reference.eigenvalues) {
                 assert!((got - want).abs() < 1e-9 * want.abs().max(1.0));
@@ -284,20 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_eigh_ordered_matches_eigh_bitwise() {
-        let a = gen::uniform(16, 6, 12);
-        let plain = eigh(&a.gram(), 1e-14).unwrap();
-        let routed = eigh_ordered(&a.gram(), 1e-14, Ordering::RoundRobin).unwrap();
-        assert_eq!(plain.eigenvalues, routed.eigenvalues);
-        assert_eq!(plain.eigenvectors.as_slice(), routed.eigenvectors.as_slice());
-        assert_eq!(plain.sweeps, routed.sweeps);
-    }
-
-    #[test]
     fn one_by_one() {
         let mut s = PackedSymmetric::zeros(1);
         s.set(0, 0, -2.5);
-        let e = eigh(&s, 1e-14).unwrap();
+        let e = eigh(&s, 1e-14, Ordering::RoundRobin).unwrap();
         assert_eq!(e.eigenvalues, vec![-2.5]);
         assert_eq!(e.eigenvectors.get(0, 0), 1.0);
     }

@@ -6,6 +6,13 @@ use std::fmt;
 pub enum SvdError {
     /// Input matrix has a zero dimension.
     EmptyInput,
+    /// The symmetric eigensolver was given a non-square matrix.
+    NotSquare {
+        /// Rows of the input.
+        rows: usize,
+        /// Columns of the input.
+        cols: usize,
+    },
     /// Input contains NaN or ±∞; the rotation kernels require finite data.
     NonFiniteInput,
     /// `max_sweeps` was 0; at least one sweep is required.
@@ -35,6 +42,9 @@ impl fmt::Display for SvdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SvdError::EmptyInput => write!(f, "input matrix has a zero dimension"),
+            SvdError::NotSquare { rows, cols } => {
+                write!(f, "input matrix must be square, got {rows}x{cols}")
+            }
             SvdError::NonFiniteInput => write!(f, "input matrix contains NaN or infinite entries"),
             SvdError::ZeroSweepBudget => write!(f, "max_sweeps must be at least 1"),
             SvdError::TruncatedTailNotNegligible => write!(
@@ -61,6 +71,7 @@ mod tests {
     #[test]
     fn messages() {
         assert!(SvdError::EmptyInput.to_string().contains("zero dimension"));
+        assert!(SvdError::NotSquare { rows: 2, cols: 3 }.to_string().contains("square, got 2x3"));
         assert!(SvdError::NonFiniteInput.to_string().contains("NaN"));
         assert!(SvdError::ZeroSweepBudget.to_string().contains("at least 1"));
         assert!(SvdError::TruncatedTailNotNegligible.to_string().contains("non-negligible"));

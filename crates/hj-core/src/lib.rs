@@ -23,15 +23,16 @@
 //!   disjoint pairs, the two cyclic orders — round-robin pairing (the
 //!   paper's Fig. 6, the default) and the row-cyclic loop nest of
 //!   Algorithm 1 — and the [`ordering::ThresholdSchedule`]
-//!   rotation-threshold ramp composable with either. [`SweepWorkspace`]
-//!   pools its plan buffers across solves.
+//!   rotation-threshold ramp composable with either. A sweep's plan is one
+//!   flat pair list ([`ordering::Sweep`]), so a solve plans with one
+//!   allocation and sweeps with none.
 //! * [`engine`] — the sweep pipeline: the [`engine::SweepEngine`] trait,
 //!   the [`engine::RotationTarget`] / [`engine::PairGuard`] abstractions,
 //!   the [`engine::Sequential`] engine (Algorithm 1's in-place data flow),
 //!   and the single [`engine::SolveDriver`] loop every solver runs on.
 //! * [`batch`] — batched drivers ([`HestenesSvd::decompose_batch`]) fanning
 //!   independent solves across the thread pool with per-solve error
-//!   isolation and a shared [`batch::WorkspacePool`] of warm scratch.
+//!   isolation.
 //! * [`batch_engine`] — the batched SoA engine for many tiny SVDs:
 //!   `k` interleaved Gram triangles swept together by one lanes-wide kernel
 //!   invocation per pair ([`batch_engine::BatchWorkspace`] /
@@ -95,7 +96,6 @@ pub mod stats;
 pub mod svd;
 pub mod trace;
 
-pub use batch::WorkspacePool;
 pub use batch_engine::{BatchDriver, BatchWorkspace};
 pub use convergence::{Convergence, SweepRecord};
 pub use engine::{
@@ -105,9 +105,7 @@ pub use error::SvdError;
 pub use gram::{DiagonalScan, GramState};
 #[cfg(feature = "fault-injection")]
 pub use inject::{Corruption, FaultInjector, SeededInjector};
-pub use ordering::{
-    Ordering, OrderingStrategy, PlanBuffers, SweepSchedule, SweepWorkspace, ThresholdSchedule,
-};
+pub use ordering::{Ordering, OrderingStrategy, PlanBuffers, SweepSchedule, ThresholdSchedule};
 pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, RecoveryAction, RecoveryPolicy, SolveBudget};
 pub use rotation::{hardware_params, textbook_params, Rotation};

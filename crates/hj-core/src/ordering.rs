@@ -13,10 +13,9 @@
 //!
 //! The subsystem has three layers:
 //!
-//! * [`Sweep`] — one sweep's plan: rounds of disjoint pairs.
-//! * [`OrderingStrategy`] — plans each sweep's rounds. Strategies own their
-//!   scratch and recycle the plan's round vectors, so steady-state
-//!   replanning is allocation-free.
+//! * [`Sweep`] — one sweep's plan: rounds of disjoint pairs, stored flat.
+//! * [`OrderingStrategy`] — plans each sweep's rounds into a caller-owned
+//!   [`Sweep`]; planning a sweep into an empty buffer is one allocation.
 //! * [`SweepSchedule`] — the strategy + plan buffer + optional
 //!   [`ThresholdSchedule`] bundle the [`crate::engine::SolveDriver`] consumes.
 
@@ -27,10 +26,13 @@ use crate::gram::GramState;
 ///
 /// Within a round all pairs are disjoint (no column appears twice), so the
 /// rounds are the natural unit of parallel execution. Every
-/// [`OrderingStrategy`] upholds this invariant.
+/// [`OrderingStrategy`] upholds this invariant. Every round of a plan has
+/// the same width — `⌊n/2⌋` pairs for round-robin, one for row-cyclic — so
+/// the plan is one flat pair list cut into rounds of that width.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Sweep {
-    rounds: Vec<Vec<(usize, usize)>>,
+    pairs: Vec<(usize, usize)>,
+    width: usize,
 }
 
 impl Sweep {
@@ -41,23 +43,23 @@ impl Sweep {
     }
 
     /// The rounds, in execution order.
-    pub fn rounds(&self) -> &[Vec<(usize, usize)>] {
-        &self.rounds
+    pub fn rounds(&self) -> impl Iterator<Item = &[(usize, usize)]> + '_ {
+        self.pairs.chunks(self.width.max(1))
     }
 
     /// Iterate over every pair in sweep order, flattening rounds.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rounds.iter().flatten().copied()
+        self.pairs.iter().copied()
     }
 
     /// Total number of pairs in the sweep.
     pub fn pair_count(&self) -> usize {
-        self.rounds.iter().map(Vec::len).sum()
+        self.pairs.len()
     }
 
     /// Number of rounds.
     pub fn round_count(&self) -> usize {
-        self.rounds.len()
+        self.pairs.len().checked_div(self.width).unwrap_or(0)
     }
 
     /// Split each round into chunks of at most `group` pairs — modelling the
@@ -75,25 +77,15 @@ impl Sweep {
     /// group consists of disjoint pairs.
     pub fn grouped_iter(&self, group: usize) -> impl Iterator<Item = &[(usize, usize)]> + '_ {
         assert!(group > 0, "group size must be positive");
-        self.rounds.iter().flat_map(move |round| round.chunks(group))
+        self.rounds().flat_map(move |round| round.chunks(group))
     }
 
-    /// Drain the plan's rounds into `spare`, clearing each (capacity kept).
-    /// The recycle half of the allocation-free replanning handshake.
-    pub(crate) fn recycle_into(&mut self, spare: &mut Vec<Vec<(usize, usize)>>) {
-        for mut round in self.rounds.drain(..) {
-            round.clear();
-            spare.push(round);
-        }
-    }
-
-    /// Append an (empty, recycled) round and return it for filling.
-    pub(crate) fn push_round(
-        &mut self,
-        spare: &mut Vec<Vec<(usize, usize)>>,
-    ) -> &mut Vec<(usize, usize)> {
-        self.rounds.push(spare.pop().unwrap_or_default());
-        self.rounds.last_mut().expect("round just pushed")
+    /// Empty the plan for `rounds` rounds of `width` pairs each, keeping
+    /// the pair list's capacity.
+    fn reset(&mut self, rounds: usize, width: usize) {
+        self.pairs.clear();
+        self.pairs.reserve_exact(rounds * width);
+        self.width = width;
     }
 }
 
@@ -150,8 +142,8 @@ impl Ordering {
 
 /// Round-robin tournament schedule over `n` columns.
 ///
-/// The classic circle method: fix index `n−1` (or the bye slot for odd `n`),
-/// rotate the rest. Produces `n−1` rounds (`n` rounds for odd `n`), each of
+/// The classic circle method: fix column 0 and rotate the rest (plus a bye
+/// slot for odd `n`). Produces `n−1` rounds (`n` rounds for odd `n`), each of
 /// `⌊n/2⌋` disjoint pairs; every unordered pair appears exactly once per
 /// sweep. Pairs are emitted as `(min, max)`.
 ///
@@ -166,9 +158,7 @@ impl Ordering {
 /// ```
 pub fn round_robin(n: usize) -> Sweep {
     let mut sweep = Sweep::new();
-    let mut ring = Vec::new();
-    let mut spare = Vec::new();
-    fill_round_robin(n, &mut sweep, &mut spare, &mut ring);
+    fill_round_robin(n, &mut sweep);
     sweep
 }
 
@@ -176,53 +166,48 @@ pub fn round_robin(n: usize) -> Sweep {
 /// Each pair is its own round (no intra-round parallelism).
 pub fn row_cyclic(n: usize) -> Sweep {
     let mut sweep = Sweep::new();
-    let mut spare = Vec::new();
-    fill_row_cyclic(n, &mut sweep, &mut spare);
+    fill_row_cyclic(n, &mut sweep);
     sweep
 }
 
-/// The circle-method planner shared by [`round_robin`] and [`Cyclic`]. Writes into recycled round vectors; `ring` is the
-/// caller-owned rotation scratch (`slots` entries after the call).
-fn fill_round_robin(
-    n: usize,
-    out: &mut Sweep,
-    spare: &mut Vec<Vec<(usize, usize)>>,
-    ring: &mut Vec<usize>,
-) {
-    out.recycle_into(spare);
+/// The circle-method planner shared by [`round_robin`] and [`Cyclic`].
+///
+/// Slot 0 stays fixed and slots `1..slots` rotate right by one each round,
+/// so in round `r` slot `k ≥ 1` holds column `1 + (k − 1 − r) mod (slots − 1)`
+/// and round `r` pairs slot `k` with slot `slots − 1 − k`. Odd `n` gets a
+/// phantom "bye" column `n`, whose pair is left out.
+fn fill_round_robin(n: usize, out: &mut Sweep) {
     if n < 2 {
+        out.reset(0, 0);
         return;
     }
-    // Treat odd n by adding a phantom "bye" slot.
     let slots = if n.is_multiple_of(2) { n } else { n + 1 };
-    let rounds_count = slots - 1;
-    ring.clear();
-    ring.extend(0..slots);
-    for _ in 0..rounds_count {
-        let round = out.push_round(spare);
+    let turns = slots - 1;
+    out.reset(turns, n / 2);
+    let column = |slot: usize, r: usize| {
+        if slot == 0 {
+            return 0;
+        }
+        // (slot − 1 − r) mod turns, from an operand already in 0..2·turns.
+        let k = slot - 1 + turns - r;
+        1 + if k >= turns { k - turns } else { k }
+    };
+    for r in 0..turns {
         for k in 0..slots / 2 {
-            let a = ring[k];
-            let b = ring[slots - 1 - k];
+            let (a, b) = (column(k, r), column(slots - 1 - k, r));
             if a < n && b < n {
-                round.push((a.min(b), a.max(b)));
+                out.pairs.push((a.min(b), a.max(b)));
             }
         }
-        // Circle method: slot 0 stays fixed, the remaining slots rotate
-        // right by one each round.
-        let last = ring[slots - 1];
-        for idx in (2..slots).rev() {
-            ring[idx] = ring[idx - 1];
-        }
-        ring[1] = last;
     }
 }
 
-/// Row-cyclic planner writing into recycled round vectors.
-fn fill_row_cyclic(n: usize, out: &mut Sweep, spare: &mut Vec<Vec<(usize, usize)>>) {
-    out.recycle_into(spare);
+/// Row-cyclic planner: `n(n−1)/2` rounds of one pair.
+fn fill_row_cyclic(n: usize, out: &mut Sweep) {
+    out.reset(n * n.saturating_sub(1) / 2, 1);
     for i in 0..n.saturating_sub(1) {
         for j in i + 1..n {
-            out.push_round(spare).push((i, j));
+            out.pairs.push((i, j));
         }
     }
 }
@@ -233,9 +218,9 @@ fn fill_row_cyclic(n: usize, out: &mut Sweep, spare: &mut Vec<Vec<(usize, usize)
 /// before every sweep with the **same** plan buffer (see [`SweepSchedule`]);
 /// a strategy may leave a still-valid plan untouched (returning `false`) or
 /// rebuild it (returning `true`). Planning time counts toward the sweep's
-/// [`crate::SolveStats::sweep_seconds`]. Strategies own all planning scratch
-/// and recycle the plan's round vectors, so replanning is allocation-free
-/// once warm.
+/// [`crate::SolveStats::sweep_seconds`]. Strategies write the plan straight
+/// into the buffer, so planning into an empty buffer is one allocation and
+/// replanning into one that held a plan at least as large is none.
 ///
 /// Every produced plan must keep the pairs of each round pairwise disjoint
 /// and visit each unordered pair at most once — the invariant the paper's
@@ -263,12 +248,10 @@ pub trait OrderingStrategy {
 #[derive(Debug, Default)]
 pub struct Cyclic {
     planned_dim: Option<usize>,
-    ring: Vec<usize>,
-    spare: Vec<Vec<(usize, usize)>>,
 }
 
 impl Cyclic {
-    /// A fresh strategy with empty scratch.
+    /// A fresh strategy that has planned nothing yet.
     pub fn new() -> Cyclic {
         Cyclic::default()
     }
@@ -284,7 +267,7 @@ impl OrderingStrategy for Cyclic {
         if self.planned_dim == Some(n) {
             return false;
         }
-        fill_round_robin(n, out, &mut self.spare, &mut self.ring);
+        fill_round_robin(n, out);
         self.planned_dim = Some(n);
         true
     }
@@ -295,11 +278,10 @@ impl OrderingStrategy for Cyclic {
 #[derive(Debug, Default)]
 pub struct RowCyclic {
     planned_dim: Option<usize>,
-    spare: Vec<Vec<(usize, usize)>>,
 }
 
 impl RowCyclic {
-    /// A fresh strategy with empty scratch.
+    /// A fresh strategy that has planned nothing yet.
     pub fn new() -> RowCyclic {
         RowCyclic::default()
     }
@@ -315,7 +297,7 @@ impl OrderingStrategy for RowCyclic {
         if self.planned_dim == Some(n) {
             return false;
         }
-        fill_row_cyclic(n, out, &mut self.spare);
+        fill_row_cyclic(n, out);
         self.planned_dim = Some(n);
         true
     }
@@ -407,11 +389,11 @@ pub struct SweepSchedule<'a> {
     pub threshold: Option<ThresholdSchedule>,
 }
 
-/// One instance of every strategy plus a dedicated plan buffer per strategy,
-/// reused across solves (as [`SweepWorkspace`]) so repeated solves replan
-/// without reallocating. Each strategy gets its *own* plan buffer — a
-/// shared one would invalidate the once-per-dimension caches whenever the
-/// selected ordering changes between solves.
+/// One instance of every strategy plus a dedicated plan buffer per strategy.
+/// A solve builds one and plans into it (one allocation); carried across
+/// solves, it replans only when the dimension changes. Each strategy gets
+/// its *own* plan buffer — a shared one would invalidate the
+/// once-per-dimension caches whenever the selected ordering changes.
 #[derive(Debug, Default)]
 pub struct PlanBuffers {
     cyclic: Cyclic,
@@ -435,12 +417,6 @@ impl PlanBuffers {
         }
     }
 }
-
-/// Caller-owned solve scratch for the `_with_workspace` entry points of
-/// [`crate::HestenesSvd`], the pooled batch drivers and the service
-/// workers: the [`PlanBuffers`] a solve replans into. A warm workspace
-/// computes the same bits as a fresh one.
-pub type SweepWorkspace = PlanBuffers;
 
 #[cfg(test)]
 mod tests {
@@ -491,6 +467,7 @@ mod tests {
             assert_eq!(s.round_count(), n);
             assert_full_coverage(&s, n);
             assert_rounds_disjoint(&s);
+            assert!(s.rounds().all(|round| round.len() == n / 2), "the bye drops one pair");
         }
     }
 
@@ -500,7 +477,34 @@ mod tests {
         assert_eq!(round_robin(1).pair_count(), 0);
         let s = round_robin(2);
         assert_eq!(s.pair_count(), 1);
-        assert_eq!(s.rounds()[0], vec![(0, 1)]);
+        assert_eq!(s.rounds().collect::<Vec<_>>(), [&[(0, 1)][..]]);
+        assert_eq!(round_robin(1).round_count(), 0);
+        assert_eq!(row_cyclic(1).round_count(), 0);
+    }
+
+    /// The circle method written as a ring of slots rotated once per round.
+    fn ring_round_robin(n: usize) -> Vec<(usize, usize)> {
+        let slots = if n.is_multiple_of(2) { n } else { n + 1 };
+        let mut ring: Vec<usize> = (0..slots).collect();
+        let mut pairs = Vec::new();
+        for _ in 1..slots {
+            for k in 0..slots / 2 {
+                let (a, b) = (ring[k], ring[slots - 1 - k]);
+                if a < n && b < n {
+                    pairs.push((a.min(b), a.max(b)));
+                }
+            }
+            ring[1..].rotate_right(1);
+        }
+        pairs
+    }
+
+    #[test]
+    fn closed_form_planner_matches_the_rotating_ring() {
+        // Same pairs in the same order is what keeps solves bit-identical.
+        for n in 0usize..40 {
+            assert_eq!(round_robin(n).pairs().collect::<Vec<_>>(), ring_round_robin(n), "n={n}");
+        }
     }
 
     #[test]
@@ -579,6 +583,10 @@ mod tests {
         assert!(strat.plan_sweep(&gram_for(6, 1), 1, &mut plan));
         assert!(strat.plan_sweep(&gram_for(9, 2), 1, &mut plan), "new dim must replan");
         assert_eq!(plan, round_robin(9));
+        // Shrinking keeps the buffer but must take the new round width.
+        assert!(strat.plan_sweep(&gram_for(4, 3), 1, &mut plan));
+        assert_eq!(plan, round_robin(4));
+        assert_eq!(plan.rounds().map(<[_]>::len).collect::<Vec<_>>(), [2, 2, 2]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
-use crate::ordering::{Ordering, SweepSchedule, SweepWorkspace, ThresholdSchedule};
+use crate::ordering::{Ordering, PlanBuffers, SweepSchedule, ThresholdSchedule};
 use crate::recovery::{HealthCheck, RecoveryAction, RecoveryContext, RecoveryPolicy, SolveBudget};
 use crate::stats::SolveStats;
 use crate::trace::{emit_to, TraceEvent, TraceLevel, TraceSink};
@@ -271,19 +271,14 @@ pub struct HestenesSvd {
     options: SvdOptions,
     budget: SolveBudget,
     policy: RecoveryPolicy,
-    health: HealthCheck,
 }
 
 impl HestenesSvd {
     /// Create a solver with the given options, an unlimited
-    /// [`SolveBudget`], and the default [`RecoveryPolicy`] / [`HealthCheck`].
+    /// [`SolveBudget`], and the default [`RecoveryPolicy`]. Every solve runs
+    /// the default [`HealthCheck`] after each sweep.
     pub fn new(options: SvdOptions) -> Self {
-        HestenesSvd {
-            options,
-            budget: SolveBudget::unlimited(),
-            policy: RecoveryPolicy::default(),
-            health: HealthCheck::default(),
-        }
+        HestenesSvd { options, budget: SolveBudget::unlimited(), policy: RecoveryPolicy::default() }
     }
 
     /// The active options.
@@ -297,12 +292,6 @@ impl HestenesSvd {
         &self.budget
     }
 
-    /// The active health check (the batch engine runs its per-lane analogue
-    /// with the same thresholds).
-    pub(crate) fn health(&self) -> &HealthCheck {
-        &self.health
-    }
-
     /// Bound worst-case latency: the budget's deadline/cancellation flag is
     /// checked at every sweep boundary of every solve this solver runs.
     pub fn with_budget(mut self, budget: SolveBudget) -> Self {
@@ -314,13 +303,6 @@ impl HestenesSvd {
     /// fail fast instead of self-healing).
     pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Replace the per-sweep health check (e.g. [`HealthCheck::disabled`]
-    /// to run the unguarded PR-2 pipeline).
-    pub fn with_health_check(mut self, health: HealthCheck) -> Self {
-        self.health = health;
         self
     }
 
@@ -354,20 +336,8 @@ impl HestenesSvd {
     /// assert!((sv.values[0] - 4.0).abs() < 1e-9);
     /// ```
     pub fn singular_values(&self, a: &Matrix) -> Result<SingularValues, SvdError> {
-        let mut ws = SweepWorkspace::new();
-        self.singular_values_with_workspace(a, &mut ws)
-    }
-
-    /// [`Self::singular_values`] over caller-owned scratch. Reusing a warm
-    /// workspace across solves (e.g. from a [`crate::batch::WorkspacePool`])
-    /// replans without reallocating; results are bit-identical either way.
-    pub fn singular_values_with_workspace(
-        &self,
-        a: &Matrix,
-        ws: &mut SweepWorkspace,
-    ) -> Result<SingularValues, SvdError> {
         let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, false, None, None)?;
+        let solved = self.solve_guarded(a, max_abs, false, None, None)?;
         self.finish_values(a, solved)
     }
 
@@ -394,8 +364,7 @@ impl HestenesSvd {
         sink: &mut dyn TraceSink,
     ) -> Result<SingularValues, SvdError> {
         let max_abs = self.validate(a)?;
-        let mut ws = SweepWorkspace::new();
-        let solved = self.solve_guarded(a, max_abs, &mut ws, false, None, Some(sink))?;
+        let solved = self.solve_guarded(a, max_abs, false, None, Some(sink))?;
         self.finish_values(a, solved)
     }
 
@@ -405,11 +374,10 @@ impl HestenesSvd {
     pub fn singular_values_injected(
         &self,
         a: &Matrix,
-        ws: &mut SweepWorkspace,
         injector: &mut dyn crate::inject::FaultInjector,
     ) -> Result<SingularValues, SvdError> {
         let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, false, Some(injector), None)?;
+        let solved = self.solve_guarded(a, max_abs, false, Some(injector), None)?;
         self.finish_values(a, solved)
     }
 
@@ -421,7 +389,8 @@ impl HestenesSvd {
     ///
     /// Every restart rebuilds `D` (and `B`, `V` in full mode) from the
     /// pristine input `a`, so no corrupted intermediate state survives a
-    /// recovery. The final stats carry the last attempt's counters plus the
+    /// recovery; the sweep plan, which depends only on `n`, is planned once
+    /// and reused. The final stats carry the last attempt's counters plus the
     /// cumulative `faults`/`recoveries`/`prescale_exp` accounting. `max_abs`
     /// is the input's largest magnitude, as [`Self::validate`] returned it.
     #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
@@ -429,7 +398,6 @@ impl HestenesSvd {
         &self,
         a: &Matrix,
         max_abs: f64,
-        ws: &mut SweepWorkspace,
         full: bool,
         injector: InjectorSlot<'a>,
         trace: Option<&'a mut dyn TraceSink>,
@@ -439,7 +407,7 @@ impl HestenesSvd {
         // per-attempt detector state); the injector moves in once and keeps
         // its one-shot bookkeeping across restarts, and the trace sink sees
         // every attempt's events plus the recovery decisions between them.
-        let mut monitor = SolveMonitor::new(self.budget.clone(), self.health);
+        let mut monitor = SolveMonitor::new(self.budget.clone(), HealthCheck::default());
         if let Some(sink) = trace {
             monitor = monitor.with_trace(sink, self.options.effective_trace_level());
         }
@@ -454,6 +422,7 @@ impl HestenesSvd {
         let mut recoveries = 0usize;
         let mut total_faults = 0usize;
         let mut cumulative_sweeps = 0usize;
+        let mut plans = PlanBuffers::new();
         loop {
             // Build this attempt's working state from the pristine input.
             let (mut gram, mut b, mut v) = if full {
@@ -476,9 +445,7 @@ impl HestenesSvd {
                 _ => RotationTarget::gram_only(),
             };
             let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
-            // Strategy + plan scratch pooled in the workspace: repeated
-            // solves over a warm workspace replan without reallocating.
-            let (strategy, plan) = ws.schedule_parts(self.options.ordering);
+            let (strategy, plan) = plans.schedule_parts(self.options.ordering);
             let mut schedule = SweepSchedule { strategy, plan, threshold: self.options.threshold };
             let run =
                 driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
@@ -567,20 +534,8 @@ impl HestenesSvd {
     /// (maintaining `B = A·V`) and the rotations are accumulated into `V`;
     /// afterwards `U = B·Σ⁻¹` (paper's eq. (7)).
     pub fn decompose(&self, a: &Matrix) -> Result<Svd, SvdError> {
-        let mut ws = SweepWorkspace::new();
-        self.decompose_with_workspace(a, &mut ws)
-    }
-
-    /// [`Self::decompose`] over caller-owned scratch. Reusing a warm
-    /// workspace across solves (e.g. from a [`crate::batch::WorkspacePool`])
-    /// replans without reallocating; results are bit-identical either way.
-    pub fn decompose_with_workspace(
-        &self,
-        a: &Matrix,
-        ws: &mut SweepWorkspace,
-    ) -> Result<Svd, SvdError> {
         let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, true, None, None)?;
+        let solved = self.solve_guarded(a, max_abs, true, None, None)?;
         self.finish_decompose(a, solved)
     }
 
@@ -603,8 +558,7 @@ impl HestenesSvd {
     /// ```
     pub fn decompose_traced(&self, a: &Matrix, sink: &mut dyn TraceSink) -> Result<Svd, SvdError> {
         let max_abs = self.validate(a)?;
-        let mut ws = SweepWorkspace::new();
-        let solved = self.solve_guarded(a, max_abs, &mut ws, true, None, Some(sink))?;
+        let solved = self.solve_guarded(a, max_abs, true, None, Some(sink))?;
         self.finish_decompose(a, solved)
     }
 
@@ -614,11 +568,10 @@ impl HestenesSvd {
     pub fn decompose_injected(
         &self,
         a: &Matrix,
-        ws: &mut SweepWorkspace,
         injector: &mut dyn crate::inject::FaultInjector,
     ) -> Result<Svd, SvdError> {
         let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, ws, true, Some(injector), None)?;
+        let solved = self.solve_guarded(a, max_abs, true, Some(injector), None)?;
         self.finish_decompose(a, solved)
     }
 
@@ -851,20 +804,6 @@ mod tests {
         assert_eq!(sv.stats.sweeps, sv.sweeps);
         assert!(sv.stats.to_json().contains("\"sweeps\""));
         assert!(sv.stats.to_json().contains("\"engine\":\"sequential\""));
-    }
-
-    #[test]
-    fn warm_workspace_solves_are_bit_identical_and_allocation_free() {
-        let a = gen::uniform(30, 10, 78);
-        let solver = HestenesSvd::new(SvdOptions::default());
-        let cold = solver.decompose(&a).unwrap();
-        let mut ws = SweepWorkspace::new();
-        solver.decompose_with_workspace(&a, &mut ws).unwrap();
-        let warm = solver.decompose_with_workspace(&a, &mut ws).unwrap();
-        assert_eq!(warm.stats.workspace_allocations, 0);
-        assert_eq!(cold.singular_values, warm.singular_values, "pooled workspace changed σ");
-        assert_eq!(cold.u.as_slice(), warm.u.as_slice());
-        assert_eq!(cold.v.as_slice(), warm.v.as_slice());
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   reject-with-reason admission control ([`RejectReason`]) and per-tenant
 //!   in-flight caps; dispatch is strict priority between classes and
 //!   earliest-deadline-first within one.
-//! * **Worker pool** ([`SolveService`]) — fixed worker threads, each owning
-//!   a warm [`hj_core::SweepWorkspace`] from a shared
-//!   [`hj_core::WorkspacePool`], so steady-state serving performs no
-//!   workspace allocations. Deadlines and ticket cancellation become the
+//! * **Worker pool** ([`SolveService`]) — fixed worker threads. A single
+//!   job is a one-shot [`hj_core::HestenesSvd::singular_values`] call,
+//!   whose sweep plan is one allocation and whose sweeps allocate nothing;
+//!   each worker keeps one warm [`hj_core::BatchWorkspace`] for bulk jobs.
+//!   Deadlines and ticket cancellation become the
 //!   solve's [`hj_core::SolveBudget`]; jobs that abort through the recovery
 //!   chain retry with bounded exponential backoff ([`backoff_delay`],
 //!   [`should_retry`]).

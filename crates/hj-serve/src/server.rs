@@ -317,6 +317,7 @@ pub fn error_kind(err: &SvdError) -> &'static str {
     match err {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
+        SvdError::NotSquare { .. } => "not-square",
         SvdError::NonFiniteInput => "non-finite-input",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
@@ -529,5 +530,8 @@ mod tests {
         assert_eq!(error_kind(&stall), "stall");
         assert_eq!(error_code(&SvdError::EmptyInput), CODE_BAD_REQUEST);
         assert_eq!(error_kind(&SvdError::EmptyInput), "empty-input");
+        let not_square = SvdError::NotSquare { rows: 2, cols: 3 };
+        assert_eq!(error_code(&not_square), CODE_BAD_REQUEST);
+        assert_eq!(error_kind(&not_square), "not-square");
     }
 }

@@ -1,14 +1,11 @@
-//! The solve service: a fixed worker pool over the scheduler, with pooled
-//! workspaces, per-job solve budgets, bounded retries, and a graceful
-//! drain-on-shutdown lifecycle.
+//! The solve service: a fixed worker pool over the scheduler, with per-job
+//! solve budgets, bounded retries, and a graceful drain-on-shutdown
+//! lifecycle.
 
 use crate::job::{JobOutcome, JobPayload, JobResult, JobSpec, JobTicket, RejectReason};
 use crate::queue::{QueuedJob, Scheduler};
 use crate::stats::ServiceStats;
-use hj_core::{
-    HestenesSvd, SolveBudget, SvdError, SvdOptions, TraceEvent, TraceLevel, TraceSink,
-    WorkspacePool,
-};
+use hj_core::{HestenesSvd, SolveBudget, SvdError, SvdOptions, TraceEvent, TraceLevel, TraceSink};
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -19,7 +16,8 @@ use std::time::{Duration, Instant};
 /// traffic.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (each owns one warm workspace). At least 1.
+    /// Worker threads (each keeps one warm SoA batch workspace for bulk
+    /// jobs). At least 1.
     pub workers: usize,
     /// Bounded queue capacity — submissions beyond it are rejected, never
     /// blocked. At least 1.
@@ -88,7 +86,6 @@ struct SharedSink {
 
 struct Shared {
     scheduler: Scheduler,
-    pool: WorkspacePool,
     config: ServiceConfig,
     trace: Option<SharedSink>,
 }
@@ -142,7 +139,6 @@ impl SolveService {
         config.max_attempts = config.max_attempts.max(1);
         let shared = Arc::new(Shared {
             scheduler: Scheduler::new(config.queue_capacity, config.tenant_cap),
-            pool: WorkspacePool::new(),
             config: config.clone(),
             trace,
         });
@@ -182,12 +178,6 @@ impl SolveService {
         self.shared.scheduler.stats(self.shared.config.workers)
     }
 
-    /// Warm workspaces created by the pool so far (one per worker once the
-    /// pool is warm — observability for the allocation-free guarantee).
-    pub fn workspaces_created(&self) -> usize {
-        self.shared.pool.created()
-    }
-
     /// Graceful shutdown: stop admitting, let the workers finish every
     /// admitted job, and join the pool.
     ///
@@ -221,23 +211,19 @@ impl Drop for SolveService {
     }
 }
 
-/// One worker: checkout a workspace once (plus a lazy batch workspace for
-/// bulk jobs), then pull-solve-report until the scheduler signals shutdown.
-/// Both workspaces stay worker-local and warm for the worker's lifetime, so
-/// steady traffic of one shape allocates nothing after the first job. The
-/// scalar workspace is not checked back in at exit: workers never restart
-/// and the pool dies with the service, so a checkin would only allocate a
-/// pool slot on an exiting thread for another thread to free later, which
-/// can keep the exited worker's glibc malloc arena resident.
+/// One worker: pull-solve-report until the scheduler signals shutdown.
+/// Single jobs are one-shot solves, which plan with one allocation and
+/// sweep with none. Bulk jobs share a worker-local SoA batch workspace that
+/// stays warm for the worker's lifetime, so steady bulk traffic of one
+/// shape never regrows it.
 fn worker_loop(index: usize, shared: &Shared) {
-    let mut ws = shared.pool.checkout();
     let mut batch_ws = hj_core::BatchWorkspace::new();
     while let Some(job) = shared.scheduler.next_job() {
         shared.emit(TraceEvent::JobDispatched { job: job.id, worker: index, attempt: job.attempt });
         let started = Instant::now();
         match &job.spec.payload {
             JobPayload::Single(_) => {
-                let result = run_job(shared, &job, &mut ws);
+                let result = run_job(shared, &job);
                 let seconds = started.elapsed().as_secs_f64();
                 match result {
                     Ok(values) => {
@@ -300,19 +286,14 @@ fn worker_loop(index: usize, shared: &Shared) {
     }
 }
 
-/// Solve one dispatched job on the worker's workspace. The job's deadline
-/// and cancellation flag become the solve's [`SolveBudget`], checked at
-/// every sweep boundary — an already-expired deadline faults before any
-/// sweep runs and the workspace comes back clean.
-fn run_job(
-    shared: &Shared,
-    job: &QueuedJob,
-    ws: &mut hj_core::SweepWorkspace,
-) -> Result<hj_core::SingularValues, SvdError> {
+/// Solve one dispatched job. The job's deadline and cancellation flag
+/// become the solve's [`SolveBudget`], checked at every sweep boundary — an
+/// already-expired deadline faults before any sweep runs.
+fn run_job(shared: &Shared, job: &QueuedJob) -> Result<hj_core::SingularValues, SvdError> {
     let JobPayload::Single(matrix) = &job.spec.payload else {
         unreachable!("run_job only dispatches single payloads");
     };
-    solver_for(shared, job).singular_values_with_workspace(matrix, ws)
+    solver_for(shared, job).singular_values(matrix)
 }
 
 /// Solve one dispatched bulk job on the worker's batch workspace. Uniform
@@ -350,6 +331,7 @@ fn fault_kind(err: &SvdError) -> &'static str {
     match err {
         SvdError::SolveFault { fault, .. } => fault.kind(),
         SvdError::EmptyInput => "empty-input",
+        SvdError::NotSquare { .. } => "not-square",
         SvdError::NonFiniteInput => "non-finite-input",
         SvdError::ZeroSweepBudget => "zero-sweep-budget",
         SvdError::TruncatedTailNotNegligible => "truncated-tail",
@@ -433,8 +415,7 @@ mod tests {
             Err(SvdError::SolveFault { fault: Fault::DeadlineExceeded { .. }, .. }) => {}
             other => panic!("expected deadline fault, got {other:?}"),
         }
-        // The worker and its workspace survive the fault and serve the next
-        // job normally.
+        // The worker survives the fault and serves the next job normally.
         let ok = service.solve(JobSpec::new(gen::uniform(20, 5, 8))).unwrap();
         assert!(ok.result.is_ok());
         service.shutdown(Duration::from_secs(5));

@@ -45,7 +45,7 @@
 //! |------|-----------------|-----------------------------------------------|
 //! | 2    | `usage`         | bad arguments / unknown command or option     |
 //! | 3    | `io`            | file read/write failure                       |
-//! | 4    | `bad-input`     | empty or non-finite input matrix              |
+//! | 4    | `bad-input`     | empty, non-finite or non-square (`eigh`)      |
 //! | 5    | `bad-config`    | inconsistent solver configuration             |
 //! | 6    | `not-converged` | iteration budget exhausted before convergence |
 //! | 7    | `solve-fault`   | health check aborted the solve                |
@@ -116,7 +116,9 @@ macro_rules! outln {
 impl From<SvdError> for CliError {
     fn from(e: SvdError) -> CliError {
         let (code, kind) = match &e {
-            SvdError::EmptyInput | SvdError::NonFiniteInput => (4, "bad-input"),
+            SvdError::EmptyInput | SvdError::NotSquare { .. } | SvdError::NonFiniteInput => {
+                (4, "bad-input")
+            }
             SvdError::ZeroSweepBudget => (5, "bad-config"),
             SvdError::TruncatedTailNotNegligible => (6, "not-converged"),
             SvdError::SolveFault { fault, .. } => match fault.kind() {
@@ -597,7 +599,7 @@ fn cmd_eigh(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let path = p.positional(0, "input matrix path").map_err(CliError::usage)?.to_string();
     let ordering = ordering_option(p)?;
     let s = load(&path)?;
-    let e = eigh::eigh_dense_ordered(&s, 1e-14, ordering)?;
+    let e = eigh::eigh_dense(&s, 1e-14, ordering)?;
     outln!(out, "# {} eigenvalues ({} sweeps)", e.eigenvalues.len(), e.sweeps);
     for v in &e.eigenvalues {
         outln!(out, "{v}");
@@ -1231,6 +1233,13 @@ mod tests {
         let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
         io::save_csv(&s, &path).unwrap();
         run(&args(&["eigh", path.to_str().unwrap()])).unwrap();
+        // A non-square input is bad input that says so, not a "zero
+        // dimension".
+        let wide = dir.join("wide.csv");
+        io::save_csv(&Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]), &wide).unwrap();
+        let e = run(&args(&["eigh", wide.to_str().unwrap()])).unwrap_err();
+        assert_eq!((e.code, e.kind), (4, "bad-input"));
+        assert!(e.message.contains("must be square, got 2x3"), "{}", e.message);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

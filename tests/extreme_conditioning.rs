@@ -5,7 +5,7 @@
 //! factorization or fails loudly with a structured error. It never returns
 //! NaN, and it never returns silently wrong values.
 
-use hjsvd::core::{HestenesSvd, SvdOptions};
+use hjsvd::core::{BatchDriver, BatchWorkspace, HestenesSvd, SvdOptions};
 use hjsvd::matrix::{gen, Matrix};
 use proptest::prelude::*;
 
@@ -108,7 +108,7 @@ proptest! {
         let exps: Vec<i32> = column_exponents(seed, n).iter().map(|e| e / 2).collect();
         scale_columns(&mut a, &exps);
         let solver = HestenesSvd::new(SvdOptions::default());
-        let soa = solver.singular_values_batch_soa(std::slice::from_ref(&a));
+        let soa = BatchDriver::new(&solver).solve(&mut BatchWorkspace::new(), std::slice::from_ref(&a));
         let spectra: Vec<Vec<f64>> = std::iter::once(solver.singular_values(&a))
             .chain(soa)
             .filter_map(|res| res.ok().map(|sv| sv.values))

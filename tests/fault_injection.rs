@@ -10,7 +10,7 @@
 
 use hjsvd::core::{
     Corruption, Fault, HestenesSvd, RecoveryPolicy, SeededInjector, SolveBudget, SvdError,
-    SvdOptions, SweepWorkspace,
+    SvdOptions,
 };
 use hjsvd::matrix::{gen, norms};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,11 +35,10 @@ fn transient_nan_gram_entry_is_recovered_on_every_engine() {
     let a = gen::uniform(24, 8, 42);
     let s = solver();
     let clean = s.singular_values(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
     let mut inj =
         SeededInjector::new(7).at_sweep(2, Corruption::GramEntry { i: 1, j: 4, value: f64::NAN });
     let sv = s
-        .singular_values_injected(&a, &mut ws, &mut inj)
+        .singular_values_injected(&a, &mut inj)
         .unwrap_or_else(|e| panic!("transient NaN must be recovered, got {e}"));
     assert_eq!(inj.fired().len(), 1, "corruption fired once");
     assert_eq!(sv.stats.faults, 1, "one fault observed");
@@ -53,11 +52,10 @@ fn transient_negative_diagonal_is_recovered() {
     let a = gen::uniform(20, 6, 11);
     let s = solver();
     let clean = s.decompose(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
     // A corrupted norm update: a squared column norm goes hard negative.
     let mut inj =
         SeededInjector::new(3).at_sweep(1, Corruption::GramEntry { i: 3, j: 3, value: -5.0 });
-    let svd = s.decompose_injected(&a, &mut ws, &mut inj).expect("transient fault must heal");
+    let svd = s.decompose_injected(&a, &mut inj).expect("transient fault must heal");
     assert!(svd.stats.recoveries >= 1);
     assert_spectrum_close(&svd.singular_values, &clean.singular_values);
     assert!(svd.u.as_slice().iter().all(|v| v.is_finite()));
@@ -69,11 +67,10 @@ fn transient_negative_diagonal_is_recovered() {
 fn persistent_nan_aborts_with_non_finite_gram_fault() {
     let a = gen::uniform(18, 6, 5);
     let s = solver();
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(9)
         .at_sweep(1, Corruption::GramEntry { i: 0, j: 2, value: f64::INFINITY })
         .persistent();
-    let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
+    let err = s.singular_values_injected(&a, &mut inj).unwrap_err();
     match err {
         SvdError::SolveFault { fault: Fault::NonFiniteGram { sweep }, recoveries, .. } => {
             // Detected within one sweep of firing, on the original attempt
@@ -94,11 +91,10 @@ fn persistent_bogus_rotation_never_returns_a_silent_answer() {
     let a = gen::uniform(20, 6, 17);
     let s = solver();
     let clean = s.singular_values(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(31)
         .at_sweep(1, Corruption::BogusRotation { i: 1, j: 3, cos: 1.0, sin: 1.0 })
         .persistent();
-    match s.singular_values_injected(&a, &mut ws, &mut inj) {
+    match s.singular_values_injected(&a, &mut inj) {
         Err(SvdError::SolveFault { fault, .. }) => {
             assert!(
                 matches!(
@@ -123,9 +119,8 @@ fn persistent_bogus_rotation_never_returns_a_silent_answer() {
 fn slow_sweeps_trip_the_deadline() {
     let a = gen::uniform(30, 10, 23);
     let s = solver().with_budget(SolveBudget::with_timeout(Duration::from_millis(20)));
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(1).at_sweep(1, Corruption::Delay { millis: 60 }).persistent();
-    let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
+    let err = s.singular_values_injected(&a, &mut inj).unwrap_err();
     match err {
         SvdError::SolveFault { fault: Fault::DeadlineExceeded { sweep }, recoveries, .. } => {
             assert!(sweep >= 2, "the first sweep ran before the deadline fired");
@@ -157,10 +152,9 @@ fn cancellation_flag_aborts_between_sweeps() {
 fn abort_only_policy_rejects_even_transient_faults() {
     let a = gen::uniform(14, 5, 37);
     let s = solver().with_recovery_policy(RecoveryPolicy::abort_only());
-    let mut ws = SweepWorkspace::new();
     let mut inj =
         SeededInjector::new(2).at_sweep(1, Corruption::GramEntry { i: 0, j: 0, value: -1.0 });
-    let err = s.singular_values_injected(&a, &mut ws, &mut inj).unwrap_err();
+    let err = s.singular_values_injected(&a, &mut inj).unwrap_err();
     match err {
         SvdError::SolveFault {
             fault: Fault::NegativeDiagonal { sweep: 1, index: 0 },
@@ -172,35 +166,13 @@ fn abort_only_policy_rejects_even_transient_faults() {
 }
 
 #[test]
-fn faulted_solve_does_not_poison_its_workspace() {
-    // A workspace that carried an aborted solve must compute the same bits
-    // as a fresh one on the next (clean) solve — per-slot isolation for the
-    // batch API's pooled workspaces.
-    let a = gen::uniform(22, 7, 41);
-    let s = solver().with_recovery_policy(RecoveryPolicy::abort_only());
-    let mut ws = SweepWorkspace::new();
-    let mut inj = SeededInjector::new(6)
-        .at_sweep(1, Corruption::GramEntry { i: 1, j: 1, value: f64::NAN })
-        .persistent();
-    assert!(s.decompose_injected(&a, &mut ws, &mut inj).is_err());
-
-    let clean = solver();
-    let reused = clean.decompose_with_workspace(&a, &mut ws).unwrap();
-    let fresh = clean.decompose_with_workspace(&a, &mut SweepWorkspace::new()).unwrap();
-    assert_eq!(reused.singular_values, fresh.singular_values, "σ");
-    assert_eq!(reused.u.as_slice(), fresh.u.as_slice(), "U");
-    assert_eq!(reused.v.as_slice(), fresh.v.as_slice(), "V");
-}
-
-#[test]
 fn injected_run_with_no_planned_corruptions_matches_clean_run_bitwise() {
     // The monitoring/injection plumbing itself must not perturb results.
     let a = gen::uniform(20, 6, 53);
     let s = solver();
     let clean = s.decompose(&a).unwrap();
-    let mut ws = SweepWorkspace::new();
     let mut inj = SeededInjector::new(1);
-    let injected = s.decompose_injected(&a, &mut ws, &mut inj).unwrap();
+    let injected = s.decompose_injected(&a, &mut inj).unwrap();
     assert!(inj.fired().is_empty());
     assert_eq!(injected.singular_values, clean.singular_values);
     assert_eq!(injected.u.as_slice(), clean.u.as_slice());
@@ -220,7 +192,7 @@ fn poisoned_batch_lane_aborts_alone_and_neighbors_are_bit_unaffected() {
 
     let mats: Vec<_> = (0..12).map(|k| gen::uniform(18, 6, 500 + k)).collect();
     let s = solver();
-    let clean = s.singular_values_batch_soa(&mats);
+    let clean = BatchDriver::new(&s).solve(&mut BatchWorkspace::new(), &mats);
 
     let driver = BatchDriver::new(&s);
     let mut ws = BatchWorkspace::new();
@@ -256,7 +228,7 @@ fn multiple_poisoned_lanes_fail_independently() {
 
     let mats: Vec<_> = (0..8).map(|k| gen::uniform(16, 5, 800 + k)).collect();
     let s = solver();
-    let clean = s.singular_values_batch_soa(&mats);
+    let clean = BatchDriver::new(&s).solve(&mut BatchWorkspace::new(), &mats);
 
     let driver = BatchDriver::new(&s);
     let mut ws = BatchWorkspace::new();

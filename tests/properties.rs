@@ -3,7 +3,7 @@
 
 use hjsvd::core::ordering::{round_robin, row_cyclic, Ordering, PlanBuffers};
 use hjsvd::core::rotation::{hardware_params, rotate_norms, textbook_params};
-use hjsvd::core::{GramState, HestenesSvd, SvdOptions, SweepWorkspace};
+use hjsvd::core::{BatchDriver, BatchWorkspace, GramState, HestenesSvd, SvdOptions};
 use hjsvd::matrix::{gen, norms, PackedSymmetric};
 use proptest::prelude::*;
 
@@ -240,7 +240,7 @@ proptest! {
             .collect();
         let solver = HestenesSvd::new(SvdOptions::default());
         let looped = solver.singular_values_batch_looped(&mats);
-        let soa = solver.singular_values_batch_soa(&mats);
+        let soa = BatchDriver::new(&solver).solve(&mut BatchWorkspace::new(), &mats);
         prop_assert_eq!(soa.len(), mats.len());
         for (k, (l, s)) in looped.iter().zip(&soa).enumerate() {
             let l = l.as_ref().unwrap();
@@ -262,21 +262,41 @@ proptest! {
         n1 in 2usize..12,
         n2 in 2usize..12,
     ) {
-        // One workspace carried across two different-shaped solves (and
-        // across orderings, whose plan buffers it pools) produces the same
-        // bits as a fresh workspace per solve: no state leaks.
+        // One set of plan buffers carried across two different-shaped full
+        // solves (and across orderings, each with its own plan) produces the
+        // same bits as fresh buffers per solve: a replan for a new shape
+        // leaves no stale round width or pair behind.
+        use hjsvd::core::convergence::{Convergence, MAX_SWEEP_CAP};
+        use hjsvd::core::engine::Sequential;
+        use hjsvd::core::{
+            PairGuard, RotationTarget, SolveDriver, SolveMonitor, SweepSchedule, SweepState,
+        };
+        use hjsvd::matrix::Matrix;
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let shapes = [(2 * n1 + 1, n1), (3 * n2, n2)];
-        let mut ws = SweepWorkspace::new();
+        let mut carried = PlanBuffers::new();
         for (k, &(m, n)) in shapes.iter().enumerate() {
             let src = gen::uniform(m, n, seed.wrapping_add(k as u64));
             for ordering in Ordering::ALL {
-                let solver = HestenesSvd::new(SvdOptions { ordering, ..Default::default() });
-                let reused = solver.decompose_with_workspace(&src, &mut ws).unwrap();
-                let fresh = solver.decompose_with_workspace(&src, &mut SweepWorkspace::new()).unwrap();
-                prop_assert_eq!(&reused.singular_values, &fresh.singular_values,
-                    "σ differs on solve {} ({:?})", k, ordering);
-                prop_assert_eq!(reused.u.as_slice(), fresh.u.as_slice(), "U differs on solve {}", k);
-                prop_assert_eq!(reused.v.as_slice(), fresh.v.as_slice(), "V differs on solve {}", k);
+                let solve = |plans: &mut PlanBuffers| {
+                    let (mut b, mut v) = (src.clone(), Matrix::identity(n));
+                    let mut gram = GramState::from_matrix(&src);
+                    let target = RotationTarget::full(&mut b, &mut v);
+                    let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
+                    let (strategy, plan) = plans.schedule_parts(ordering);
+                    let mut schedule = SweepSchedule { strategy, plan, threshold: None };
+                    let driver =
+                        SolveDriver { convergence: Convergence::default(), max_sweeps: MAX_SWEEP_CAP };
+                    let mut monitor = SolveMonitor::passive();
+                    let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
+                    (bits(gram.packed().as_slice()), bits(b.as_slice()), bits(v.as_slice()), run.history)
+                };
+                let reused = solve(&mut carried);
+                let fresh = solve(&mut PlanBuffers::new());
+                prop_assert_eq!(&reused.0, &fresh.0, "D differs on solve {} ({:?})", k, ordering);
+                prop_assert_eq!(&reused.1, &fresh.1, "B differs on solve {} ({:?})", k, ordering);
+                prop_assert_eq!(&reused.2, &fresh.2, "V differs on solve {} ({:?})", k, ordering);
+                prop_assert_eq!(&reused.3, &fresh.3, "history differs on solve {} ({:?})", k, ordering);
             }
         }
     }
