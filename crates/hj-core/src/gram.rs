@@ -12,7 +12,66 @@
 //! temporaries that the paper's pseudocode forgets (see DESIGN.md).
 
 use crate::rotation::Rotation;
+use hj_matrix::ops::{self, GramScan};
 use hj_matrix::{Matrix, OffDiagonalSummary, PackedSymmetric};
+use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::atomic::AtomicBool;
+
+/// Work `m·n²` above which a Gram build is split over the pool. Two parts
+/// won at every measured shape above it, and results were mixed at it:
+/// 2048×32 and 512×64 won, 128×128 tied (EXPERIMENTS.md, "Gram build on
+/// both cores"). So square inputs up to 128×128 stay on one thread.
+const SPLIT_WORK: usize = 1 << 21;
+
+/// Most parts one build is split into (the part list lives on the stack).
+const MAX_PARTS: usize = 16;
+
+/// One part of a split build: packed rows `rows` of `D`, their run of the
+/// triangle, and what the part's scan saw.
+#[derive(Default)]
+struct Part<'a> {
+    rows: Range<usize>,
+    out: &'a mut [f64],
+    max_abs: Option<f64>,
+}
+
+/// The even row where part `p` of `parts` starts: the first whose
+/// preceding rows hold `p/parts` of the triangle's entries. Even bounds
+/// keep the 2×2 register blocks whole at the seams.
+fn part_start(n: usize, p: usize, parts: usize) -> usize {
+    let target = ops::packed_row_start(n, n) * p / parts;
+    (0..n).step_by(2).find(|&r| ops::packed_row_start(n, r) >= target).unwrap_or(n)
+}
+
+/// Fill `d` with the Gram triangle of `a`, on every pool thread once
+/// `m·n²` passes [`SPLIT_WORK`]. Each part owns a contiguous run of
+/// packed rows and writes only there, and every entry is summed exactly as
+/// on one thread, so `d` is the same bits at any part count. Returns what
+/// [`ops::gram_packed_rows`] returns, merged over the parts: `None` if the
+/// scan stopped any part, else the largest magnitude in `a`.
+fn build(a: &Matrix, d: &mut PackedSymmetric, scan: Option<&GramScan<'_>>) -> Option<f64> {
+    let (m, n) = a.shape();
+    let data = a.as_slice();
+    let split = m.saturating_mul(n).saturating_mul(n) > SPLIT_WORK;
+    let parts = if split { rayon::current_num_threads().min(MAX_PARTS).min(n / 2) } else { 1 };
+    if parts <= 1 {
+        return ops::gram_packed_rows(data, m, n, 0..n, d.as_mut_slice(), 1, scan);
+    }
+    let mut slots: [Part<'_>; MAX_PARTS] = Default::default();
+    let mut rest = d.as_mut_slice();
+    for (p, slot) in slots[..parts].iter_mut().enumerate() {
+        let rows = part_start(n, p, parts)..part_start(n, p + 1, parts);
+        let len = ops::packed_row_start(n, rows.end) - ops::packed_row_start(n, rows.start);
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        *slot = Part { rows, out, max_abs: None };
+        rest = tail;
+    }
+    slots[..parts].par_iter_mut().for_each(|part| {
+        part.max_abs = ops::gram_packed_rows(data, m, n, part.rows.clone(), part.out, 1, scan);
+    });
+    slots[..parts].iter().try_fold(0.0f64, |max, part| Some(max.max(part.max_abs?)))
+}
 
 /// The covariance matrix `D` of Algorithm 1, plus rotation bookkeeping.
 ///
@@ -34,10 +93,25 @@ pub struct GramState {
 impl GramState {
     /// Build `D = AᵀA` from a matrix — the work of the paper's Hestenes
     /// preprocessor in the first sweep, done by the register-blocked kernel
-    /// [`hj_matrix::ops::gram_packed`] (each entry bit-identical to one
-    /// `ops::dot`).
+    /// [`hj_matrix::ops::gram_packed_rows`] (each entry bit-identical to one
+    /// `ops::dot`, so `D` is [`Matrix::gram`] to the bit). Once `m·n²`
+    /// passes a measured size the build is split by packed rows over
+    /// every thread of the rayon pool.
     pub fn from_matrix(a: &Matrix) -> Self {
-        GramState { d: a.gram() }
+        let mut d = PackedSymmetric::zeros(a.cols());
+        build(a, &mut d, None).expect("a build without a scan runs to the end");
+        GramState { d }
+    }
+
+    /// [`Self::from_matrix`] with the input scan in the same pass, so `A`
+    /// is read once: `Some((D, max |a|))` when every entry is finite and
+    /// the running max stayed inside `window`, `None` when the scan
+    /// stopped the build early (a NaN or ±∞, or a max outside `window`).
+    pub(crate) fn scanned(a: &Matrix, window: fn(f64) -> bool) -> Option<(Self, f64)> {
+        let stop = AtomicBool::new(false);
+        let mut d = PackedSymmetric::zeros(a.cols());
+        let max_abs = build(a, &mut d, Some(&GramScan { window, stop: &stop }))?;
+        Some((GramState { d }, max_abs))
     }
 
     /// Wrap an existing packed symmetric matrix (must be a Gram matrix, i.e.

@@ -306,18 +306,20 @@ impl HestenesSvd {
         self
     }
 
-    /// Reject inputs no solve accepts; on success return the input's
-    /// largest magnitude, which the same single scan found and the prescale
-    /// exponent is chosen from.
-    pub(crate) fn validate(&self, a: &Matrix) -> Result<f64, SvdError> {
+    /// Reject inputs no solve accepts, in the order `EmptyInput`,
+    /// `NonFiniteInput`, `ZeroSweepBudget`. A solve that goes ahead scans
+    /// the input for non-finite entries in its Gram build
+    /// ([`Self::solve_guarded`]), so only a zero sweep budget, which builds
+    /// nothing, scans here.
+    pub(crate) fn validate(&self, a: &Matrix) -> Result<(), SvdError> {
         if a.is_empty() {
             return Err(SvdError::EmptyInput);
         }
-        let max_abs = ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?;
         if self.options.max_sweeps == 0 {
+            ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?;
             return Err(SvdError::ZeroSweepBudget);
         }
-        Ok(max_abs)
+        Ok(())
     }
 
     /// Compute only the singular values — the paper-faithful mode.
@@ -336,8 +338,8 @@ impl HestenesSvd {
     /// assert!((sv.values[0] - 4.0).abs() < 1e-9);
     /// ```
     pub fn singular_values(&self, a: &Matrix) -> Result<SingularValues, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, false, None, None)?;
+        self.validate(a)?;
+        let solved = self.solve_guarded(a, false, None, None)?;
         self.finish_values(a, solved)
     }
 
@@ -363,8 +365,8 @@ impl HestenesSvd {
         a: &Matrix,
         sink: &mut dyn TraceSink,
     ) -> Result<SingularValues, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, false, None, Some(sink))?;
+        self.validate(a)?;
+        let solved = self.solve_guarded(a, false, None, Some(sink))?;
         self.finish_values(a, solved)
     }
 
@@ -376,33 +378,47 @@ impl HestenesSvd {
         a: &Matrix,
         injector: &mut dyn crate::inject::FaultInjector,
     ) -> Result<SingularValues, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, false, Some(injector), None)?;
+        self.validate(a)?;
+        let solved = self.solve_guarded(a, false, Some(injector), None)?;
         self.finish_values(a, solved)
     }
 
-    /// Run the guarded solve loop: pre-scale out-of-window inputs, run the
-    /// monitored driver on the [`Sequential`] engine, and — when the monitor
-    /// detects a [`crate::recovery::Fault`] — apply the recovery policy
+    /// Run the guarded solve loop: build `D` while scanning the input,
+    /// pre-scale out-of-window inputs, run the monitored driver on the
+    /// [`Sequential`] engine, and — when the monitor detects a
+    /// [`crate::recovery::Fault`] — apply the recovery policy
     /// (rescale-and-restart / budget escalation) until the solve succeeds or
     /// the policy aborts.
     ///
-    /// Every restart rebuilds `D` (and `B`, `V` in full mode) from the
-    /// pristine input `a`, so no corrupted intermediate state survives a
-    /// recovery; the sweep plan, which depends only on `n`, is planned once
-    /// and reused. The final stats carry the last attempt's counters plus the
-    /// cumulative `faults`/`recoveries`/`prescale_exp` accounting. `max_abs`
-    /// is the input's largest magnitude, as [`Self::validate`] returned it.
+    /// The first build scans `a` in the same pass ([`GramState::scanned`]),
+    /// so an in-window input is read once. A build the scan stopped — a
+    /// NaN or ±∞, or a running max outside the prescale window, whose
+    /// unscaled products could be subnormal and slow — falls back to one
+    /// full scan, which gives `NonFiniteInput` or the exact max, and the
+    /// exponent then decides the build as before. Every restart rebuilds
+    /// `D` (and `B`, `V` in full mode) from the pristine input `a`, so no
+    /// corrupted intermediate state survives a recovery; the sweep plan,
+    /// which depends only on `n`, is planned once and reused. The final
+    /// stats carry the last attempt's counters plus the cumulative
+    /// `faults`/`recoveries`/`prescale_exp` accounting.
     #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
     fn solve_guarded<'a>(
         &self,
         a: &Matrix,
-        max_abs: f64,
         full: bool,
         injector: InjectorSlot<'a>,
         trace: Option<&'a mut dyn TraceSink>,
     ) -> Result<GuardedSolve, SvdError> {
         let n = a.cols();
+        let scanned = GramState::scanned(a, |max_abs| prescale_exponent(max_abs) == 0);
+        let max_abs = match &scanned {
+            Some((_, max_abs)) => *max_abs,
+            None => ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?,
+        };
+        let mut exp = prescale_exponent(max_abs);
+        // The scanned build is the first attempt's `D` when it ran to the
+        // end inside the window.
+        let mut first = scanned.map(|(gram, _)| gram).filter(|_| exp == 0);
         // One monitor serves every attempt (run_monitored resets its own
         // per-attempt detector state); the injector moves in once and keeps
         // its one-shot bookkeeping across restarts, and the trace sink sees
@@ -415,7 +431,6 @@ impl HestenesSvd {
         {
             monitor.injector = injector;
         }
-        let mut exp = prescale_exponent(max_abs);
         let mut max_sweeps = self.options.max_sweeps.min(MAX_SWEEP_CAP);
         let mut rescaled = exp != 0;
         let mut escalated = false;
@@ -428,12 +443,12 @@ impl HestenesSvd {
             let (mut gram, mut b, mut v) = if full {
                 let mut b = a.clone();
                 apply_exp2(&mut b, exp);
-                let gram = GramState::from_matrix(&b);
+                let gram = first.take().unwrap_or_else(|| GramState::from_matrix(&b));
                 (gram, Some(b), Some(Matrix::identity(n)))
             } else if exp == 0 {
                 // Values-only fast path: D is built straight off the caller's
                 // matrix, no clone.
-                (GramState::from_matrix(a), None, None)
+                (first.take().unwrap_or_else(|| GramState::from_matrix(a)), None, None)
             } else {
                 let mut scaled = a.clone();
                 apply_exp2(&mut scaled, exp);
@@ -534,8 +549,8 @@ impl HestenesSvd {
     /// (maintaining `B = A·V`) and the rotations are accumulated into `V`;
     /// afterwards `U = B·Σ⁻¹` (paper's eq. (7)).
     pub fn decompose(&self, a: &Matrix) -> Result<Svd, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, true, None, None)?;
+        self.validate(a)?;
+        let solved = self.solve_guarded(a, true, None, None)?;
         self.finish_decompose(a, solved)
     }
 
@@ -557,8 +572,8 @@ impl HestenesSvd {
     /// assert_eq!(jsonl.lines().filter(|l| l.contains("sweep_end")).count(), svd.sweeps);
     /// ```
     pub fn decompose_traced(&self, a: &Matrix, sink: &mut dyn TraceSink) -> Result<Svd, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, true, None, Some(sink))?;
+        self.validate(a)?;
+        let solved = self.solve_guarded(a, true, None, Some(sink))?;
         self.finish_decompose(a, solved)
     }
 
@@ -570,8 +585,8 @@ impl HestenesSvd {
         a: &Matrix,
         injector: &mut dyn crate::inject::FaultInjector,
     ) -> Result<Svd, SvdError> {
-        let max_abs = self.validate(a)?;
-        let solved = self.solve_guarded(a, max_abs, true, Some(injector), None)?;
+        self.validate(a)?;
+        let solved = self.solve_guarded(a, true, Some(injector), None)?;
         self.finish_decompose(a, solved)
     }
 

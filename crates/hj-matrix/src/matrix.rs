@@ -222,8 +222,11 @@ impl Matrix {
     /// This is exactly the matrix the paper's Hestenes preprocessor computes
     /// in the first sweep: diagonal entries are squared column 2-norms,
     /// off-diagonals are covariances between column pairs. Built by
-    /// [`crate::ops::gram_packed`]; every entry is bit-identical to
-    /// `ops::dot` of its two columns.
+    /// [`crate::ops::gram_packed`] on the calling thread, reading each
+    /// 512-row panel once per group of tile pairs; every entry is
+    /// bit-identical to `ops::dot` of its two columns. hj-core's
+    /// `GramState::from_matrix` builds the same bits split over a thread
+    /// pool.
     pub fn gram(&self) -> PackedSymmetric {
         let mut d = PackedSymmetric::zeros(self.cols);
         crate::ops::gram_packed(&self.data, self.rows, self.cols, d.as_mut_slice(), 1);

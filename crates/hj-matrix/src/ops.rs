@@ -6,6 +6,10 @@
 //! (every column pair, with operand reuse), `axpy` is the body of a
 //! Householder update.
 
+use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+
 /// Partial sums per dot product: row `k` of a 16-row block feeds partial
 /// sum `k mod 16`.
 const DOT_LANES: usize = 16;
@@ -60,94 +64,255 @@ fn dot_finish(acc: [f64; DOT_LANES], x: &[f64], y: &[f64]) -> f64 {
     lane(0) + lane(1) + lane(2) + lane(3) + tail
 }
 
-/// Columns per tile of [`gram_packed`]: a tile pair's 16×16 entries of
-/// sixteen partial sums each are the kernel's whole scratch (32 KiB).
+/// Columns per tile of [`gram_packed_rows`]: a tile pair is at most 16×16
+/// entries, 8×8 register blocks.
 const GRAM_TILE: usize = 16;
 
-/// Rows per panel of [`gram_packed`] (a multiple of 16). A tile pair's
-/// panel, 32 column segments of 4 KiB, stays in L2 while every register
-/// block of the pair streams it.
+/// Rows per panel of [`gram_packed_rows`] (a multiple of 16). A panel's
+/// column segments are 4 KiB each, so every segment a group of tile pairs
+/// reads stays in L2 while all of the group's register blocks stream it.
 const GRAM_PANEL: usize = 512;
+
+/// Register blocks one group of tile pairs may carry from panel to panel:
+/// 1024 blocks of 512 B, 512 KiB of partial sums, so the carried sums and
+/// a panel's segments fit a core's L2 together whatever `n` is (a whole
+/// 256-column triangle would carry 4.1 MiB).
+const GRAM_GROUP_BLOCKS: usize = 1024;
 
 /// Partial sums of a 2×2 block of Gram entries, `[2u + v]` for `(u, v)`.
 type BlockSums = [[f64; DOT_LANES]; 4];
+
+const ZERO_BLOCK: BlockSums = [[0.0; DOT_LANES]; 4];
+
+thread_local! {
+    /// The partial sums a group carries between panels, grown once per
+    /// thread to its largest group (at most [`GRAM_GROUP_BLOCKS`]) and
+    /// reused by every later build on that thread. One-panel shapes never
+    /// touch it.
+    static CARRY: RefCell<Vec<BlockSums>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Sign-cleared bit pattern of `v`: it orders like `|v|`, and every NaN or
+/// ±∞ lies at or above `+∞`'s pattern.
+#[inline(always)]
+fn magnitude_bits(v: &f64) -> u64 {
+    v.to_bits() & !(1 << 63)
+}
+
+/// The input scan that rides in a [`gram_packed_rows`] pass: each part
+/// scans the column segments of its own rows just before it accumulates a
+/// panel, so a build that carries a scan reads `A` once for both.
+#[derive(Clone, Copy, Debug)]
+pub struct GramScan<'a> {
+    /// Whether a finite running `max |a|` lets the build go on. A part
+    /// stops before its next panel once its running max fails this (or
+    /// meets a NaN or ±∞), so an input that will be rebuilt from a scaled
+    /// copy never pays for the slow products of its unscaled entries.
+    pub window: fn(f64) -> bool,
+    /// Raised by the first part that stops; every part polls it once per
+    /// panel and stops too. It carries no data (the parts' rows and maxima
+    /// reach the caller when it joins them), so it is read and written
+    /// `Relaxed`.
+    pub stop: &'a AtomicBool,
+}
+
+/// One 16-column tile of packed rows against one 16-column tile of
+/// columns: rows `i0..i0 + iw`, columns `j0..j0 + jw`.
+#[derive(Clone, Copy)]
+struct TilePair {
+    i0: usize,
+    iw: usize,
+    j0: usize,
+    jw: usize,
+}
+
+impl TilePair {
+    /// Number of 2×2 register blocks the pair runs: on the diagonal tile
+    /// only blocks on or above the diagonal (block row `k` runs blocks
+    /// `k..`, and `iw ≤ jw` there).
+    fn block_count(self) -> usize {
+        let (bi, bj) = (self.iw.div_ceil(2), self.jw.div_ceil(2));
+        if self.i0 == self.j0 {
+            bi * bj - bi * (bi - 1) / 2
+        } else {
+            bi * bj
+        }
+    }
+}
+
+/// The tile pairs of packed rows `[i0, end)` in visiting order: row tiles
+/// of 16 from the first row, each against column tiles of 16 from its own
+/// first row to the last column.
+#[derive(Clone)]
+struct TilePairs {
+    i0: usize,
+    j0: usize,
+    end: usize,
+    cols: usize,
+}
+
+impl Iterator for TilePairs {
+    type Item = TilePair;
+
+    fn next(&mut self) -> Option<TilePair> {
+        if self.i0 >= self.end {
+            return None;
+        }
+        let pair = TilePair {
+            i0: self.i0,
+            iw: GRAM_TILE.min(self.end - self.i0),
+            j0: self.j0,
+            jw: GRAM_TILE.min(self.cols - self.j0),
+        };
+        self.j0 += GRAM_TILE;
+        if self.j0 >= self.cols {
+            self.i0 += GRAM_TILE;
+            self.j0 = self.i0;
+        }
+        Some(pair)
+    }
+}
+
+/// Entries in the first `r` packed rows of an `n`-column triangle, which
+/// hold `n + (n − 1) + … + (n − r + 1)`: where row `r` starts in the
+/// row-within-triangle order of [`crate::PackedSymmetric`].
+#[inline]
+pub fn packed_row_start(n: usize, r: usize) -> usize {
+    r * (2 * n + 1 - r) / 2
+}
 
 /// The Gram matrix `AᵀA` of a column-major `rows × cols` matrix, written as
 /// its packed upper triangle: entry `e` of the row-within-triangle order
 /// (the [`crate::PackedSymmetric`] layout) goes to `out[e · stride]`, so the
 /// same kernel fills a plain triangle (`stride = 1`) or one lane of an
-/// interleaved batch of triangles.
-///
-/// Each entry is **bit-identical** to `dot(col_i, col_j)`: it keeps `dot`'s
-/// sixteen partial sums, adds the products of each 16-row block in
-/// increasing row order and ends in the same reduction. Only the traversal
-/// across entries and rows changes: columns are taken in tiles of 16, the
-/// rows in panels of 512, and within a panel every 2×2 block of entries of
-/// a tile pair runs in registers, so each loaded column segment feeds two
-/// entries instead of one and a tile pair's panel is read from cache rather
-/// than memory. `A` is streamed once per tile pair instead of once per
-/// entry. Scratch is one fixed 32 KiB tile of partial sums on the stack,
-/// carried between panels (shapes with one panel skip it), whatever `n`.
+/// interleaved batch of triangles. This is [`gram_packed_rows`] over every
+/// row, on the calling thread.
 ///
 /// # Panics
 /// Panics if `data.len() != rows · cols` or `out` is too short for the
 /// last entry.
 pub fn gram_packed(data: &[f64], rows: usize, cols: usize, out: &mut [f64], stride: usize) {
+    gram_packed_rows(data, rows, cols, 0..cols, out, stride, None);
+}
+
+/// Packed rows `part` of the Gram triangle of a column-major `rows × cols`
+/// matrix: entry `e` of the row-within-triangle order goes to
+/// `out[(e − packed_row_start(cols, part.start)) · stride]`. The rows of
+/// one part are one contiguous run of the triangle at any `stride`, so
+/// disjoint parts fill disjoint `split_at_mut` pieces of one output.
+///
+/// Each entry is **bit-identical** to `dot(col_i, col_j)`, whatever the
+/// part: it keeps `dot`'s sixteen partial sums, adds the products of each
+/// 16-row block in increasing row order and ends in the same reduction.
+/// Only the traversal across entries and rows changes. Columns go in tiles
+/// of 16, and the part's tile pairs in groups whose partial sums fit
+/// 512 KiB. A group runs panel by panel (512 rows each), and within a
+/// panel every 2×2 block of entries of every tile pair of the group runs
+/// in registers: each loaded column segment feeds two entries, and each
+/// panel is read from memory once per group rather than once per tile
+/// pair. The carried sums live in a per-thread buffer grown once to the
+/// largest group; a one-panel shape carries nothing and needs none.
+///
+/// With a `scan`, the first group also scans the part's own columns
+/// (`part`) a panel at a time, just before accumulating it, and the part
+/// stops as [`GramScan`] says. Returns `None` when the part stopped (its
+/// rows of `out` are then unspecified), else the largest magnitude of
+/// columns `part` (0 without a scan).
+///
+/// # Panics
+/// Panics if `data.len() != rows · cols`, `part` is not within `0..=cols`,
+/// or `out` is too short for the part's last entry.
+pub fn gram_packed_rows(
+    data: &[f64],
+    rows: usize,
+    cols: usize,
+    part: Range<usize>,
+    out: &mut [f64],
+    stride: usize,
+    scan: Option<&GramScan<'_>>,
+) -> Option<f64> {
     assert_eq!(data.len(), rows * cols, "gram_packed: data is not rows × cols");
-    let entries = cols * (cols + 1) / 2;
+    assert!(part.start <= part.end && part.end <= cols, "gram_packed: rows out of range");
+    let first = packed_row_start(cols, part.start);
+    let entries = packed_row_start(cols, part.end) - first;
     assert!(entries == 0 || out.len() > (entries - 1) * stride, "gram_packed: output too short");
     let col = |c: usize| &data[c * rows..(c + 1) * rows];
     let wide = rows - rows % DOT_LANES;
     // Rows past the last whole 16-row block join in `dot_finish`; a matrix
     // with fewer than 16 rows still runs one (empty) panel to get there.
     let panels = wide.div_ceil(GRAM_PANEL).max(1);
-    // Partial sums carried from one panel to the next, one 2×2 block of
-    // entries per slot; a single-panel shape never touches (or zeroes) it.
-    let mut carry_storage;
-    let carry: &mut [BlockSums] = if panels > 1 {
-        carry_storage = [[[0.0; DOT_LANES]; 4]; (GRAM_TILE / 2) * (GRAM_TILE / 2)];
-        &mut carry_storage
-    } else {
-        &mut []
-    };
-    let mut single = [[0.0; DOT_LANES]; 4];
-    for i0 in (0..cols).step_by(GRAM_TILE) {
-        let iw = GRAM_TILE.min(cols - i0);
-        for j0 in (i0..cols).step_by(GRAM_TILE) {
-            let jw = GRAM_TILE.min(cols - j0);
-            let diagonal = i0 == j0;
-            for panel in 0..panels {
-                let rows = panel * GRAM_PANEL..((panel + 1) * GRAM_PANEL).min(wide);
+    let mut top = 0u64;
+    // A one-panel shape carries nothing; otherwise borrow this thread's
+    // buffer for the call.
+    let mut carry = if panels > 1 { CARRY.take() } else { Vec::new() };
+    let mut single = ZERO_BLOCK;
+    let mut rest = TilePairs { i0: part.start, j0: part.start, end: part.end, cols };
+    let mut scanning = scan.is_some();
+    let done = 'groups: loop {
+        // The next group: as many tile pairs as fit the carry budget.
+        let group = rest.clone();
+        let (mut pairs, mut blocks) = (0, 0);
+        while let Some(pair) = rest.clone().next() {
+            if pairs > 0 && blocks + pair.block_count() > GRAM_GROUP_BLOCKS {
+                break;
+            }
+            rest.next();
+            pairs += 1;
+            blocks += pair.block_count();
+        }
+        if pairs == 0 {
+            break 'groups true;
+        }
+        if panels > 1 && carry.len() < blocks {
+            carry.resize(blocks, ZERO_BLOCK);
+        }
+        for panel in 0..panels {
+            let last = panel + 1 == panels;
+            let rows_p = panel * GRAM_PANEL..((panel + 1) * GRAM_PANEL).min(wide);
+            if let Some(scan) = scan {
+                if scanning {
+                    let seen = if last { rows_p.start..rows } else { rows_p.clone() };
+                    for c in part.clone() {
+                        top = col(c)[seen.clone()]
+                            .iter()
+                            .fold(top, |top, v| top.max(magnitude_bits(v)));
+                    }
+                    if top >= f64::INFINITY.to_bits() || !(scan.window)(f64::from_bits(top)) {
+                        scan.stop.store(true, AtomicOrdering::Relaxed);
+                    }
+                }
+                if scan.stop.load(AtomicOrdering::Relaxed) {
+                    break 'groups false;
+                }
+            }
+            let mut slot = 0;
+            for TilePair { i0, iw, j0, jw } in group.clone().take(pairs) {
                 for bi in (0..iw).step_by(2) {
                     // On the diagonal tile only blocks on or above the
                     // diagonal are computed.
-                    for bj in (if diagonal { bi } else { 0 }..jw).step_by(2) {
-                        // A ragged last block row (column) repeats its one
-                        // column: the copy computes the same bits for the
-                        // same entry.
-                        let r = [bi, (bi + 1).min(iw - 1)];
-                        let c = [bj, (bj + 1).min(jw - 1)];
-                        let acc = if panels > 1 {
-                            &mut carry[bi / 2 * (GRAM_TILE / 2) + bj / 2]
-                        } else {
-                            &mut single
-                        };
+                    for bj in (if i0 == j0 { bi } else { 0 }..jw).step_by(2) {
+                        // A ragged last block row (column) repeats its
+                        // one column: the copy computes the same bits
+                        // for the same entry.
+                        let r = [i0 + bi, i0 + (bi + 1).min(iw - 1)];
+                        let c = [j0 + bj, j0 + (bj + 1).min(jw - 1)];
+                        let acc = if panels > 1 { &mut carry[slot] } else { &mut single };
+                        slot += 1;
                         if panel == 0 {
-                            *acc = [[0.0; DOT_LANES]; 4];
+                            *acc = ZERO_BLOCK;
                         }
                         if wide > 0 {
-                            let x = r.map(|u| &col(i0 + u)[rows.clone()]);
-                            let y = c.map(|v| &col(j0 + v)[rows.clone()]);
+                            let x = r.map(|i| &col(i)[rows_p.clone()]);
+                            let y = c.map(|j| &col(j)[rows_p.clone()]);
                             block_accumulate(x, y, acc);
                         }
-                        if panel + 1 < panels {
+                        if !last {
                             continue;
                         }
                         for (k, &sums) in acc.iter().enumerate() {
-                            let (i, j) = (i0 + r[k / 2], j0 + c[k % 2]);
+                            let (i, j) = (r[k / 2], c[k % 2]);
                             if i <= j {
-                                // Packed offset of (i, j), i ≤ j.
-                                let e = i * (2 * cols - i + 1) / 2 + (j - i);
+                                let e = packed_row_start(cols, i) + (j - i) - first;
                                 out[e * stride] =
                                     dot_finish(sums, &col(i)[wide..], &col(j)[wide..]);
                             }
@@ -156,7 +321,12 @@ pub fn gram_packed(data: &[f64], rows: usize, cols: usize, out: &mut [f64], stri
                 }
             }
         }
+        scanning = false;
+    };
+    if panels > 1 {
+        CARRY.set(carry);
     }
+    done.then(|| f64::from_bits(top))
 }
 
 /// [`dot_accumulate`] for a 2×2 block of entries at once: `acc[2u + v]`
@@ -193,8 +363,7 @@ fn block_accumulate(x: [&[f64]; 2], y: [&[f64]; 2], acc: &mut BlockSums) {
 /// more memory requests in flight than one, and a large input's scan waits
 /// on memory, not arithmetic.
 pub fn finite_max_abs(x: &[f64]) -> Option<f64> {
-    const MAGNITUDE: u64 = !(1 << 63);
-    let bits = |v: &f64| v.to_bits() & MAGNITUDE;
+    let bits = magnitude_bits;
     let q = x.len() / 4;
     let (a, rest) = x.split_at(q);
     let (b, rest) = rest.split_at(q);

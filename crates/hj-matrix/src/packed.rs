@@ -45,9 +45,7 @@ impl PackedSymmetric {
     #[inline]
     fn offset(&self, i: usize, j: usize) -> usize {
         debug_assert!(i <= j && j < self.n);
-        // Row i of the triangle starts after rows 0..i, which hold
-        // n + (n-1) + … + (n-i+1) = i*(2n - i + 1)/2 entries.
-        i * (2 * self.n - i + 1) / 2 + (j - i)
+        self.row_offset(i) + (j - i)
     }
 
     /// Offset of triangle row `i`'s first entry — the diagonal `(i, i)` — in
@@ -62,7 +60,7 @@ impl PackedSymmetric {
     #[inline]
     pub fn row_offset(&self, i: usize) -> usize {
         debug_assert!(i <= self.n);
-        i * (2 * self.n - i + 1) / 2
+        crate::ops::packed_row_start(self.n, i)
     }
 
     /// Read entry `(i, j)`; symmetric, so argument order is irrelevant.

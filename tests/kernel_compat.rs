@@ -9,21 +9,29 @@
 //!   equal to their references on every length and every pair, aligned or
 //!   not.
 //!
-//! * `ops::gram_packed` (the register-blocked Gram kernel behind
+//! * `ops::gram_packed_rows` (the register-blocked Gram kernel behind
 //!   `Matrix::gram`, `GramState::from_matrix` and the SoA batch loader)
 //!   keeps each entry's sixteen partial sums and final reduction, so every
 //!   entry is **bitwise** the per-entry `ops::dot` it replaced, whatever the
-//!   row count, panel split or column tiling.
-//! * `ops::finite_max_abs`, the one input scan behind validation and the
-//!   prescale exponent, rejects a non-finite entry wherever it sits and
-//!   yields the same exponent as the separate scans it replaced.
+//!   row count, panel split, column tiling, group of tile pairs, row range
+//!   or stride. `GramState::from_matrix` splits the rows over the rayon
+//!   pool, so its `D` must be `Matrix::gram` at any thread count.
+//! * The input scan rides in the solve's Gram build (`ops::finite_max_abs`
+//!   is its fallback): a non-finite entry is rejected wherever it sits and
+//!   whichever part scans it, and the prescale exponent is the one the
+//!   separate scans gave.
 //!
 //! All strategies span twelve orders of magnitude in the norms (1e-6..1e6),
 //! like the scalar rotation proptests.
 
+use hjsvd::core::engine::Sequential;
 use hjsvd::core::kernel::rotate_packed;
 use hjsvd::core::rotation::{textbook_params, Rotation};
-use hjsvd::core::{BatchDriver, BatchWorkspace, GramState, HestenesSvd, SvdError, SvdOptions};
+use hjsvd::core::{
+    BatchDriver, BatchWorkspace, GramState, HealthCheck, HestenesSvd, Ordering, PairGuard,
+    PlanBuffers, RotationTarget, SolveBudget, SolveDriver, SolveMonitor, SvdError, SvdOptions,
+    SweepSchedule, SweepState,
+};
 use hjsvd::matrix::{gen, ops, Matrix, PackedSymmetric};
 use proptest::prelude::*;
 
@@ -104,6 +112,72 @@ fn gram_kernel_is_bitwise_dot_on_every_row_residue() {
     }
 }
 
+/// The triangle of `a` built as two parts split at packed row `split`,
+/// each filling its own `split_at_mut` piece of one output, written at
+/// `stride` and read back as a plain triangle.
+fn gram_in_two_parts(a: &Matrix, split: usize, stride: usize) -> PackedSymmetric {
+    let (m, n) = a.shape();
+    let entries = n * (n + 1) / 2;
+    let mut out = vec![f64::NAN; entries * stride];
+    let (head, tail) = out.split_at_mut(ops::packed_row_start(n, split) * stride);
+    for (rows, piece) in [(0..split, head), (split..n, tail)] {
+        let done = ops::gram_packed_rows(a.as_slice(), m, n, rows, piece, stride, None);
+        assert_eq!(done, Some(0.0), "an unscanned part runs to the end");
+    }
+    let mut d = PackedSymmetric::zeros(n);
+    for (e, v) in d.as_mut_slice().iter_mut().enumerate() {
+        *v = out[e * stride];
+    }
+    d
+}
+
+#[test]
+fn row_range_parts_are_bitwise_dot_at_every_split_row() {
+    // Two panels and a 2-row tail; every split row from 0 to n, so the
+    // parts run from one tile pair to all of them, and at n = 100 a whole
+    // part needs two groups of tile pairs.
+    for n in [1usize, 2, 17, 33, 64, 100] {
+        let a = spread(530, n, n as u64);
+        let want = gram_reference(&a);
+        for split in 0..=n {
+            for stride in [1, 3] {
+                let diff = first_bit_difference(&gram_in_two_parts(&a, split, stride), &want);
+                assert_eq!(diff, None, "530x{n} split at row {split}, stride {stride}");
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_panels_are_bitwise_dot_at_every_residue_near_panel_bounds() {
+    // Row counts at every residue mod 16 around one and two panels, at a
+    // width whose whole triangle takes several groups of tile pairs.
+    for base in [496usize, 512, 1008, 1024] {
+        for residue in 0..16 {
+            let m = base + residue;
+            let n = if residue % 4 == 0 { 150 } else { 20 };
+            let a = spread(m, n, m as u64);
+            let want = gram_reference(&a);
+            assert_eq!(first_bit_difference(&a.gram(), &want), None, "{m}x{n}");
+            for split in [n / 3 * 2, n - 1] {
+                let diff = first_bit_difference(&gram_in_two_parts(&a, split, 2), &want);
+                assert_eq!(diff, None, "{m}x{n} split at row {split}");
+            }
+        }
+    }
+}
+
+#[test]
+fn split_gram_state_equals_matrix_gram() {
+    // Shapes large enough for `GramState::from_matrix` to split over the
+    // pool, at whatever thread count the pool has.
+    for (m, n) in [(4096usize, 64usize), (2049, 70), (1025, 64), (1500, 51), (3000, 33)] {
+        let a = spread(m, n, (m + n) as u64);
+        let got = GramState::from_matrix(&a);
+        assert_eq!(first_bit_difference(got.packed(), &a.gram()), None, "{m}x{n}");
+    }
+}
+
 #[test]
 fn soa_loader_triangles_equal_matrix_gram_slot_by_slot() {
     let solver = HestenesSvd::new(SvdOptions::default());
@@ -155,6 +229,26 @@ fn non_finite_entries_are_rejected_wherever_they_sit() {
             }
         }
     }
+    // A shape whose Gram build splits over the pool and whose scan rides in
+    // it: three panels and a 12-row tail. The spots are (row, column): the
+    // first panel, the last panel, the last column (scanned only by the last
+    // part), the tail rows past the last 16-row block, and column 0's tail.
+    let (m, n) = (1100usize, 64usize);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for (row, col) in [(3usize, 5usize), (1050, 40), (600, 63), (1095, 30), (1099, 0)] {
+            let mut a = gen::uniform(m, n, 3);
+            a.set(row, col, bad);
+            let what = format!("{bad} at ({row}, {col}) of {m}x{n}");
+            assert!(
+                matches!(solver.singular_values(&a), Err(SvdError::NonFiniteInput)),
+                "singular_values: {what}"
+            );
+            assert!(
+                matches!(solver.decompose(&a), Err(SvdError::NonFiniteInput)),
+                "decompose: {what}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -171,19 +265,65 @@ fn prescale_exponent_is_unchanged_near_the_range_ends() {
             -e
         }
     };
-    for scale in [1e160, 1e-160, 1e300, 1e-300] {
-        let a = gen::uniform(20, 6, 41).scaled(scale);
-        let b = gen::uniform(20, 6, 42).scaled(scale * 0.7);
+    for ((m, n), scale) in [(20usize, 6usize), (1100, 64)]
+        .into_iter()
+        .flat_map(|shape| [1e160, 1e-160, 1e300, 1e-300].map(|scale| (shape, scale)))
+    {
+        let a = gen::uniform(m, n, 41).scaled(scale);
+        let b = gen::uniform(m, n, 42).scaled(scale * 0.7);
         let (want_a, want_b) = (expected(&a), expected(&b));
-        assert_ne!(want_a, 0, "scale {scale:e} must engage the guard");
+        let at = format!("{m}x{n} at {scale:e}");
+        assert_ne!(want_a, 0, "{at} must engage the guard");
         let sv = solver.singular_values(&a).unwrap();
-        assert_eq!(sv.stats.prescale_exp, want_a, "singular_values at {scale:e}");
+        assert_eq!(sv.stats.prescale_exp, want_a, "singular_values, {at}");
         let svd = solver.decompose(&a).unwrap();
-        assert_eq!(svd.stats.prescale_exp, want_a, "decompose at {scale:e}");
+        assert_eq!(svd.stats.prescale_exp, want_a, "decompose, {at}");
         let batch = solver.singular_values_batch(&[a, b]);
-        assert_eq!(batch[0].as_ref().unwrap().stats.prescale_exp, want_a, "batch at {scale:e}");
-        assert_eq!(batch[1].as_ref().unwrap().stats.prescale_exp, want_b, "batch at {scale:e}");
+        assert_eq!(batch[0].as_ref().unwrap().stats.prescale_exp, want_a, "batch, {at}");
+        assert_eq!(batch[1].as_ref().unwrap().stats.prescale_exp, want_b, "batch, {at}");
     }
+}
+
+/// `singular_values` replayed as its layer chain: `GramState::from_matrix`,
+/// the cyclic sweeps on `Sequential`, then the sorted diagonal.
+fn replayed_values(solver: &HestenesSvd, a: &Matrix) -> Vec<f64> {
+    let mut gram = GramState::from_matrix(a);
+    let opts = solver.options();
+    let driver = SolveDriver { convergence: opts.convergence, max_sweeps: opts.max_sweeps };
+    let mut plans = PlanBuffers::new();
+    let (strategy, plan) = plans.schedule_parts(Ordering::RoundRobin);
+    let mut schedule = SweepSchedule { strategy, plan, threshold: None };
+    let mut monitor = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default());
+    let target = RotationTarget::gram_only();
+    let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
+    let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
+    assert!(run.fault.is_none());
+    let mut values = gram.singular_values_unsorted();
+    values.sort_by(|x, y| y.total_cmp(x));
+    values.truncate(a.rows().min(a.cols()));
+    values
+}
+
+#[test]
+fn a_scan_stopped_inside_the_window_rebuilds_the_same_bits() {
+    // The first panel's entries are below the prescale window, so the
+    // scanned build stops there; the whole input is in the window, so the
+    // solve rebuilds the unscaled `D` and must give the chain's bits.
+    let solver = HestenesSvd::new(SvdOptions::default());
+    let mut a = spread(1100, 64, 5);
+    for c in 0..64 {
+        for v in &mut a.col_mut(c)[..512] {
+            *v *= 1e-90;
+        }
+    }
+    let sv = solver.singular_values(&a).unwrap();
+    assert_eq!(sv.stats.prescale_exp, 0);
+    let want = replayed_values(&solver, &a);
+    assert!(sv.values.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
+    let plain = spread(1100, 64, 5);
+    let sv = solver.singular_values(&plain).unwrap();
+    let want = replayed_values(&solver, &plain);
+    assert!(sv.values.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
 }
 
 proptest! {

@@ -6,9 +6,10 @@
 //! schedule reuses its plan. This is the software analogue of the paper's
 //! fixed BRAM budget: the FPGA design claims all covariance/column storage
 //! up front and reuses it every sweep. A solve's plan is one flat pair list,
-//! so a one-shot solve allocates as often at n = 128 as at n = 12. The
-//! serving loop and the SoA batch workspace are pinned to bounded per-job /
-//! per-batch allocation counts.
+//! so a one-shot solve allocates as often at n = 128 as at n = 12, and a
+//! tall one whose Gram build splits over the thread pool as often as a
+//! small one. The serving loop and the SoA batch workspace are pinned to
+//! bounded per-job / per-batch allocation counts.
 //!
 //! Lives in the root package (not hj-core) because hj-core carries
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl requires unsafe.
@@ -200,6 +201,35 @@ fn one_shot_solve_allocations_do_not_grow_with_n() {
             );
         }
     }
+}
+
+#[test]
+fn a_split_gram_build_allocates_no_more_than_a_small_solve() {
+    // At 4096×64 the Gram build splits over the rayon pool and carries
+    // partial sums between panels. The part list lives on the stack and
+    // each thread's carried sums are sized once, so after one warm-up call
+    // (which starts the pool and sizes them) a one-shot solve allocates no
+    // more than one at 48×12, which does neither. Both count 7 events; the
+    // bound has no slack, because a per-call part list or carry buffer
+    // would add only one or two.
+    let _guard = serial_guard();
+    let solver = HestenesSvd::new(SvdOptions::default());
+    let small = gen::uniform(48, 12, 5);
+    let tall = gen::uniform(4096, 64, 5);
+    solver.singular_values(&tall).unwrap();
+    // Minimum of three tries, as in `driver_run_allocations`.
+    let events = |a: &Matrix| {
+        (0..3)
+            .map(|_| {
+                let before = allocation_count();
+                solver.singular_values(a).unwrap();
+                allocation_count() - before
+            })
+            .min()
+            .expect("three tries")
+    };
+    let (at_small, at_tall) = (events(&small), events(&tall));
+    assert!(at_tall <= at_small, "{at_tall} events at 4096×64 vs {at_small} at 48×12");
 }
 
 #[test]
