@@ -173,8 +173,7 @@ mod tests {
         let mats = mixed_batch();
         let expired = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let faulty = HestenesSvd::new(SvdOptions::default())
-            .with_budget(crate::SolveBudget::with_deadline(expired))
-            .with_recovery_policy(crate::RecoveryPolicy::abort_only());
+            .with_budget(crate::SolveBudget::with_deadline(expired));
         for (k, res) in faulty.decompose_batch(&mats).iter().enumerate() {
             assert!(
                 matches!(res, Err(SvdError::SolveFault { .. })),

@@ -43,12 +43,12 @@
 //!   still-active problem at the shared sweep boundary.
 //!
 //! Fault handling is deliberately *abort-only* per problem (no
-//! rescale-restart / budget-escalation recovery inside the batch): restarting
-//! one lane would force the whole batch through extra shared sweeps. The
-//! guarded-numerics prescaling of [`crate::svd`] still applies per problem
-//! at pack time, so the usual overflow/underflow classes never fault in the
-//! first place. Callers who need the full recovery lattice for a flaky
-//! problem can re-run it through [`crate::HestenesSvd::singular_values`].
+//! rescale-restart inside the batch): restarting one lane would force the
+//! whole batch through extra shared sweeps. The guarded-numerics prescaling
+//! of [`crate::svd`] still applies per problem at pack time, so the usual
+//! overflow/underflow classes never fault in the first place. A caller who
+//! wants the rescale-restart for a corrupted problem can re-run it through
+//! [`crate::HestenesSvd::singular_values`].
 //!
 //! Results match the looped path within a `1e-12·σ_max` envelope (pinned by
 //! proptest): the lanes-wide parameter kernel computes the textbook chain
@@ -59,7 +59,7 @@
 //! criterion fires, and sweep-boundary bookkeeping differs from the scalar
 //! driver only in traversal.
 
-use crate::convergence::{is_converged, SweepRecord, MAX_SWEEP_CAP};
+use crate::convergence::{is_converged, off_frobenius, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::PAIR_TOL;
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
 use crate::ordering::{round_robin, Ordering};
@@ -598,6 +598,11 @@ impl<'a> BatchDriver<'a> {
                 if ws.active[p] == 0 {
                     continue;
                 }
+                let lane = &*ws;
+                let entries = (0..n).flat_map(|r| {
+                    (r + 1..n).map(move |c| lane.d[lane.at(r * (2 * n - r + 1) / 2 + c - r, p)])
+                });
+                let off = off_frobenius(ws.sum_sq[p], ws.max_abs[p], entries);
                 let rec = SweepRecord {
                     sweep,
                     mean_abs_cov: if n < 2 {
@@ -605,7 +610,7 @@ impl<'a> BatchDriver<'a> {
                     } else {
                         ws.abs_sum[p] / ((n * (n - 1) / 2) as f64)
                     },
-                    off_frobenius: (2.0 * ws.sum_sq[p]).sqrt(),
+                    off_frobenius: off,
                     max_abs_cov: ws.max_abs[p],
                     rotations_applied: ws.applied_count[p],
                     rotations_skipped: pair_count - ws.applied_count[p],

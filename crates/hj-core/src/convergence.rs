@@ -24,15 +24,6 @@ pub enum Convergence {
     /// satisfied the per-pair orthogonality guard). The classical Jacobi
     /// termination rule; strongest guarantee, potentially more sweeps.
     NoRotations,
-    /// Stop when `off(D) ≤ tol · trace(D)` — the classical global
-    /// off-diagonal Frobenius criterion (`off(D)² = 2·Σ_{i<j} D_ij²`).
-    /// Trace-relative, hence scale-invariant like
-    /// [`Convergence::MaxCovariance`], but integrates all covariances
-    /// instead of tracking the worst one.
-    OffFrobenius {
-        /// Relative tolerance against `trace(D) = ‖A‖_F²`.
-        tol: f64,
-    },
 }
 
 impl Default for Convergence {
@@ -70,10 +61,41 @@ pub fn is_converged(criterion: &Convergence, record: &SweepRecord, trace: f64, n
             record.max_abs_cov <= tol * scale.max(f64::MIN_POSITIVE)
         }
         Convergence::NoRotations => record.rotations_applied == 0,
-        Convergence::OffFrobenius { tol } => {
-            record.off_frobenius <= tol * trace.max(f64::MIN_POSITIVE)
-        }
     }
+}
+
+/// `off(D) = √(2·Σ_{i<j} D_ij²)` for a sweep record, from one pass's plain
+/// sum of squares `sum_sq` and largest `|D_ij|` `max_abs`.
+///
+/// The squares overflow once `|D_ij|` nears `2^511/n`, while every entry of
+/// `D` is still finite. When the plain norm is not finite but `max_abs` is,
+/// the sum is taken again over the `D_ij` that the lazy `off_diagonal`
+/// yields, each scaled by `2^-e` for `e` the binary exponent of `max_abs`,
+/// and the root is scaled back. Nothing is allocated. A NaN or ±∞ in `D`
+/// still gives a non-finite norm: a NaN poisons the scaled sum too, and an
+/// ∞ makes `max_abs` infinite, which skips the second pass.
+pub(crate) fn off_frobenius(
+    sum_sq: f64,
+    max_abs: f64,
+    off_diagonal: impl Iterator<Item = f64>,
+) -> f64 {
+    let plain = (2.0 * sum_sq).sqrt();
+    if plain.is_finite() || !max_abs.is_finite() || max_abs == 0.0 {
+        return plain;
+    }
+    scaled_off_frobenius(max_abs, off_diagonal)
+}
+
+/// The second pass of [`off_frobenius`], out of line and cold so that it
+/// adds nothing to the hot code of the sweep loops that call it.
+#[cold]
+#[inline(never)]
+fn scaled_off_frobenius(max_abs: f64, off_diagonal: impl Iterator<Item = f64>) -> f64 {
+    // Clamped so that both factors stay normal.
+    let e = (max_abs.log2().floor() as i32).clamp(-1022, 1022);
+    let down = 2f64.powi(-e);
+    let scaled: f64 = off_diagonal.map(|v| (v * down) * (v * down)).sum();
+    (2.0 * scaled).sqrt() * 2f64.powi(e)
 }
 
 /// Hard cap applied on top of any criterion, preventing unbounded iteration
@@ -121,14 +143,27 @@ mod tests {
         assert!(is_converged(&c, &record(1, 5.0, 0), 1.0, 2));
     }
 
+    /// `off_frobenius` over `entries`, with the plain pass's sums.
+    fn off_of(entries: &[f64]) -> f64 {
+        let sum_sq = entries.iter().map(|v| v * v).sum();
+        let max_abs = entries.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        off_frobenius(sum_sq, max_abs, entries.iter().copied())
+    }
+
     #[test]
-    fn off_frobenius_rule() {
-        let c = Convergence::OffFrobenius { tol: 1e-6 };
-        // off_frobenius = max_abs * 2 in the fixture.
-        assert!(is_converged(&c, &record(1, 4e-7, 3), 1.0, 4));
-        assert!(!is_converged(&c, &record(1, 1e-6, 3), 1.0, 4));
-        // Scale invariance: both off and trace scale together.
-        assert!(is_converged(&c, &record(1, 4e-7 * 1e9, 3), 1e9, 4));
+    fn off_frobenius_survives_overflowing_squares_of_finite_entries() {
+        // Ordinary entries take the plain pass, bit for bit.
+        let small = [3.0, -4.0, 0.5];
+        assert_eq!(off_of(&small), (2.0f64 * (9.0 + 16.0 + 0.25)).sqrt());
+        // 2^600 squares to ∞; the scaled pass gives √(2·(9 + 16))·2^600.
+        let big = 2f64.powi(600);
+        let off = off_of(&[3.0 * big, -4.0 * big, 1.0]);
+        assert_eq!(off, 50f64.sqrt() * big);
+        // A NaN or ±∞ among the entries never turns the norm finite.
+        assert!(off_of(&[3.0 * big, f64::NAN]).is_nan());
+        assert!(off_of(&[f64::NAN, 1.0]).is_nan());
+        assert_eq!(off_of(&[3.0 * big, f64::INFINITY]), f64::INFINITY);
+        assert_eq!(off_of(&[f64::NEG_INFINITY]), f64::INFINITY);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! checking, and [`SolveStats`] accounting (engines fold their own counters
 //! in via [`SweepEngine::finish`]).
 
-use crate::convergence::{is_converged, Convergence, SweepRecord, MAX_SWEEP_CAP};
+use crate::convergence::{is_converged, off_frobenius, Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::gram::GramState;
 use crate::ordering::{Preplanned, Sweep, SweepSchedule};
 use crate::recovery::{Fault, HealthCheck, HealthState, SolveBudget};
@@ -285,10 +285,13 @@ fn finish_record(
     let sum = gram.off_summary();
     let n = gram.dim();
     let mean_abs_cov = if n < 2 { 0.0 } else { sum.abs_sum / ((n * (n - 1) / 2) as f64) };
+    let d = gram.packed();
+    let entries = (0..n).flat_map(|i| (i + 1..n).map(move |j| d.get(i, j)));
+    let off = off_frobenius(sum.sum_sq, sum.max_abs, entries);
     SweepRecord {
         sweep: sweep_index,
         mean_abs_cov,
-        off_frobenius: (2.0 * sum.sum_sq).sqrt(),
+        off_frobenius: off,
         max_abs_cov: sum.max_abs,
         rotations_applied: applied,
         rotations_skipped: skipped,

@@ -25,15 +25,16 @@ pub enum SvdError {
     /// wrong values. Raise the sweep budget or loosen the stopping rule.
     TruncatedTailNotNegligible,
     /// A mid-solve fault was detected by the health check or solve budget
-    /// and the [`crate::recovery::RecoveryPolicy`] exhausted its options (or
-    /// chose to abort). The solver never returns a silently corrupted
-    /// factorization: it either recovers fully or surfaces this.
+    /// and the solve aborted: a stall, deadline or cancellation, or a
+    /// numeric fault after the one rescale-restart. The solver never returns
+    /// a silently corrupted factorization: it either recovers fully or
+    /// surfaces this.
     SolveFault {
         /// The fault that ended the solve.
         fault: Fault,
-        /// Sweeps executed across all attempts (including recovered ones).
+        /// Sweeps executed across all attempts (including a restarted one).
         sweeps_completed: usize,
-        /// Recovery actions taken before giving up.
+        /// Rescale-restarts taken before giving up: 0 or 1.
         recoveries: usize,
     },
 }

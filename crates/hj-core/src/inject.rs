@@ -3,7 +3,7 @@
 //! The robustness campaign in `tests/fault_injection.rs` needs to corrupt a
 //! solve *mid-flight* — after validation has passed and sweeps are running —
 //! to prove the health check detects each fault class within one sweep and
-//! the recovery policy either heals the solve or rejects it loudly. This
+//! the guarded solve either heals it or rejects it loudly. This
 //! module is that corruption source: a [`FaultInjector`] hook called by
 //! [`crate::SolveDriver::run_monitored`] around every sweep, and a
 //! deterministic [`SeededInjector`] that fires planned [`Corruption`]s at

@@ -48,9 +48,9 @@
 //! * [`convergence`] — stopping rules and per-sweep instrumentation
 //!   (the paper's Figs. 10–11 metric).
 //! * [`recovery`] — the fault-tolerance layer: [`recovery::Fault`]
-//!   taxonomy, per-sweep [`recovery::HealthCheck`], the
-//!   [`recovery::RecoveryPolicy`] lattice (rescale / budget escalation /
-//!   abort), and [`recovery::SolveBudget`]
+//!   taxonomy, per-sweep [`recovery::HealthCheck`], the one recovery rule
+//!   (a numeric fault restarts once from the power-of-two-normalized input;
+//!   every other fault aborts), and [`recovery::SolveBudget`]
 //!   deadline/cancellation.
 //! * `inject` *(feature `fault-injection` only)* — deterministic
 //!   fault-injection harness used by the robustness test campaign; compiles
@@ -107,7 +107,7 @@ pub use gram::{DiagonalScan, GramState};
 pub use inject::{Corruption, FaultInjector, SeededInjector};
 pub use ordering::{Ordering, OrderingStrategy, PlanBuffers, SweepSchedule, ThresholdSchedule};
 pub use pca::Pca;
-pub use recovery::{Fault, HealthCheck, RecoveryAction, RecoveryPolicy, SolveBudget};
+pub use recovery::{Fault, HealthCheck, SolveBudget};
 pub use rotation::{hardware_params, textbook_params, Rotation};
 pub use stats::SolveStats;
 pub use svd::{HestenesSvd, SingularValues, Svd, SvdOptions};

@@ -1,4 +1,4 @@
-//! Fault taxonomy, health checking, recovery policy, and solve budgets.
+//! Fault taxonomy, health checking, the recovery rule, and solve budgets.
 //!
 //! The paper's Algorithm 1 reads the matrix columns exactly once — every
 //! sweep after the first trusts the in-place-updated covariance matrix
@@ -16,9 +16,12 @@
 //! * [`HealthCheck`] — a cheap `O(n)` per-sweep scan of `D` run by
 //!   [`crate::SolveDriver::run_monitored`]: non-finite metrics, negative
 //!   diagonals (impossible for a true Gram matrix), and convergence stalls.
-//! * [`RecoveryPolicy`] — maps a detected fault to a [`RecoveryAction`]:
-//!   rescale-and-restart, escalate the sweep budget, or abort with
-//!   [`crate::SvdError::SolveFault`].
+//! * The recovery rule (`rescale_restarts`) — a non-finite or materially
+//!   negative `D` on an attempt that has not been rescaled restarts once,
+//!   from the input normalized by a power of two. That is the one response
+//!   that changes the solve's input. Every other fault aborts with
+//!   [`crate::SvdError::SolveFault`]: the solve is deterministic, so running
+//!   it again unchanged could only repeat the fault.
 //! * [`SolveBudget`] — deadline/cancellation checked at sweep boundaries, so
 //!   batch and CLI callers can bound worst-case latency.
 
@@ -242,99 +245,18 @@ impl HealthState {
     }
 }
 
-/// What the solver does about a detected [`Fault`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// Rebuild the solve from the original input, normalized to a
-    /// power-of-two scale with max-entry exponent 0 — clears any corrupted
-    /// intermediate state and maximizes headroom against over/underflow.
-    RescaleRestart,
-    /// Restart with a doubled sweep budget (capped at
-    /// [`crate::convergence::MAX_SWEEP_CAP`]) — for stalls caused by a
-    /// too-tight budget rather than corruption.
-    EscalateBudget,
-    /// Give up: surface [`crate::SvdError::SolveFault`] to the caller.
-    Abort,
-}
-
-impl RecoveryAction {
-    /// Stable machine-readable name (used by the trace stream's
-    /// `recovery_triggered` events).
-    pub fn name(self) -> &'static str {
-        match self {
-            RecoveryAction::RescaleRestart => "rescale-restart",
-            RecoveryAction::EscalateBudget => "escalate-budget",
-            RecoveryAction::Abort => "abort",
-        }
-    }
-}
-
-/// Everything [`RecoveryPolicy::action_for`] needs to know about the solve's
-/// current attempt when choosing a response.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryContext {
-    /// A rescale-restart has already been tried.
-    pub rescaled: bool,
-    /// A budget escalation has already been tried.
-    pub escalated: bool,
-    /// The sweep budget still has room below the hard cap.
-    pub can_escalate: bool,
-    /// Recovery actions taken so far in this solve.
-    pub recoveries: usize,
-}
-
-/// Maps each detected [`Fault`] to a [`RecoveryAction`] — the recovery
-/// lattice (numeric faults → rescale → abort; stalls → budget escalation
-/// → abort; deadline/cancellation → always abort).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Allow one rescale-and-restart for numeric faults.
-    pub rescale_restart: bool,
-    /// Allow doubling the sweep budget (once) for stalls.
-    pub escalate_budget: bool,
-    /// Hard cap on total recovery actions per solve; once reached, every
-    /// further fault aborts.
-    pub max_recoveries: usize,
-}
-
-impl Default for RecoveryPolicy {
-    /// Everything enabled, at most 3 recoveries per solve.
-    fn default() -> Self {
-        RecoveryPolicy { rescale_restart: true, escalate_budget: true, max_recoveries: 3 }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Fail-fast policy: every fault aborts immediately.
-    pub fn abort_only() -> Self {
-        RecoveryPolicy { rescale_restart: false, escalate_budget: false, max_recoveries: 0 }
-    }
-
-    /// Choose the response to `fault` given the attempt context.
-    pub fn action_for(&self, fault: &Fault, ctx: &RecoveryContext) -> RecoveryAction {
-        if ctx.recoveries >= self.max_recoveries {
-            return RecoveryAction::Abort;
-        }
-        match fault {
-            Fault::NonFiniteGram { .. } | Fault::NegativeDiagonal { .. } => {
-                if self.rescale_restart && !ctx.rescaled {
-                    RecoveryAction::RescaleRestart
-                } else {
-                    RecoveryAction::Abort
-                }
-            }
-            Fault::ConvergenceStall { .. } => {
-                if self.escalate_budget && ctx.can_escalate && !ctx.escalated {
-                    RecoveryAction::EscalateBudget
-                } else {
-                    RecoveryAction::Abort
-                }
-            }
-            // Latency faults are contractual: retrying would only blow the
-            // budget further.
-            Fault::DeadlineExceeded { .. } | Fault::Cancelled { .. } => RecoveryAction::Abort,
-        }
-    }
+/// The one recovery rule of [`crate::HestenesSvd`]'s guarded solve: true
+/// when `fault` restarts the solve from the input normalized by a power of
+/// two (largest entry in `[1, 2)`), false when it aborts with
+/// [`crate::SvdError::SolveFault`].
+///
+/// Only a `NonFiniteGram` or `NegativeDiagonal` fault on an attempt that
+/// has not been rescaled restarts: the restart rebuilds `D` from the
+/// pristine input, which clears transient corruption, and the new scale
+/// gives the most headroom against over- and underflow. A stall, deadline
+/// or cancellation, or a second numeric fault, aborts.
+pub(crate) fn rescale_restarts(fault: &Fault, rescaled: bool) -> bool {
+    !rescaled && matches!(fault, Fault::NonFiniteGram { .. } | Fault::NegativeDiagonal { .. })
 }
 
 /// Latency bounds for one solve, checked at every sweep boundary by
@@ -588,64 +510,18 @@ mod tests {
     }
 
     #[test]
-    fn policy_lattice_numeric_faults() {
-        let policy = RecoveryPolicy::default();
-        let fault = Fault::NonFiniteGram { sweep: 1 };
-        let mut ctx = RecoveryContext {
-            rescaled: false,
-            escalated: false,
-            can_escalate: true,
-            recoveries: 0,
-        };
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::RescaleRestart);
-        ctx.rescaled = true;
-        ctx.recoveries = 1;
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::Abort);
-    }
-
-    #[test]
-    fn policy_lattice_stall() {
-        let policy = RecoveryPolicy::default();
-        let fault = Fault::ConvergenceStall { sweep: 9, stalled_sweeps: 6 };
-        let mut ctx = RecoveryContext {
-            rescaled: false,
-            escalated: false,
-            can_escalate: true,
-            recoveries: 0,
-        };
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::EscalateBudget);
-        ctx.escalated = true;
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::Abort);
-        // A budget already at the cap cannot escalate.
-        ctx.escalated = false;
-        ctx.can_escalate = false;
-        assert_eq!(policy.action_for(&fault, &ctx), RecoveryAction::Abort);
-    }
-
-    #[test]
-    fn policy_latency_faults_always_abort_and_cap_binds() {
-        let policy = RecoveryPolicy::default();
-        let ctx = RecoveryContext {
-            rescaled: false,
-            escalated: false,
-            can_escalate: true,
-            recoveries: 0,
-        };
-        assert_eq!(
-            policy.action_for(&Fault::DeadlineExceeded { sweep: 1 }, &ctx),
-            RecoveryAction::Abort
-        );
-        assert_eq!(policy.action_for(&Fault::Cancelled { sweep: 1 }, &ctx), RecoveryAction::Abort);
-        // max_recoveries exhausted → abort even for recoverable faults.
-        let spent = RecoveryContext { recoveries: policy.max_recoveries, ..ctx };
-        assert_eq!(
-            policy.action_for(&Fault::NonFiniteGram { sweep: 1 }, &spent),
-            RecoveryAction::Abort
-        );
-        assert_eq!(
-            RecoveryPolicy::abort_only().action_for(&Fault::NonFiniteGram { sweep: 1 }, &ctx),
-            RecoveryAction::Abort
-        );
+    fn only_numeric_faults_on_an_unrescaled_attempt_restart() {
+        let table = [
+            (Fault::NonFiniteGram { sweep: 1 }, true),
+            (Fault::NegativeDiagonal { sweep: 2, index: 0 }, true),
+            (Fault::ConvergenceStall { sweep: 9, stalled_sweeps: 6 }, false),
+            (Fault::DeadlineExceeded { sweep: 1 }, false),
+            (Fault::Cancelled { sweep: 1 }, false),
+        ];
+        for (fault, restarts) in table {
+            assert_eq!(rescale_restarts(&fault, false), restarts, "{fault:?} unrescaled");
+            assert!(!rescale_restarts(&fault, true), "{fault:?} after a rescale");
+        }
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub struct SolveStats {
     /// Mid-solve faults detected by the health check or solve budget
     /// (0 for a clean solve; counts faults in recovered attempts too).
     pub faults: usize,
-    /// Recovery actions taken (rescale-restart, budget escalation). 0 means the returned factorization came from the first
-    /// attempt.
+    /// Rescale-restarts taken: 0 or 1. 0 means the returned factorization
+    /// came from the first attempt.
     pub recoveries: usize,
     /// Binary exponent of the guarded-numerics pre-scaling applied to the
     /// input (the solve ran on `A·2^prescale_exp`; singular values were

@@ -10,7 +10,7 @@ use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
 use crate::ordering::{Ordering, PlanBuffers, SweepSchedule, ThresholdSchedule};
-use crate::recovery::{HealthCheck, RecoveryAction, RecoveryContext, RecoveryPolicy, SolveBudget};
+use crate::recovery::{rescale_restarts, HealthCheck, SolveBudget};
 use crate::stats::SolveStats;
 use crate::trace::{emit_to, TraceEvent, TraceLevel, TraceSink};
 use crate::SvdError;
@@ -30,11 +30,14 @@ pub(crate) const WIDE_TAIL_TOL: f64 = 1e-12;
 /// window, the input is pre-multiplied by the power of two `2^-e` — an
 /// exact operation, exactly undone on the singular values at output.
 ///
-/// The bound is set by the *fourth* power of the input scale, not the
-/// second: Gram entries are squares of the input (`2^2e`), and the
-/// off-diagonal Frobenius accumulation squares those again (`2^4e`), so
-/// `4·e` plus dimension headroom must stay under the f64 exponent limit of
-/// 1024. `e = 250` (inputs up to ~1e75) leaves two decades of margin.
+/// What sets the bound: Gram entries are squares of the input (up to
+/// `m·2^(2e+2)`), and the pair guard compares `D_ij²` with
+/// `tol²·D_ii·D_jj`, a fourth power of the input scale damped by
+/// `tol² ≈ 2^-100`. At `e = 250` (inputs up to ~1e75) that product stays
+/// finite for any `m` below `2^59`. The off-diagonal norm of each sweep
+/// record squares the Gram entries too, but it falls back to a scaled sum
+/// when the plain one overflows (`convergence::off_frobenius`), so it does
+/// not bound the window.
 const SAFE_EXP: i32 = 250;
 
 /// Above this magnitude the scale factor `2^k` itself leaves the normal
@@ -70,8 +73,8 @@ pub(crate) fn prescale_exponent(max_abs: f64) -> i32 {
     }
 }
 
-/// Unconditional normalizing exponent (the rescale-and-restart recovery
-/// action): always bring the largest entry to `[1, 2)` for maximum headroom.
+/// Unconditional normalizing exponent (the rescale-restart): always bring
+/// the largest entry to `[1, 2)` for maximum headroom.
 fn forced_exponent(max_abs: f64) -> i32 {
     -max_exponent(max_abs)
 }
@@ -270,15 +273,14 @@ pub struct SingularValues {
 pub struct HestenesSvd {
     options: SvdOptions,
     budget: SolveBudget,
-    policy: RecoveryPolicy,
 }
 
 impl HestenesSvd {
-    /// Create a solver with the given options, an unlimited
-    /// [`SolveBudget`], and the default [`RecoveryPolicy`]. Every solve runs
-    /// the default [`HealthCheck`] after each sweep.
+    /// Create a solver with the given options and an unlimited
+    /// [`SolveBudget`]. Every solve runs the default [`HealthCheck`] after
+    /// each sweep.
     pub fn new(options: SvdOptions) -> Self {
-        HestenesSvd { options, budget: SolveBudget::unlimited(), policy: RecoveryPolicy::default() }
+        HestenesSvd { options, budget: SolveBudget::unlimited() }
     }
 
     /// The active options.
@@ -296,13 +298,6 @@ impl HestenesSvd {
     /// checked at every sweep boundary of every solve this solver runs.
     pub fn with_budget(mut self, budget: SolveBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Replace the recovery policy (e.g. [`RecoveryPolicy::abort_only`] to
-    /// fail fast instead of self-healing).
-    pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -383,21 +378,21 @@ impl HestenesSvd {
         self.finish_values(a, solved)
     }
 
-    /// Run the guarded solve loop: build `D` while scanning the input,
-    /// pre-scale out-of-window inputs, run the monitored driver on the
-    /// [`Sequential`] engine, and — when the monitor detects a
-    /// [`crate::recovery::Fault`] — apply the recovery policy
-    /// (rescale-and-restart / budget escalation) until the solve succeeds or
-    /// the policy aborts.
+    /// Run the guarded solve: build `D` while scanning the input, pre-scale
+    /// out-of-window inputs, and run the monitored driver on the
+    /// [`Sequential`] engine. A [`crate::recovery::Fault`] the monitor
+    /// detects either restarts the solve once, from the input normalized by
+    /// a power of two (a non-finite or negative `D` on an attempt that has
+    /// not been rescaled), or aborts with [`SvdError::SolveFault`].
     ///
     /// The first build scans `a` in the same pass ([`GramState::scanned`]),
     /// so an in-window input is read once. A build the scan stopped — a
     /// NaN or ±∞, or a running max outside the prescale window, whose
     /// unscaled products could be subnormal and slow — falls back to one
     /// full scan, which gives `NonFiniteInput` or the exact max, and the
-    /// exponent then decides the build as before. Every restart rebuilds
-    /// `D` (and `B`, `V` in full mode) from the pristine input `a`, so no
-    /// corrupted intermediate state survives a recovery; the sweep plan,
+    /// exponent then decides the build as before. The restart rebuilds `D`
+    /// (and `B`, `V` in full mode) from the pristine input `a`, so no
+    /// corrupted intermediate state survives it; the sweep plan,
     /// which depends only on `n`, is planned once and reused. The final
     /// stats carry the last attempt's counters plus the cumulative
     /// `faults`/`recoveries`/`prescale_exp` accounting.
@@ -419,10 +414,10 @@ impl HestenesSvd {
         // The scanned build is the first attempt's `D` when it ran to the
         // end inside the window.
         let mut first = scanned.map(|(gram, _)| gram).filter(|_| exp == 0);
-        // One monitor serves every attempt (run_monitored resets its own
+        // One monitor serves both attempts (run_monitored resets its own
         // per-attempt detector state); the injector moves in once and keeps
-        // its one-shot bookkeeping across restarts, and the trace sink sees
-        // every attempt's events plus the recovery decisions between them.
+        // its one-shot bookkeeping across the restart, and the trace sink
+        // sees every attempt's events plus the recovery decision between.
         let mut monitor = SolveMonitor::new(self.budget.clone(), HealthCheck::default());
         if let Some(sink) = trace {
             monitor = monitor.with_trace(sink, self.options.effective_trace_level());
@@ -431,9 +426,11 @@ impl HestenesSvd {
         {
             monitor.injector = injector;
         }
-        let mut max_sweeps = self.options.max_sweeps.min(MAX_SWEEP_CAP);
+        let driver = SolveDriver {
+            convergence: self.options.convergence,
+            max_sweeps: self.options.max_sweeps.min(MAX_SWEEP_CAP),
+        };
         let mut rescaled = exp != 0;
-        let mut escalated = false;
         let mut recoveries = 0usize;
         let mut total_faults = 0usize;
         let mut cumulative_sweeps = 0usize;
@@ -454,7 +451,6 @@ impl HestenesSvd {
                 apply_exp2(&mut scaled, exp);
                 (GramState::from_matrix(&scaled), None, None)
             };
-            let driver = SolveDriver { convergence: self.options.convergence, max_sweeps };
             let target = match (b.as_mut(), v.as_mut()) {
                 (Some(b), Some(v)) => RotationTarget::full(b, v),
                 _ => RotationTarget::gram_only(),
@@ -480,40 +476,26 @@ impl HestenesSvd {
                     scale_exp: exp,
                 });
             };
-            let ctx = RecoveryContext {
-                rescaled,
-                escalated,
-                can_escalate: max_sweeps < MAX_SWEEP_CAP,
-                recoveries,
-            };
-            let action = self.policy.action_for(&fault, &ctx);
+            let restart = rescale_restarts(&fault, rescaled);
             emit_to(
                 &mut monitor.trace,
                 monitor.trace_level,
                 TraceEvent::RecoveryTriggered {
                     sweep: fault.sweep(),
                     fault: fault.kind(),
-                    action: action.name(),
+                    action: if restart { "rescale-restart" } else { "abort" },
                     recoveries,
                 },
             );
-            match action {
-                RecoveryAction::Abort => {
-                    return Err(SvdError::SolveFault {
-                        fault,
-                        sweeps_completed: cumulative_sweeps,
-                        recoveries,
-                    });
-                }
-                RecoveryAction::RescaleRestart => {
-                    exp = forced_exponent(max_abs);
-                    rescaled = true;
-                }
-                RecoveryAction::EscalateBudget => {
-                    max_sweeps = (max_sweeps * 2).min(MAX_SWEEP_CAP);
-                    escalated = true;
-                }
+            if !restart {
+                return Err(SvdError::SolveFault {
+                    fault,
+                    sweeps_completed: cumulative_sweeps,
+                    recoveries,
+                });
             }
+            exp = forced_exponent(max_abs);
+            rescaled = true;
             recoveries += 1;
         }
     }

@@ -178,16 +178,16 @@ pub enum TraceEvent {
         /// Whether the rule declared convergence (ends the solve).
         converged: bool,
     },
-    /// The recovery policy responded to a detected fault (emitted by the
-    /// guarded solve loop; `action` may be `"abort"`).
+    /// The guarded solve answered a detected fault (`action` is
+    /// `"rescale-restart"` or `"abort"`).
     RecoveryTriggered {
         /// Sweep at which the fault was detected.
         sweep: usize,
         /// Stable fault class name ([`crate::recovery::Fault::kind`]).
         fault: &'static str,
-        /// Stable action name ([`crate::recovery::RecoveryAction::name`]).
+        /// Stable action name: `"rescale-restart"` or `"abort"`.
         action: &'static str,
-        /// Recovery actions taken before this one in the same solve.
+        /// Rescale-restarts taken before this one in the same solve.
         recoveries: usize,
     },
     /// A job passed admission control and was enqueued (emitted by the
@@ -214,8 +214,6 @@ pub enum TraceEvent {
         job: u64,
         /// 0-based worker index.
         worker: usize,
-        /// 1-based attempt number (> 1 after a retry).
-        attempt: usize,
     },
     /// A job finished successfully on a worker.
     JobCompleted {
@@ -228,7 +226,8 @@ pub enum TraceEvent {
         /// Sweeps the solve ran.
         sweeps: usize,
     },
-    /// A job exhausted its attempts and failed with a solve fault.
+    /// A job ended in an error: a single job's solve failed, or no slot of
+    /// a bulk job solved.
     JobFaulted {
         /// Service-assigned job id.
         job: u64,
@@ -236,8 +235,6 @@ pub enum TraceEvent {
         worker: usize,
         /// Stable fault class name ([`crate::recovery::Fault::kind`]).
         fault: &'static str,
-        /// Attempts consumed, including the failing one.
-        attempts: usize,
     },
     /// A cycle-stamped hardware-pipeline event from the `hj-arch`
     /// simulator's component timeline, mapped into the same stream shape as
@@ -383,10 +380,9 @@ impl TraceEvent {
                 write_str(&mut s, "reason", reason);
                 write_num(&mut s, "queue_depth", *queue_depth as f64);
             }
-            TraceEvent::JobDispatched { job, worker, attempt } => {
+            TraceEvent::JobDispatched { job, worker } => {
                 write_num(&mut s, "job", *job as f64);
                 write_num(&mut s, "worker", *worker as f64);
-                write_num(&mut s, "attempt", *attempt as f64);
             }
             TraceEvent::JobCompleted { job, worker, seconds, sweeps } => {
                 write_num(&mut s, "job", *job as f64);
@@ -394,11 +390,10 @@ impl TraceEvent {
                 write_f64(&mut s, "seconds", *seconds);
                 write_num(&mut s, "sweeps", *sweeps as f64);
             }
-            TraceEvent::JobFaulted { job, worker, fault, attempts } => {
+            TraceEvent::JobFaulted { job, worker, fault } => {
                 write_num(&mut s, "job", *job as f64);
                 write_num(&mut s, "worker", *worker as f64);
                 write_str(&mut s, "fault", fault);
-                write_num(&mut s, "attempts", *attempts as f64);
             }
             TraceEvent::PipelineStage { cycle, component, what } => {
                 write_num(&mut s, "cycle", *cycle as f64);
@@ -793,15 +788,15 @@ mod tests {
             },
             TraceEvent::RecoveryTriggered {
                 sweep: 1,
-                fault: "stall",
-                action: "escalate-budget",
+                fault: "non-finite-gram",
+                action: "rescale-restart",
                 recoveries: 0,
             },
             TraceEvent::JobAdmitted { job: 1, class: "interactive", queue_depth: 1 },
             TraceEvent::JobRejected { reason: "queue-full", queue_depth: 8 },
-            TraceEvent::JobDispatched { job: 1, worker: 0, attempt: 1 },
+            TraceEvent::JobDispatched { job: 1, worker: 0 },
             TraceEvent::JobCompleted { job: 1, worker: 0, seconds: 0.01, sweeps: 6 },
-            TraceEvent::JobFaulted { job: 2, worker: 1, fault: "deadline", attempts: 3 },
+            TraceEvent::JobFaulted { job: 2, worker: 1, fault: "deadline" },
             TraceEvent::PipelineStage { cycle: 0, component: "fifo", what: "drain".into() },
         ];
         for e in &events {

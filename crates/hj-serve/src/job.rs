@@ -267,8 +267,6 @@ pub struct JobOutcome {
     /// The result, shaped like the submission ([`JobResult::into_single`] /
     /// [`JobResult::into_bulk`]).
     pub result: JobResult,
-    /// Attempts consumed (1 for a first-try success; more after retries).
-    pub attempts: usize,
     /// Wall-clock seconds from admission to completion (queue wait
     /// included).
     pub wall_seconds: f64,

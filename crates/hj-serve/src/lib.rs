@@ -24,9 +24,9 @@
 //!   whose sweep plan is one allocation and whose sweeps allocate nothing;
 //!   each worker keeps one warm [`hj_core::BatchWorkspace`] for bulk jobs.
 //!   Deadlines and ticket cancellation become the
-//!   solve's [`hj_core::SolveBudget`]; jobs that abort through the recovery
-//!   chain retry with bounded exponential backoff ([`backoff_delay`],
-//!   [`should_retry`]).
+//!   solve's [`hj_core::SolveBudget`]. A job completes on its first
+//!   outcome: the solve is deterministic, so a retry could only repeat its
+//!   fault.
 //! * **Lifecycle** — [`SolveService::shutdown`] stops admission, drains
 //!   in-flight work within a bounded deadline, cancels stragglers, and
 //!   joins the pool; [`ServiceStats`] snapshots counters and per-class
@@ -75,5 +75,5 @@ pub use server::{
     error_code, error_kind, Server, CODE_BAD_REQUEST, CODE_CANCELLED, CODE_DEADLINE, CODE_REJECTED,
     CODE_SOLVE_FAULT,
 };
-pub use service::{backoff_delay, should_retry, DrainReport, ServiceConfig, SolveService};
+pub use service::{DrainReport, ServiceConfig, SolveService};
 pub use stats::{LatencyHistogram, ServiceStats, HISTOGRAM_BUCKETS};

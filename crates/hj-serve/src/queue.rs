@@ -5,8 +5,8 @@
 //! becomes runnable, `idle` wakes the drain waiter when the last job
 //! finishes. Dispatch order is strict priority between classes and
 //! earliest-deadline-first within a class (deadline-free jobs sort last,
-//! FIFO by admission sequence). Deferred retries carry a `not_before`
-//! timestamp and are invisible to dispatch until it passes.
+//! FIFO by admission sequence). A dispatched job leaves the queue for good:
+//! its first outcome is terminal.
 //!
 //! Admission control never blocks: a full queue, a tenant at its cap, or a
 //! draining service answers with a structured [`RejectReason`] immediately.
@@ -33,14 +33,10 @@ pub(crate) struct QueuedJob {
     pub slot: CompletionSlot,
     /// Cooperative cancellation flag shared with the [`JobTicket`].
     pub cancel: Arc<AtomicBool>,
-    /// 1-based attempt number the next dispatch will be.
-    pub attempt: usize,
     /// Admission sequence (EDF tiebreak — FIFO within equal deadlines).
     pub seq: u64,
     /// Admission timestamp (latency accounting).
     pub submitted: Instant,
-    /// Retry backoff gate: not dispatchable before this instant.
-    pub not_before: Option<Instant>,
 }
 
 impl QueuedJob {
@@ -48,11 +44,6 @@ impl QueuedJob {
     /// then admission order.
     fn key(&self) -> (usize, Option<Instant>, u64) {
         (self.spec.priority.index(), self.spec.deadline, self.seq)
-    }
-
-    /// Whether the backoff gate (if any) has passed.
-    fn eligible(&self, now: Instant) -> bool {
-        self.not_before.is_none_or(|t| t <= now)
     }
 }
 
@@ -88,7 +79,6 @@ struct State {
     rejected_draining: u64,
     completed: u64,
     faulted: u64,
-    retries: u64,
     cancelled_at_drain: u64,
     latency: [LatencyHistogram; PRIORITY_CLASSES],
 }
@@ -137,7 +127,6 @@ impl Scheduler {
                 rejected_draining: 0,
                 completed: 0,
                 faulted: 0,
-                retries: 0,
                 cancelled_at_drain: 0,
                 latency: [LatencyHistogram::new(); PRIORITY_CLASSES],
             }),
@@ -192,10 +181,8 @@ impl Scheduler {
             spec,
             slot: Arc::clone(&slot),
             cancel: Arc::clone(&cancel),
-            attempt: 1,
             seq,
             submitted: Instant::now(),
-            not_before: None,
         });
         let depth = st.queue.len();
         drop(st);
@@ -206,18 +193,14 @@ impl Scheduler {
         )
     }
 
-    /// Block until a job is dispatchable and claim it, or return `None`
-    /// when the service has shut down and no work can ever arrive again
-    /// (the worker-exit signal).
+    /// Block until a job is queued and claim the most urgent one, or return
+    /// `None` when the service has shut down and no work can ever arrive
+    /// again (the worker-exit signal).
     pub fn next_job(&self) -> Option<QueuedJob> {
         let mut st = self.state.lock().expect("scheduler lock");
         loop {
-            let now = Instant::now();
             let mut best: Option<usize> = None;
             for (i, job) in st.queue.iter().enumerate() {
-                if !job.eligible(now) {
-                    continue;
-                }
                 match best {
                     None => best = Some(i),
                     Some(b) if key_less(&job.key(), &st.queue[b].key()) => best = Some(i),
@@ -230,23 +213,12 @@ impl Scheduler {
                 st.running_cancels.insert(job.id, Arc::clone(&job.cancel));
                 return Some(job);
             }
-            // Nothing dispatchable. Three cases: fully shut down (exit),
-            // deferred retries pending (timed wait), or simply empty
-            // (indefinite wait). While peers are still running we must keep
-            // waiting even with an empty queue — a running job may requeue
-            // itself for retry.
-            if st.queue.is_empty() && st.running == 0 && !st.admitting {
+            // The queue is empty. The workers exit together, once the
+            // service has stopped admitting and no job is still running.
+            if st.is_idle() && !st.admitting {
                 return None;
             }
-            let nearest = st.queue.iter().filter_map(|j| j.not_before).min();
-            st = match nearest {
-                Some(t) => {
-                    let wait =
-                        t.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-                    self.work.wait_timeout(st, wait).expect("scheduler wait").0
-                }
-                None => self.work.wait(st).expect("scheduler wait"),
-            };
+            st = self.work.wait(st).expect("scheduler wait");
         }
     }
 
@@ -275,29 +247,7 @@ impl Scheduler {
         }
         // Peers blocked on an empty queue re-evaluate their exit condition.
         self.work.notify_all();
-        fill_slot(
-            &job.slot,
-            JobOutcome { job: job.id, result, attempts: job.attempt, wall_seconds: wall },
-        );
-    }
-
-    /// Put a faulted-but-retryable job back in the queue behind a backoff
-    /// gate. The tenant slot stays held (the job is still in flight).
-    pub fn requeue(&self, mut job: QueuedJob, backoff: Duration) {
-        let now = Instant::now();
-        job.attempt += 1;
-        job.not_before = Some(now.checked_add(backoff).unwrap_or(now));
-        {
-            let mut st = self.state.lock().expect("scheduler lock");
-            st.running -= 1;
-            st.running_cancels.remove(&job.id);
-            st.retries += 1;
-            // Retries bypass the capacity check: the job was admitted once
-            // and drain guarantees cover it, so bouncing it now would turn
-            // a transient fault into a spurious reject.
-            st.queue.push(job);
-        }
-        self.work.notify_all();
+        fill_slot(&job.slot, JobOutcome { job: job.id, result, wall_seconds: wall });
     }
 
     /// Stop admitting new jobs. Idempotent.
@@ -360,10 +310,7 @@ impl Scheduler {
                     JobResult::Bulk((0..mats.len()).map(|_| cancelled()).collect())
                 }
             };
-            fill_slot(
-                &job.slot,
-                JobOutcome { job: job.id, result, attempts: job.attempt, wall_seconds: wall },
-            );
+            fill_slot(&job.slot, JobOutcome { job: job.id, result, wall_seconds: wall });
         }
         n
     }
@@ -387,7 +334,6 @@ impl Scheduler {
             rejected_draining: st.rejected_draining,
             completed: st.completed,
             faulted: st.faulted,
-            retries: st.retries,
             cancelled_at_drain: st.cancelled_at_drain,
             latency: st.latency,
         }
@@ -461,22 +407,6 @@ mod tests {
         sched.complete(job, JobResult::Single(Err(SvdError::EmptyInput)));
         // Terminal: the slot is free again.
         assert!(sched.submit(spec().tenant("a")).0.is_ok());
-    }
-
-    #[test]
-    fn deferred_retry_becomes_eligible_after_backoff() {
-        let sched = Scheduler::new(8, 0);
-        sched.submit(spec()).0.unwrap();
-        let job = sched.next_job().unwrap();
-        let id = job.id;
-        sched.requeue(job, Duration::from_millis(20));
-        assert_eq!(sched.depth(), 1);
-        let start = Instant::now();
-        let job = sched.next_job().unwrap();
-        assert_eq!(job.id, id);
-        assert_eq!(job.attempt, 2);
-        assert!(start.elapsed() >= Duration::from_millis(15), "backoff gate respected");
-        assert_eq!(sched.stats(0).retries, 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The solve service: a fixed worker pool over the scheduler, with per-job
-//! solve budgets, bounded retries, and a graceful drain-on-shutdown
-//! lifecycle.
+//! solve budgets and a graceful drain-on-shutdown lifecycle. A job completes
+//! on its first outcome: the solve is deterministic, so running it again
+//! could only repeat its fault.
 
 use crate::job::{JobOutcome, JobPayload, JobResult, JobSpec, JobTicket, RejectReason};
 use crate::queue::{QueuedJob, Scheduler};
@@ -24,10 +25,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Per-tenant in-flight cap (queued + running); 0 disables the cap.
     pub tenant_cap: usize,
-    /// Maximum attempts per job (first try + retries). At least 1.
-    pub max_attempts: usize,
-    /// Base retry backoff; attempt `k` waits `base · 2^(k-1)`.
-    pub retry_backoff: Duration,
     /// Base solver options. The ordering field is overridden per job by
     /// [`JobSpec::ordering`].
     pub options: SvdOptions,
@@ -39,30 +36,8 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             tenant_cap: 0,
-            max_attempts: 3,
-            retry_backoff: Duration::from_millis(10),
             options: SvdOptions::default(),
         }
-    }
-}
-
-/// Exponential backoff before attempt `next_attempt` (2-based: the first
-/// retry). Saturates instead of overflowing on absurd attempt counts.
-pub fn backoff_delay(base: Duration, next_attempt: usize) -> Duration {
-    let exp = next_attempt.saturating_sub(2).min(16) as u32;
-    base.saturating_mul(1u32 << exp)
-}
-
-/// Retry classification: a fault already attributed to the caller's own
-/// budget (deadline passed, cancellation raised) will only repeat —
-/// retrying it burns a worker for nothing — while numerical faults
-/// (non-finite Gram, negative diagonal, stall) are worth another attempt
-/// after the recovery chain gave up. Input errors are deterministic and
-/// never retried.
-pub fn should_retry(error: &SvdError) -> bool {
-    match error {
-        SvdError::SolveFault { fault, .. } => !matches!(fault.kind(), "deadline" | "cancelled"),
-        _ => false,
     }
 }
 
@@ -136,7 +111,6 @@ impl SolveService {
 
     fn start_inner(mut config: ServiceConfig, trace: Option<SharedSink>) -> SolveService {
         config.workers = config.workers.max(1);
-        config.max_attempts = config.max_attempts.max(1);
         let shared = Arc::new(Shared {
             scheduler: Scheduler::new(config.queue_capacity, config.tenant_cap),
             config: config.clone(),
@@ -219,46 +193,28 @@ impl Drop for SolveService {
 fn worker_loop(index: usize, shared: &Shared) {
     let mut batch_ws = hj_core::BatchWorkspace::new();
     while let Some(job) = shared.scheduler.next_job() {
-        shared.emit(TraceEvent::JobDispatched { job: job.id, worker: index, attempt: job.attempt });
+        shared.emit(TraceEvent::JobDispatched { job: job.id, worker: index });
         let started = Instant::now();
         match &job.spec.payload {
             JobPayload::Single(_) => {
                 let result = run_job(shared, &job);
                 let seconds = started.elapsed().as_secs_f64();
-                match result {
-                    Ok(values) => {
-                        shared.emit(TraceEvent::JobCompleted {
-                            job: job.id,
-                            worker: index,
-                            seconds,
-                            sweeps: values.sweeps,
-                        });
-                        shared.scheduler.complete(job, JobResult::Single(Ok(values)));
-                    }
-                    Err(err) => {
-                        let retryable = should_retry(&err);
-                        if retryable && job.attempt < shared.config.max_attempts {
-                            let next = job.attempt + 1;
-                            shared
-                                .scheduler
-                                .requeue(job, backoff_delay(shared.config.retry_backoff, next));
-                        } else {
-                            shared.emit(TraceEvent::JobFaulted {
-                                job: job.id,
-                                worker: index,
-                                fault: fault_kind(&err),
-                                attempts: job.attempt,
-                            });
-                            shared.scheduler.complete(job, JobResult::Single(Err(err)));
-                        }
-                    }
-                }
+                shared.emit(match &result {
+                    Ok(values) => TraceEvent::JobCompleted {
+                        job: job.id,
+                        worker: index,
+                        seconds,
+                        sweeps: values.sweeps,
+                    },
+                    Err(err) => TraceEvent::JobFaulted {
+                        job: job.id,
+                        worker: index,
+                        fault: fault_kind(err),
+                    },
+                });
+                shared.scheduler.complete(job, JobResult::Single(result));
             }
             JobPayload::Bulk(_) => {
-                // Bulk jobs are abort-only per slot (no whole-batch retry:
-                // re-running every solved neighbor to retry one flaky slot
-                // would multiply the batch's latency), so the first outcome
-                // is terminal.
                 let results = run_bulk(shared, &job, &mut batch_ws);
                 let seconds = started.elapsed().as_secs_f64();
                 let sweeps = results.iter().filter_map(|r| r.as_ref().ok().map(|v| v.sweeps)).max();
@@ -275,7 +231,6 @@ fn worker_loop(index: usize, shared: &Shared) {
                                 job: job.id,
                                 worker: index,
                                 fault: fault_kind(err),
-                                attempts: job.attempt,
                             });
                         }
                     }
@@ -351,48 +306,12 @@ mod tests {
     use hj_matrix::gen;
 
     #[test]
-    fn backoff_doubles_and_saturates() {
-        let base = Duration::from_millis(10);
-        assert_eq!(backoff_delay(base, 2), Duration::from_millis(10));
-        assert_eq!(backoff_delay(base, 3), Duration::from_millis(20));
-        assert_eq!(backoff_delay(base, 4), Duration::from_millis(40));
-        // Far past the cap: no overflow, monotone plateau.
-        assert_eq!(backoff_delay(base, 100), backoff_delay(base, 18));
-        assert_eq!(backoff_delay(Duration::MAX, 10), Duration::MAX);
-    }
-
-    #[test]
-    fn retry_classification_follows_fault_kind() {
-        let retryable = SvdError::SolveFault {
-            fault: Fault::ConvergenceStall { sweep: 3, stalled_sweeps: 2 },
-            sweeps_completed: 3,
-            recoveries: 1,
-        };
-        assert!(should_retry(&retryable));
-        let deadline = SvdError::SolveFault {
-            fault: Fault::DeadlineExceeded { sweep: 1 },
-            sweeps_completed: 0,
-            recoveries: 0,
-        };
-        assert!(!should_retry(&deadline));
-        let cancelled = SvdError::SolveFault {
-            fault: Fault::Cancelled { sweep: 1 },
-            sweeps_completed: 0,
-            recoveries: 0,
-        };
-        assert!(!should_retry(&cancelled));
-        assert!(!should_retry(&SvdError::EmptyInput));
-        assert!(!should_retry(&SvdError::NonFiniteInput));
-    }
-
-    #[test]
     fn service_solves_and_matches_direct_call() {
         let service = SolveService::start(ServiceConfig::default());
         let a = gen::uniform(30, 8, 42);
         let direct = HestenesSvd::new(SvdOptions::default()).singular_values(&a).unwrap();
         let outcome = service.solve(JobSpec::new(a)).unwrap();
         let served = outcome.result.into_single().unwrap();
-        assert_eq!(outcome.attempts, 1);
         for (x, y) in served.values.iter().zip(direct.values.iter()) {
             assert_eq!(x.to_bits(), y.to_bits(), "service result must be bit-identical");
         }
@@ -426,9 +345,9 @@ mod tests {
         let service = SolveService::start(ServiceConfig::default());
         let outcome = service.solve(JobSpec::new(hj_matrix::Matrix::zeros(0, 3))).unwrap();
         assert!(matches!(outcome.result.into_single(), Err(SvdError::EmptyInput)));
-        assert_eq!(outcome.attempts, 1);
         service.shutdown(Duration::from_secs(2));
-        assert_eq!(service.stats().retries, 0);
+        let stats = service.stats();
+        assert_eq!((stats.admitted, stats.completed, stats.faulted), (1, 0, 1));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! hjsvd resources
 //! hjsvd generate --rows M --cols N <out.csv> [--seed S] [--cond C]
 //! hjsvd serve --addr HOST:PORT [--workers N] [--queue-cap N] [--tenant-cap N]
-//!             [--max-attempts N]
 //! hjsvd submit <matrix.csv> --addr HOST:PORT [--deadline-ms T]
 //!             [--priority interactive|batch]
 //!             [--ordering cyclic|row] [--tenant NAME]
@@ -212,7 +211,6 @@ USAGE:
   hjsvd generate --rows M --cols N <out.csv> [--seed S] [--cond C]
       Write a random test matrix (uniform, or graded to condition number C).
   hjsvd serve --addr HOST:PORT [--workers N] [--queue-cap N] [--tenant-cap N]
-              [--max-attempts N]
       Run the multi-tenant solve service. Prints 'listening on HOST:PORT'
       (port 0 resolves to an ephemeral port), serves until a shutdown
       frame arrives, then prints the final stats JSON. --workers sizes
@@ -256,7 +254,7 @@ fn accepted(command: &str, batch: bool) -> Option<Accepted> {
         "eigh" => (&["ordering"], &[]),
         "simulate" => (&["rows", "cols", "sweeps"], &[]),
         "generate" => (&["rows", "cols", "seed", "cond"], &[]),
-        "serve" => (&["addr", "workers", "queue-cap", "tenant-cap", "max-attempts"], &[]),
+        "serve" => (&["addr", "workers", "queue-cap", "tenant-cap"], &[]),
         "submit" => (&["addr", "deadline-ms", "priority", "ordering", "tenant"], &[]),
         "submit-batch" => (&["addr", "tenant", "deadline-ms"], &[]),
         "shutdown" => (&["addr", "drain-ms"], &[]),
@@ -708,9 +706,6 @@ fn cmd_serve(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     }
     if let Some(t) = p.opt_parse::<usize>("tenant-cap").map_err(CliError::usage)? {
         config.tenant_cap = t;
-    }
-    if let Some(a) = p.opt_parse::<usize>("max-attempts").map_err(CliError::usage)? {
-        config.max_attempts = a.max(1);
     }
     let server = Server::bind(&addr, config).map_err(|e| CliError::io(format!("{addr}: {e}")))?;
     let local = server.local_addr().map_err(|e| CliError::io(e.to_string()))?;

@@ -47,8 +47,7 @@ pub use hj_serve as serve;
 pub mod prelude {
     pub use hj_arch::{ArchConfig, HestenesJacobiArch};
     pub use hj_core::{
-        Convergence, HestenesSvd, Ordering, Pca, RecoveryPolicy, SolveBudget, Svd, SvdError,
-        SvdOptions,
+        Convergence, HestenesSvd, Ordering, Pca, SolveBudget, Svd, SvdError, SvdOptions,
     };
     pub use hj_matrix::{gen, norms, Matrix, PackedSymmetric};
     pub use hj_serve::{JobSpec, ServiceConfig, SolveService};

@@ -9,8 +9,7 @@
 #![cfg(feature = "fault-injection")]
 
 use hjsvd::core::{
-    Corruption, Fault, HestenesSvd, RecoveryPolicy, SeededInjector, SolveBudget, SvdError,
-    SvdOptions,
+    Corruption, Fault, HestenesSvd, SeededInjector, SolveBudget, SvdError, SvdOptions,
 };
 use hjsvd::matrix::{gen, norms};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +85,7 @@ fn persistent_nan_aborts_with_non_finite_gram_fault() {
 #[test]
 fn persistent_bogus_rotation_never_returns_a_silent_answer() {
     // A broken rotation kernel (cos² + sin² = 2) re-corrupts the Gram state
-    // before every sweep. Whatever path the policy takes, the one forbidden
+    // before every sweep. Whatever path the solve takes, the one forbidden
     // outcome is Ok with a spectrum that disagrees with the clean solve.
     let a = gen::uniform(20, 6, 17);
     let s = solver();
@@ -146,23 +145,6 @@ fn cancellation_flag_aborts_between_sweeps() {
     // Clearing the flag lets the same solver run to completion.
     flag.store(false, Ordering::Relaxed);
     assert!(s.singular_values(&a).is_ok());
-}
-
-#[test]
-fn abort_only_policy_rejects_even_transient_faults() {
-    let a = gen::uniform(14, 5, 37);
-    let s = solver().with_recovery_policy(RecoveryPolicy::abort_only());
-    let mut inj =
-        SeededInjector::new(2).at_sweep(1, Corruption::GramEntry { i: 0, j: 0, value: -1.0 });
-    let err = s.singular_values_injected(&a, &mut inj).unwrap_err();
-    match err {
-        SvdError::SolveFault {
-            fault: Fault::NegativeDiagonal { sweep: 1, index: 0 },
-            recoveries: 0,
-            ..
-        } => {}
-        other => panic!("expected NegativeDiagonal at sweep 1, got {other:?}"),
-    }
 }
 
 #[test]
