@@ -16,7 +16,7 @@
 //! run disagrees.
 //!
 //! The summary tables, a per-sweep breakdown at `n = 128`, and the JSON
-//! report (schema `hjsvd-sweep-report/v3`, one entry per run with the full
+//! report (schema `hjsvd-sweep-report/v4`, one entry per run with the full
 //! embedded `SolveStats` record) document the result; see EXPERIMENTS.md
 //! for the schema and regeneration instructions.
 //!
@@ -84,8 +84,8 @@ fn run_one(
         trace: TraceLevel::Sweep,
         ..SvdOptions::default()
     });
-    // Sweep level emits 3 events per sweep (start, end, convergence check)
-    // plus recoveries; 4096 slots hold any realistic solve.
+    // Sweep level emits 3 events per sweep (start, end, convergence check);
+    // 4096 slots hold any realistic solve.
     let mut sink = RingBufferSink::new(4096);
     let label = if threshold {
         format!("{}+threshold", ordering.name())
@@ -295,14 +295,16 @@ fn ordering_smoke_check(runs: &[Run]) -> usize {
 }
 
 /// Render the whole report as one JSON document (schema
-/// `hjsvd-sweep-report/v3` — v2 added the `ordering`, `threshold_schedule`,
+/// `hjsvd-sweep-report/v4` — v2 added the `ordering`, `threshold_schedule`,
 /// and `sweeps_to_converge` fields; v3 dropped the per-run `engine` field,
 /// since every run is on the one sweep engine, and the embedded `SolveStats`
-/// lost `tile_refills`, `tile_bytes`, `parallel_dispatches` and `threads`).
+/// lost `tile_refills`, `tile_bytes`, `parallel_dispatches` and `threads`;
+/// v4's embedded `SolveStats` went from fifteen fields to nine, keeping
+/// only counters that can read more than one value).
 /// Hand-rolled like the rest of the workspace's JSON — no serde dependency.
 fn report_json(runs: &[Run], failures: usize) -> String {
     let mut out = String::new();
-    out.push_str("{\"schema\":\"hjsvd-sweep-report/v3\",");
+    out.push_str("{\"schema\":\"hjsvd-sweep-report/v4\",");
     out.push_str(&format!("\"seed\":{SEED},\"cross_check_failures\":{failures},\"runs\":["));
     for (i, r) in runs.iter().enumerate() {
         if i > 0 {

@@ -42,13 +42,10 @@
 //! * a [`crate::SolveBudget`] deadline/cancellation aborts every
 //!   still-active problem at the shared sweep boundary.
 //!
-//! Fault handling is deliberately *abort-only* per problem (no
-//! rescale-restart inside the batch): restarting one lane would force the
-//! whole batch through extra shared sweeps. The guarded-numerics prescaling
-//! of [`crate::svd`] still applies per problem at pack time, so the usual
-//! overflow/underflow classes never fault in the first place. A caller who
-//! wants the rescale-restart for a corrupted problem can re-run it through
-//! [`crate::HestenesSvd::singular_values`].
+//! A faulted problem aborts, as on every solve path: nothing is retried.
+//! The guarded-numerics prescaling of [`crate::svd`] applies per problem at
+//! pack time, so the usual overflow/underflow classes never fault in the
+//! first place.
 //!
 //! Results match the looped path within a `1e-12·σ_max` envelope (pinned by
 //! proptest): the lanes-wide parameter kernel computes the textbook chain
@@ -650,7 +647,6 @@ impl<'a> BatchDriver<'a> {
                         return Err(SvdError::SolveFault {
                             fault: *fault,
                             sweeps_completed: ws.histories[p].len(),
-                            recoveries: 0,
                         })
                     }
                     LaneOutcome::Running | LaneOutcome::Converged => {}
@@ -672,23 +668,12 @@ impl<'a> BatchDriver<'a> {
                 let mut stats = SolveStats {
                     engine: BATCH_SOA_ENGINE,
                     ordering: "cyclic",
-                    replans: 1,
                     prescale_exp: ws.exps[p],
-                    // Buffer growth is batch-wide (the interleaved triangle
-                    // serves every lane), so each problem reports the
-                    // workspace's cumulative event count rather than a
-                    // per-problem share.
-                    workspace_allocations: ws.allocations,
                     ..SolveStats::default()
                 };
                 for (rec, &secs) in history.iter().zip(&ws.sweep_seconds) {
                     stats.record_sweep(secs, rec);
                 }
-                // Same accounting model as the sequential engine: the O(n)
-                // in-place rotation touches 4n − 2 packed entries and the
-                // pair's two logical columns.
-                stats.gram_bytes = 8 * (4 * n as u64 - 2) * stats.rotations_applied as u64;
-                stats.gram_col_touches = 2 * stats.rotations_applied as u64;
                 Ok(SingularValues { values, sweeps, history, stats })
             })
             .collect()
@@ -898,10 +883,9 @@ mod tests {
             .with_budget(SolveBudget::with_deadline(Instant::now() - Duration::from_millis(1)));
         for res in soa(&solver, &mats) {
             match res {
-                Err(SvdError::SolveFault { fault, sweeps_completed, recoveries }) => {
+                Err(SvdError::SolveFault { fault, sweeps_completed }) => {
                     assert_eq!(fault, Fault::DeadlineExceeded { sweep: 1 });
                     assert_eq!(sweeps_completed, 0);
-                    assert_eq!(recoveries, 0);
                 }
                 other => panic!("expected SolveFault, got {other:?}"),
             }

@@ -8,13 +8,19 @@
 //! (`A = UΣVᵀ ⇔ AᵀA = VΣ²Vᵀ`) that the tests exploit for cross-checking.
 //! Works for indefinite symmetric matrices too (eigenvalues may be
 //! negative; nothing here assumes positive semidefiniteness).
+//!
+//! Like the SVD drivers, [`eigh`] prescales by an exact power of two, but
+//! only at the top of the range: an input whose largest entry is close
+//! enough to `f64::MAX` that a sweep could overflow is solved scaled down,
+//! and its eigenvalues are scaled back.
 
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
 use crate::ordering::{Ordering, PlanBuffers, SweepSchedule};
-use crate::recovery::HealthCheck;
+use crate::recovery::{Fault, HealthCheck};
 use crate::stats::SolveStats;
+use crate::svd::{max_exponent, unscale_values};
 use crate::SvdError;
 use hj_matrix::{ops, Matrix, PackedSymmetric};
 
@@ -29,8 +35,18 @@ pub struct SymmetricEigen {
     pub sweeps: usize,
     /// Per-sweep convergence measurements (same records as the SVD drivers).
     pub history: Vec<SweepRecord>,
-    /// Solve-level observability (timings, rotation counts, Gram traffic).
+    /// Solve-level observability (timings, rotation counts).
     pub stats: SolveStats,
+}
+
+/// Largest binary exponent of an entry that [`eigh`] leaves unscaled in an
+/// `n × n` input. At or below it `|λ| ≤ ‖S‖_F < 2^1022`, so every entry of
+/// `D`, every metric of a sweep record and every rotation parameter stays
+/// finite. Above it a sweep could overflow: the rotation's `2·D_ij` and
+/// `D_jj − D_ii` turn into silently wrong angles, and the record's sum of
+/// `|D_ij|` and `off(D)` read a finite `D` as non-finite.
+fn top_exponent(n: usize) -> i32 {
+    1021 - 2 * n.next_power_of_two().trailing_zeros() as i32
 }
 
 /// Eigendecompose a symmetric matrix given in packed form, visiting pairs
@@ -43,6 +59,12 @@ pub struct SymmetricEigen {
 /// [`SolveDriver`] with the [`Sequential`] engine, a
 /// [`PairGuard::DiagonalScale`] guard (valid for indefinite matrices), and
 /// the sweep budget capped at [`MAX_SWEEP_CAP`] like the SVD drivers.
+///
+/// An input whose largest entry has a binary exponent `e` above
+/// `1021 − 2⌈log₂ n⌉` is solved scaled by `2^-(e − that bound)`, exactly,
+/// and [`SolveStats::prescale_exp`] records the exponent. A spectrum that
+/// does not fit in f64 once scaled back aborts with a
+/// [`Fault::NonFiniteGram`] fault.
 ///
 /// ```
 /// use hj_core::eigh::eigh;
@@ -62,10 +84,14 @@ pub fn eigh(s: &PackedSymmetric, tol: f64, ordering: Ordering) -> Result<Symmetr
     if n == 0 {
         return Err(SvdError::EmptyInput);
     }
-    if ops::finite_max_abs(s.as_slice()).is_none() {
-        return Err(SvdError::NonFiniteInput);
+    let max_abs = ops::finite_max_abs(s.as_slice()).ok_or(SvdError::NonFiniteInput)?;
+    let exp = (top_exponent(n) - max_exponent(max_abs)).min(0);
+    let mut d = s.clone();
+    if exp != 0 {
+        let scale = 2f64.powi(exp);
+        d.as_mut_slice().iter_mut().for_each(|v| *v *= scale);
     }
-    let mut g = GramState::from_packed(s.clone());
+    let mut g = GramState::from_packed(d);
     let mut v = Matrix::identity(n);
     let mut buffers = PlanBuffers::new();
     let (strategy, plan) = buffers.schedule_parts(ordering);
@@ -83,13 +109,10 @@ pub fn eigh(s: &PackedSymmetric, tol: f64, ordering: Ordering) -> Result<Symmetr
     let mut monitor = SolveMonitor::new(Default::default(), HealthCheck::indefinite());
     let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
     if let Some(fault) = run.fault {
-        return Err(SvdError::SolveFault {
-            fault,
-            sweeps_completed: run.stats.sweeps,
-            recoveries: 0,
-        });
+        return Err(SvdError::SolveFault { fault, sweeps_completed: run.stats.sweeps });
     }
-    let (history, stats) = (run.history, run.stats);
+    let history = run.history;
+    let stats = SolveStats { prescale_exp: exp, ..run.stats };
     let sweeps = history.len();
     // Extract, sort descending by eigenvalue.
     let diag = g.packed().diagonal();
@@ -101,11 +124,20 @@ pub fn eigh(s: &PackedSymmetric, tol: f64, ordering: Ordering) -> Result<Symmetr
         eigenvalues.push(diag[i]);
         eigenvectors.col_mut(t).copy_from_slice(v.col(i));
     }
+    unscale_values(&mut eigenvalues, exp);
+    if eigenvalues.iter().any(|l| !l.is_finite()) {
+        let fault = Fault::NonFiniteGram { sweep: sweeps };
+        return Err(SvdError::SolveFault { fault, sweeps_completed: sweeps });
+    }
     Ok(SymmetricEigen { eigenvalues, eigenvectors, sweeps, history, stats })
 }
 
 /// Eigendecompose a dense symmetric matrix (symmetry is enforced by
 /// averaging `(S + Sᵀ)/2` into the packed form), like [`eigh`].
+///
+/// The diagonal is copied as is. Off the diagonal, `0.5·(s_ij + s_ji)` is
+/// taken as `0.5·s_ij + 0.5·s_ji` where the plain sum overflows, so every
+/// finite `S` packs to a finite matrix.
 pub fn eigh_dense(s: &Matrix, tol: f64, ordering: Ordering) -> Result<SymmetricEigen, SvdError> {
     let (rows, n) = s.shape();
     if rows != n {
@@ -113,8 +145,11 @@ pub fn eigh_dense(s: &Matrix, tol: f64, ordering: Ordering) -> Result<SymmetricE
     }
     let mut p = PackedSymmetric::zeros(n);
     for i in 0..n {
-        for j in i..n {
-            p.set(i, j, 0.5 * (s.get(i, j) + s.get(j, i)));
+        p.set(i, i, s.get(i, i));
+        for j in i + 1..n {
+            let (x, y) = (s.get(i, j), s.get(j, i));
+            let sum = x + y;
+            p.set(i, j, if sum.is_finite() { 0.5 * sum } else { 0.5 * x + 0.5 * y });
         }
     }
     eigh(&p, tol, ordering)

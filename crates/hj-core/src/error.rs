@@ -25,17 +25,15 @@ pub enum SvdError {
     /// wrong values. Raise the sweep budget or loosen the stopping rule.
     TruncatedTailNotNegligible,
     /// A mid-solve fault was detected by the health check or solve budget
-    /// and the solve aborted: a stall, deadline or cancellation, or a
-    /// numeric fault after the one rescale-restart. The solver never returns
-    /// a silently corrupted factorization: it either recovers fully or
-    /// surfaces this.
+    /// within one sweep, and the solve aborted. The solver never returns a
+    /// silently corrupted factorization, and it never retries: the solve is
+    /// deterministic, so a second run could only repeat the fault.
     SolveFault {
         /// The fault that ended the solve.
         fault: Fault,
-        /// Sweeps executed across all attempts (including a restarted one).
+        /// Sweeps the solve executed, the one that faulted included (0 for
+        /// a budget fault before the first sweep).
         sweeps_completed: usize,
-        /// Rescale-restarts taken before giving up: 0 or 1.
-        recoveries: usize,
     },
 }
 
@@ -53,10 +51,9 @@ impl fmt::Display for SvdError {
                 "wide-matrix truncation would discard non-negligible spectrum mass \
                  (iteration not converged; increase the sweep budget)"
             ),
-            SvdError::SolveFault { fault, sweeps_completed, recoveries } => write!(
+            SvdError::SolveFault { fault, sweeps_completed } => write!(
                 f,
-                "solve aborted on fault [{}]: {fault} \
-                 (sweeps completed: {sweeps_completed}, recoveries attempted: {recoveries})",
+                "solve aborted on fault [{}]: {fault} (sweeps completed: {sweeps_completed})",
                 fault.kind()
             ),
         }
@@ -76,14 +73,10 @@ mod tests {
         assert!(SvdError::NonFiniteInput.to_string().contains("NaN"));
         assert!(SvdError::ZeroSweepBudget.to_string().contains("at least 1"));
         assert!(SvdError::TruncatedTailNotNegligible.to_string().contains("non-negligible"));
-        let fault = SvdError::SolveFault {
-            fault: Fault::NonFiniteGram { sweep: 3 },
-            sweeps_completed: 7,
-            recoveries: 2,
-        };
+        let fault =
+            SvdError::SolveFault { fault: Fault::NonFiniteGram { sweep: 3 }, sweeps_completed: 3 };
         let msg = fault.to_string();
         assert!(msg.contains("[non-finite-gram]"));
-        assert!(msg.contains("sweeps completed: 7"));
-        assert!(msg.contains("recoveries attempted: 2"));
+        assert!(msg.ends_with("(sweeps completed: 3)"), "{msg}");
     }
 }

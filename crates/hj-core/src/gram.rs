@@ -175,11 +175,6 @@ impl GramState {
         self.d.off_diagonal_mean_abs()
     }
 
-    /// `off(D)`: Frobenius norm of the off-diagonal part.
-    pub fn off_frobenius(&self) -> f64 {
-        self.d.off_diagonal_frobenius()
-    }
-
     /// Largest absolute off-diagonal covariance.
     pub fn max_abs_covariance(&self) -> f64 {
         self.d.off_diagonal_max_abs()
@@ -299,14 +294,14 @@ mod tests {
     #[test]
     fn rotate_reduces_off_mass() {
         // A single Jacobi rotation removes exactly 2·cov² from off(D)²; the
-        // off-diagonal Frobenius norm must strictly decrease when cov ≠ 0.
+        // off-diagonal sum of squares must strictly decrease when cov ≠ 0.
         let a = gen::uniform(12, 5, 55);
         let mut g = GramState::from_matrix(&a);
-        let before = g.off_frobenius();
+        let before = g.off_summary().sum_sq;
         let rot = textbook_params(g.norm_sq(0), g.norm_sq(4), g.covariance(0, 4));
         assert!(g.covariance(0, 4) != 0.0);
         g.rotate(0, 4, &rot);
-        assert!(g.off_frobenius() < before);
+        assert!(g.off_summary().sum_sq < before);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The robustness campaign in `tests/fault_injection.rs` needs to corrupt a
 //! solve *mid-flight* — after validation has passed and sweeps are running —
 //! to prove the health check detects each fault class within one sweep and
-//! the guarded solve either heals it or rejects it loudly. This
+//! the solve aborts with a structured error at that sweep. This
 //! module is that corruption source: a [`FaultInjector`] hook called by
 //! [`crate::SolveDriver::run_monitored`] around every sweep, and a
 //! deterministic [`SeededInjector`] that fires planned [`Corruption`]s at
@@ -84,10 +84,10 @@ struct Planned {
 /// from a seed alone), and a log of everything that fired.
 ///
 /// By default each corruption fires exactly once, at its planned sweep — a
-/// transient fault that a rescale-and-restart recovery genuinely clears
-/// (the restart rebuilds `D` from the pristine input). [`SeededInjector::persistent`]
-/// switches to firing at every sweep at or past the planned index, modeling
-/// a hard fault that no restart can outrun (the abort-path tests).
+/// transient fault. [`SeededInjector::persistent`] switches to firing at
+/// every sweep at or past the planned index, modeling a hard fault that
+/// re-corrupts `D` however often it is rebuilt. The health check aborts
+/// the solve on either within one sweep.
 pub struct SeededInjector {
     state: u64,
     planned: Vec<Planned>,
@@ -113,7 +113,8 @@ impl SeededInjector {
     }
 
     /// Fire every planned corruption at *every* sweep at or past its planned
-    /// index, instead of once — a hard fault that restarts cannot clear.
+    /// index, instead of once — a hard fault that a rebuilt `D` cannot
+    /// clear.
     pub fn persistent(mut self) -> Self {
         self.persistent = true;
         self
@@ -202,8 +203,8 @@ mod tests {
         inj.before_sweep(2, &mut g);
         assert!(g.covariance(0, 1).is_nan());
         assert_eq!(inj.fired().len(), 1);
-        // Rebuild (as a recovery restart does) and keep sweeping: one-shot
-        // corruption does not re-fire.
+        // Rebuild `D` and keep sweeping: one-shot corruption does not
+        // re-fire.
         let mut g = GramState::from_matrix(&a);
         inj.before_sweep(2, &mut g);
         inj.before_sweep(3, &mut g);
@@ -233,10 +234,10 @@ mod tests {
         // non-convergent behavior the stall detector must catch.
         let a = gen::uniform(10, 4, 3);
         let mut g = GramState::from_matrix(&a);
-        let before = g.off_frobenius();
+        let before = g.off_summary().sum_sq;
         SeededInjector::apply(&mut g, Corruption::BogusRotation { i: 0, j: 1, cos: 1.0, sin: 1.0 });
         assert!(
-            g.off_frobenius() > before,
+            g.off_summary().sum_sq > before,
             "non-orthonormal rotation must grow the off-diagonal mass"
         );
         assert!(Rotation { cos: 1.0, sin: 1.0, t: 1.0 }.is_finite());

@@ -40,18 +40,17 @@
 //!   per-problem fault isolation. [`HestenesSvd::singular_values_batch`]
 //!   dispatches uniform small-`n` batches here automatically.
 //! * [`stats`] — [`SolveStats`] observability record (timings, rotation
-//!   counts, allocation events, Gram traffic) attached to every solve.
+//!   counts, prescale) attached to every solve.
 //! * [`trace`] — structured solve tracing: the [`trace::TraceSink`]
 //!   contract, typed [`trace::TraceEvent`]s for every sweep / sweep plan /
-//!   rotation / recovery decision, and the no-op, ring-buffer, and JSONL
+//!   rotation / convergence check, and the no-op, ring-buffer, and JSONL
 //!   sinks. Zero cost when disabled.
 //! * [`convergence`] — stopping rules and per-sweep instrumentation
 //!   (the paper's Figs. 10–11 metric).
-//! * [`recovery`] — the fault-tolerance layer: [`recovery::Fault`]
-//!   taxonomy, per-sweep [`recovery::HealthCheck`], the one recovery rule
-//!   (a numeric fault restarts once from the power-of-two-normalized input;
-//!   every other fault aborts), and [`recovery::SolveBudget`]
-//!   deadline/cancellation.
+//! * [`recovery`] — the fault-detection layer: [`recovery::Fault`]
+//!   taxonomy, per-sweep [`recovery::HealthCheck`], and
+//!   [`recovery::SolveBudget`] deadline/cancellation. Every solve path
+//!   aborts on its first fault with [`SvdError::SolveFault`].
 //! * `inject` *(feature `fault-injection` only)* — deterministic
 //!   fault-injection harness used by the robustness test campaign; compiles
 //!   out of production builds entirely.

@@ -1,4 +1,4 @@
-//! Fault taxonomy, health checking, the recovery rule, and solve budgets.
+//! Fault taxonomy, health checking, and solve budgets.
 //!
 //! The paper's Algorithm 1 reads the matrix columns exactly once — every
 //! sweep after the first trusts the in-place-updated covariance matrix
@@ -8,22 +8,23 @@
 //! every remaining sweep, because nothing downstream ever looks at the
 //! ground-truth columns again.
 //!
-//! This module is the detection/response half of the crate's fault-tolerance
-//! layer (the prevention half — power-of-two pre-scaling — lives in
+//! This module is the detection half of the crate's fault-tolerance layer
+//! (the prevention half — power-of-two pre-scaling — lives in
 //! [`crate::svd`]):
 //!
 //! * [`Fault`] — the closed set of mid-solve failure classes.
 //! * [`HealthCheck`] — a cheap `O(n)` per-sweep scan of `D` run by
 //!   [`crate::SolveDriver::run_monitored`]: non-finite metrics, negative
 //!   diagonals (impossible for a true Gram matrix), and convergence stalls.
-//! * The recovery rule (`rescale_restarts`) — a non-finite or materially
-//!   negative `D` on an attempt that has not been rescaled restarts once,
-//!   from the input normalized by a power of two. That is the one response
-//!   that changes the solve's input. Every other fault aborts with
-//!   [`crate::SvdError::SolveFault`]: the solve is deterministic, so running
-//!   it again unchanged could only repeat the fault.
 //! * [`SolveBudget`] — deadline/cancellation checked at sweep boundaries, so
 //!   batch and CLI callers can bound worst-case latency.
+//!
+//! Every solve path has one fault rule: the check or the budget detects a
+//! fault within one sweep, and the solve aborts with
+//! [`crate::SvdError::SolveFault`]. Nothing is retried. The solve is
+//! deterministic, so running it again could only repeat the fault, and a
+//! finite input whose result fits in `f64` does not fault
+//! (`tests/extreme_conditioning.rs` searches for one).
 
 use crate::convergence::SweepRecord;
 use crate::gram::GramState;
@@ -40,7 +41,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// A NaN or ±∞ reached the maintained covariance matrix — an overflowed
-    /// squared norm, a poisoned rotation, or injected corruption.
+    /// squared norm, a poisoned rotation, or injected corruption. From
+    /// [`crate::eigh`] it can also mean a spectrum beyond `f64::MAX`,
+    /// found when the eigenvalues of a prescaled solve are scaled back.
     NonFiniteGram {
         /// Sweep at which the non-finite value was detected.
         sweep: usize,
@@ -184,8 +187,8 @@ impl HealthCheck {
     }
 
     /// Inspect the post-sweep state; returns the first fault found.
-    /// `state` carries the stall detector's memory across sweeps of one
-    /// attempt (reset it between attempts).
+    /// `state` carries the stall detector's memory across the sweeps of
+    /// one run.
     pub(crate) fn inspect(
         &self,
         gram: &GramState,
@@ -232,7 +235,7 @@ impl HealthCheck {
     }
 }
 
-/// The stall detector's cross-sweep memory (one per solve attempt).
+/// The stall detector's cross-sweep memory (one per run).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HealthState {
     best_off: f64,
@@ -243,20 +246,6 @@ impl HealthState {
     pub(crate) fn new() -> Self {
         HealthState { best_off: f64::INFINITY, stalled: 0 }
     }
-}
-
-/// The one recovery rule of [`crate::HestenesSvd`]'s guarded solve: true
-/// when `fault` restarts the solve from the input normalized by a power of
-/// two (largest entry in `[1, 2)`), false when it aborts with
-/// [`crate::SvdError::SolveFault`].
-///
-/// Only a `NonFiniteGram` or `NegativeDiagonal` fault on an attempt that
-/// has not been rescaled restarts: the restart rebuilds `D` from the
-/// pristine input, which clears transient corruption, and the new scale
-/// gives the most headroom against over- and underflow. A stall, deadline
-/// or cancellation, or a second numeric fault, aborts.
-pub(crate) fn rescale_restarts(fault: &Fault, rescaled: bool) -> bool {
-    !rescaled && matches!(fault, Fault::NonFiniteGram { .. } | Fault::NegativeDiagonal { .. })
 }
 
 /// Latency bounds for one solve, checked at every sweep boundary by
@@ -507,21 +496,6 @@ mod tests {
         let g = GramState::from_packed(p);
         let mut st = HealthState::new();
         assert_eq!(HealthCheck::disabled().inspect(&g, &rec(1, f64::NAN), &mut st), None);
-    }
-
-    #[test]
-    fn only_numeric_faults_on_an_unrescaled_attempt_restart() {
-        let table = [
-            (Fault::NonFiniteGram { sweep: 1 }, true),
-            (Fault::NegativeDiagonal { sweep: 2, index: 0 }, true),
-            (Fault::ConvergenceStall { sweep: 9, stalled_sweeps: 6 }, false),
-            (Fault::DeadlineExceeded { sweep: 1 }, false),
-            (Fault::Cancelled { sweep: 1 }, false),
-        ];
-        for (fault, restarts) in table {
-            assert_eq!(rescale_restarts(&fault, false), restarts, "{fault:?} unrescaled");
-            assert!(!rescale_restarts(&fault, true), "{fault:?} after a rescale");
-        }
     }
 
     #[test]

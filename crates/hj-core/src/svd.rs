@@ -10,9 +10,9 @@ use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
 use crate::ordering::{Ordering, PlanBuffers, SweepSchedule, ThresholdSchedule};
-use crate::recovery::{rescale_restarts, HealthCheck, SolveBudget};
+use crate::recovery::{HealthCheck, SolveBudget};
 use crate::stats::SolveStats;
-use crate::trace::{emit_to, TraceEvent, TraceLevel, TraceSink};
+use crate::trace::{TraceLevel, TraceSink};
 use crate::SvdError;
 use hj_matrix::{ops, Matrix};
 
@@ -53,7 +53,7 @@ type InjectorSlot<'a> = Option<&'a mut dyn crate::inject::FaultInjector>;
 type InjectorSlot<'a> = Option<std::convert::Infallible>;
 
 /// Binary exponent of `max_abs` (0 for zero or non-finite input).
-fn max_exponent(max_abs: f64) -> i32 {
+pub(crate) fn max_exponent(max_abs: f64) -> i32 {
     if max_abs > 0.0 && max_abs.is_finite() {
         max_abs.log2().floor() as i32
     } else {
@@ -71,12 +71,6 @@ pub(crate) fn prescale_exponent(max_abs: f64) -> i32 {
     } else {
         -e
     }
-}
-
-/// Unconditional normalizing exponent (the rescale-restart): always bring
-/// the largest entry to `[1, 2)` for maximum headroom.
-fn forced_exponent(max_abs: f64) -> i32 {
-    -max_exponent(max_abs)
 }
 
 /// Multiply every entry by `2^k`, exactly (split into two half-steps when
@@ -208,7 +202,7 @@ pub struct Svd {
     pub sweeps: usize,
     /// Per-sweep convergence measurements.
     pub history: Vec<SweepRecord>,
-    /// Solve-level observability (timings, allocations, Gram traffic).
+    /// Solve-level observability (timings, rotation counts, prescale).
     pub stats: SolveStats,
 }
 
@@ -254,7 +248,7 @@ pub struct SingularValues {
     pub sweeps: usize,
     /// Per-sweep convergence measurements.
     pub history: Vec<SweepRecord>,
-    /// Solve-level observability (timings, allocations, Gram traffic).
+    /// Solve-level observability (timings, rotation counts, prescale).
     pub stats: SolveStats,
 }
 
@@ -379,23 +373,16 @@ impl HestenesSvd {
     }
 
     /// Run the guarded solve: build `D` while scanning the input, pre-scale
-    /// out-of-window inputs, and run the monitored driver on the
-    /// [`Sequential`] engine. A [`crate::recovery::Fault`] the monitor
-    /// detects either restarts the solve once, from the input normalized by
-    /// a power of two (a non-finite or negative `D` on an attempt that has
-    /// not been rescaled), or aborts with [`SvdError::SolveFault`].
+    /// out-of-window inputs, and run the monitored driver once on the
+    /// [`Sequential`] engine. The first [`crate::recovery::Fault`] the
+    /// monitor detects aborts the solve with [`SvdError::SolveFault`].
     ///
-    /// The first build scans `a` in the same pass ([`GramState::scanned`]),
-    /// so an in-window input is read once. A build the scan stopped — a
-    /// NaN or ±∞, or a running max outside the prescale window, whose
-    /// unscaled products could be subnormal and slow — falls back to one
-    /// full scan, which gives `NonFiniteInput` or the exact max, and the
-    /// exponent then decides the build as before. The restart rebuilds `D`
-    /// (and `B`, `V` in full mode) from the pristine input `a`, so no
-    /// corrupted intermediate state survives it; the sweep plan,
-    /// which depends only on `n`, is planned once and reused. The final
-    /// stats carry the last attempt's counters plus the cumulative
-    /// `faults`/`recoveries`/`prescale_exp` accounting.
+    /// The build scans `a` in the same pass ([`GramState::scanned`]), so an
+    /// in-window input is read once. A build the scan stopped — a NaN or
+    /// ±∞, or a running max outside the prescale window, whose unscaled
+    /// products could be subnormal and slow — falls back to one full scan,
+    /// which gives `NonFiniteInput` or the exact max, and `D` is then built
+    /// from the input scaled by the exponent that max gives.
     #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
     fn solve_guarded<'a>(
         &self,
@@ -404,20 +391,30 @@ impl HestenesSvd {
         injector: InjectorSlot<'a>,
         trace: Option<&'a mut dyn TraceSink>,
     ) -> Result<GuardedSolve, SvdError> {
-        let n = a.cols();
         let scanned = GramState::scanned(a, |max_abs| prescale_exponent(max_abs) == 0);
-        let max_abs = match &scanned {
-            Some((_, max_abs)) => *max_abs,
-            None => ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?,
+        let (scanned, max_abs) = match scanned {
+            Some((gram, max_abs)) => (Some(gram), max_abs),
+            None => (None, ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?),
         };
-        let mut exp = prescale_exponent(max_abs);
-        // The scanned build is the first attempt's `D` when it ran to the
-        // end inside the window.
-        let mut first = scanned.map(|(gram, _)| gram).filter(|_| exp == 0);
-        // One monitor serves both attempts (run_monitored resets its own
-        // per-attempt detector state); the injector moves in once and keeps
-        // its one-shot bookkeeping across the restart, and the trace sink
-        // sees every attempt's events plus the recovery decision between.
+        let exp = prescale_exponent(max_abs);
+        // Full mode rotates the columns `B` of the prescaled input.
+        let mut b = full.then(|| {
+            let mut b = a.clone();
+            apply_exp2(&mut b, exp);
+            b
+        });
+        let mut gram = match (scanned, &b) {
+            // The scanned build ran to the end inside the window.
+            (Some(gram), _) if exp == 0 => gram,
+            (_, Some(b)) => GramState::from_matrix(b),
+            (_, None) if exp == 0 => GramState::from_matrix(a),
+            (_, None) => {
+                let mut scaled = a.clone();
+                apply_exp2(&mut scaled, exp);
+                GramState::from_matrix(&scaled)
+            }
+        };
+        let mut v = full.then(|| Matrix::identity(a.cols()));
         let mut monitor = SolveMonitor::new(self.budget.clone(), HealthCheck::default());
         if let Some(sink) = trace {
             monitor = monitor.with_trace(sink, self.options.effective_trace_level());
@@ -430,81 +427,27 @@ impl HestenesSvd {
             convergence: self.options.convergence,
             max_sweeps: self.options.max_sweeps.min(MAX_SWEEP_CAP),
         };
-        let mut rescaled = exp != 0;
-        let mut recoveries = 0usize;
-        let mut total_faults = 0usize;
-        let mut cumulative_sweeps = 0usize;
+        let target = match (b.as_mut(), v.as_mut()) {
+            (Some(b), Some(v)) => RotationTarget::full(b, v),
+            _ => RotationTarget::gram_only(),
+        };
+        let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
         let mut plans = PlanBuffers::new();
-        loop {
-            // Build this attempt's working state from the pristine input.
-            let (mut gram, mut b, mut v) = if full {
-                let mut b = a.clone();
-                apply_exp2(&mut b, exp);
-                let gram = first.take().unwrap_or_else(|| GramState::from_matrix(&b));
-                (gram, Some(b), Some(Matrix::identity(n)))
-            } else if exp == 0 {
-                // Values-only fast path: D is built straight off the caller's
-                // matrix, no clone.
-                (first.take().unwrap_or_else(|| GramState::from_matrix(a)), None, None)
-            } else {
-                let mut scaled = a.clone();
-                apply_exp2(&mut scaled, exp);
-                (GramState::from_matrix(&scaled), None, None)
-            };
-            let target = match (b.as_mut(), v.as_mut()) {
-                (Some(b), Some(v)) => RotationTarget::full(b, v),
-                _ => RotationTarget::gram_only(),
-            };
-            let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
-            let (strategy, plan) = plans.schedule_parts(self.options.ordering);
-            let mut schedule = SweepSchedule { strategy, plan, threshold: self.options.threshold };
-            let run =
-                driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
-            cumulative_sweeps += run.stats.sweeps;
-            total_faults += run.stats.faults;
-            let Some(fault) = run.fault else {
-                let mut stats = run.stats;
-                stats.faults = total_faults;
-                stats.recoveries = recoveries;
-                stats.prescale_exp = exp;
-                return Ok(GuardedSolve {
-                    gram,
-                    b,
-                    v,
-                    history: run.history,
-                    stats,
-                    scale_exp: exp,
-                });
-            };
-            let restart = rescale_restarts(&fault, rescaled);
-            emit_to(
-                &mut monitor.trace,
-                monitor.trace_level,
-                TraceEvent::RecoveryTriggered {
-                    sweep: fault.sweep(),
-                    fault: fault.kind(),
-                    action: if restart { "rescale-restart" } else { "abort" },
-                    recoveries,
-                },
-            );
-            if !restart {
-                return Err(SvdError::SolveFault {
-                    fault,
-                    sweeps_completed: cumulative_sweeps,
-                    recoveries,
-                });
-            }
-            exp = forced_exponent(max_abs);
-            rescaled = true;
-            recoveries += 1;
+        let (strategy, plan) = plans.schedule_parts(self.options.ordering);
+        let mut schedule = SweepSchedule { strategy, plan, threshold: self.options.threshold };
+        let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
+        if let Some(fault) = run.fault {
+            return Err(SvdError::SolveFault { fault, sweeps_completed: run.stats.sweeps });
         }
+        let stats = SolveStats { prescale_exp: exp, ..run.stats };
+        Ok(GuardedSolve { gram, b, v, history: run.history, stats })
     }
 
     /// Extract sorted singular values from a finished guarded solve (the
     /// wide-matrix tail check runs on the scaled spectrum — the ratio it
     /// tests is invariant under the uniform pre-scaling).
     fn finish_values(&self, a: &Matrix, solved: GuardedSolve) -> Result<SingularValues, SvdError> {
-        let GuardedSolve { gram, history, stats, scale_exp, .. } = solved;
+        let GuardedSolve { gram, history, stats, .. } = solved;
         let sweeps = history.len();
         let mut values = gram.singular_values_unsorted();
         values.sort_by(|x, y| y.partial_cmp(x).expect("finite values"));
@@ -521,7 +464,7 @@ impl HestenesSvd {
             }
         }
         values.truncate(k);
-        unscale_values(&mut values, scale_exp);
+        unscale_values(&mut values, stats.prescale_exp);
         Ok(SingularValues { values, sweeps, history, stats })
     }
 
@@ -577,7 +520,7 @@ impl HestenesSvd {
     /// under the uniform pre-scaling (the scale cancels in `U = B·Σ⁻¹`), so
     /// only `Σ` is unscaled at the end.
     fn finish_decompose(&self, a: &Matrix, solved: GuardedSolve) -> Result<Svd, SvdError> {
-        let GuardedSolve { b, v, history, stats, scale_exp, .. } = solved;
+        let GuardedSolve { b, v, history, stats, .. } = solved;
         let b = b.expect("full-mode solve maintains B");
         let v = v.expect("full-mode solve accumulates V");
         let (m, n) = a.shape();
@@ -611,22 +554,21 @@ impl HestenesSvd {
             }
             v_sorted.col_mut(t).copy_from_slice(v.col(c));
         }
-        unscale_values(&mut sigma, scale_exp);
+        unscale_values(&mut sigma, stats.prescale_exp);
         Ok(Svd { u, singular_values: sigma, v: v_sorted, sweeps, history, stats })
     }
 }
 
 /// A finished guarded solve, before factor extraction: the converged `D`,
-/// the rotated columns `B` and accumulated `V` (full mode only), the last
-/// attempt's history/stats, and the pre-scaling exponent still baked into
-/// the spectrum.
+/// the rotated columns `B` and accumulated `V` (full mode only), and the
+/// history and stats, whose `prescale_exp` is still baked into the
+/// spectrum.
 struct GuardedSolve {
     gram: GramState,
     b: Option<Matrix>,
     v: Option<Matrix>,
     history: Vec<SweepRecord>,
     stats: SolveStats,
-    scale_exp: i32,
 }
 
 #[cfg(test)]
@@ -795,8 +737,7 @@ mod tests {
             svd.stats.rotations_applied,
             svd.history.iter().map(|r| r.rotations_applied).sum::<usize>()
         );
-        assert!(svd.stats.gram_bytes > 0, "rotations imply Gram traffic");
-        assert_eq!(svd.stats.workspace_allocations, 0);
+        assert_eq!(svd.stats.prescale_exp, 0);
         let sv = HestenesSvd::new(SvdOptions::default()).singular_values(&a).unwrap();
         assert_eq!(sv.stats.sweeps, sv.sweeps);
         assert!(sv.stats.to_json().contains("\"sweeps\""));
@@ -850,7 +791,6 @@ mod tests {
 
         let svd = solver.decompose(&huge).unwrap();
         assert_ne!(svd.stats.prescale_exp, 0, "guard must have engaged");
-        assert_eq!(svd.stats.faults, 0);
         assert!(svd.singular_values.iter().all(|s| s.is_finite()));
         assert!(svd.u.as_slice().iter().all(|v| v.is_finite()));
         for (got, want) in svd.singular_values.iter().zip(&clean.singular_values) {
@@ -894,8 +834,6 @@ mod tests {
             let a = gen::uniform(12, 4, 9).scaled(scale);
             let svd = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
             assert_eq!(svd.stats.prescale_exp, 0, "scale {scale:e}");
-            assert_eq!(svd.stats.faults, 0);
-            assert_eq!(svd.stats.recoveries, 0);
         }
     }
 
@@ -907,10 +845,9 @@ mod tests {
         let solver = HestenesSvd::new(SvdOptions::default())
             .with_budget(SolveBudget::with_deadline(Instant::now() - Duration::from_millis(1)));
         match solver.decompose(&a) {
-            Err(SvdError::SolveFault { fault, sweeps_completed, recoveries }) => {
+            Err(SvdError::SolveFault { fault, sweeps_completed }) => {
                 assert_eq!(fault, Fault::DeadlineExceeded { sweep: 1 });
                 assert_eq!(sweeps_completed, 0);
-                assert_eq!(recoveries, 0);
             }
             other => panic!("expected SolveFault, got {other:?}"),
         }
@@ -953,7 +890,6 @@ mod tests {
             let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
             check_svd(&a, &svd, 1e-11);
             assert_eq!(svd.stats.ordering, ordering.name(), "{ordering:?}");
-            assert!(svd.stats.replans >= 1, "scheduled solves must plan at least once");
             for (x, y) in svd.singular_values.iter().zip(&reference.singular_values) {
                 assert!((x - y).abs() < 1e-10 * y.max(1.0), "{ordering:?}: σ {x} vs {y}");
             }

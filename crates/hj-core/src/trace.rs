@@ -1,9 +1,9 @@
 //! Structured solve tracing — typed events, pluggable sinks, zero cost off.
 //!
-//! [`crate::SolveStats`] answers *how much* a solve did (rotations, seconds,
-//! Gram traffic); this module answers *what happened, in order*: every sweep
-//! boundary, sweep plan, individual rotation decision, convergence check,
-//! and recovery action is a typed [`TraceEvent`] that the solver pushes into
+//! [`crate::SolveStats`] answers *how much* a solve did (rotations,
+//! seconds); this module answers *what happened, in order*: every sweep
+//! boundary, sweep plan, individual rotation decision, and convergence
+//! check is a typed [`TraceEvent`] that the solver pushes into
 //! a caller-supplied [`TraceSink`]. The event vocabulary mirrors the stages
 //! of the paper's pipeline (Figs. 2, 4, 5): a `SweepStart` is the
 //! preprocessor handing control to the rotation/update loop, a
@@ -45,7 +45,8 @@ pub enum TraceLevel {
     /// No events (the default — tracing fully disabled).
     #[default]
     Off,
-    /// Sweep boundaries, convergence checks, and recovery actions.
+    /// Sweep boundaries and convergence checks (plus the service's job
+    /// lifecycle and the simulator's pipeline stages).
     Sweep,
     /// Additionally one event per sweep plan (the sweep's rounds of
     /// disjoint pairs).
@@ -178,18 +179,6 @@ pub enum TraceEvent {
         /// Whether the rule declared convergence (ends the solve).
         converged: bool,
     },
-    /// The guarded solve answered a detected fault (`action` is
-    /// `"rescale-restart"` or `"abort"`).
-    RecoveryTriggered {
-        /// Sweep at which the fault was detected.
-        sweep: usize,
-        /// Stable fault class name ([`crate::recovery::Fault::kind`]).
-        fault: &'static str,
-        /// Stable action name: `"rescale-restart"` or `"abort"`.
-        action: &'static str,
-        /// Rescale-restarts taken before this one in the same solve.
-        recoveries: usize,
-    },
     /// A job passed admission control and was enqueued (emitted by the
     /// `hj-serve` service layer).
     JobAdmitted {
@@ -260,7 +249,6 @@ impl TraceEvent {
             TraceEvent::RotationApplied { .. } => "rotation_applied",
             TraceEvent::RotationSkipped { .. } => "rotation_skipped",
             TraceEvent::ConvergenceCheck { .. } => "convergence_check",
-            TraceEvent::RecoveryTriggered { .. } => "recovery_triggered",
             TraceEvent::JobAdmitted { .. } => "job_admitted",
             TraceEvent::JobRejected { .. } => "job_rejected",
             TraceEvent::JobDispatched { .. } => "job_dispatched",
@@ -276,7 +264,6 @@ impl TraceEvent {
             TraceEvent::SweepStart { .. }
             | TraceEvent::SweepEnd { .. }
             | TraceEvent::ConvergenceCheck { .. }
-            | TraceEvent::RecoveryTriggered { .. }
             | TraceEvent::JobAdmitted { .. }
             | TraceEvent::JobRejected { .. }
             | TraceEvent::JobDispatched { .. }
@@ -300,8 +287,7 @@ impl TraceEvent {
             | TraceEvent::SweepEnd { sweep, .. }
             | TraceEvent::RotationApplied { sweep, .. }
             | TraceEvent::RotationSkipped { sweep, .. }
-            | TraceEvent::ConvergenceCheck { sweep, .. }
-            | TraceEvent::RecoveryTriggered { sweep, .. } => Some(sweep),
+            | TraceEvent::ConvergenceCheck { sweep, .. } => Some(sweep),
             TraceEvent::JobAdmitted { .. }
             | TraceEvent::JobRejected { .. }
             | TraceEvent::JobDispatched { .. }
@@ -364,12 +350,6 @@ impl TraceEvent {
                 write_f64(&mut s, "off_frobenius", *off_frobenius);
                 s.push_str(",\"converged\":");
                 s.push_str(if *converged { "true" } else { "false" });
-            }
-            TraceEvent::RecoveryTriggered { sweep, fault, action, recoveries } => {
-                write_num(&mut s, "sweep", *sweep as f64);
-                write_str(&mut s, "fault", fault);
-                write_str(&mut s, "action", action);
-                write_num(&mut s, "recoveries", *recoveries as f64);
             }
             TraceEvent::JobAdmitted { job, class, queue_depth } => {
                 write_num(&mut s, "job", *job as f64);
@@ -656,17 +636,6 @@ impl std::fmt::Debug for Tracer<'_, '_> {
     }
 }
 
-/// Emit `event` into an optional sink when `level` admits it — the helper
-/// for sites that hold an `Option<&mut dyn TraceSink>` rather than a
-/// [`Tracer`] (the guarded recovery loop).
-pub(crate) fn emit_to(sink: &mut Option<&mut dyn TraceSink>, level: TraceLevel, event: TraceEvent) {
-    if let Some(sink) = sink.as_deref_mut() {
-        if level >= event.level() {
-            sink.record(&event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,12 +754,6 @@ mod tests {
                 max_abs_cov: 0.0,
                 off_frobenius: 0.0,
                 converged: true,
-            },
-            TraceEvent::RecoveryTriggered {
-                sweep: 1,
-                fault: "non-finite-gram",
-                action: "rescale-restart",
-                recoveries: 0,
             },
             TraceEvent::JobAdmitted { job: 1, class: "interactive", queue_depth: 1 },
             TraceEvent::JobRejected { reason: "queue-full", queue_depth: 8 },

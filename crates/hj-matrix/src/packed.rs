@@ -134,13 +134,6 @@ impl PackedSymmetric {
         self.off_diagonal_abs_sum() / pairs
     }
 
-    /// Frobenius norm of the strictly-off-diagonal part (both triangles),
-    /// i.e. `off(D) = sqrt(2 · Σ_{i<j} D[i][j]²)`. The classical Jacobi
-    /// convergence quantity.
-    pub fn off_diagonal_frobenius(&self) -> f64 {
-        (2.0 * self.off_diagonal_summary().sum_sq).sqrt()
-    }
-
     /// Largest absolute off-diagonal entry.
     pub fn off_diagonal_max_abs(&self) -> f64 {
         self.off_diagonal_summary().max_abs
@@ -269,7 +262,7 @@ mod tests {
         d.set(1, 2, 2.0);
         assert_eq!(d.off_diagonal_abs_sum(), 5.0);
         assert!((d.off_diagonal_mean_abs() - 5.0 / 3.0).abs() < 1e-15);
-        assert!((d.off_diagonal_frobenius() - (2.0f64 * (1.0 + 4.0 + 4.0)).sqrt()).abs() < 1e-15);
+        assert_eq!(d.off_diagonal_summary().sum_sq, 1.0 + 4.0 + 4.0);
         assert_eq!(d.off_diagonal_max_abs(), 2.0);
         assert_eq!(d.trace(), 6.0);
     }
@@ -281,7 +274,7 @@ mod tests {
         assert_eq!(d.off_diagonal_mean_abs(), 0.0);
         let d1 = PackedSymmetric::zeros(1);
         assert_eq!(d1.off_diagonal_mean_abs(), 0.0);
-        assert_eq!(d1.off_diagonal_frobenius(), 0.0);
+        assert_eq!(d1.off_diagonal_summary().sum_sq, 0.0);
     }
 
     #[test]

@@ -299,7 +299,6 @@ impl Scheduler {
                 Err(SvdError::SolveFault {
                     fault: Fault::Cancelled { sweep: 0 },
                     sweeps_completed: 0,
-                    recoveries: 0,
                 })
             };
             // Shape the cancellation like the submission: a bulk job's

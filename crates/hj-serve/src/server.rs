@@ -512,19 +512,14 @@ mod tests {
         let deadline = SvdError::SolveFault {
             fault: Fault::DeadlineExceeded { sweep: 1 },
             sweeps_completed: 0,
-            recoveries: 0,
         };
         assert_eq!(error_code(&deadline), CODE_DEADLINE);
-        let cancelled = SvdError::SolveFault {
-            fault: Fault::Cancelled { sweep: 1 },
-            sweeps_completed: 0,
-            recoveries: 0,
-        };
+        let cancelled =
+            SvdError::SolveFault { fault: Fault::Cancelled { sweep: 1 }, sweeps_completed: 0 };
         assert_eq!(error_code(&cancelled), CODE_CANCELLED);
         let stall = SvdError::SolveFault {
             fault: Fault::ConvergenceStall { sweep: 2, stalled_sweeps: 2 },
             sweeps_completed: 2,
-            recoveries: 3,
         };
         assert_eq!(error_code(&stall), CODE_SOLVE_FAULT);
         assert_eq!(error_kind(&stall), "stall");

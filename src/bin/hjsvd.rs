@@ -884,7 +884,7 @@ mod tests {
         assert!(full.trim_start().starts_with('{') && full.contains("\"rotations_applied\":"));
         run(&args(&["svd", &mp, "--values-only", "--stats", &sp])).unwrap();
         let vo = std::fs::read_to_string(&sp).unwrap();
-        assert!(vo.contains("\"sweeps\":") && vo.contains("\"gram_bytes\":"));
+        assert!(vo.contains("\"sweeps\":") && vo.contains("\"prescale_exp\":"));
         run(&args(&["svd", &mp, "--stats", "-"])).unwrap(); // stdout path
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -192,20 +192,20 @@ fn stats_dash_with_trace_dash_routes_stats_to_stderr() {
         trace_lines += 1;
     }
     assert!(trace_lines > 0, "trace JSONL missing from stdout: {stdout}");
-    assert!(!stdout.contains("\"gram_bytes\""), "stats JSON leaked onto stdout: {stdout}");
+    assert!(!stdout.contains("\"prescale_exp\""), "stats JSON leaked onto stdout: {stdout}");
 
     // The stats object landed on stderr, intact.
     let stats_line = stderr
         .lines()
         .find(|l| l.starts_with('{'))
         .unwrap_or_else(|| panic!("no stats JSON on stderr: {stderr}"));
-    assert!(stats_line.contains("\"gram_bytes\":"), "{stats_line}");
+    assert!(stats_line.contains("\"prescale_exp\":"), "{stats_line}");
     assert!(stats_line.contains("\"sweeps\":"), "{stats_line}");
 
     // Without the trace stream, `--stats -` still owns stdout as before.
     let plain = hjsvd(&["svd", &mp, "--values-only", "--stats", "-"]);
     assert!(plain.status.success());
-    assert!(stdout_of(&plain).contains("\"gram_bytes\":"), "{}", stdout_of(&plain));
+    assert!(stdout_of(&plain).contains("\"prescale_exp\":"), "{}", stdout_of(&plain));
     std::fs::remove_dir_all(&dir).ok();
 }
 
