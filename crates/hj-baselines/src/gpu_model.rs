@@ -18,10 +18,9 @@
 //!   per round), so the barrier counts in the model are measured, not
 //!   assumed.
 
-use hj_core::convergence::Convergence;
-use hj_core::engine::Sequential;
+use hj_core::engine::{Sequential, SweepEngine};
 use hj_core::ordering::round_robin;
-use hj_core::{GramState, PairGuard, RotationTarget, SolveDriver, SweepState};
+use hj_core::{GramState, PairGuard, RotationTarget, SweepState};
 use hj_matrix::Matrix;
 
 /// Analytic GPU timing model.
@@ -109,8 +108,8 @@ pub struct ParallelRunReport {
 /// round's rotations touch disjoint columns, so running them one after
 /// another on the [`Sequential`] engine applies the same rotations, up to
 /// rounding. This grounds the
-/// analytic model: the barrier count is `sweeps × rounds(n)`, measured here
-/// rather than assumed.
+/// analytic model: the barrier count is `sweeps × rounds(n)`, with the round
+/// count read from the schedule that ran rather than assumed.
 pub fn run_parallel_hestenes(a: &Matrix, sweeps: usize) -> ParallelRunReport {
     let n = a.cols();
     let order = round_robin(n);
@@ -120,13 +119,14 @@ pub fn run_parallel_hestenes(a: &Matrix, sweeps: usize) -> ParallelRunReport {
         target: RotationTarget::gram_only(),
         guard: PairGuard::default(),
     };
-    let driver = SolveDriver { convergence: Convergence::FixedSweeps(sweeps), max_sweeps: sweeps };
-    let (history, _) = driver.run(&mut Sequential, &mut state, &order);
-    let barriers = history.len() * order.round_count();
+    for s in 1..=sweeps {
+        Sequential.sweep(&mut state, &order, s);
+    }
+    let barriers = sweeps * order.round_count();
     let mut values = gram.singular_values_unsorted();
     values.sort_by(|x, y| y.partial_cmp(x).expect("finite"));
     values.truncate(a.rows().min(n));
-    ParallelRunReport { singular_values: values, barriers, sweeps: history.len() }
+    ParallelRunReport { singular_values: values, barriers, sweeps }
 }
 
 #[cfg(test)]

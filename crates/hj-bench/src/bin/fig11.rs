@@ -11,16 +11,13 @@
 //! Run: `cargo run --release -p hj-bench --bin fig11 [--full]`
 
 use hj_bench::{has_flag, print_table, write_csv};
-use hj_core::convergence::Convergence;
-use hj_core::engine::Sequential;
+use hj_core::engine::{Sequential, SweepEngine};
 use hj_core::ordering::round_robin;
-use hj_core::{GramState, PairGuard, RotationTarget, SolveDriver, SweepState};
+use hj_core::{GramState, PairGuard, RotationTarget, SweepState};
 use hj_matrix::gen;
 
+/// Sweeps run, whatever the convergence state.
 const SWEEPS: usize = 8;
-/// Exactly [`SWEEPS`] sweeps, whatever the convergence state.
-const DRIVER: SolveDriver =
-    SolveDriver { convergence: Convergence::FixedSweeps(SWEEPS), max_sweeps: SWEEPS };
 
 fn main() {
     let full = has_flag("--full");
@@ -42,8 +39,8 @@ fn main() {
             target: RotationTarget::gram_only(),
             guard: PairGuard::default(),
         };
-        let (history, _) = DRIVER.run(&mut Sequential, &mut state, &order);
-        for rec in &history {
+        for s in 1..=SWEEPS {
+            let rec = Sequential.sweep(&mut state, &order, s);
             row.push(format!("{:.3e}", rec.mean_abs_cov));
             csv_row.push(format!("{:.6e}", rec.mean_abs_cov));
         }

@@ -60,7 +60,9 @@ use crate::convergence::{is_converged, off_frobenius, SweepRecord, MAX_SWEEP_CAP
 use crate::engine::PAIR_TOL;
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
 use crate::ordering::{round_robin, Ordering};
-use crate::recovery::{Fault, HealthCheck, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR};
+use crate::recovery::{
+    Fault, HealthCheck, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR, STALL_SWEEPS,
+};
 use crate::stats::SolveStats;
 use crate::svd::{prescale_exponent, unscale_values, HestenesSvd, SingularValues, WIDE_TAIL_TOL};
 use crate::SvdError;
@@ -688,9 +690,6 @@ fn lane_health(
     p: usize,
     rec: &SweepRecord,
 ) -> Option<Fault> {
-    if !health.enabled {
-        return None;
-    }
     if !rec.off_frobenius.is_finite() || !rec.mean_abs_cov.is_finite() {
         return Some(Fault::NonFiniteGram { sweep: rec.sweep });
     }
@@ -700,23 +699,21 @@ fn lane_health(
     if health.negative_diagonal && ws.diag_min[p] < -NEGATIVE_DIAG_TOL * ws.diag_max_abs[p] {
         return Some(Fault::NegativeDiagonal { sweep: rec.sweep, index: ws.diag_argmin[p] });
     }
-    if health.stall_sweeps > 0 {
-        let floor = STALL_OFF_FLOOR * ws.diag_max_abs[p] * ws.n as f64;
-        let progressing = rec.off_frobenius <= floor
-            || rec.off_frobenius < ws.best_off[p] * (1.0 - STALL_MIN_PROGRESS);
-        if progressing {
-            ws.stalled[p] = 0;
-        } else {
-            ws.stalled[p] += 1;
-            if ws.stalled[p] >= health.stall_sweeps {
-                return Some(Fault::ConvergenceStall {
-                    sweep: rec.sweep,
-                    stalled_sweeps: ws.stalled[p],
-                });
-            }
+    let floor = STALL_OFF_FLOOR * ws.diag_max_abs[p] * ws.n as f64;
+    let progressing = rec.off_frobenius <= floor
+        || rec.off_frobenius < ws.best_off[p] * (1.0 - STALL_MIN_PROGRESS);
+    if progressing {
+        ws.stalled[p] = 0;
+    } else {
+        ws.stalled[p] += 1;
+        if ws.stalled[p] >= STALL_SWEEPS {
+            return Some(Fault::ConvergenceStall {
+                sweep: rec.sweep,
+                stalled_sweeps: ws.stalled[p],
+            });
         }
-        ws.best_off[p] = ws.best_off[p].min(rec.off_frobenius);
     }
+    ws.best_off[p] = ws.best_off[p].min(rec.off_frobenius);
     None
 }
 

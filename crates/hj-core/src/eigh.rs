@@ -17,7 +17,7 @@
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
-use crate::ordering::{Ordering, PlanBuffers, SweepSchedule};
+use crate::ordering::{Ordering, Sweep, SweepSchedule};
 use crate::recovery::{Fault, HealthCheck};
 use crate::stats::SolveStats;
 use crate::svd::{max_exponent, unscale_values};
@@ -93,9 +93,8 @@ pub fn eigh(s: &PackedSymmetric, tol: f64, ordering: Ordering) -> Result<Symmetr
     }
     let mut g = GramState::from_packed(d);
     let mut v = Matrix::identity(n);
-    let mut buffers = PlanBuffers::new();
-    let (strategy, plan) = buffers.schedule_parts(ordering);
-    let mut schedule = SweepSchedule { strategy, plan, threshold: None };
+    let mut plan = Sweep::new();
+    let mut schedule = SweepSchedule { strategy: ordering, plan: &mut plan, threshold: None };
     let driver = SolveDriver { convergence: Convergence::NoRotations, max_sweeps: MAX_SWEEP_CAP };
     let mut state = SweepState {
         gram: &mut g,

@@ -18,14 +18,13 @@
 //!   loops run on: the three-region packed rotation and the SoA batch
 //!   kernels (the packed rotation is bit-identical to the scalar path; see
 //!   the module's bit-compat policy).
-//! * [`ordering`] — the sweep-schedule subsystem: the
-//!   [`ordering::OrderingStrategy`] trait planning each sweep's rounds of
-//!   disjoint pairs, the two cyclic orders — round-robin pairing (the
-//!   paper's Fig. 6, the default) and the row-cyclic loop nest of
-//!   Algorithm 1 — and the [`ordering::ThresholdSchedule`]
-//!   rotation-threshold ramp composable with either. A sweep's plan is one
-//!   flat pair list ([`ordering::Sweep`]), so a solve plans with one
-//!   allocation and sweeps with none.
+//! * [`ordering`] — the sweep schedule: the two cyclic orders of
+//!   [`Ordering`] — round-robin pairing (the paper's Fig. 6, the default)
+//!   and the row-cyclic loop nest of Algorithm 1 — and the
+//!   [`ordering::ThresholdSchedule`] rotation-threshold ramp composable
+//!   with either. A sweep's plan is a function of the ordering and `n`,
+//!   stored as one flat pair list ([`ordering::Sweep`]), so a solve plans
+//!   once with one allocation and sweeps with none.
 //! * [`engine`] — the sweep pipeline: the [`engine::SweepEngine`] trait,
 //!   the [`engine::RotationTarget`] / [`engine::PairGuard`] abstractions,
 //!   the [`engine::Sequential`] engine (Algorithm 1's in-place data flow),
@@ -42,8 +41,8 @@
 //! * [`stats`] — [`SolveStats`] observability record (timings, rotation
 //!   counts, prescale) attached to every solve.
 //! * [`trace`] — structured solve tracing: the [`trace::TraceSink`]
-//!   contract, typed [`trace::TraceEvent`]s for every sweep / sweep plan /
-//!   rotation / convergence check, and the no-op, ring-buffer, and JSONL
+//!   contract, typed [`trace::TraceEvent`]s for every sweep / rotation /
+//!   convergence check, and the no-op, ring-buffer, and JSONL
 //!   sinks. Zero cost when disabled.
 //! * [`convergence`] — stopping rules and per-sweep instrumentation
 //!   (the paper's Figs. 10–11 metric).
@@ -104,7 +103,7 @@ pub use error::SvdError;
 pub use gram::{DiagonalScan, GramState};
 #[cfg(feature = "fault-injection")]
 pub use inject::{Corruption, FaultInjector, SeededInjector};
-pub use ordering::{Ordering, OrderingStrategy, PlanBuffers, SweepSchedule, ThresholdSchedule};
+pub use ordering::{Ordering, PlanBuffers, SweepSchedule, ThresholdSchedule};
 pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, SolveBudget};
 pub use rotation::{hardware_params, textbook_params, Rotation};

@@ -1,4 +1,4 @@
-//! Vector-pairing orderings (the paper's §V-D) as a pluggable subsystem.
+//! Vector-pairing orderings (the paper's §V-D).
 //!
 //! A sweep must visit every unordered column pair at most once
 //! (`n(n−1)/2` pairs for the classical cyclic family). Two orders ship,
@@ -11,24 +11,26 @@
 //! * **Row-cyclic** — the literal loop nest of the paper's Algorithm 1,
 //!   kept as the paper-faithful reference order.
 //!
-//! The subsystem has three layers:
+//! A sweep's plan is a function of the ordering and `n` alone, so a solve
+//! plans once and replays the plan every sweep, as the paper's rotation
+//! unit replays one fixed pair schedule:
 //!
 //! * [`Sweep`] — one sweep's plan: rounds of disjoint pairs, stored flat.
-//! * [`OrderingStrategy`] — plans each sweep's rounds into a caller-owned
-//!   [`Sweep`]; planning a sweep into an empty buffer is one allocation.
-//! * [`SweepSchedule`] — the strategy + plan buffer + optional
-//!   [`ThresholdSchedule`] bundle the [`crate::engine::SolveDriver`] consumes.
+//! * [`Ordering::plan_into`] — plans a sweep into a caller-owned [`Sweep`];
+//!   planning into an empty buffer is one allocation.
+//! * [`SweepSchedule`] — the ordering + plan buffer + optional
+//!   [`ThresholdSchedule`] bundle the [`crate::engine::SolveDriver`]
+//!   consumes; the driver plans into the buffer at sweep 1.
 
 use crate::engine::PAIR_TOL;
-use crate::gram::GramState;
 
 /// One sweep's worth of pair visits, grouped into rounds.
 ///
 /// Within a round all pairs are disjoint (no column appears twice), so the
-/// rounds are the natural unit of parallel execution. Every
-/// [`OrderingStrategy`] upholds this invariant. Every round of a plan has
-/// the same width — `⌊n/2⌋` pairs for round-robin, one for row-cyclic — so
-/// the plan is one flat pair list cut into rounds of that width.
+/// rounds are the natural unit of parallel execution; both orderings
+/// uphold this invariant. Every round of a plan has the same width —
+/// `⌊n/2⌋` pairs for round-robin, one for row-cyclic — so the plan is one
+/// flat pair list cut into rounds of that width.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Sweep {
     pairs: Vec<(usize, usize)>,
@@ -36,8 +38,7 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// An empty plan (no rounds). Strategies fill it via
-    /// [`OrderingStrategy::plan_sweep`].
+    /// An empty plan (no rounds), filled by [`Ordering::plan_into`].
     pub fn new() -> Sweep {
         Sweep::default()
     }
@@ -138,6 +139,17 @@ impl Ordering {
     pub fn from_index(i: usize) -> Option<Ordering> {
         Ordering::ALL.get(i).copied()
     }
+
+    /// Plan one sweep over `n` columns into `out` — [`round_robin`] or
+    /// [`row_cyclic`] — reusing its capacity: planning into an empty
+    /// [`Sweep`] is one allocation, and into one that held a plan at least
+    /// as large, none.
+    pub fn plan_into(self, n: usize, out: &mut Sweep) {
+        match self {
+            Ordering::RoundRobin => fill_round_robin(n, out),
+            Ordering::RowCyclic => fill_row_cyclic(n, out),
+        }
+    }
 }
 
 /// Round-robin tournament schedule over `n` columns.
@@ -170,7 +182,8 @@ pub fn row_cyclic(n: usize) -> Sweep {
     sweep
 }
 
-/// The circle-method planner shared by [`round_robin`] and [`Cyclic`].
+/// The circle-method planner behind [`round_robin`] and
+/// [`Ordering::RoundRobin`].
 ///
 /// Slot 0 stays fixed and slots `1..slots` rotate right by one each round,
 /// so in round `r` slot `k ≥ 1` holds column `1 + (k − 1 − r) mod (slots − 1)`
@@ -209,117 +222,6 @@ fn fill_row_cyclic(n: usize, out: &mut Sweep) {
         for j in i + 1..n {
             out.pairs.push((i, j));
         }
-    }
-}
-
-/// Plans each sweep's rounds of disjoint pairs.
-///
-/// The [`crate::engine::SolveDriver`] calls [`OrderingStrategy::plan_sweep`]
-/// before every sweep with the **same** plan buffer (see [`SweepSchedule`]);
-/// a strategy may leave a still-valid plan untouched (returning `false`) or
-/// rebuild it (returning `true`). Planning time counts toward the sweep's
-/// [`crate::SolveStats::sweep_seconds`]. Strategies write the plan straight
-/// into the buffer, so planning into an empty buffer is one allocation and
-/// replanning into one that held a plan at least as large is none.
-///
-/// Every produced plan must keep the pairs of each round pairwise disjoint
-/// and visit each unordered pair at most once — the invariant the paper's
-/// concurrent rotation groups (Fig. 6) rely on.
-pub trait OrderingStrategy {
-    /// Which [`Ordering`] this strategy implements.
-    fn kind(&self) -> Ordering;
-
-    /// Canonical name for stats/trace labels (defaults to the kind's name).
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Ensure `out` holds this strategy's plan for the sweep about to run.
-    /// `sweep_index` is 1-based. Returns `true` if the plan was rebuilt
-    /// (a *replan*), `false` if the existing plan was reused.
-    ///
-    /// `out` must be the same buffer on every call for a given solve —
-    /// strategies cache what it holds to skip redundant rebuilds.
-    fn plan_sweep(&mut self, gram: &GramState, sweep_index: usize, out: &mut Sweep) -> bool;
-}
-
-/// Today's default: the round-robin cyclic order, planned once per dimension
-/// and reused for every sweep — bit-identical to the pre-subsystem schedule.
-#[derive(Debug, Default)]
-pub struct Cyclic {
-    planned_dim: Option<usize>,
-}
-
-impl Cyclic {
-    /// A fresh strategy that has planned nothing yet.
-    pub fn new() -> Cyclic {
-        Cyclic::default()
-    }
-}
-
-impl OrderingStrategy for Cyclic {
-    fn kind(&self) -> Ordering {
-        Ordering::RoundRobin
-    }
-
-    fn plan_sweep(&mut self, gram: &GramState, _sweep_index: usize, out: &mut Sweep) -> bool {
-        let n = gram.dim();
-        if self.planned_dim == Some(n) {
-            return false;
-        }
-        fill_round_robin(n, out);
-        self.planned_dim = Some(n);
-        true
-    }
-}
-
-/// The row-cyclic order of Algorithm 1's literal loop nest, planned once per
-/// dimension (rounds of one pair).
-#[derive(Debug, Default)]
-pub struct RowCyclic {
-    planned_dim: Option<usize>,
-}
-
-impl RowCyclic {
-    /// A fresh strategy that has planned nothing yet.
-    pub fn new() -> RowCyclic {
-        RowCyclic::default()
-    }
-}
-
-impl OrderingStrategy for RowCyclic {
-    fn kind(&self) -> Ordering {
-        Ordering::RowCyclic
-    }
-
-    fn plan_sweep(&mut self, gram: &GramState, _sweep_index: usize, out: &mut Sweep) -> bool {
-        let n = gram.dim();
-        if self.planned_dim == Some(n) {
-            return false;
-        }
-        fill_row_cyclic(n, out);
-        self.planned_dim = Some(n);
-        true
-    }
-}
-
-/// Adapter for callers that bring a ready-made [`Sweep`] (the legacy
-/// `SolveDriver::run` path and direct-engine tests): never replans, reports
-/// no ordering name (stats show `""`).
-#[derive(Debug, Default)]
-pub struct Preplanned;
-
-impl OrderingStrategy for Preplanned {
-    fn kind(&self) -> Ordering {
-        Ordering::RoundRobin
-    }
-
-    fn name(&self) -> &'static str {
-        ""
-    }
-
-    fn plan_sweep(&mut self, _gram: &GramState, _sweep_index: usize, _out: &mut Sweep) -> bool {
-        false
     }
 }
 
@@ -377,44 +279,39 @@ impl Default for ThresholdSchedule {
     }
 }
 
-/// The per-solve schedule the [`crate::engine::SolveDriver`] consumes: a
-/// planning strategy, its (reused) plan buffer, and an optional rotation
-/// threshold ramp.
+/// The per-solve schedule the [`crate::engine::SolveDriver`] consumes: the
+/// ordering, the plan buffer the driver plans it into at sweep 1, and an
+/// optional rotation threshold ramp.
 pub struct SweepSchedule<'a> {
-    /// Plans each sweep's rounds (same plan buffer every call).
-    pub strategy: &'a mut dyn OrderingStrategy,
-    /// The plan buffer the strategy writes into and the engines read.
+    /// The pair ordering every sweep of the solve follows.
+    pub strategy: Ordering,
+    /// The plan buffer: filled once per solve, read by the engine every
+    /// sweep.
     pub plan: &'a mut Sweep,
     /// Optional per-sweep rotation-threshold ramp.
     pub threshold: Option<ThresholdSchedule>,
 }
 
-/// One instance of every strategy plus a dedicated plan buffer per strategy.
-/// A solve builds one and plans into it (one allocation); carried across
-/// solves, it replans only when the dimension changes. Each strategy gets
-/// its *own* plan buffer — a shared one would invalidate the
-/// once-per-dimension caches whenever the selected ordering changes.
+/// A single plan buffer, kept only for the benchmark's traced replay
+/// (`perfbench/`), which builds its [`SweepSchedule`] from
+/// [`PlanBuffers::schedule_parts`]. Solves plan into a local [`Sweep`].
+/// This type goes once that replay reads production counters instead
+/// (ROADMAP.md, item 1).
 #[derive(Debug, Default)]
 pub struct PlanBuffers {
-    cyclic: Cyclic,
-    row: RowCyclic,
-    plan_cyclic: Sweep,
-    plan_row: Sweep,
+    plan: Sweep,
 }
 
 impl PlanBuffers {
-    /// Fresh, empty buffers (everything sized lazily on first plan).
+    /// An empty plan buffer.
     pub fn new() -> PlanBuffers {
         PlanBuffers::default()
     }
 
-    /// Borrow the strategy and plan buffer for `kind`, ready to assemble a
+    /// The ordering and the plan buffer, ready to assemble a
     /// [`SweepSchedule`].
-    pub fn schedule_parts(&mut self, kind: Ordering) -> (&mut dyn OrderingStrategy, &mut Sweep) {
-        match kind {
-            Ordering::RoundRobin => (&mut self.cyclic, &mut self.plan_cyclic),
-            Ordering::RowCyclic => (&mut self.row, &mut self.plan_row),
-        }
+    pub fn schedule_parts(&mut self, ordering: Ordering) -> (Ordering, &mut Sweep) {
+        (ordering, &mut self.plan)
     }
 }
 
@@ -441,10 +338,6 @@ mod tests {
                 assert!(used.insert(j), "index {j} reused within a round");
             }
         }
-    }
-
-    fn gram_for(n: usize, seed: u64) -> GramState {
-        GramState::from_matrix(&hj_matrix::gen::uniform(2 * n + 3, n, seed))
     }
 
     #[test]
@@ -501,9 +394,13 @@ mod tests {
 
     #[test]
     fn closed_form_planner_matches_the_rotating_ring() {
-        // Same pairs in the same order is what keeps solves bit-identical.
+        // Same pairs in the same order is what keeps solves bit-identical,
+        // and the ordering plans exactly `round_robin(n)`.
+        let mut plan = Sweep::new();
         for n in 0usize..40 {
             assert_eq!(round_robin(n).pairs().collect::<Vec<_>>(), ring_round_robin(n), "n={n}");
+            Ordering::RoundRobin.plan_into(n, &mut plan);
+            assert_eq!(plan, round_robin(n), "n={n}");
         }
     }
 
@@ -563,30 +460,17 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_strategy_is_bit_identical_to_round_robin() {
-        for n in [2usize, 7, 8, 24] {
-            let gram = gram_for(n, 5);
-            let mut strat = Cyclic::new();
-            let mut plan = Sweep::new();
-            assert!(strat.plan_sweep(&gram, 1, &mut plan), "first call must plan");
-            assert_eq!(plan, round_robin(n), "n={n}");
-            // Later sweeps reuse the plan verbatim.
-            assert!(!strat.plan_sweep(&gram, 2, &mut plan));
-            assert_eq!(plan, round_robin(n));
-        }
-    }
-
-    #[test]
-    fn strategies_replan_on_dimension_change() {
-        let mut strat = Cyclic::new();
+    fn a_reused_plan_takes_each_new_dimension() {
         let mut plan = Sweep::new();
-        assert!(strat.plan_sweep(&gram_for(6, 1), 1, &mut plan));
-        assert!(strat.plan_sweep(&gram_for(9, 2), 1, &mut plan), "new dim must replan");
+        Ordering::RoundRobin.plan_into(6, &mut plan);
+        Ordering::RoundRobin.plan_into(9, &mut plan);
         assert_eq!(plan, round_robin(9));
         // Shrinking keeps the buffer but must take the new round width.
-        assert!(strat.plan_sweep(&gram_for(4, 3), 1, &mut plan));
+        Ordering::RoundRobin.plan_into(4, &mut plan);
         assert_eq!(plan, round_robin(4));
         assert_eq!(plan.rounds().map(<[_]>::len).collect::<Vec<_>>(), [2, 2, 2]);
+        Ordering::RowCyclic.plan_into(4, &mut plan);
+        assert_eq!(plan, row_cyclic(4));
     }
 
     #[test]
@@ -603,32 +487,5 @@ mod tests {
         let custom = ThresholdSchedule::new(1e-2, 0.1);
         assert_eq!(custom.tol(1), 1e-2);
         assert!((custom.tol(2) - 1e-3).abs() < 1e-18);
-    }
-
-    #[test]
-    fn plan_buffers_hand_out_matching_parts() {
-        let gram = gram_for(8, 21);
-        let mut bufs = PlanBuffers::new();
-        for kind in Ordering::ALL {
-            let (strategy, plan) = bufs.schedule_parts(kind);
-            assert_eq!(strategy.kind(), kind);
-            strategy.plan_sweep(&gram, 1, plan);
-            assert_full_coverage(plan, 8);
-            assert_rounds_disjoint(plan);
-        }
-        // A second checkout of the same kind sees the cached plan.
-        let (strategy, plan) = bufs.schedule_parts(Ordering::RoundRobin);
-        assert!(!strategy.plan_sweep(&gram, 2, plan));
-    }
-
-    #[test]
-    fn preplanned_never_replans() {
-        let gram = gram_for(6, 2);
-        let mut strat = Preplanned;
-        let mut plan = round_robin(6);
-        let before = plan.clone();
-        assert!(!strat.plan_sweep(&gram, 1, &mut plan));
-        assert_eq!(plan, before);
-        assert_eq!(strat.name(), "");
     }
 }

@@ -141,49 +141,40 @@ pub(crate) const STALL_OFF_FLOOR: f64 = 1e-13;
 /// consecutive sweeps means the iteration is wedged.
 pub(crate) const STALL_MIN_PROGRESS: f64 = 1e-3;
 
+/// Consecutive no-progress sweeps before a stall is declared. Jacobi
+/// converges quadratically: six flat sweeps is decisively wedged, while
+/// legitimate solves never produce even two.
+pub(crate) const STALL_SWEEPS: usize = 6;
+
 /// The per-sweep `O(n)` health scan run by
 /// [`crate::SolveDriver::run_monitored`].
 ///
 /// Checks, in order: non-finite sweep metrics (one NaN/∞ anywhere in `D`
 /// poisons the off-diagonal sums), non-finite or materially negative
 /// diagonal entries, and convergence stalls (`off(D)` not decreasing across
-/// [`HealthCheck::stall_sweeps`] sweeps while still above the dust floor).
+/// six sweeps while still above the dust floor).
 /// The scan iterates the diagonal in place and allocates nothing, preserving
 /// the engines' steady-state zero-allocation invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthCheck {
-    /// Master switch; `false` disables the per-sweep inspection entirely.
-    pub enabled: bool,
     /// Flag materially negative diagonals. Valid for Gram matrices (PSD by
     /// construction); must be `false` for the indefinite eigensolver, where
     /// negative diagonals are legitimate.
     pub negative_diagonal: bool,
-    /// Consecutive no-progress sweeps before a stall is declared; `0`
-    /// disables stall detection.
-    pub stall_sweeps: usize,
 }
 
 impl Default for HealthCheck {
-    /// Enabled, with negative-diagonal checking and a 6-sweep stall window
-    /// (Jacobi converges quadratically — six flat sweeps is decisively
-    /// wedged, while legitimate solves never produce even two).
+    /// The SVD drivers' check, negative diagonals included.
     fn default() -> Self {
-        HealthCheck { enabled: true, negative_diagonal: true, stall_sweeps: 6 }
+        HealthCheck { negative_diagonal: true }
     }
 }
 
 impl HealthCheck {
-    /// A disabled check (the per-sweep inspection always returns `None`) —
-    /// what [`crate::SolveDriver::run`] uses to stay byte-for-byte faithful
-    /// to the unmonitored pipeline.
-    pub fn disabled() -> Self {
-        HealthCheck { enabled: false, negative_diagonal: false, stall_sweeps: 0 }
-    }
-
     /// The indefinite-safe variant used by [`crate::eigh`]: negative
     /// diagonals are expected there, everything else still applies.
     pub fn indefinite() -> Self {
-        HealthCheck { negative_diagonal: false, ..HealthCheck::default() }
+        HealthCheck { negative_diagonal: false }
     }
 
     /// Inspect the post-sweep state; returns the first fault found.
@@ -195,9 +186,6 @@ impl HealthCheck {
         rec: &SweepRecord,
         state: &mut HealthState,
     ) -> Option<Fault> {
-        if !self.enabled {
-            return None;
-        }
         // The sweep metrics are sums over every off-diagonal entry: a single
         // NaN/∞ anywhere poisons them, making this a full-matrix finiteness
         // probe at zero extra cost.
@@ -213,24 +201,22 @@ impl HealthCheck {
         if self.negative_diagonal && scan.min < -NEGATIVE_DIAG_TOL * scan.max_abs {
             return Some(Fault::NegativeDiagonal { sweep: rec.sweep, index: scan.argmin });
         }
-        if self.stall_sweeps > 0 {
-            let floor = STALL_OFF_FLOOR * scan.max_abs * n as f64;
-            if rec.off_frobenius <= floor {
-                // Converged dust region — by definition not a stall.
-                state.stalled = 0;
-            } else if rec.off_frobenius < state.best_off * (1.0 - STALL_MIN_PROGRESS) {
-                state.stalled = 0;
-            } else {
-                state.stalled += 1;
-                if state.stalled >= self.stall_sweeps {
-                    return Some(Fault::ConvergenceStall {
-                        sweep: rec.sweep,
-                        stalled_sweeps: state.stalled,
-                    });
-                }
+        let floor = STALL_OFF_FLOOR * scan.max_abs * n as f64;
+        if rec.off_frobenius <= floor {
+            // Converged dust region — by definition not a stall.
+            state.stalled = 0;
+        } else if rec.off_frobenius < state.best_off * (1.0 - STALL_MIN_PROGRESS) {
+            state.stalled = 0;
+        } else {
+            state.stalled += 1;
+            if state.stalled >= STALL_SWEEPS {
+                return Some(Fault::ConvergenceStall {
+                    sweep: rec.sweep,
+                    stalled_sweeps: state.stalled,
+                });
             }
-            state.best_off = state.best_off.min(rec.off_frobenius);
         }
+        state.best_off = state.best_off.min(rec.off_frobenius);
         None
     }
 }
@@ -360,7 +346,6 @@ impl SolveBudget {
 mod tests {
     use super::*;
     use crate::convergence::MAX_SWEEP_CAP;
-    use crate::ordering::round_robin;
     use hj_matrix::{gen, PackedSymmetric};
 
     fn rec(sweep: usize, off: f64) -> SweepRecord {
@@ -397,19 +382,22 @@ mod tests {
         use crate::engine::{
             PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState,
         };
+        use crate::ordering::{Ordering, Sweep, SweepSchedule};
         let a = gen::uniform(30, 8, 11);
         let mut g = GramState::from_matrix(&a);
-        let order = round_robin(8);
         let mut state = SweepState {
             gram: &mut g,
             target: RotationTarget::gram_only(),
             guard: PairGuard::default(),
         };
+        let mut plan = Sweep::new();
+        let mut schedule =
+            SweepSchedule { strategy: Ordering::RoundRobin, plan: &mut plan, threshold: None };
         // The monitored driver inspects `D` after every one of the ten sweeps.
         let mut monitor = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default());
         let driver =
             SolveDriver { convergence: crate::Convergence::FixedSweeps(10), max_sweeps: 10 };
-        let run = driver.run_monitored_static(&mut Sequential, &mut state, &order, &mut monitor);
+        let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
         assert_eq!(run.fault, None, "false positive");
         assert_eq!(run.history.len(), 10);
     }
@@ -463,17 +451,21 @@ mod tests {
     fn stall_fires_after_window_and_resets_on_progress() {
         let a = gen::uniform(10, 4, 5);
         let g = GramState::from_matrix(&a);
-        let hc = HealthCheck { stall_sweeps: 3, ..HealthCheck::default() };
+        let hc = HealthCheck::default();
         let mut st = HealthState::new();
         let off = g.trace(); // far above the dust floor
         assert_eq!(hc.inspect(&g, &rec(1, off), &mut st), None);
-        assert_eq!(hc.inspect(&g, &rec(2, off), &mut st), None); // stalled=1
-        assert_eq!(hc.inspect(&g, &rec(3, off * 0.5), &mut st), None); // progress resets
-        assert_eq!(hc.inspect(&g, &rec(4, off * 0.5), &mut st), None); // stalled=1
-        assert_eq!(hc.inspect(&g, &rec(5, off * 0.5), &mut st), None); // stalled=2
+        // Five flat sweeps (stalled = 1..=5) stay inside the window.
+        for s in 2..=6 {
+            assert_eq!(hc.inspect(&g, &rec(s, off), &mut st), None, "sweep {s}");
+        }
+        assert_eq!(hc.inspect(&g, &rec(7, off * 0.5), &mut st), None); // progress resets
+        for s in 8..=12 {
+            assert_eq!(hc.inspect(&g, &rec(s, off * 0.5), &mut st), None, "sweep {s}");
+        }
         assert_eq!(
-            hc.inspect(&g, &rec(6, off * 0.5), &mut st),
-            Some(Fault::ConvergenceStall { sweep: 6, stalled_sweeps: 3 })
+            hc.inspect(&g, &rec(13, off * 0.5), &mut st),
+            Some(Fault::ConvergenceStall { sweep: 13, stalled_sweeps: STALL_SWEEPS })
         );
     }
 
@@ -481,21 +473,12 @@ mod tests {
     fn stall_never_fires_in_the_dust_region() {
         let a = gen::uniform(10, 4, 5);
         let g = GramState::from_matrix(&a);
-        let hc = HealthCheck { stall_sweeps: 2, ..HealthCheck::default() };
+        let hc = HealthCheck::default();
         let mut st = HealthState::new();
         let dust = 1e-16 * g.trace();
-        for s in 1..=10 {
+        for s in 1..=3 * STALL_SWEEPS {
             assert_eq!(hc.inspect(&g, &rec(s, dust), &mut st), None);
         }
-    }
-
-    #[test]
-    fn disabled_check_sees_nothing() {
-        let mut p = PackedSymmetric::zeros(2);
-        p.set(0, 0, f64::NAN);
-        let g = GramState::from_packed(p);
-        let mut st = HealthState::new();
-        assert_eq!(HealthCheck::disabled().inspect(&g, &rec(1, f64::NAN), &mut st), None);
     }
 
     #[test]

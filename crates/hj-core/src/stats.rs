@@ -17,12 +17,12 @@ pub struct SolveStats {
     pub engine: &'static str,
     /// Canonical name of the pair ordering the solve was scheduled with
     /// (`"cyclic"` or `"row-cyclic"`); empty for a default-constructed
-    /// record or a fixed caller-built plan.
+    /// record.
     pub ordering: &'static str,
     /// Sweeps executed.
     pub sweeps: usize,
-    /// Wall-clock seconds of each sweep, in execution order: planning the
-    /// sweep's rounds plus applying its rotations.
+    /// Wall-clock seconds of each sweep, in execution order; sweep 1's
+    /// include planning the solve's one sweep plan.
     pub sweep_seconds: Vec<f64>,
     /// Total wall-clock seconds across all sweeps, planning included
     /// (excludes the initial Gram build and the final factor-extraction

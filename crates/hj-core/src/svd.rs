@@ -9,7 +9,7 @@
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
 use crate::gram::GramState;
-use crate::ordering::{Ordering, PlanBuffers, SweepSchedule, ThresholdSchedule};
+use crate::ordering::{Ordering, Sweep, SweepSchedule, ThresholdSchedule};
 use crate::recovery::{HealthCheck, SolveBudget};
 use crate::stats::SolveStats;
 use crate::trace::{TraceLevel, TraceSink};
@@ -432,9 +432,12 @@ impl HestenesSvd {
             _ => RotationTarget::gram_only(),
         };
         let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
-        let mut plans = PlanBuffers::new();
-        let (strategy, plan) = plans.schedule_parts(self.options.ordering);
-        let mut schedule = SweepSchedule { strategy, plan, threshold: self.options.threshold };
+        let mut plan = Sweep::new();
+        let mut schedule = SweepSchedule {
+            strategy: self.options.ordering,
+            plan: &mut plan,
+            threshold: self.options.threshold,
+        };
         let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
         if let Some(fault) = run.fault {
             return Err(SvdError::SolveFault { fault, sweeps_completed: run.stats.sweeps });

@@ -2,12 +2,11 @@
 //!
 //! [`crate::SolveStats`] answers *how much* a solve did (rotations,
 //! seconds); this module answers *what happened, in order*: every sweep
-//! boundary, sweep plan, individual rotation decision, and convergence
-//! check is a typed [`TraceEvent`] that the solver pushes into
-//! a caller-supplied [`TraceSink`]. The event vocabulary mirrors the stages
-//! of the paper's pipeline (Figs. 2, 4, 5): a `SweepStart` is the
-//! preprocessor handing control to the rotation/update loop, a
-//! `SweepPlanned` is the sweep's schedule of Fig. 6 rounds, and
+//! boundary, individual rotation decision, and convergence check is a
+//! typed [`TraceEvent`] that the solver pushes into a caller-supplied
+//! [`TraceSink`]. The event vocabulary mirrors the stages of the paper's
+//! pipeline (Figs. 2, 4, 5): a `SweepStart` is the preprocessor handing
+//! control to the rotation/update loop, and
 //! `RotationApplied`/`RotationSkipped` are the per-pair decisions the
 //! hardware's orthogonality guard makes. The cycle-accurate simulator emits
 //! the same stream shape through [`TraceEvent::PipelineStage`], so software
@@ -37,9 +36,9 @@ use std::io::Write;
 ///
 /// Each [`TraceEvent`] carries a minimum level ([`TraceEvent::level`]); an
 /// event is emitted only when the solve's configured level is at least that
-/// minimum. The CLI spellings accepted by [`TraceLevel::parse`]
-/// (`off`/`sweep`/`group`/`rotation`) are what `hjsvd svd --trace-level`
-/// takes.
+/// minimum. [`TraceLevel::parse`] accepts `off`, `sweep` and `rotation`;
+/// `hjsvd svd --trace-level` takes `sweep` and `rotation`, since `--trace`
+/// already asks for events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
     /// No events (the default — tracing fully disabled).
@@ -48,21 +47,17 @@ pub enum TraceLevel {
     /// Sweep boundaries and convergence checks (plus the service's job
     /// lifecycle and the simulator's pipeline stages).
     Sweep,
-    /// Additionally one event per sweep plan (the sweep's rounds of
-    /// disjoint pairs).
-    Group,
     /// Additionally one event per visited pair — every applied and skipped
     /// rotation.
     Rotation,
 }
 
 impl TraceLevel {
-    /// Parse a CLI spelling: `off`, `sweep`, `group`, `rotation`.
+    /// Parse a level name: `off`, `sweep`, `rotation`.
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s {
             "off" => Some(TraceLevel::Off),
             "sweep" => Some(TraceLevel::Sweep),
-            "group" => Some(TraceLevel::Group),
             "rotation" => Some(TraceLevel::Rotation),
             _ => None,
         }
@@ -73,7 +68,6 @@ impl TraceLevel {
         match self {
             TraceLevel::Off => "off",
             TraceLevel::Sweep => "sweep",
-            TraceLevel::Group => "group",
             TraceLevel::Rotation => "rotation",
         }
     }
@@ -119,22 +113,6 @@ pub enum TraceEvent {
         /// Canonical engine name (`"sequential"`).
         engine: &'static str,
     },
-    /// The ordering strategy produced (or reused) this sweep's plan of
-    /// disjoint rounds (emitted by the [`crate::SolveDriver`] loop when a
-    /// [`crate::ordering::SweepSchedule`] drives the solve).
-    SweepPlanned {
-        /// 1-based sweep index.
-        sweep: usize,
-        /// Canonical ordering name (`"cyclic"` or `"row-cyclic"`).
-        ordering: &'static str,
-        /// Rounds in the plan.
-        rounds: usize,
-        /// Total pairs across all rounds.
-        pairs: usize,
-        /// Whether the strategy rebuilt the plan for this sweep (false when
-        /// it reused the cached plan).
-        replanned: bool,
-    },
     /// A sweep finished; carries its rotation counts and timing.
     SweepEnd {
         /// 1-based sweep index.
@@ -145,7 +123,8 @@ pub enum TraceEvent {
         rotations_skipped: usize,
         /// Off-diagonal Frobenius mass of `D` after the sweep.
         off_frobenius: f64,
-        /// Wall-clock seconds of the sweep, planning included.
+        /// Wall-clock seconds of the sweep; sweep 1's include the solve's
+        /// planning.
         seconds: f64,
     },
     /// A plane rotation was applied to columns `(i, j)`.
@@ -244,7 +223,6 @@ impl TraceEvent {
     pub fn name(&self) -> &'static str {
         match self {
             TraceEvent::SweepStart { .. } => "sweep_start",
-            TraceEvent::SweepPlanned { .. } => "sweep_planned",
             TraceEvent::SweepEnd { .. } => "sweep_end",
             TraceEvent::RotationApplied { .. } => "rotation_applied",
             TraceEvent::RotationSkipped { .. } => "rotation_skipped",
@@ -270,7 +248,6 @@ impl TraceEvent {
             | TraceEvent::JobCompleted { .. }
             | TraceEvent::JobFaulted { .. }
             | TraceEvent::PipelineStage { .. } => TraceLevel::Sweep,
-            TraceEvent::SweepPlanned { .. } => TraceLevel::Group,
             TraceEvent::RotationApplied { .. } | TraceEvent::RotationSkipped { .. } => {
                 TraceLevel::Rotation
             }
@@ -283,7 +260,6 @@ impl TraceEvent {
     pub fn sweep(&self) -> Option<usize> {
         match *self {
             TraceEvent::SweepStart { sweep, .. }
-            | TraceEvent::SweepPlanned { sweep, .. }
             | TraceEvent::SweepEnd { sweep, .. }
             | TraceEvent::RotationApplied { sweep, .. }
             | TraceEvent::RotationSkipped { sweep, .. }
@@ -311,14 +287,6 @@ impl TraceEvent {
             TraceEvent::SweepStart { sweep, engine } => {
                 write_num(&mut s, "sweep", *sweep as f64);
                 write_str(&mut s, "engine", engine);
-            }
-            TraceEvent::SweepPlanned { sweep, ordering, rounds, pairs, replanned } => {
-                write_num(&mut s, "sweep", *sweep as f64);
-                write_str(&mut s, "ordering", ordering);
-                write_num(&mut s, "rounds", *rounds as f64);
-                write_num(&mut s, "pairs", *pairs as f64);
-                s.push_str(",\"replanned\":");
-                s.push_str(if *replanned { "true" } else { "false" });
             }
             TraceEvent::SweepEnd {
                 sweep,
@@ -560,7 +528,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 /// disabled tracer costs one branch per site.
 ///
 /// Hot paths guard event *construction* on [`Tracer::enabled`] (or the
-/// [`Tracer::rotation_enabled`] / [`Tracer::group_enabled`] shorthands), so
+/// [`Tracer::sweep_enabled`] / [`Tracer::rotation_enabled`] shorthands), so
 /// with tracing off no event is ever built.
 pub struct Tracer<'a, 'k> {
     sink: Option<&'a mut (dyn TraceSink + 'k)>,
@@ -604,12 +572,6 @@ impl<'a, 'k> Tracer<'a, 'k> {
         self.enabled(TraceLevel::Sweep)
     }
 
-    /// Shorthand for `enabled(TraceLevel::Group)`.
-    #[inline]
-    pub fn group_enabled(&self) -> bool {
-        self.enabled(TraceLevel::Group)
-    }
-
     /// Shorthand for `enabled(TraceLevel::Rotation)`.
     #[inline]
     pub fn rotation_enabled(&self) -> bool {
@@ -643,12 +605,12 @@ mod tests {
     #[test]
     fn levels_are_ordered() {
         assert!(TraceLevel::Off < TraceLevel::Sweep);
-        assert!(TraceLevel::Sweep < TraceLevel::Group);
-        assert!(TraceLevel::Group < TraceLevel::Rotation);
-        for l in [TraceLevel::Off, TraceLevel::Sweep, TraceLevel::Group, TraceLevel::Rotation] {
+        assert!(TraceLevel::Sweep < TraceLevel::Rotation);
+        for l in [TraceLevel::Off, TraceLevel::Sweep, TraceLevel::Rotation] {
             assert_eq!(TraceLevel::parse(l.name()), Some(l));
         }
         assert_eq!(TraceLevel::parse("verbose"), None);
+        assert_eq!(TraceLevel::parse("group"), None);
     }
 
     #[test]
@@ -657,13 +619,6 @@ mod tests {
         let mut t = Tracer::new(&mut sink, TraceLevel::Sweep);
         t.emit(TraceEvent::SweepStart { sweep: 1, engine: "sequential" });
         t.emit(TraceEvent::RotationApplied { sweep: 1, i: 0, j: 1 });
-        t.emit(TraceEvent::SweepPlanned {
-            sweep: 1,
-            ordering: "cyclic",
-            rounds: 7,
-            pairs: 28,
-            replanned: true,
-        });
         assert_eq!(sink.events().len(), 1, "only the sweep-level event passes");
         assert!(!Tracer::disabled().rotation_enabled());
         assert_eq!(Tracer::disabled().level(), TraceLevel::Off);
@@ -733,13 +688,6 @@ mod tests {
     fn every_event_names_its_level() {
         let events = [
             TraceEvent::SweepStart { sweep: 1, engine: "sequential" },
-            TraceEvent::SweepPlanned {
-                sweep: 1,
-                ordering: "cyclic",
-                rounds: 7,
-                pairs: 28,
-                replanned: true,
-            },
             TraceEvent::SweepEnd {
                 sweep: 1,
                 rotations_applied: 1,

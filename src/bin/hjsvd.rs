@@ -4,7 +4,7 @@
 //! hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
 //!           [--ordering cyclic|row]
 //!           [--threshold-schedule] [--timeout-ms T]
-//!           [--trace PATH] [--trace-level off|sweep|group|rotation]
+//!           [--trace PATH] [--trace-level sweep|rotation]
 //! hjsvd svd --batch <dir-or-csv-list> [--stats PATH] [--ordering cyclic|row]
 //!           [--threshold-schedule]
 //! hjsvd pca <data.csv> --components K [--out PREFIX]
@@ -175,7 +175,7 @@ USAGE:
   hjsvd svd <matrix.csv> [--values-only] [--rank K] [--out PREFIX] [--stats PATH]
             [--ordering cyclic|row]
             [--threshold-schedule] [--timeout-ms T]
-            [--trace PATH] [--trace-level off|sweep|group|rotation]
+            [--trace PATH] [--trace-level sweep|rotation]
       Decompose a CSV matrix. Prints singular values; with --out, writes
       PREFIX_u.csv / PREFIX_s.csv / PREFIX_v.csv. --rank truncates.
       --stats writes the solve's SolveStats record as JSON (PATH of '-'
@@ -188,8 +188,7 @@ USAGE:
       aborts at the next sweep boundary past the deadline (exit code 8).
       --trace streams structured solve events as JSON Lines to PATH ('-'
       = stdout); --trace-level picks the verbosity (default sweep:
-      per-sweep summaries; group adds each sweep's plan; rotation adds
-      every applied/skipped rotation).
+      per-sweep summaries; rotation adds every applied/skipped rotation).
   hjsvd svd --batch <dir-or-csv-list> [--stats PATH]
             [--ordering cyclic|row] [--threshold-schedule]
       Decompose a whole set of matrices in one batch solve (values only).
@@ -366,15 +365,19 @@ fn emit_stats(
 
 /// Resolve the `--trace` / `--trace-level` pair: `Some((path, level))` when
 /// tracing is requested. `--trace-level` without `--trace` is a usage error —
-/// there would be nowhere to write the events.
+/// there would be nowhere to write the events — and so is `off`: `--trace`
+/// already asks for events, and a traced solve promotes `off` to `sweep`.
 fn trace_option(p: &ParsedArgs) -> Result<Option<(String, TraceLevel)>, CliError> {
     let level = match p.opt("trace-level") {
         None => TraceLevel::Sweep,
-        Some(v) => TraceLevel::parse(v).ok_or_else(|| {
-            CliError::usage(format!(
-                "--trace-level: unknown level '{v}' (choose off, sweep, group, or rotation)"
-            ))
-        })?,
+        Some(v) => match TraceLevel::parse(v) {
+            Some(level) if level != TraceLevel::Off => level,
+            _ => {
+                return Err(CliError::usage(format!(
+                    "--trace-level: unknown level '{v}' (choose sweep or rotation)"
+                )))
+            }
+        },
     };
     match p.opt("trace") {
         Some(path) => Ok(Some((path.to_string(), level))),
@@ -1049,13 +1052,13 @@ mod tests {
         assert!(starts > 0 && starts == ends, "unbalanced sweeps: {starts} vs {ends}");
         assert!(!text.contains("rotation_applied"), "sweep level must not emit rotations");
 
-        // Rotation level adds per-rotation events on top of each sweep's
-        // plan. Values-only path.
+        // Rotation level adds per-rotation events, and nothing else.
+        // Values-only path.
         run(&args(&["svd", &mp, "--values-only", "--trace", &tp, "--trace-level", "rotation"]))
             .unwrap();
         let rot = std::fs::read_to_string(&tp).unwrap();
         assert!(rot.contains("\"event\":\"rotation_applied\""));
-        assert!(rot.contains("\"event\":\"sweep_planned\""));
+        assert!(!rot.contains("\"event\":\"sweep_plan"), "no plan events");
 
         // '-' streams to stdout without error.
         run(&args(&["svd", &mp, "--values-only", "--trace", "-"])).unwrap();
@@ -1072,11 +1075,13 @@ mod tests {
         let e = run(&args(&["svd", &mp, "--trace-level", "rotation"])).unwrap_err();
         assert_eq!((e.code, e.kind), (2, "usage"));
         assert!(e.message.contains("--trace"), "{}", e.message);
-        // Unknown level.
+        // Unknown levels, and `off`, which --trace contradicts.
         let tp = dir.join("t.jsonl").to_str().unwrap().to_string();
-        let e = run(&args(&["svd", &mp, "--trace", &tp, "--trace-level", "verbose"])).unwrap_err();
-        assert_eq!((e.code, e.kind), (2, "usage"));
-        assert!(e.message.contains("choose off, sweep, group, or rotation"), "{}", e.message);
+        for level in ["verbose", "group", "off"] {
+            let e = run(&args(&["svd", &mp, "--trace", &tp, "--trace-level", level])).unwrap_err();
+            assert_eq!((e.code, e.kind), (2, "usage"), "{level}");
+            assert!(e.message.contains("choose sweep or rotation"), "{}", e.message);
+        }
         // Unwritable trace path is an io error.
         let e = run(&args(&["svd", &mp, "--trace", "/nonexistent/dir/t.jsonl"])).unwrap_err();
         assert_eq!((e.code, e.kind), (3, "io"));

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! numerical invariants of the workspace.
 
-use hjsvd::core::ordering::{round_robin, row_cyclic, Ordering, PlanBuffers};
+use hjsvd::core::ordering::{round_robin, row_cyclic, Ordering, Sweep};
 use hjsvd::core::rotation::{hardware_params, rotate_norms, textbook_params};
 use hjsvd::core::{BatchDriver, BatchWorkspace, GramState, HestenesSvd, SvdOptions};
 use hjsvd::matrix::{gen, norms, PackedSymmetric};
@@ -262,37 +262,37 @@ proptest! {
         n1 in 2usize..12,
         n2 in 2usize..12,
     ) {
-        // One set of plan buffers carried across two different-shaped full
-        // solves (and across orderings, each with its own plan) produces the
-        // same bits as fresh buffers per solve: a replan for a new shape
-        // leaves no stale round width or pair behind.
+        // One plan buffer carried across two different-shaped full solves
+        // under both orderings produces the same bits as a fresh buffer per
+        // solve: planning into a used buffer leaves no stale round width or
+        // pair behind.
         use hjsvd::core::convergence::{Convergence, MAX_SWEEP_CAP};
         use hjsvd::core::engine::Sequential;
         use hjsvd::core::{
-            PairGuard, RotationTarget, SolveDriver, SolveMonitor, SweepSchedule, SweepState,
+            HealthCheck, PairGuard, RotationTarget, SolveBudget, SolveDriver, SolveMonitor,
+            SweepSchedule, SweepState,
         };
         use hjsvd::matrix::Matrix;
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let shapes = [(2 * n1 + 1, n1), (3 * n2, n2)];
-        let mut carried = PlanBuffers::new();
+        let mut carried = Sweep::new();
         for (k, &(m, n)) in shapes.iter().enumerate() {
             let src = gen::uniform(m, n, seed.wrapping_add(k as u64));
             for ordering in Ordering::ALL {
-                let solve = |plans: &mut PlanBuffers| {
+                let solve = |plan: &mut Sweep| {
                     let (mut b, mut v) = (src.clone(), Matrix::identity(n));
                     let mut gram = GramState::from_matrix(&src);
                     let target = RotationTarget::full(&mut b, &mut v);
                     let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
-                    let (strategy, plan) = plans.schedule_parts(ordering);
-                    let mut schedule = SweepSchedule { strategy, plan, threshold: None };
+                    let mut schedule = SweepSchedule { strategy: ordering, plan, threshold: None };
                     let driver =
                         SolveDriver { convergence: Convergence::default(), max_sweeps: MAX_SWEEP_CAP };
-                    let mut monitor = SolveMonitor::passive();
+                    let mut monitor = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default());
                     let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
                     (bits(gram.packed().as_slice()), bits(b.as_slice()), bits(v.as_slice()), run.history)
                 };
                 let reused = solve(&mut carried);
-                let fresh = solve(&mut PlanBuffers::new());
+                let fresh = solve(&mut Sweep::new());
                 prop_assert_eq!(&reused.0, &fresh.0, "D differs on solve {} ({:?})", k, ordering);
                 prop_assert_eq!(&reused.1, &fresh.1, "B differs on solve {} ({:?})", k, ordering);
                 prop_assert_eq!(&reused.2, &fresh.2, "V differs on solve {} ({:?})", k, ordering);
@@ -306,31 +306,29 @@ proptest! {
         seed in 0u64..100,
         n in 2usize..24,
     ) {
-        // The scheduling contract every strategy must honor, sweep after
-        // sweep: pairs are (i, j) with i < j < n, no pair is visited twice
-        // within one sweep, no column appears twice within one round, and
-        // every pair is visited exactly once per sweep.
-        let a = gen::uniform(2 * n + 1, n, seed);
-        let gram = GramState::from_matrix(&a);
-        let mut buffers = PlanBuffers::new();
-        for kind in Ordering::ALL {
-            let (strategy, plan) = buffers.schedule_parts(kind);
-            for sweep_index in 1..=3usize {
-                strategy.plan_sweep(&gram, sweep_index, plan);
+        // The scheduling contract every ordering must honor, also when it
+        // plans into a buffer another shape or ordering used: pairs are
+        // (i, j) with i < j < n, no pair is visited twice within one sweep,
+        // no column appears twice within one round, and every pair is
+        // visited exactly once per sweep.
+        let mut plan = Sweep::new();
+        for dim in [n, (seed as usize) % 24 + 2, n] {
+            for kind in Ordering::ALL {
+                kind.plan_into(dim, &mut plan);
                 let mut seen = std::collections::HashSet::new();
                 for round in plan.rounds() {
                     let mut used = std::collections::HashSet::new();
                     for &(i, j) in round {
-                        prop_assert!(i < j && j < n,
-                            "{}: bad pair ({i},{j}) for n={n}", kind.name());
+                        prop_assert!(i < j && j < dim,
+                            "{}: bad pair ({i},{j}) for n={dim}", kind.name());
                         prop_assert!(seen.insert((i, j)),
-                            "{}: pair ({i},{j}) visited twice in sweep {sweep_index}", kind.name());
+                            "{}: pair ({i},{j}) visited twice at n={dim}", kind.name());
                         prop_assert!(used.insert(i) && used.insert(j),
                             "{}: column reused within a round", kind.name());
                     }
                 }
-                prop_assert_eq!(seen.len(), n * (n - 1) / 2,
-                    "{}: sweep {} must cover every pair", kind.name(), sweep_index);
+                prop_assert_eq!(seen.len(), dim * (dim - 1) / 2,
+                    "{}: the sweep must cover every pair at n={}", kind.name(), dim);
             }
         }
     }
@@ -340,31 +338,31 @@ proptest! {
         seed in 0u64..60,
         n in 2usize..12,
     ) {
-        // The ordering refactor moved plan construction behind
-        // OrderingStrategy + PlanBuffers; the default cyclic schedule must
-        // still produce the exact bits of the engine driven over the fixed
-        // round_robin(n) plan.
-        use hjsvd::core::engine::Sequential;
-        use hjsvd::core::{PairGuard, RotationTarget, SolveDriver, SweepState};
+        // The solve plans its cyclic schedule inside the driver; it must
+        // still produce the exact bits of the engine driven sweep by sweep
+        // over the fixed round_robin(n) plan, for as many sweeps as the
+        // solve ran.
+        use hjsvd::core::engine::{Sequential, SweepEngine};
+        use hjsvd::core::{PairGuard, RotationTarget, SweepState};
         use hjsvd::matrix::{ops, Matrix};
         let m = 2 * n + 3;
         let a = gen::uniform(m, n, seed);
         let opts = SvdOptions { ordering: Ordering::RoundRobin, ..Default::default() };
 
+        let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
+
         let mut b = a.clone();
         let mut g = GramState::from_matrix(&b);
         let mut v = Matrix::identity(n);
-        let driver = SolveDriver { convergence: opts.convergence, max_sweeps: opts.max_sweeps };
         let order = round_robin(n);
         let mut state = SweepState {
             gram: &mut g,
             target: RotationTarget::full(&mut b, &mut v),
             guard: PairGuard::default(),
         };
-        let (history, _) = driver.run(&mut Sequential, &mut state, &order);
-
-        let svd = HestenesSvd::new(opts).decompose(&a).unwrap();
-        prop_assert_eq!(svd.sweeps, history.len(), "sweep count changed");
+        let history: Vec<_> =
+            (1..=svd.sweeps).map(|s| Sequential.sweep(&mut state, &order, s)).collect();
+        prop_assert_eq!(&svd.history, &history, "sweep records differ");
 
         let mut idx: Vec<usize> = (0..n).collect();
         let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();

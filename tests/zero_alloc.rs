@@ -16,11 +16,11 @@
 
 use hjsvd::core::convergence::Convergence;
 use hjsvd::core::engine::Sequential;
-use hjsvd::core::ordering::round_robin;
+use hjsvd::core::ordering::{round_robin, Sweep};
 use hjsvd::core::{
-    BatchDriver, BatchWorkspace, GramState, HestenesSvd, Ordering as SweepOrdering, PairGuard,
-    PlanBuffers, RotationTarget, SolveDriver, SolveMonitor, SvdOptions, SweepEngine, SweepSchedule,
-    SweepState,
+    BatchDriver, BatchWorkspace, GramState, HealthCheck, HestenesSvd, Ordering as SweepOrdering,
+    PairGuard, RotationTarget, SolveBudget, SolveDriver, SolveMonitor, SvdOptions, SweepEngine,
+    SweepSchedule, SweepState,
 };
 use hjsvd::matrix::{gen, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,7 +70,7 @@ fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
 
 /// Allocation events of one [`SolveDriver`] run of exactly `sweeps`
 /// [`Sequential`] sweeps over a fresh copy of `a` (values-only, or with the
-/// columns and `V` when `full`), replanning into `plans`. The state is built
+/// columns and `V` when `full`), planning into `plan`. The state is built
 /// outside the measured region.
 ///
 /// The minimum over `tries` runs is kept: the counter is process-global and
@@ -82,7 +82,7 @@ fn driver_run_allocations(
     a: &Matrix,
     sweeps: usize,
     full: bool,
-    plans: &mut PlanBuffers,
+    plan: &mut Sweep,
     tries: usize,
 ) -> usize {
     let driver = SolveDriver { convergence: Convergence::FixedSweeps(sweeps), max_sweeps: sweeps };
@@ -94,9 +94,12 @@ fn driver_run_allocations(
         let target =
             if full { RotationTarget::full(&mut b, &mut v) } else { RotationTarget::gram_only() };
         let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
-        let (strategy, plan) = plans.schedule_parts(SweepOrdering::RoundRobin);
-        let mut schedule = SweepSchedule { strategy, plan, threshold: None };
-        let mut monitor = SolveMonitor::passive();
+        let mut schedule = SweepSchedule {
+            strategy: SweepOrdering::RoundRobin,
+            plan: &mut *plan,
+            threshold: None,
+        };
+        let mut monitor = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default());
         let before = allocation_count();
         let run = driver.run_monitored(&mut Sequential, &mut state, &mut schedule, &mut monitor);
         best = best.min(allocation_count() - before);
@@ -115,9 +118,9 @@ fn gram_sweeps_allocate_nothing_after_warmup() {
     // sized on sweep 1, and sweeps 2–4 add nothing.
     let _guard = serial_guard();
     let a = gen::uniform(48, 24, 11);
-    let mut plans = PlanBuffers::new();
-    let one = driver_run_allocations(&a, 1, false, &mut plans, 5);
-    let four = driver_run_allocations(&a, 4, false, &mut plans, 5);
+    let mut plan = Sweep::new();
+    let one = driver_run_allocations(&a, 1, false, &mut plan, 5);
+    let four = driver_run_allocations(&a, 4, false, &mut plan, 5);
     assert!(four <= one, "gram sweeps 2–4 allocated: {four} events vs {one} for one sweep");
 }
 
@@ -155,9 +158,9 @@ fn full_sweeps_allocate_nothing_after_warmup() {
     // Full mode rotates B's columns and accumulates V in place too.
     let _guard = serial_guard();
     let a = gen::uniform(32, 12, 13);
-    let mut plans = PlanBuffers::new();
-    let one = driver_run_allocations(&a, 1, true, &mut plans, 5);
-    let four = driver_run_allocations(&a, 4, true, &mut plans, 5);
+    let mut plan = Sweep::new();
+    let one = driver_run_allocations(&a, 1, true, &mut plan, 5);
+    let four = driver_run_allocations(&a, 4, true, &mut plan, 5);
     assert!(four <= one, "full sweeps 2–4 allocated: {four} events vs {one} for one sweep");
 }
 
@@ -317,7 +320,7 @@ fn batch_workspace_solves_allocate_only_results_after_warmup() {
 
 #[test]
 fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
-    // One set of plan buffers carried across problems of different shapes:
+    // One plan buffer carried across problems of different shapes:
     // a new problem's first sweep costs a bounded handful of events — the
     // driver's bookkeeping plus any plan regrowth — and every later sweep
     // of that problem costs zero.
@@ -327,7 +330,7 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
         .enumerate()
         .map(|(k, &(m, n))| gen::uniform(m, n, 17 + k as u64))
         .collect();
-    let mut plans = PlanBuffers::new();
+    let mut plan = Sweep::new();
 
     for (k, a) in problems.iter().enumerate() {
         let (m, n) = a.shape();
@@ -336,12 +339,12 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
         // independent of the number of rounds or sweeps. Each try first
         // runs the previous problem, and the minimum of five is kept (see
         // `driver_run_allocations`), which also leaves out the one-time
-        // growth of the fresh buffer set.
+        // growth of the fresh buffer.
         let previous = &problems[(k + problems.len() - 1) % problems.len()];
         let warmup = (0..5)
             .map(|_| {
-                driver_run_allocations(previous, 1, true, &mut plans, 1);
-                driver_run_allocations(a, 1, true, &mut plans, 1)
+                driver_run_allocations(previous, 1, true, &mut plan, 1);
+                driver_run_allocations(a, 1, true, &mut plan, 1)
             })
             .min()
             .expect("five tries");
@@ -349,8 +352,8 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
         assert!(warmup <= bound, "warm-up on {m}x{n} allocated {warmup} times (> {bound})");
 
         // Steady state: zero allocations per sweep, hence zero per round.
-        let one = driver_run_allocations(a, 1, true, &mut plans, 5);
-        let four = driver_run_allocations(a, 4, true, &mut plans, 5);
+        let one = driver_run_allocations(a, 1, true, &mut plan, 5);
+        let four = driver_run_allocations(a, 4, true, &mut plan, 5);
         assert!(four <= one, "steady-state sweeps on {m}x{n} allocated ({four} vs {one})");
     }
 }
