@@ -30,7 +30,8 @@
 
 use hj_bench::{fmt_secs, print_table};
 use hj_core::{
-    HestenesSvd, Ordering, RingBufferSink, SvdOptions, ThresholdSchedule, TraceEvent, TraceLevel,
+    HestenesSvd, Ordering, Request, RingBufferSink, SvdOptions, ThresholdSchedule, TraceEvent,
+    TraceLevel,
 };
 use hj_matrix::gen;
 
@@ -81,7 +82,6 @@ fn run_one(
     let solver = HestenesSvd::new(SvdOptions {
         ordering,
         threshold: threshold.then(ThresholdSchedule::default),
-        trace: TraceLevel::Sweep,
         ..SvdOptions::default()
     });
     // Sweep level emits 3 events per sweep (start, end, convergence check);
@@ -92,7 +92,7 @@ fn run_one(
     } else {
         ordering.name().to_string()
     };
-    let sv = match solver.singular_values_traced(a, &mut sink) {
+    let sv = match solver.singular_values_with(a, Request::traced(&mut sink, TraceLevel::Sweep)) {
         Ok(sv) => sv,
         Err(e) => {
             eprintln!("FAIL n={n} ordering={label}: {e}");

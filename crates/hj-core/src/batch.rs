@@ -1,42 +1,28 @@
-//! Batched solves over independent matrices.
+//! Batched values-only solves over independent matrices.
 //!
 //! The paper's architecture processes one decomposition at a time, but the
 //! motivating workloads (PCA over many sensor windows, blocks of a larger
-//! problem) arrive as *batches* of independent matrices. These drivers fan
-//! the batch across the thread pool, one solve per matrix:
+//! problem) arrive as *batches* of independent matrices. Uniform batches of
+//! small problems run on the SoA batch engine ([`crate::batch_engine`]);
+//! every other batch fans out across the thread pool, one solve per matrix:
 //!
 //! * **Deterministic ordering** — result `k` always corresponds to input
 //!   `k`, regardless of which worker ran it or in what order solves
 //!   finished.
-//! * **Bit-identical results** — each solve is the exact same computation as
-//!   its one-at-a-time counterpart, whichever worker runs it.
+//! * **Bit-identical results** — each looped solve is the exact same
+//!   computation as its one-at-a-time counterpart, whichever worker runs it.
 //! * **Per-solve isolation** — a bad input (e.g. NaN → `NonFiniteInput`)
 //!   yields an `Err` in its own slot and leaves every other solve untouched.
 
 use crate::batch_engine::{soa_eligible, BatchDriver, BatchWorkspace};
-use crate::svd::{HestenesSvd, SingularValues, Svd};
+use crate::svd::{HestenesSvd, SingularValues};
 use crate::SvdError;
 use hj_matrix::Matrix;
 use rayon::prelude::*;
 
 impl HestenesSvd {
-    /// Decompose every matrix of the batch with this solver's options.
-    ///
-    /// ```
-    /// use hj_core::{HestenesSvd, SvdOptions};
-    /// use hj_matrix::gen;
-    ///
-    /// let mats: Vec<_> = (0..4).map(|k| gen::uniform(16, 6, k)).collect();
-    /// let solver = HestenesSvd::new(SvdOptions::default());
-    /// let results = solver.decompose_batch(&mats);
-    /// assert_eq!(results.len(), 4);
-    /// assert!(results.iter().all(|r| r.is_ok()));
-    /// ```
-    pub fn decompose_batch(&self, mats: &[Matrix]) -> Vec<Result<Svd, SvdError>> {
-        fan_out(mats, |m| self.decompose(m))
-    }
-
-    /// Values-only counterpart of [`HestenesSvd::decompose_batch`].
+    /// The singular values of every matrix of the batch, with this solver's
+    /// options; result `k` is input `k`'s.
     ///
     /// Uniform-shape batches of small problems (`2 ≤ n ≤ 32`, default
     /// cyclic ordering) dispatch to the batched SoA engine
@@ -46,6 +32,16 @@ impl HestenesSvd {
     /// shapes, larger problems, other orderings or threshold configurations)
     /// takes the looped per-matrix path, which stays bit-identical to
     /// one-at-a-time solves.
+    ///
+    /// ```
+    /// use hj_core::{HestenesSvd, SvdOptions};
+    /// use hj_matrix::gen;
+    ///
+    /// let mats: Vec<_> = (0..4).map(|k| gen::uniform(16, 6, k)).collect();
+    /// let results = HestenesSvd::new(SvdOptions::default()).singular_values_batch(&mats);
+    /// assert_eq!(results.len(), 4);
+    /// assert!(results.iter().all(|r| r.is_ok()));
+    /// ```
     pub fn singular_values_batch(&self, mats: &[Matrix]) -> Vec<Result<SingularValues, SvdError>> {
         self.singular_values_batch_with_workspace(mats, &mut BatchWorkspace::new())
     }
@@ -68,27 +64,21 @@ impl HestenesSvd {
 
     /// The looped per-matrix batch path, bypassing the SoA dispatch of
     /// [`HestenesSvd::singular_values_batch`] — one full scalar solve per
-    /// matrix, bit-identical to [`HestenesSvd::singular_values`] per slot.
+    /// matrix across the thread pool, each worker taking a contiguous block
+    /// of slots, bit-identical to [`HestenesSvd::singular_values`] per slot.
     /// This is the baseline the `batch_throughput` benchmark compares the
     /// SoA engine against.
     pub fn singular_values_batch_looped(
         &self,
         mats: &[Matrix],
     ) -> Vec<Result<SingularValues, SvdError>> {
-        fan_out(mats, |m| self.singular_values(m))
+        let mut out: Vec<Option<Result<SingularValues, SvdError>>> =
+            (0..mats.len()).map(|_| None).collect();
+        out.par_iter_mut()
+            .enumerate()
+            .for_each(|(k, slot)| *slot = Some(self.singular_values(&mats[k])));
+        out.into_iter().map(|r| r.expect("every batch slot is filled")).collect()
     }
-}
-
-/// One `solve` per matrix across the thread pool, each worker taking a
-/// contiguous block of slots; result `k` is always input `k`'s.
-fn fan_out<T, F>(mats: &[Matrix], solve: F) -> Vec<Result<T, SvdError>>
-where
-    T: Send,
-    F: Fn(&Matrix) -> Result<T, SvdError> + Sync,
-{
-    let mut out: Vec<Option<Result<T, SvdError>>> = (0..mats.len()).map(|_| None).collect();
-    out.par_iter_mut().enumerate().for_each(|(k, slot)| *slot = Some(solve(&mats[k])));
-    out.into_iter().map(|r| r.expect("every batch slot is filled")).collect()
 }
 
 #[cfg(test)]
@@ -104,22 +94,6 @@ mod tests {
             gen::uniform(6, 20, 3), // wide
             gen::with_singular_values(24, 4, &[8.0, 4.0, 2.0, 1.0], 4),
         ]
-    }
-
-    #[test]
-    fn batch_matches_sequential_bitwise() {
-        let mats = mixed_batch();
-        let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.decompose_batch(&mats);
-        assert_eq!(batch.len(), mats.len());
-        for (k, res) in batch.iter().enumerate() {
-            let one = solver.decompose(&mats[k]).unwrap();
-            let b = res.as_ref().unwrap();
-            assert_eq!(b.u.as_slice(), one.u.as_slice(), "U[{k}] differs");
-            assert_eq!(b.singular_values, one.singular_values, "σ[{k}] differs");
-            assert_eq!(b.v.as_slice(), one.v.as_slice(), "V[{k}] differs");
-            assert_eq!(b.sweeps, one.sweeps);
-        }
     }
 
     #[test]
@@ -142,7 +116,7 @@ mod tests {
         mats.push(Matrix::zeros(0, 4)); // empty → EmptyInput
 
         let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.decompose_batch(&mats);
+        let batch = solver.singular_values_batch(&mats);
         assert_eq!(batch.len(), mats.len());
         assert!(matches!(batch[2], Err(SvdError::NonFiniteInput)));
         assert!(matches!(batch[mats.len() - 1], Err(SvdError::EmptyInput)));
@@ -150,9 +124,9 @@ mod tests {
             if k == 2 || k == mats.len() - 1 {
                 continue;
             }
-            let one = solver.decompose(&mats[k]).unwrap();
+            let one = solver.singular_values(&mats[k]).unwrap();
             let b = res.as_ref().expect("good input must solve");
-            assert_eq!(b.singular_values, one.singular_values, "slot {k} perturbed");
+            assert_eq!(b.values, one.values, "slot {k} perturbed");
         }
     }
 
@@ -174,7 +148,7 @@ mod tests {
         let expired = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let faulty = HestenesSvd::new(SvdOptions::default())
             .with_budget(crate::SolveBudget::with_deadline(expired));
-        for (k, res) in faulty.decompose_batch(&mats).iter().enumerate() {
+        for (k, res) in faulty.singular_values_batch(&mats).iter().enumerate() {
             assert!(
                 matches!(res, Err(SvdError::SolveFault { .. })),
                 "slot {k} should abort on the expired deadline, got {res:?}"
@@ -212,7 +186,6 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let solver = HestenesSvd::new(SvdOptions::default());
-        assert!(solver.decompose_batch(&[]).is_empty());
         assert!(solver.singular_values_batch(&[]).is_empty());
     }
 }

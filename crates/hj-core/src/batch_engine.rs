@@ -61,10 +61,10 @@ use crate::engine::PAIR_TOL;
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
 use crate::ordering::{round_robin, Ordering};
 use crate::recovery::{
-    Fault, HealthCheck, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR, STALL_SWEEPS,
+    Fault, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR, STALL_SWEEPS,
 };
 use crate::stats::SolveStats;
-use crate::svd::{prescale_exponent, unscale_values, HestenesSvd, SingularValues, WIDE_TAIL_TOL};
+use crate::svd::{prescale_exponent, scale_exp2, spectrum, HestenesSvd, SingularValues};
 use crate::SvdError;
 use hj_matrix::{ops, soa, Matrix, PackedSymmetric};
 use std::time::Instant;
@@ -494,7 +494,7 @@ impl<'a> BatchDriver<'a> {
                     0.0,
                 );
                 ws.scaled.copy_from_slice(mat.as_slice());
-                scale_exact(&mut ws.scaled, exp);
+                scale_exp2(&mut ws.scaled, exp);
                 &ws.scaled
             };
             ops::gram_packed(data, mat.rows(), n, &mut ws.d[base..], block);
@@ -519,7 +519,6 @@ impl<'a> BatchDriver<'a> {
     #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
     fn sweep_inner(&self, ws: &mut BatchWorkspace, plan: CorruptionPlan<'_>) {
         let opts = self.solver.options();
-        let health = HealthCheck::default();
         let budget = self.solver.budget();
         let max_sweeps = opts.max_sweeps.min(MAX_SWEEP_CAP);
         let n = ws.n;
@@ -615,7 +614,7 @@ impl<'a> BatchDriver<'a> {
                     rotations_skipped: pair_count - ws.applied_count[p],
                 };
                 ws.histories[p].push(rec);
-                if let Some(fault) = lane_health(&health, ws, p, &rec) {
+                if let Some(fault) = lane_health(ws, p, &rec) {
                     ws.active[p] = 0;
                     ws.outcome[p] = LaneOutcome::Faulted(fault);
                     continue;
@@ -628,11 +627,12 @@ impl<'a> BatchDriver<'a> {
         }
     }
 
-    /// Extract per-problem results: `σᵢ = √D_ii` sorted descending, the
-    /// wide-matrix truncated-tail check, prescale undo, and a per-problem
-    /// [`SolveStats`] under the `"batch-soa"` engine name. `mats` must be
-    /// the slice passed to [`BatchDriver::load`] (the row counts size each
-    /// problem's thin spectrum).
+    /// Extract per-problem results: the scalar path's spectrum step
+    /// (`σᵢ = √D_ii` sorted descending, the wide-matrix truncated-tail
+    /// check, prescale undo) and a per-problem [`SolveStats`] under the
+    /// `"batch-soa"` engine name. `mats` must be the slice passed to
+    /// [`BatchDriver::load`] (the row counts size each problem's thin
+    /// spectrum).
     pub fn extract(
         &self,
         ws: &BatchWorkspace,
@@ -653,18 +653,8 @@ impl<'a> BatchDriver<'a> {
                     }
                     LaneOutcome::Running | LaneOutcome::Converged => {}
                 }
-                let mut values: Vec<f64> = (0..n).map(|r| diag(r, p).max(0.0).sqrt()).collect();
-                values.sort_by(|x, y| y.partial_cmp(x).expect("finite values"));
-                let k = mats[p].rows().min(n);
-                if k < values.len() {
-                    let tail_mass: f64 = values[k..].iter().map(|s| s * s).sum();
-                    let trace: f64 = (0..n).map(|r| diag(r, p)).sum();
-                    if trace > 0.0 && tail_mass > trace * WIDE_TAIL_TOL {
-                        return Err(SvdError::TruncatedTailNotNegligible);
-                    }
-                }
-                values.truncate(k);
-                unscale_values(&mut values, ws.exps[p]);
+                let values =
+                    spectrum((0..n).map(|r| diag(r, p)).collect(), mats[p].rows(), ws.exps[p])?;
                 let history = ws.histories[p].clone();
                 let sweeps = history.len();
                 let mut stats = SolveStats {
@@ -682,21 +672,17 @@ impl<'a> BatchDriver<'a> {
     }
 }
 
-/// Per-lane replica of [`HealthCheck`]'s inspection, over the
-/// workspace's fused metric scan — same thresholds, same check order.
-fn lane_health(
-    health: &HealthCheck,
-    ws: &mut BatchWorkspace,
-    p: usize,
-    rec: &SweepRecord,
-) -> Option<Fault> {
+/// Per-lane replica of the default [`crate::HealthCheck`]'s inspection,
+/// over the workspace's fused metric scan — same thresholds, same check
+/// order, negative diagonals included (every lane is a Gram matrix).
+fn lane_health(ws: &mut BatchWorkspace, p: usize, rec: &SweepRecord) -> Option<Fault> {
     if !rec.off_frobenius.is_finite() || !rec.mean_abs_cov.is_finite() {
         return Some(Fault::NonFiniteGram { sweep: rec.sweep });
     }
     if ws.diag_finite[p] == 0 {
         return Some(Fault::NonFiniteGram { sweep: rec.sweep });
     }
-    if health.negative_diagonal && ws.diag_min[p] < -NEGATIVE_DIAG_TOL * ws.diag_max_abs[p] {
+    if ws.diag_min[p] < -NEGATIVE_DIAG_TOL * ws.diag_max_abs[p] {
         return Some(Fault::NegativeDiagonal { sweep: rec.sweep, index: ws.diag_argmin[p] });
     }
     let floor = STALL_OFF_FLOOR * ws.diag_max_abs[p] * ws.n as f64;
@@ -715,23 +701,6 @@ fn lane_health(
     }
     ws.best_off[p] = ws.best_off[p].min(rec.off_frobenius);
     None
-}
-
-/// Multiply every slice entry by `2^k` exactly, mirroring the scalar
-/// driver's `apply_exp2` two-half-step split for extreme exponents.
-fn scale_exact(values: &mut [f64], k: i32) {
-    if k == 0 {
-        return;
-    }
-    let steps: [i32; 2] = if k.abs() > 900 { [k / 2, k - k / 2] } else { [k, 0] };
-    for s in steps {
-        if s != 0 {
-            let f = 2.0f64.powi(s);
-            for v in values.iter_mut() {
-                *v *= f;
-            }
-        }
-    }
 }
 
 /// True when [`crate::HestenesSvd::singular_values_batch`] should route the

@@ -20,7 +20,7 @@ use crate::gram::GramState;
 use crate::ordering::{Ordering, Sweep, SweepSchedule};
 use crate::recovery::{Fault, HealthCheck};
 use crate::stats::SolveStats;
-use crate::svd::{max_exponent, unscale_values};
+use crate::svd::{max_exponent, scale_exp2};
 use crate::SvdError;
 use hj_matrix::{ops, Matrix, PackedSymmetric};
 
@@ -87,10 +87,7 @@ pub fn eigh(s: &PackedSymmetric, tol: f64, ordering: Ordering) -> Result<Symmetr
     let max_abs = ops::finite_max_abs(s.as_slice()).ok_or(SvdError::NonFiniteInput)?;
     let exp = (top_exponent(n) - max_exponent(max_abs)).min(0);
     let mut d = s.clone();
-    if exp != 0 {
-        let scale = 2f64.powi(exp);
-        d.as_mut_slice().iter_mut().for_each(|v| *v *= scale);
-    }
+    scale_exp2(d.as_mut_slice(), exp);
     let mut g = GramState::from_packed(d);
     let mut v = Matrix::identity(n);
     let mut plan = Sweep::new();
@@ -123,7 +120,7 @@ pub fn eigh(s: &PackedSymmetric, tol: f64, ordering: Ordering) -> Result<Symmetr
         eigenvalues.push(diag[i]);
         eigenvectors.col_mut(t).copy_from_slice(v.col(i));
     }
-    unscale_values(&mut eigenvalues, exp);
+    scale_exp2(&mut eigenvalues, -exp);
     if eigenvalues.iter().any(|l| !l.is_finite()) {
         let fault = Fault::NonFiniteGram { sweep: sweeps };
         return Err(SvdError::SolveFault { fault, sweeps_completed: sweeps });

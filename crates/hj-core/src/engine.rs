@@ -34,7 +34,8 @@ use crate::ordering::{Sweep, SweepSchedule};
 use crate::recovery::{Fault, HealthCheck, HealthState, SolveBudget};
 use crate::rotation::{pair_converged, textbook_params};
 use crate::stats::SolveStats;
-use crate::trace::{SkipReason, TraceEvent, TraceLevel, TraceSink, Tracer};
+use crate::svd::Request;
+use crate::trace::{SkipReason, TraceEvent, TraceLevel, Tracer};
 use hj_matrix::Matrix;
 use std::time::Instant;
 
@@ -292,26 +293,17 @@ pub struct SolveDriver {
 
 /// Monitoring attached to one [`SolveDriver::run_monitored`] call: a latency
 /// [`SolveBudget`] checked at sweep boundaries, the per-sweep
-/// [`HealthCheck`], and (under the `fault-injection` feature only) an
-/// optional injector hook for the robustness test harness.
+/// [`HealthCheck`], and the caller's [`Request`] (trace sink, and under the
+/// `fault-injection` feature an injector hook).
 pub struct SolveMonitor<'a> {
     /// Deadline/cancellation limits, checked before each sweep starts.
     pub budget: SolveBudget,
     /// Per-sweep `O(n)` scan of `D` for non-finite values, negative
     /// diagonals, and convergence stalls.
     pub health: HealthCheck,
-    /// Trace sink receiving [`TraceEvent`]s from the run; `None` disables
-    /// tracing entirely (the untraced pipeline, bit for bit).
-    pub trace: Option<&'a mut dyn TraceSink>,
-    /// Event granularity when a sink is attached (ignored otherwise).
-    pub trace_level: TraceLevel,
-    /// Test-only corruption hook, called around every sweep. Absent from
-    /// production builds — the field itself compiles out without the
-    /// `fault-injection` feature.
-    #[cfg(feature = "fault-injection")]
-    pub injector: Option<&'a mut dyn crate::inject::FaultInjector>,
-    #[cfg(not(feature = "fault-injection"))]
-    _marker: std::marker::PhantomData<&'a mut ()>,
+    /// What the run is watched by; the default watches nothing (the
+    /// untraced pipeline, bit for bit).
+    pub request: Request<'a>,
 }
 
 impl std::fmt::Debug for SolveMonitor<'_> {
@@ -319,39 +311,15 @@ impl std::fmt::Debug for SolveMonitor<'_> {
         f.debug_struct("SolveMonitor")
             .field("budget", &self.budget)
             .field("health", &self.health)
-            .field("trace_level", &self.trace_level)
             .finish_non_exhaustive()
     }
 }
 
 impl<'a> SolveMonitor<'a> {
-    /// Monitor with the given budget and health check, no trace sink, no
-    /// injector.
+    /// Monitor with the given budget and health check and the default
+    /// [`Request`].
     pub fn new(budget: SolveBudget, health: HealthCheck) -> SolveMonitor<'a> {
-        SolveMonitor {
-            budget,
-            health,
-            trace: None,
-            trace_level: TraceLevel::Off,
-            #[cfg(feature = "fault-injection")]
-            injector: None,
-            #[cfg(not(feature = "fault-injection"))]
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Attach a trace sink emitting events up to `level`.
-    pub fn with_trace(mut self, sink: &'a mut dyn TraceSink, level: TraceLevel) -> Self {
-        self.trace = Some(sink);
-        self.trace_level = level;
-        self
-    }
-
-    /// Attach a fault injector (test harness only).
-    #[cfg(feature = "fault-injection")]
-    pub fn with_injector(mut self, injector: &'a mut dyn crate::inject::FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
+        SolveMonitor { budget, health, request: Request::default() }
     }
 }
 
@@ -397,8 +365,9 @@ impl SolveDriver {
         let mut health_state = HealthState::new();
         let mut fault = None;
         let cap = self.max_sweeps.min(MAX_SWEEP_CAP);
-        let trace_level = monitor.trace_level;
-        let mut tracer = Tracer::attach(monitor.trace.as_deref_mut(), trace_level);
+        let level = monitor.request.trace.as_ref().map_or(TraceLevel::Off, |(_, level)| *level);
+        let sink = monitor.request.trace.as_mut().map(|(sink, _)| &mut **sink);
+        let mut tracer = Tracer::attach(sink, level);
         let base_guard = state.guard;
         for s in 1..=cap {
             if let Some(f) = monitor.budget.check(s) {
@@ -406,7 +375,7 @@ impl SolveDriver {
                 break;
             }
             #[cfg(feature = "fault-injection")]
-            if let Some(inj) = monitor.injector.as_deref_mut() {
+            if let Some(inj) = monitor.request.injector.as_deref_mut() {
                 inj.before_sweep(s, state.gram);
             }
             // Sweep 1's clock covers the solve's planning.
@@ -427,7 +396,7 @@ impl SolveDriver {
             }
             let rec = engine.sweep_traced(state, schedule.plan, s, &mut tracer);
             #[cfg(feature = "fault-injection")]
-            if let Some(inj) = monitor.injector.as_deref_mut() {
+            if let Some(inj) = monitor.request.injector.as_deref_mut() {
                 inj.after_sweep(s, state.gram);
             }
             let seconds = t0.elapsed().as_secs_f64();

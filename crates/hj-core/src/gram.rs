@@ -152,11 +152,6 @@ impl GramState {
         &mut self.d
     }
 
-    /// Consume into the underlying packed matrix.
-    pub fn into_packed(self) -> PackedSymmetric {
-        self.d
-    }
-
     /// Apply the plane rotation `rot` of column pair `(i, j)` to `D`
     /// (Algorithm 1 lines 15–26, with the required temporaries).
     ///
@@ -353,7 +348,5 @@ mod tests {
         let g = GramState::from_matrix(&a);
         assert_eq!(g.dim(), 3);
         assert_eq!(g.packed().dim(), 3);
-        let p = g.clone().into_packed();
-        assert_eq!(p.dim(), 3);
     }
 }

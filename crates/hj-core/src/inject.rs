@@ -9,10 +9,12 @@
 //! deterministic [`SeededInjector`] that fires planned [`Corruption`]s at
 //! chosen sweep coordinates.
 //!
-//! The entire module (and the hook fields/calls in the engine path) is
-//! gated behind the `fault-injection` cargo feature; production builds
-//! compile none of it, which CI proves with a `--no-default-features`
-//! build.
+//! A solve takes its injector through [`crate::Request`]'s `injector`
+//! field. The module, that field and the hook calls in the engine path are
+//! all gated behind the `fault-injection` cargo feature; production builds
+//! compile none of them, which CI proves with a `--no-default-features`
+//! build and a `compile_fail` doctest of a production `Request` that sets
+//! an injector.
 
 use crate::gram::GramState;
 use crate::rotation::Rotation;

@@ -29,9 +29,10 @@
 //!   the [`engine::RotationTarget`] / [`engine::PairGuard`] abstractions,
 //!   the [`engine::Sequential`] engine (Algorithm 1's in-place data flow),
 //!   and the single [`engine::SolveDriver`] loop every solver runs on.
-//! * [`batch`] — batched drivers ([`HestenesSvd::decompose_batch`]) fanning
-//!   independent solves across the thread pool with per-solve error
-//!   isolation.
+//! * [`batch`] — batched values-only drivers
+//!   ([`HestenesSvd::singular_values_batch`]): the SoA engine for uniform
+//!   small batches, otherwise independent solves fanned across the thread
+//!   pool, with per-solve error isolation either way.
 //! * [`batch_engine`] — the batched SoA engine for many tiny SVDs:
 //!   `k` interleaved Gram triangles swept together by one lanes-wide kernel
 //!   invocation per pair ([`batch_engine::BatchWorkspace`] /
@@ -43,7 +44,8 @@
 //! * [`trace`] — structured solve tracing: the [`trace::TraceSink`]
 //!   contract, typed [`trace::TraceEvent`]s for every sweep / rotation /
 //!   convergence check, and the no-op, ring-buffer, and JSONL
-//!   sinks. Zero cost when disabled.
+//!   sinks. A solve is traced through its [`Request`]; zero cost when
+//!   disabled.
 //! * [`convergence`] — stopping rules and per-sweep instrumentation
 //!   (the paper's Figs. 10–11 metric).
 //! * [`recovery`] — the fault-detection layer: [`recovery::Fault`]
@@ -55,7 +57,10 @@
 //!   out of production builds entirely.
 //! * [`svd`] — user-facing drivers: [`HestenesSvd::singular_values`]
 //!   (paper-faithful, D-only after the first pass) and
-//!   [`HestenesSvd::decompose`] (full `A = UΣVᵀ`).
+//!   [`HestenesSvd::decompose`] (full `A = UΣVᵀ`), each also taking a
+//!   [`Request`] (`_with`) that attaches a trace sink, or in test builds a
+//!   fault injector. The scalar and SoA paths share one exact power-of-two
+//!   scaler and one spectrum step.
 //! * [`pca`], [`lowrank`] — the downstream applications the paper
 //!   motivates: PCA (fit/transform/explained variance) and low-rank /
 //!   pseudoinverse / least-squares utilities.
@@ -108,7 +113,7 @@ pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, SolveBudget};
 pub use rotation::{hardware_params, textbook_params, Rotation};
 pub use stats::SolveStats;
-pub use svd::{HestenesSvd, SingularValues, Svd, SvdOptions};
+pub use svd::{HestenesSvd, Request, SingularValues, Svd, SvdOptions};
 pub use trace::{
     JsonlSink, NoopSink, RingBufferSink, SkipReason, TraceEvent, TraceLevel, TraceSink, Tracer,
 };

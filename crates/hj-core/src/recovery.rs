@@ -311,11 +311,6 @@ impl SolveBudget {
         self
     }
 
-    /// True when neither limit is set (the check can be skipped wholesale).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
-    }
-
     /// Wall-clock time left before the deadline (`None` when no deadline is
     /// set). Saturates at [`Duration::ZERO`] once the deadline has passed —
     /// never an underflow panic — which is what guarantees an expired budget
@@ -484,7 +479,7 @@ mod tests {
     #[test]
     fn budget_unlimited_never_fires() {
         let b = SolveBudget::unlimited();
-        assert!(b.is_unlimited());
+        assert!(b.deadline.is_none() && b.cancel.is_none());
         for s in 1..=MAX_SWEEP_CAP {
             assert_eq!(b.check(s), None);
         }
@@ -510,7 +505,7 @@ mod tests {
         let expired = SolveBudget::with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(expired.check(3), Some(Fault::DeadlineExceeded { sweep: 3 }));
         let future = SolveBudget::with_timeout(Duration::from_secs(3600));
-        assert!(!future.is_unlimited());
+        assert!(future.deadline.is_some() && future.cancel.is_none());
         assert_eq!(future.check(1), None);
 
         let flag = Arc::new(AtomicBool::new(false));

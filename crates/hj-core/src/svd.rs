@@ -5,6 +5,12 @@
 //! chosen ordering and convergence rule, and the final square-root /
 //! sort / normalization stage that turns the orthogonalized system into
 //! `A = U Σ Vᵀ`.
+//!
+//! Each mode has one entry point, [`HestenesSvd::singular_values_with`] and
+//! [`HestenesSvd::decompose_with`], taking a [`Request`]: what the solve is
+//! watched by (a trace sink, and in test builds a fault injector). The plain
+//! [`HestenesSvd::singular_values`] and [`HestenesSvd::decompose`] pass the
+//! default request, which watches nothing.
 
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
@@ -22,7 +28,7 @@ use hj_matrix::{ops, Matrix};
 /// dust in the tail (≈ `n·ε·trace ≈ 1e-14·trace`), while an unconverged
 /// spectrum parks O(1) fractions of the mass there — `1e-12` separates the
 /// two regimes by orders of magnitude on both sides.
-pub(crate) const WIDE_TAIL_TOL: f64 = 1e-12;
+const WIDE_TAIL_TOL: f64 = 1e-12;
 
 /// Guarded-numerics safe window: inputs whose largest-entry binary exponent
 /// `e` satisfies `|e| ≤ SAFE_EXP` are solved as-is, so ordinary inputs
@@ -43,14 +49,6 @@ const SAFE_EXP: i32 = 250;
 /// Above this magnitude the scale factor `2^k` itself leaves the normal
 /// range, so the scaling is applied in two exact half-steps.
 const EXP2_STEP_LIMIT: i32 = 900;
-
-/// The injector slot threaded through the guarded solve. Without the
-/// `fault-injection` feature the alias degenerates to an uninhabited option,
-/// so the production call sites pass `None` and the whole hook folds away.
-#[cfg(feature = "fault-injection")]
-type InjectorSlot<'a> = Option<&'a mut dyn crate::inject::FaultInjector>;
-#[cfg(not(feature = "fault-injection"))]
-type InjectorSlot<'a> = Option<std::convert::Infallible>;
 
 /// Binary exponent of `max_abs` (0 for zero or non-finite input).
 pub(crate) fn max_exponent(max_abs: f64) -> i32 {
@@ -73,39 +71,93 @@ pub(crate) fn prescale_exponent(max_abs: f64) -> i32 {
     }
 }
 
-/// Multiply every entry by `2^k`, exactly (split into two half-steps when
-/// `2^k` itself would be subnormal or infinite).
-pub(crate) fn apply_exp2(m: &mut Matrix, k: i32) {
-    if k == 0 {
-        return;
-    }
-    if k.abs() > EXP2_STEP_LIMIT {
-        let half = k / 2;
-        m.scale_in_place(2.0f64.powi(half));
-        m.scale_in_place(2.0f64.powi(k - half));
-    } else {
-        m.scale_in_place(2.0f64.powi(k));
+/// Multiply every value by `2^k`, exactly: the one power-of-two scaler of
+/// every solve path. It prescales inputs (`k` = the prescale exponent) and
+/// undoes that on spectra (`-k`), split into two half-steps when `2^k`
+/// itself would be subnormal or infinite.
+pub(crate) fn scale_exp2(values: &mut [f64], k: i32) {
+    let steps = if k.abs() > EXP2_STEP_LIMIT { [k / 2, k - k / 2] } else { [k, 0] };
+    for s in steps.into_iter().filter(|&s| s != 0) {
+        let f = 2.0f64.powi(s);
+        values.iter_mut().for_each(|v| *v *= f);
     }
 }
 
-/// Undo the pre-scaling on computed singular values: `σ ← σ·2^-k` (two
-/// exact half-steps when needed, mirroring [`apply_exp2`]).
-pub(crate) fn unscale_values(values: &mut [f64], k: i32) {
-    if k == 0 {
-        return;
+/// The spectrum step of a values-only solve, scalar and SoA alike: take the
+/// converged diagonal `D_ii`, clamp roundoff dust to zero and square-root
+/// it, sort descending, check a wide matrix's discarded tail, keep
+/// `min(rows, n)` values and undo the prescale `exp`.
+///
+/// A wide matrix (`rows < n`) has `rank ≤ rows`, so the `n − rows` values it
+/// drops must be numerically zero; an unconverged solve leaves real mass
+/// there and is refused rather than silently truncated. The tail ratio is
+/// invariant under the uniform prescaling, so it is tested before the undo.
+pub(crate) fn spectrum(mut d: Vec<f64>, rows: usize, exp: i32) -> Result<Vec<f64>, SvdError> {
+    let trace: f64 = d.iter().sum();
+    d.iter_mut().for_each(|v| *v = v.max(0.0).sqrt());
+    d.sort_by(|x, y| y.partial_cmp(x).expect("finite values"));
+    let k = rows.min(d.len());
+    let tail_mass: f64 = d[k..].iter().map(|s| s * s).sum();
+    if trace > 0.0 && tail_mass > trace * WIDE_TAIL_TOL {
+        return Err(SvdError::TruncatedTailNotNegligible);
     }
-    let mut steps = [0i32; 2];
-    if k.abs() > EXP2_STEP_LIMIT {
-        steps = [-(k / 2), -(k - k / 2)];
-    } else {
-        steps[0] = -k;
-    }
-    for s in steps {
-        if s != 0 {
-            let f = 2.0f64.powi(s);
-            for v in values.iter_mut() {
-                *v *= f;
-            }
+    d.truncate(k);
+    scale_exp2(&mut d, -exp);
+    Ok(d)
+}
+
+/// What one solve is watched by: an optional trace sink with the level to
+/// emit at and, under the `fault-injection` feature only, an optional fault
+/// injector. [`Request::default`] watches nothing — the plain solve that
+/// [`HestenesSvd::singular_values`] and [`HestenesSvd::decompose`] run. A
+/// trace sink observes and never influences: a traced solve computes the
+/// same bits as the plain one.
+///
+/// ```
+/// use hj_core::{HestenesSvd, Request, RingBufferSink, SvdOptions, TraceLevel};
+/// use hj_matrix::gen;
+///
+/// let a = gen::uniform(40, 10, 3);
+/// let solver = HestenesSvd::new(SvdOptions::default());
+/// let mut sink = RingBufferSink::new(1024);
+/// let sv = solver.singular_values_with(&a, Request::traced(&mut sink, TraceLevel::Sweep)).unwrap();
+/// assert_eq!(sv.values, solver.singular_values(&a).unwrap().values);
+/// // One sweep_start + sweep_end + convergence_check triple per sweep.
+/// assert_eq!(sink.recorded(), 3 * sv.sweeps);
+/// ```
+#[cfg_attr(
+    not(feature = "fault-injection"),
+    doc = "A production build has no injector field: this request compiles,",
+    doc = "",
+    doc = "```",
+    doc = "let _ = hj_core::Request { trace: None, ..Default::default() };",
+    doc = "```",
+    doc = "",
+    doc = "and the same request setting `injector` does not:",
+    doc = "",
+    doc = "```compile_fail,E0560",
+    doc = "let _ = hj_core::Request { trace: None, injector: None, ..Default::default() };",
+    doc = "```"
+)]
+#[derive(Default)]
+pub struct Request<'a> {
+    /// Sink receiving the solve's [`TraceEvent`](crate::TraceEvent)s, with
+    /// the finest [`TraceLevel`] to emit; `None` traces nothing.
+    pub trace: Option<(&'a mut dyn TraceSink, TraceLevel)>,
+    /// Test-only corruption hook, called around every sweep.
+    #[cfg(feature = "fault-injection")]
+    pub injector: Option<&'a mut dyn crate::inject::FaultInjector>,
+}
+
+impl<'a> Request<'a> {
+    /// A request streaming the solve's events up to `level` into `sink`. It
+    /// builds the same request in every build, where a struct literal
+    /// would have to name the fields of one.
+    pub fn traced(sink: &'a mut dyn TraceSink, level: TraceLevel) -> Self {
+        Request {
+            trace: Some((sink, level)),
+            #[cfg(feature = "fault-injection")]
+            injector: None,
         }
     }
 }
@@ -116,14 +168,10 @@ pub(crate) fn unscale_values(values: &mut [f64], k: i32) {
 /// syntax:
 ///
 /// ```
-/// use hj_core::{HestenesSvd, Ordering, SvdOptions, TraceLevel};
+/// use hj_core::{HestenesSvd, Ordering, SvdOptions};
 /// use hj_matrix::gen;
 ///
-/// let options = SvdOptions {
-///     ordering: Ordering::RowCyclic,
-///     trace: TraceLevel::Sweep,
-///     ..Default::default()
-/// };
+/// let options = SvdOptions { ordering: Ordering::RowCyclic, ..Default::default() };
 /// let svd = HestenesSvd::new(options).decompose(&gen::uniform(30, 8, 1)).unwrap();
 /// assert_eq!(svd.stats.ordering, "row-cyclic");
 /// ```
@@ -142,14 +190,6 @@ pub struct SvdOptions {
     /// ordering. `None` (the default) keeps the standard fixed pair guard —
     /// and the bit-identical default solve path.
     pub threshold: Option<ThresholdSchedule>,
-    /// Event granularity for the `*_traced` entry points
-    /// ([`HestenesSvd::decompose_traced`],
-    /// [`HestenesSvd::singular_values_traced`]). Ignored — and costless — on
-    /// the untraced entry points, which never construct events regardless of
-    /// this setting. Default: [`TraceLevel::Off`] (a traced call promotes
-    /// `Off` to [`TraceLevel::Sweep`] so an explicitly-passed sink is never
-    /// silently ignored).
-    pub trace: TraceLevel,
 }
 
 impl Default for SvdOptions {
@@ -159,7 +199,6 @@ impl Default for SvdOptions {
             max_sweeps: MAX_SWEEP_CAP,
             ordering: Ordering::RoundRobin,
             threshold: None,
-            trace: TraceLevel::Off,
         }
     }
 }
@@ -172,17 +211,6 @@ impl SvdOptions {
             max_sweeps: 6,
             ordering: Ordering::RoundRobin,
             threshold: None,
-            trace: TraceLevel::Off,
-        }
-    }
-
-    /// The level a `*_traced` entry point runs at: the configured level,
-    /// with [`TraceLevel::Off`] promoted to [`TraceLevel::Sweep`].
-    fn effective_trace_level(&self) -> TraceLevel {
-        if self.trace == TraceLevel::Off {
-            TraceLevel::Sweep
-        } else {
-            self.trace
         }
     }
 }
@@ -295,22 +323,6 @@ impl HestenesSvd {
         self
     }
 
-    /// Reject inputs no solve accepts, in the order `EmptyInput`,
-    /// `NonFiniteInput`, `ZeroSweepBudget`. A solve that goes ahead scans
-    /// the input for non-finite entries in its Gram build
-    /// ([`Self::solve_guarded`]), so only a zero sweep budget, which builds
-    /// nothing, scans here.
-    pub(crate) fn validate(&self, a: &Matrix) -> Result<(), SvdError> {
-        if a.is_empty() {
-            return Err(SvdError::EmptyInput);
-        }
-        if self.options.max_sweeps == 0 {
-            ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?;
-            return Err(SvdError::ZeroSweepBudget);
-        }
-        Ok(())
-    }
-
     /// Compute only the singular values — the paper-faithful mode.
     ///
     /// Column data are read once (to form `D = AᵀA`); every subsequent sweep
@@ -327,55 +339,25 @@ impl HestenesSvd {
     /// assert!((sv.values[0] - 4.0).abs() < 1e-9);
     /// ```
     pub fn singular_values(&self, a: &Matrix) -> Result<SingularValues, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, false, None, None)?;
-        self.finish_values(a, solved)
+        self.singular_values_with(a, Request::default())
     }
 
-    /// [`Self::singular_values`] with every solve event streamed into
-    /// `sink` at the granularity of [`SvdOptions::trace`] ([`TraceLevel::Off`]
-    /// is promoted to [`TraceLevel::Sweep`]). Results are bit-identical to
-    /// the untraced call — events observe, never influence.
-    ///
-    /// ```
-    /// use hj_core::{HestenesSvd, RingBufferSink, SvdOptions};
-    /// use hj_matrix::gen;
-    ///
-    /// let a = gen::uniform(40, 10, 3);
-    /// let mut sink = RingBufferSink::new(1024);
-    /// let solver = HestenesSvd::new(SvdOptions::default());
-    /// let sv = solver.singular_values_traced(&a, &mut sink).unwrap();
-    /// let untraced = solver.singular_values(&a).unwrap();
-    /// assert_eq!(sv.values, untraced.values);
-    /// assert!(sink.recorded() >= 2 * sv.sweeps, "start + end per sweep");
-    /// ```
-    pub fn singular_values_traced(
+    /// [`Self::singular_values`] watched by `request` (see [`Request`]).
+    pub fn singular_values_with(
         &self,
         a: &Matrix,
-        sink: &mut dyn TraceSink,
+        request: Request<'_>,
     ) -> Result<SingularValues, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, false, None, Some(sink))?;
-        self.finish_values(a, solved)
+        let GuardedSolve { gram, history, stats, .. } = self.solve_guarded(a, false, request)?;
+        let values = spectrum(gram.packed().diagonal(), a.rows(), stats.prescale_exp)?;
+        Ok(SingularValues { values, sweeps: history.len(), history, stats })
     }
 
-    /// [`Self::singular_values`] with a fault injector attached (robustness
-    /// test harness only — the method does not exist in production builds).
-    #[cfg(feature = "fault-injection")]
-    pub fn singular_values_injected(
-        &self,
-        a: &Matrix,
-        injector: &mut dyn crate::inject::FaultInjector,
-    ) -> Result<SingularValues, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, false, Some(injector), None)?;
-        self.finish_values(a, solved)
-    }
-
-    /// Run the guarded solve: build `D` while scanning the input, pre-scale
-    /// out-of-window inputs, and run the monitored driver once on the
-    /// [`Sequential`] engine. The first [`crate::recovery::Fault`] the
-    /// monitor detects aborts the solve with [`SvdError::SolveFault`].
+    /// Run the guarded solve: reject inputs no solve accepts, build `D`
+    /// while scanning the input, pre-scale out-of-window inputs, and run the
+    /// monitored driver once on the [`Sequential`] engine under `request`.
+    /// The first [`crate::recovery::Fault`] the monitor detects aborts the
+    /// solve with [`SvdError::SolveFault`].
     ///
     /// The build scans `a` in the same pass ([`GramState::scanned`]), so an
     /// in-window input is read once. A build the scan stopped — a NaN or
@@ -383,46 +365,47 @@ impl HestenesSvd {
     /// products could be subnormal and slow — falls back to one full scan,
     /// which gives `NonFiniteInput` or the exact max, and `D` is then built
     /// from the input scaled by the exponent that max gives.
-    #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
-    fn solve_guarded<'a>(
+    fn solve_guarded(
         &self,
         a: &Matrix,
         full: bool,
-        injector: InjectorSlot<'a>,
-        trace: Option<&'a mut dyn TraceSink>,
+        request: Request<'_>,
     ) -> Result<GuardedSolve, SvdError> {
+        // Input errors come in the order `EmptyInput`, `NonFiniteInput`,
+        // `ZeroSweepBudget`. The Gram build scans for non-finite entries, so
+        // only a zero sweep budget, which builds nothing, scans here.
+        if a.is_empty() {
+            return Err(SvdError::EmptyInput);
+        }
+        if self.options.max_sweeps == 0 {
+            ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?;
+            return Err(SvdError::ZeroSweepBudget);
+        }
         let scanned = GramState::scanned(a, |max_abs| prescale_exponent(max_abs) == 0);
         let (scanned, max_abs) = match scanned {
             Some((gram, max_abs)) => (Some(gram), max_abs),
             None => (None, ops::finite_max_abs(a.as_slice()).ok_or(SvdError::NonFiniteInput)?),
         };
         let exp = prescale_exponent(max_abs);
-        // Full mode rotates the columns `B` of the prescaled input.
-        let mut b = full.then(|| {
+        let scaled = |a: &Matrix| {
             let mut b = a.clone();
-            apply_exp2(&mut b, exp);
+            scale_exp2(b.as_mut_slice(), exp);
             b
-        });
+        };
+        // Full mode rotates the columns `B` of the prescaled input.
+        let mut b = full.then(|| scaled(a));
         let mut gram = match (scanned, &b) {
             // The scanned build ran to the end inside the window.
             (Some(gram), _) if exp == 0 => gram,
             (_, Some(b)) => GramState::from_matrix(b),
             (_, None) if exp == 0 => GramState::from_matrix(a),
-            (_, None) => {
-                let mut scaled = a.clone();
-                apply_exp2(&mut scaled, exp);
-                GramState::from_matrix(&scaled)
-            }
+            (_, None) => GramState::from_matrix(&scaled(a)),
         };
         let mut v = full.then(|| Matrix::identity(a.cols()));
-        let mut monitor = SolveMonitor::new(self.budget.clone(), HealthCheck::default());
-        if let Some(sink) = trace {
-            monitor = monitor.with_trace(sink, self.options.effective_trace_level());
-        }
-        #[cfg(feature = "fault-injection")]
-        {
-            monitor.injector = injector;
-        }
+        let mut monitor = SolveMonitor {
+            request,
+            ..SolveMonitor::new(self.budget.clone(), HealthCheck::default())
+        };
         let driver = SolveDriver {
             convergence: self.options.convergence,
             max_sweeps: self.options.max_sweeps.min(MAX_SWEEP_CAP),
@@ -446,93 +429,42 @@ impl HestenesSvd {
         Ok(GuardedSolve { gram, b, v, history: run.history, stats })
     }
 
-    /// Extract sorted singular values from a finished guarded solve (the
-    /// wide-matrix tail check runs on the scaled spectrum — the ratio it
-    /// tests is invariant under the uniform pre-scaling).
-    fn finish_values(&self, a: &Matrix, solved: GuardedSolve) -> Result<SingularValues, SvdError> {
-        let GuardedSolve { gram, history, stats, .. } = solved;
-        let sweeps = history.len();
-        let mut values = gram.singular_values_unsorted();
-        values.sort_by(|x, y| y.partial_cmp(x).expect("finite values"));
-        let k = a.rows().min(a.cols());
-        if k < values.len() {
-            // Wide matrix: the Gram spectrum has n entries but rank(A) ≤ m,
-            // so the discarded n − m values must be numerically zero. If the
-            // iteration hasn't converged they are not — refuse rather than
-            // silently truncate real spectrum mass.
-            let tail_mass: f64 = values[k..].iter().map(|s| s * s).sum();
-            let trace = gram.trace();
-            if trace > 0.0 && tail_mass > trace * WIDE_TAIL_TOL {
-                return Err(SvdError::TruncatedTailNotNegligible);
-            }
-        }
-        values.truncate(k);
-        unscale_values(&mut values, stats.prescale_exp);
-        Ok(SingularValues { values, sweeps, history, stats })
-    }
-
     /// Compute the full thin SVD `A = U Σ Vᵀ`.
     ///
     /// Unlike the values-only mode, columns are rotated in **every** sweep
     /// (maintaining `B = A·V`) and the rotations are accumulated into `V`;
     /// afterwards `U = B·Σ⁻¹` (paper's eq. (7)).
     pub fn decompose(&self, a: &Matrix) -> Result<Svd, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, true, None, None)?;
-        self.finish_decompose(a, solved)
+        self.decompose_with(a, Request::default())
     }
 
-    /// [`Self::decompose`] with every solve event streamed into `sink` at
-    /// the granularity of [`SvdOptions::trace`] ([`TraceLevel::Off`] is
-    /// promoted to [`TraceLevel::Sweep`]). Results are bit-identical to the
-    /// untraced call — events observe, never influence.
+    /// [`Self::decompose`] watched by `request` (see [`Request`]).
     ///
     /// ```
-    /// use hj_core::{HestenesSvd, JsonlSink, SvdOptions};
+    /// use hj_core::{HestenesSvd, JsonlSink, Request, SvdOptions, TraceLevel};
     /// use hj_matrix::gen;
     ///
     /// let a = gen::uniform(30, 8, 11);
     /// let mut sink = JsonlSink::new(Vec::new());
     /// let svd = HestenesSvd::new(SvdOptions::default())
-    ///     .decompose_traced(&a, &mut sink)
+    ///     .decompose_with(&a, Request::traced(&mut sink, TraceLevel::Sweep))
     ///     .unwrap();
     /// let jsonl = String::from_utf8(sink.finish().unwrap()).unwrap();
     /// assert_eq!(jsonl.lines().filter(|l| l.contains("sweep_end")).count(), svd.sweeps);
     /// ```
-    pub fn decompose_traced(&self, a: &Matrix, sink: &mut dyn TraceSink) -> Result<Svd, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, true, None, Some(sink))?;
-        self.finish_decompose(a, solved)
-    }
-
-    /// [`Self::decompose`] with a fault injector attached (robustness test
-    /// harness only — the method does not exist in production builds).
-    #[cfg(feature = "fault-injection")]
-    pub fn decompose_injected(
-        &self,
-        a: &Matrix,
-        injector: &mut dyn crate::inject::FaultInjector,
-    ) -> Result<Svd, SvdError> {
-        self.validate(a)?;
-        let solved = self.solve_guarded(a, true, Some(injector), None)?;
-        self.finish_decompose(a, solved)
-    }
-
-    /// Extract `U`, `Σ`, `V` from a finished full-mode guarded solve. The
-    /// factors are computed on the scaled system — `U` and `V` are invariant
-    /// under the uniform pre-scaling (the scale cancels in `U = B·Σ⁻¹`), so
-    /// only `Σ` is unscaled at the end.
-    fn finish_decompose(&self, a: &Matrix, solved: GuardedSolve) -> Result<Svd, SvdError> {
-        let GuardedSolve { b, v, history, stats, .. } = solved;
+    pub fn decompose_with(&self, a: &Matrix, request: Request<'_>) -> Result<Svd, SvdError> {
+        let GuardedSolve { b, v, history, stats, .. } = self.solve_guarded(a, true, request)?;
         let b = b.expect("full-mode solve maintains B");
         let v = v.expect("full-mode solve accumulates V");
         let (m, n) = a.shape();
         let k = m.min(n);
         let sweeps = history.len();
 
-        // Σ from the Gram diagonal; recompute from the actual rotated columns
-        // for the final values (slightly more accurate than the updated D and
-        // free: one pass over B).
+        // The factors are computed on the scaled system: `U` and `V` are
+        // invariant under the uniform prescaling (the scale cancels in
+        // `U = B·Σ⁻¹`), so only `Σ` is unscaled at the end. Σ comes from the
+        // actual rotated columns, not the updated `D` (slightly more
+        // accurate and free: one pass over B).
         let mut order_idx: Vec<usize> = (0..n).collect();
         let col_norms: Vec<f64> = (0..n).map(|c| ops::norm(b.col(c))).collect();
         order_idx.sort_by(|&x, &y| col_norms[y].partial_cmp(&col_norms[x]).expect("finite norms"));
@@ -557,7 +489,7 @@ impl HestenesSvd {
             }
             v_sorted.col_mut(t).copy_from_slice(v.col(c));
         }
-        unscale_values(&mut sigma, stats.prescale_exp);
+        scale_exp2(&mut sigma, -stats.prescale_exp);
         Ok(Svd { u, singular_values: sigma, v: v_sorted, sweeps, history, stats })
     }
 }

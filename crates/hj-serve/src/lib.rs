@@ -19,8 +19,10 @@
 //!   reject-with-reason admission control ([`RejectReason`]) and per-tenant
 //!   in-flight caps; dispatch is strict priority between classes and
 //!   earliest-deadline-first within one.
-//! * **Worker pool** ([`SolveService`]) — fixed worker threads. A single
-//!   job is a one-shot [`hj_core::HestenesSvd::singular_values`] call,
+//! * **Worker pool** ([`SolveService`]) — fixed worker threads. Every job
+//!   solves with the default [`hj_core::SvdOptions`] under its own
+//!   ordering. A single job is a one-shot
+//!   [`hj_core::HestenesSvd::singular_values`] call,
 //!   whose sweep plan is one allocation and whose sweeps allocate nothing;
 //!   each worker keeps one warm [`hj_core::BatchWorkspace`] for bulk jobs.
 //!   Deadlines and ticket cancellation become the

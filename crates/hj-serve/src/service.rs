@@ -1,12 +1,14 @@
 //! The solve service: a fixed worker pool over the scheduler, with per-job
 //! solve budgets and a graceful drain-on-shutdown lifecycle. A job completes
 //! on its first outcome: the solve is deterministic, so running it again
-//! could only repeat its fault.
+//! could only repeat its fault. Every job solves with the default
+//! [`SvdOptions`] under its own ordering; the optional trace sink receives
+//! the service's `job_*` events.
 
 use crate::job::{JobOutcome, JobPayload, JobResult, JobSpec, JobTicket, RejectReason};
 use crate::queue::{QueuedJob, Scheduler};
 use crate::stats::ServiceStats;
-use hj_core::{HestenesSvd, SolveBudget, SvdError, SvdOptions, TraceEvent, TraceLevel, TraceSink};
+use hj_core::{HestenesSvd, SolveBudget, SvdError, SvdOptions, TraceEvent, TraceSink};
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -25,19 +27,11 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Per-tenant in-flight cap (queued + running); 0 disables the cap.
     pub tenant_cap: usize,
-    /// Base solver options. The ordering field is overridden per job by
-    /// [`JobSpec::ordering`].
-    pub options: SvdOptions,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            workers: 2,
-            queue_capacity: 64,
-            tenant_cap: 0,
-            options: SvdOptions::default(),
-        }
+        ServiceConfig { workers: 2, queue_capacity: 64, tenant_cap: 0 }
     }
 }
 
@@ -52,25 +46,19 @@ pub struct DrainReport {
     pub cancelled: usize,
 }
 
-/// Shared trace fan-in: worker threads and the submit path all emit
-/// service-lifecycle events through one mutexed sink.
-struct SharedSink {
-    sink: Mutex<Box<dyn TraceSink + Send>>,
-    level: TraceLevel,
-}
-
 struct Shared {
     scheduler: Scheduler,
     config: ServiceConfig,
-    trace: Option<SharedSink>,
+    /// Shared trace fan-in: worker threads and the submit path all emit
+    /// service-lifecycle events through one mutexed sink. Every event the
+    /// service emits is sweep-level, so none is filtered.
+    trace: Option<Mutex<Box<dyn TraceSink + Send>>>,
 }
 
 impl Shared {
     fn emit(&self, event: TraceEvent) {
-        if let Some(t) = &self.trace {
-            if t.level >= event.level() {
-                t.sink.lock().expect("trace sink lock").record(&event);
-            }
+        if let Some(sink) = &self.trace {
+            sink.lock().expect("trace sink lock").record(&event);
         }
     }
 }
@@ -103,13 +91,13 @@ impl SolveService {
     /// Start with service-lifecycle events streamed into `sink` (admission,
     /// rejection, dispatch, completion, fault — the `job_*` event family).
     pub fn start_traced(config: ServiceConfig, sink: Box<dyn TraceSink + Send>) -> SolveService {
-        SolveService::start_inner(
-            config,
-            Some(SharedSink { sink: Mutex::new(sink), level: TraceLevel::Sweep }),
-        )
+        SolveService::start_inner(config, Some(Mutex::new(sink)))
     }
 
-    fn start_inner(mut config: ServiceConfig, trace: Option<SharedSink>) -> SolveService {
+    fn start_inner(
+        mut config: ServiceConfig,
+        trace: Option<Mutex<Box<dyn TraceSink + Send>>>,
+    ) -> SolveService {
         config.workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             scheduler: Scheduler::new(config.queue_capacity, config.tenant_cap),
@@ -197,7 +185,7 @@ fn worker_loop(index: usize, shared: &Shared) {
         let started = Instant::now();
         match &job.spec.payload {
             JobPayload::Single(_) => {
-                let result = run_job(shared, &job);
+                let result = run_job(&job);
                 let seconds = started.elapsed().as_secs_f64();
                 shared.emit(match &result {
                     Ok(values) => TraceEvent::JobCompleted {
@@ -215,7 +203,7 @@ fn worker_loop(index: usize, shared: &Shared) {
                 shared.scheduler.complete(job, JobResult::Single(result));
             }
             JobPayload::Bulk(_) => {
-                let results = run_bulk(shared, &job, &mut batch_ws);
+                let results = run_bulk(&job, &mut batch_ws);
                 let seconds = started.elapsed().as_secs_f64();
                 let sweeps = results.iter().filter_map(|r| r.as_ref().ok().map(|v| v.sweeps)).max();
                 match sweeps {
@@ -244,11 +232,11 @@ fn worker_loop(index: usize, shared: &Shared) {
 /// Solve one dispatched job. The job's deadline and cancellation flag
 /// become the solve's [`SolveBudget`], checked at every sweep boundary — an
 /// already-expired deadline faults before any sweep runs.
-fn run_job(shared: &Shared, job: &QueuedJob) -> Result<hj_core::SingularValues, SvdError> {
+fn run_job(job: &QueuedJob) -> Result<hj_core::SingularValues, SvdError> {
     let JobPayload::Single(matrix) = &job.spec.payload else {
         unreachable!("run_job only dispatches single payloads");
     };
-    solver_for(shared, job).singular_values(matrix)
+    solver_for(job).singular_values(matrix)
 }
 
 /// Solve one dispatched bulk job on the worker's batch workspace. Uniform
@@ -257,22 +245,19 @@ fn run_job(shared: &Shared, job: &QueuedJob) -> Result<hj_core::SingularValues, 
 /// on expiry every still-unsolved slot faults, already-converged slots keep
 /// their results.
 fn run_bulk(
-    shared: &Shared,
     job: &QueuedJob,
     ws: &mut hj_core::BatchWorkspace,
 ) -> Vec<Result<hj_core::SingularValues, SvdError>> {
     let JobPayload::Bulk(matrices) = &job.spec.payload else {
         unreachable!("run_bulk only dispatches bulk payloads");
     };
-    solver_for(shared, job).singular_values_batch_with_workspace(matrices, ws)
+    solver_for(job).singular_values_batch_with_workspace(matrices, ws)
 }
 
-/// The configured solver for a dispatched job: base options with the job's
-/// ordering override and its deadline + cancellation flag as the solve
-/// budget.
-fn solver_for(shared: &Shared, job: &QueuedJob) -> HestenesSvd {
-    let mut options = shared.config.options;
-    options.ordering = job.spec.ordering;
+/// The solver for a dispatched job: the default options under the job's
+/// ordering, and its deadline + cancellation flag as the solve budget.
+fn solver_for(job: &QueuedJob) -> HestenesSvd {
+    let options = SvdOptions { ordering: job.spec.ordering, ..Default::default() };
     let mut budget = match job.spec.deadline {
         Some(deadline) => SolveBudget::with_deadline(deadline),
         None => SolveBudget::unlimited(),

@@ -60,7 +60,7 @@
 
 use hjsvd::arch::{resource_usage, ArchConfig, HestenesJacobiArch};
 use hjsvd::core::{
-    eigh, HestenesSvd, JsonlSink, Ordering, Pca, SolveBudget, SvdError, SvdOptions,
+    eigh, HestenesSvd, JsonlSink, Ordering, Pca, Request, SolveBudget, SvdError, SvdOptions,
     ThresholdSchedule, TraceLevel,
 };
 use hjsvd::fpsim::resources::ChipCapacity;
@@ -366,7 +366,7 @@ fn emit_stats(
 /// Resolve the `--trace` / `--trace-level` pair: `Some((path, level))` when
 /// tracing is requested. `--trace-level` without `--trace` is a usage error —
 /// there would be nowhere to write the events — and so is `off`: `--trace`
-/// already asks for events, and a traced solve promotes `off` to `sweep`.
+/// already asks for events.
 fn trace_option(p: &ParsedArgs) -> Result<Option<(String, TraceLevel)>, CliError> {
     let level = match p.opt("trace-level") {
         None => TraceLevel::Sweep,
@@ -507,28 +507,22 @@ fn cmd_svd(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let threshold = p.flag("threshold-schedule").then(ThresholdSchedule::default);
     let timeout_ms: Option<u64> = p.opt_parse("timeout-ms").map_err(CliError::usage)?;
     let trace = trace_option(p)?;
-    let trace_level = trace.as_ref().map(|(_, l)| *l).unwrap_or(TraceLevel::Off);
-    let mut solver = HestenesSvd::new(SvdOptions {
-        ordering,
-        threshold,
-        trace: trace_level,
-        ..Default::default()
-    });
+    let mut solver = HestenesSvd::new(SvdOptions { ordering, threshold, ..Default::default() });
     if let Some(ms) = timeout_ms {
         solver = solver.with_budget(SolveBudget::with_timeout(Duration::from_millis(ms)));
     }
     let stats_path = p.opt("stats").map(str::to_string);
     let trace_owns_stdout = matches!(&trace, Some((tp, _)) if tp == "-");
+    let mut sink = trace.as_ref().map(|(tp, _)| open_trace(tp)).transpose()?;
+    let request = match (sink.as_mut(), &trace) {
+        (Some(sink), Some((_, level))) => Request::traced(sink, *level),
+        _ => Request::default(),
+    };
     if p.flag("values-only") {
-        let sv = match &trace {
-            Some((tp, _)) => {
-                let mut sink = open_trace(tp)?;
-                let sv = solver.singular_values_traced(&a, &mut sink)?;
-                close_trace(sink, tp)?;
-                sv
-            }
-            None => solver.singular_values(&a)?,
-        };
+        let sv = solver.singular_values_with(&a, request)?;
+        if let (Some(sink), Some((tp, _))) = (sink, &trace) {
+            close_trace(sink, tp)?;
+        }
         outln!(out, "# {} singular values ({} sweeps)", sv.values.len(), sv.sweeps);
         for v in &sv.values {
             outln!(out, "{v}");
@@ -538,15 +532,10 @@ fn cmd_svd(p: &mut ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    let svd = match &trace {
-        Some((tp, _)) => {
-            let mut sink = open_trace(tp)?;
-            let svd = solver.decompose_traced(&a, &mut sink)?;
-            close_trace(sink, tp)?;
-            svd
-        }
-        None => solver.decompose(&a)?,
-    };
+    let svd = solver.decompose_with(&a, request)?;
+    if let (Some(sink), Some((tp, _))) = (sink, &trace) {
+        close_trace(sink, tp)?;
+    }
     if let Some(sp) = stats_path {
         emit_stats(&svd.stats, &sp, trace_owns_stdout, out)?;
     }

@@ -1,7 +1,8 @@
 //! Fault-injection campaign (requires `--features fault-injection`).
 //!
-//! Drives the public solver API with a deterministic [`SeededInjector`]
-//! corrupting the solve mid-flight, and proves the abort contract: every
+//! Drives the public solver API with a deterministic [`SeededInjector`],
+//! attached through [`Request`]'s `injector` field, corrupting the solve
+//! mid-flight, and proves the abort contract: every
 //! fault class is detected by the health check within one sweep of firing,
 //! and the solve is *rejected* with the matching structured
 //! [`SvdError::SolveFault`] at that sweep — never retried, and never a
@@ -9,7 +10,7 @@
 #![cfg(feature = "fault-injection")]
 
 use hjsvd::core::{
-    Corruption, Fault, HestenesSvd, SeededInjector, SolveBudget, SvdError, SvdOptions,
+    Corruption, Fault, HestenesSvd, Request, SeededInjector, SolveBudget, SvdError, SvdOptions,
 };
 use hjsvd::matrix::gen;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,6 +19,11 @@ use std::time::Duration;
 
 fn solver() -> HestenesSvd {
     HestenesSvd::new(SvdOptions::default())
+}
+
+/// A request that watches the solve with `injector`.
+fn injecting(injector: &mut SeededInjector) -> Request<'_> {
+    Request { injector: Some(injector), ..Request::default() }
 }
 
 /// A spectrum returned despite a corruption must match the clean solve to
@@ -35,7 +41,7 @@ fn transient_nan_gram_entry_aborts_at_the_sweep_it_fired() {
     let a = gen::uniform(24, 8, 42);
     let mut inj =
         SeededInjector::new(7).at_sweep(2, Corruption::GramEntry { i: 1, j: 4, value: f64::NAN });
-    match solver().singular_values_injected(&a, &mut inj) {
+    match solver().singular_values_with(&a, injecting(&mut inj)) {
         Err(SvdError::SolveFault { fault, sweeps_completed }) => {
             assert_eq!(fault, Fault::NonFiniteGram { sweep: 2 });
             assert_eq!(sweeps_completed, 2, "the corrupted sweep is the last one run");
@@ -51,7 +57,7 @@ fn transient_negative_diagonal_aborts_at_the_sweep_it_fired() {
     let a = gen::uniform(20, 6, 11);
     let mut inj =
         SeededInjector::new(3).at_sweep(1, Corruption::GramEntry { i: 3, j: 3, value: -5.0 });
-    match solver().decompose_injected(&a, &mut inj) {
+    match solver().decompose_with(&a, injecting(&mut inj)) {
         Err(SvdError::SolveFault {
             fault: Fault::NegativeDiagonal { sweep, .. },
             sweeps_completed,
@@ -71,7 +77,7 @@ fn persistent_nan_aborts_with_non_finite_gram_fault() {
     let mut inj = SeededInjector::new(9)
         .at_sweep(1, Corruption::GramEntry { i: 0, j: 2, value: f64::INFINITY })
         .persistent();
-    let err = s.singular_values_injected(&a, &mut inj).unwrap_err();
+    let err = s.singular_values_with(&a, injecting(&mut inj)).unwrap_err();
     match err {
         SvdError::SolveFault { fault: Fault::NonFiniteGram { sweep }, sweeps_completed } => {
             assert_eq!(sweep, 1, "detected in the sweep the corruption fired");
@@ -93,7 +99,7 @@ fn persistent_bogus_rotation_never_returns_a_silent_answer() {
     let mut inj = SeededInjector::new(31)
         .at_sweep(1, Corruption::BogusRotation { i: 1, j: 3, cos: 1.0, sin: 1.0 })
         .persistent();
-    match s.singular_values_injected(&a, &mut inj) {
+    match s.singular_values_with(&a, injecting(&mut inj)) {
         Err(SvdError::SolveFault { fault, .. }) => {
             assert!(
                 matches!(
@@ -119,7 +125,7 @@ fn slow_sweeps_trip_the_deadline() {
     let a = gen::uniform(30, 10, 23);
     let s = solver().with_budget(SolveBudget::with_timeout(Duration::from_millis(20)));
     let mut inj = SeededInjector::new(1).at_sweep(1, Corruption::Delay { millis: 60 }).persistent();
-    let err = s.singular_values_injected(&a, &mut inj).unwrap_err();
+    let err = s.singular_values_with(&a, injecting(&mut inj)).unwrap_err();
     match err {
         SvdError::SolveFault { fault: Fault::DeadlineExceeded { sweep }, sweeps_completed } => {
             assert!(sweep >= 2, "the first sweep ran before the deadline fired");
@@ -154,7 +160,7 @@ fn injected_run_with_no_planned_corruptions_matches_clean_run_bitwise() {
     let s = solver();
     let clean = s.decompose(&a).unwrap();
     let mut inj = SeededInjector::new(1);
-    let injected = s.decompose_injected(&a, &mut inj).unwrap();
+    let injected = s.decompose_with(&a, injecting(&mut inj)).unwrap();
     assert!(inj.fired().is_empty());
     assert_eq!(injected.singular_values, clean.singular_values);
     assert_eq!(injected.u.as_slice(), clean.u.as_slice());

@@ -191,9 +191,11 @@ proptest! {
         seed in 0u64..100,
         count in 1usize..6,
     ) {
-        // decompose_batch must return, slot for slot, the exact bits the
-        // one-at-a-time driver produces — at whatever thread count the pool
-        // was launched with (fan-out order must never leak into results).
+        // singular_values_batch must return, slot for slot, the exact bits
+        // the one-at-a-time driver produces — at whatever thread count the
+        // pool was launched with (fan-out order must never leak into
+        // results). Mixed shapes take the looped fan-out, never the SoA
+        // engine.
         let mats: Vec<_> = (0..count)
             .map(|k| {
                 let m = 3 + (seed as usize + 5 * k) % 14;
@@ -202,14 +204,14 @@ proptest! {
             })
             .collect();
         let solver = HestenesSvd::new(SvdOptions::default());
-        let batch = solver.decompose_batch(&mats);
+        let batch = solver.singular_values_batch(&mats);
         prop_assert_eq!(batch.len(), mats.len());
         for (k, res) in batch.iter().enumerate() {
-            let one = solver.decompose(&mats[k]).unwrap();
+            let one = solver.singular_values(&mats[k]).unwrap();
             let b = res.as_ref().unwrap();
-            prop_assert_eq!(b.u.as_slice(), one.u.as_slice(), "U[{}] differs", k);
-            prop_assert_eq!(&b.singular_values, &one.singular_values, "sigma[{}] differs", k);
-            prop_assert_eq!(b.v.as_slice(), one.v.as_slice(), "V[{}] differs", k);
+            prop_assert_eq!(b.stats.engine, "sequential", "slot {} left the looped path", k);
+            prop_assert_eq!(&b.values, &one.values, "sigma[{}] differs", k);
+            prop_assert_eq!(&b.history, &one.history, "history[{}] differs", k);
         }
     }
 

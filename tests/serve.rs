@@ -222,12 +222,8 @@ fn traced_service_emits_job_lifecycle_events() {
 /// structured reason while other tenants keep flowing.
 #[test]
 fn tenant_caps_isolate_noisy_neighbours() {
-    let service = SolveService::start(ServiceConfig {
-        workers: 1,
-        queue_capacity: 16,
-        tenant_cap: 2,
-        ..ServiceConfig::default()
-    });
+    let service =
+        SolveService::start(ServiceConfig { workers: 1, queue_capacity: 16, tenant_cap: 2 });
     // Pin the single worker so queued jobs stay in flight. The blocker has
     // to out-solve the next three submit calls by a wide margin — a
     // 384 x 192 problem runs tens of milliseconds even on a fast build,

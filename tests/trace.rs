@@ -4,8 +4,9 @@
 //! (DESIGN.md §8):
 //!
 //! 1. **Bit identity** — attaching a sink never perturbs the numerics. A
-//!    traced solve (no-op sink, and a recording sink at the chattiest
-//!    level) produces bit-identical `U`, `Σ`, `V` to an untraced solve.
+//!    solve under the default request, a no-op sink and a recording sink at
+//!    the chattiest level produces bit-identical `U`, `Σ`, `V` (and
+//!    values-only spectra) to a plain solve.
 //! 2. **Zero extra allocations** — a solve traced into a [`NoopSink`]
 //!    performs exactly as many heap allocations as an untraced solve:
 //!    software trace events are built from numbers and `&'static str`s,
@@ -17,7 +18,9 @@
 //! Lives in the root package (not hj-core) because hj-core carries
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl requires unsafe.
 
-use hjsvd::core::{HestenesSvd, JsonlSink, NoopSink, RingBufferSink, SvdOptions, TraceLevel};
+use hjsvd::core::{
+    HestenesSvd, JsonlSink, NoopSink, Request, RingBufferSink, SvdOptions, TraceLevel,
+};
 use hjsvd::matrix::{gen, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,23 +67,21 @@ fn bits(m: &Matrix) -> Vec<u64> {
 fn traced_solves_are_bit_identical_to_untraced_on_every_engine() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(40, 16, 23);
-    // The untraced baseline (trace level in the options is irrelevant
-    // without a sink, but keep it Off to model the production default).
-    let base = HestenesSvd::new(SvdOptions::default()).decompose(&a).unwrap();
+    let solver = HestenesSvd::new(SvdOptions::default());
+    // The plain baseline, and the same solve under the default request.
+    let base = solver.decompose(&a).unwrap();
+    let default = solver.decompose_with(&a, Request::default()).unwrap();
 
-    // No-op sink at the default (promoted) sweep level.
+    // No-op sink at the sweep level.
     let quiet =
-        HestenesSvd::new(SvdOptions::default()).decompose_traced(&a, &mut NoopSink).unwrap();
+        solver.decompose_with(&a, Request::traced(&mut NoopSink, TraceLevel::Sweep)).unwrap();
 
     // Recording sink at the chattiest level.
     let mut ring = RingBufferSink::new(1 << 16);
-    let loud =
-        HestenesSvd::new(SvdOptions { trace: TraceLevel::Rotation, ..SvdOptions::default() })
-            .decompose_traced(&a, &mut ring)
-            .unwrap();
+    let loud = solver.decompose_with(&a, Request::traced(&mut ring, TraceLevel::Rotation)).unwrap();
     assert!(ring.recorded() > 0, "rotation-level trace was empty");
 
-    for traced in [&quiet, &loud] {
+    for traced in [&default, &quiet, &loud] {
         assert_eq!(
             base.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             traced.singular_values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -89,6 +90,25 @@ fn traced_solves_are_bit_identical_to_untraced_on_every_engine() {
         assert_eq!(bits(&base.u), bits(&traced.u), "U drifted");
         assert_eq!(bits(&base.v), bits(&traced.v), "V drifted");
         assert_eq!(base.sweeps, traced.sweeps, "sweep count drifted");
+        assert_eq!(base.history, traced.history, "history drifted");
+    }
+
+    // Values mode: the same requests, the same bits.
+    let base = solver.singular_values(&a).unwrap();
+    let default = solver.singular_values_with(&a, Request::default()).unwrap();
+    let quiet =
+        solver.singular_values_with(&a, Request::traced(&mut NoopSink, TraceLevel::Sweep)).unwrap();
+    let mut ring = RingBufferSink::new(1 << 16);
+    let loud =
+        solver.singular_values_with(&a, Request::traced(&mut ring, TraceLevel::Rotation)).unwrap();
+    assert!(ring.recorded() > 0, "rotation-level values trace was empty");
+    for traced in [&default, &quiet, &loud] {
+        assert_eq!(
+            base.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            traced.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "values-only spectrum drifted under tracing"
+        );
+        assert_eq!(base.history, traced.history, "values-only history drifted");
     }
 }
 
@@ -100,14 +120,14 @@ fn noop_traced_solve_allocates_exactly_as_much_as_untraced() {
     // Warm up the allocator's internal arenas so both measured runs see
     // identical conditions.
     solver.decompose(&a).unwrap();
-    solver.decompose_traced(&a, &mut NoopSink).unwrap();
+    solver.decompose_with(&a, Request::traced(&mut NoopSink, TraceLevel::Sweep)).unwrap();
 
     let before = allocation_count();
     solver.decompose(&a).unwrap();
     let untraced = allocation_count() - before;
 
     let before = allocation_count();
-    solver.decompose_traced(&a, &mut NoopSink).unwrap();
+    solver.decompose_with(&a, Request::traced(&mut NoopSink, TraceLevel::Sweep)).unwrap();
     let traced = allocation_count() - before;
 
     assert_eq!(traced, untraced, "no-op tracing changed the allocation count");
@@ -117,10 +137,9 @@ fn noop_traced_solve_allocates_exactly_as_much_as_untraced() {
 fn jsonl_stream_is_valid_and_rotation_counts_match_stats() {
     let _guard = SERIAL.lock().unwrap();
     let a = gen::uniform(36, 18, 31);
-    let solver =
-        HestenesSvd::new(SvdOptions { trace: TraceLevel::Rotation, ..SvdOptions::default() });
+    let solver = HestenesSvd::new(SvdOptions::default());
     let mut sink = JsonlSink::new(Vec::new());
-    let svd = solver.decompose_traced(&a, &mut sink).unwrap();
+    let svd = solver.decompose_with(&a, Request::traced(&mut sink, TraceLevel::Rotation)).unwrap();
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
 
     let mut sweep_end_rotations = 0usize;
