@@ -35,10 +35,11 @@
 //! * a problem that satisfies the solver's [`crate::Convergence`] criterion
 //!   drops out (its lane gets identity rotation parameters — bit-preserving
 //!   for its diagonal, hence for its spectrum) without stalling the batch;
-//! * a problem that trips the per-lane health checks (non-finite Gram,
-//!   materially negative diagonal, convergence stall — the same thresholds
-//!   as [`crate::HealthCheck`]) faults **alone**: lanes never read each
-//!   other, so a NaN-poisoned problem cannot perturb its neighbors' bits;
+//! * a problem that trips the health check (non-finite Gram, materially
+//!   negative diagonal, convergence stall — each lane runs the scalar
+//!   driver's [`crate::HealthCheck`] on its own [`crate::DiagonalScan`] and
+//!   stall memory) faults **alone**: lanes never read each other, so a
+//!   NaN-poisoned problem cannot perturb its neighbors' bits;
 //! * a [`crate::SolveBudget`] deadline/cancellation aborts every
 //!   still-active problem at the shared sweep boundary.
 //!
@@ -58,11 +59,10 @@
 
 use crate::convergence::{is_converged, off_frobenius, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::PAIR_TOL;
+use crate::gram::DiagonalScan;
 use crate::kernel::{batch_params_soa, rotate_packed_soa};
 use crate::ordering::{round_robin, Ordering};
-use crate::recovery::{
-    Fault, NEGATIVE_DIAG_TOL, STALL_MIN_PROGRESS, STALL_OFF_FLOOR, STALL_SWEEPS,
-};
+use crate::recovery::{Fault, HealthCheck, HealthState};
 use crate::stats::SolveStats;
 use crate::svd::{prescale_exponent, scale_exp2, spectrum, HestenesSvd, SingularValues};
 use crate::SvdError;
@@ -89,30 +89,6 @@ pub const SOA_DISPATCH_MAX_N: usize = 32;
 /// measured on wide-vector cores the per-block loop and call overhead of
 /// narrow tiles costs far more than L2 misses save.
 const BLOCK_TRI_BYTES: usize = 1536 * 1024;
-
-/// A planned corruption of one problem's interleaved Gram lane — the batch
-/// engine's analogue of [`crate::inject::Corruption::GramEntry`], used by
-/// the fault-isolation robustness tests.
-#[cfg(feature = "fault-injection")]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneCorruption {
-    /// Problem (lane) index to poison.
-    pub problem: usize,
-    /// 1-based sweep before which the corruption is written (so the sweep's
-    /// own record reflects it, mirroring `FaultInjector::before_sweep`).
-    pub sweep: usize,
-    /// Row index into the problem's `D`.
-    pub i: usize,
-    /// Column index into the problem's `D`.
-    pub j: usize,
-    /// The value written (need not be finite).
-    pub value: f64,
-}
-
-#[cfg(feature = "fault-injection")]
-type CorruptionPlan<'a> = &'a [LaneCorruption];
-#[cfg(not(feature = "fault-injection"))]
-type CorruptionPlan<'a> = &'a [std::convert::Infallible];
 
 /// Why a lane stopped participating in the shared sweep loop.
 #[derive(Debug, Clone)]
@@ -180,9 +156,8 @@ pub struct BatchWorkspace {
     diag_max_abs: Vec<f64>,
     diag_finite: Vec<u8>,
     trace: Vec<f64>,
-    // Per-lane stall-detector memory (same thresholds as HealthCheck).
-    best_off: Vec<f64>,
-    stalled: Vec<usize>,
+    /// Per-lane stall-detector memory for the health check.
+    health: Vec<HealthState>,
     /// Prescale scratch: one problem's scaled column data.
     scaled: Vec<f64>,
     /// Buffer creation/growth events (the zero-alloc observability hook).
@@ -203,25 +178,9 @@ impl BatchWorkspace {
         self.allocations
     }
 
-    /// Grow `buf` to exactly `len` zeros, counting a growth event only when
-    /// the capacity actually increases.
-    fn reset_f64(allocations: &mut usize, buf: &mut Vec<f64>, len: usize, fill: f64) {
-        if buf.capacity() < len {
-            *allocations += 1;
-        }
-        buf.clear();
-        buf.resize(len, fill);
-    }
-
-    fn reset_usize(allocations: &mut usize, buf: &mut Vec<usize>, len: usize) {
-        if buf.capacity() < len {
-            *allocations += 1;
-        }
-        buf.clear();
-        buf.resize(len, 0);
-    }
-
-    fn reset_u8(allocations: &mut usize, buf: &mut Vec<u8>, len: usize, fill: u8) {
+    /// Refill `buf` with exactly `len` copies of `fill`, counting a growth
+    /// event only when the capacity actually increases.
+    fn reset<T: Clone>(allocations: &mut usize, buf: &mut Vec<T>, len: usize, fill: T) {
         if buf.capacity() < len {
             *allocations += 1;
         }
@@ -280,33 +239,24 @@ impl BatchWorkspace {
         };
         let lanes = if block == 0 { 0 } else { problems.div_ceil(block) * block };
         let a = &mut self.allocations;
-        Self::reset_f64(a, &mut self.d, tri * lanes, 0.0);
-        Self::reset_f64(a, &mut self.cos, lanes, 0.0);
-        Self::reset_f64(a, &mut self.sin, lanes, 0.0);
-        Self::reset_f64(a, &mut self.t, lanes, 0.0);
-        Self::reset_u8(a, &mut self.applied, lanes, 0);
-        Self::reset_u8(a, &mut self.active, lanes, 0);
-        Self::reset_f64(a, &mut self.abs_sum, lanes, 0.0);
-        Self::reset_f64(a, &mut self.sum_sq, lanes, 0.0);
-        Self::reset_f64(a, &mut self.max_abs, lanes, 0.0);
-        Self::reset_f64(a, &mut self.diag_min, lanes, 0.0);
-        Self::reset_usize(a, &mut self.diag_argmin, lanes);
-        Self::reset_f64(a, &mut self.diag_max_abs, lanes, 0.0);
-        Self::reset_u8(a, &mut self.diag_finite, lanes, 1);
-        Self::reset_f64(a, &mut self.trace, lanes, 0.0);
-        Self::reset_f64(a, &mut self.best_off, lanes, f64::INFINITY);
-        Self::reset_usize(a, &mut self.stalled, lanes);
-        Self::reset_usize(a, &mut self.applied_count, lanes);
-        if self.exps.capacity() < problems {
-            self.allocations += 1;
-        }
-        self.exps.clear();
-        self.exps.resize(problems, 0);
-        if self.outcome.capacity() < problems {
-            self.allocations += 1;
-        }
-        self.outcome.clear();
-        self.outcome.resize(problems, LaneOutcome::Running);
+        Self::reset(a, &mut self.d, tri * lanes, 0.0);
+        Self::reset(a, &mut self.cos, lanes, 0.0);
+        Self::reset(a, &mut self.sin, lanes, 0.0);
+        Self::reset(a, &mut self.t, lanes, 0.0);
+        Self::reset(a, &mut self.applied, lanes, 0);
+        Self::reset(a, &mut self.active, lanes, 0);
+        Self::reset(a, &mut self.abs_sum, lanes, 0.0);
+        Self::reset(a, &mut self.sum_sq, lanes, 0.0);
+        Self::reset(a, &mut self.max_abs, lanes, 0.0);
+        Self::reset(a, &mut self.diag_min, lanes, 0.0);
+        Self::reset(a, &mut self.diag_argmin, lanes, 0);
+        Self::reset(a, &mut self.diag_max_abs, lanes, 0.0);
+        Self::reset(a, &mut self.diag_finite, lanes, 1);
+        Self::reset(a, &mut self.trace, lanes, 0.0);
+        Self::reset(a, &mut self.health, lanes, HealthState::new());
+        Self::reset(a, &mut self.applied_count, lanes, 0);
+        Self::reset(a, &mut self.exps, problems, 0);
+        Self::reset(a, &mut self.outcome, problems, LaneOutcome::Running);
         if self.histories.len() < problems {
             self.allocations += 1;
             self.histories.resize_with(problems, Vec::new);
@@ -378,15 +328,6 @@ impl BatchWorkspace {
                 }
             }
         }
-    }
-
-    /// Overwrite entry `(i, j)` of problem `p`'s interleaved triangle.
-    #[cfg(feature = "fault-injection")]
-    fn poison(&mut self, p: usize, i: usize, j: usize, value: f64) {
-        let (r, c) = if i <= j { (i, j) } else { (j, i) };
-        let off = r * (2 * self.n - r + 1) / 2 + (c - r);
-        let idx = self.at(off, p);
-        self.d[idx] = value;
     }
 }
 
@@ -487,7 +428,7 @@ impl<'a> BatchDriver<'a> {
                 // Out-of-window input: scale a scratch copy by the exact
                 // power of two first (squaring unscaled entries is what
                 // overflows), then build the Gram from the scratch columns.
-                BatchWorkspace::reset_f64(
+                BatchWorkspace::reset(
                     &mut ws.allocations,
                     &mut ws.scaled,
                     mat.as_slice().len(),
@@ -505,19 +446,17 @@ impl<'a> BatchDriver<'a> {
     /// exhausted the solver's sweep budget. Allocation-free in the steady
     /// state (same shape, warm workspace).
     pub fn sweep_to_convergence(&self, ws: &mut BatchWorkspace) {
-        self.sweep_inner(ws, &[]);
+        self.sweep_inner(ws, |_, _| {});
     }
 
-    /// [`BatchDriver::sweep_to_convergence`] with planned per-lane
-    /// corruptions — the fault-isolation robustness harness (the method
-    /// does not exist in production builds).
-    #[cfg(feature = "fault-injection")]
-    pub fn sweep_to_convergence_corrupted(&self, ws: &mut BatchWorkspace, plan: &[LaneCorruption]) {
-        self.sweep_inner(ws, plan);
-    }
-
-    #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
-    fn sweep_inner(&self, ws: &mut BatchWorkspace, plan: CorruptionPlan<'_>) {
+    /// The shared sweep loop, calling `before(sweep, ws)` ahead of each
+    /// sweep that runs (after the budget check), so that a test can corrupt
+    /// a lane's `D` exactly where a scalar [`crate::SweepEngine`] would.
+    fn sweep_inner(
+        &self,
+        ws: &mut BatchWorkspace,
+        mut before: impl FnMut(usize, &mut BatchWorkspace),
+    ) {
         let opts = self.solver.options();
         let budget = self.solver.budget();
         let max_sweeps = opts.max_sweeps.min(MAX_SWEEP_CAP);
@@ -536,12 +475,7 @@ impl<'a> BatchDriver<'a> {
                 }
                 break;
             }
-            #[cfg(feature = "fault-injection")]
-            for c in plan {
-                if c.sweep == sweep && c.problem < ws.problems {
-                    ws.poison(c.problem, c.i, c.j, c.value);
-                }
-            }
+            before(sweep, ws);
             let started = Instant::now();
             ws.applied_count.iter_mut().for_each(|c| *c = 0);
             let (block, tri) = (ws.block, ws.tri());
@@ -614,7 +548,15 @@ impl<'a> BatchDriver<'a> {
                     rotations_skipped: pair_count - ws.applied_count[p],
                 };
                 ws.histories[p].push(rec);
-                if let Some(fault) = lane_health(ws, p, &rec) {
+                let scan = DiagonalScan {
+                    finite: ws.diag_finite[p] != 0,
+                    min: ws.diag_min[p],
+                    argmin: ws.diag_argmin[p],
+                    max_abs: ws.diag_max_abs[p],
+                };
+                if let Some(fault) =
+                    HealthCheck::default().inspect(&scan, n, &rec, &mut ws.health[p])
+                {
                     ws.active[p] = 0;
                     ws.outcome[p] = LaneOutcome::Faulted(fault);
                     continue;
@@ -672,37 +614,6 @@ impl<'a> BatchDriver<'a> {
     }
 }
 
-/// Per-lane replica of the default [`crate::HealthCheck`]'s inspection,
-/// over the workspace's fused metric scan — same thresholds, same check
-/// order, negative diagonals included (every lane is a Gram matrix).
-fn lane_health(ws: &mut BatchWorkspace, p: usize, rec: &SweepRecord) -> Option<Fault> {
-    if !rec.off_frobenius.is_finite() || !rec.mean_abs_cov.is_finite() {
-        return Some(Fault::NonFiniteGram { sweep: rec.sweep });
-    }
-    if ws.diag_finite[p] == 0 {
-        return Some(Fault::NonFiniteGram { sweep: rec.sweep });
-    }
-    if ws.diag_min[p] < -NEGATIVE_DIAG_TOL * ws.diag_max_abs[p] {
-        return Some(Fault::NegativeDiagonal { sweep: rec.sweep, index: ws.diag_argmin[p] });
-    }
-    let floor = STALL_OFF_FLOOR * ws.diag_max_abs[p] * ws.n as f64;
-    let progressing = rec.off_frobenius <= floor
-        || rec.off_frobenius < ws.best_off[p] * (1.0 - STALL_MIN_PROGRESS);
-    if progressing {
-        ws.stalled[p] = 0;
-    } else {
-        ws.stalled[p] += 1;
-        if ws.stalled[p] >= STALL_SWEEPS {
-            return Some(Fault::ConvergenceStall {
-                sweep: rec.sweep,
-                stalled_sweeps: ws.stalled[p],
-            });
-        }
-    }
-    ws.best_off[p] = ws.best_off[p].min(rec.off_frobenius);
-    None
-}
-
 /// True when [`crate::HestenesSvd::singular_values_batch`] should route the
 /// batch through the SoA engine: at least two problems, one uniform shape,
 /// `2 ≤ n ≤` [`SOA_DISPATCH_MAX_N`], and the solver running the default
@@ -726,7 +637,13 @@ pub(crate) fn soa_eligible(solver: &HestenesSvd, mats: &[Matrix]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Convergence, SvdOptions};
+    use crate::engine::{
+        PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepEngine, SweepState,
+    };
+    use crate::gram::GramState;
+    use crate::ordering::{Sweep, SweepSchedule};
+    use crate::trace::Tracer;
+    use crate::{Convergence, SolveBudget, SvdOptions};
     use hj_matrix::gen;
 
     fn uniform_batch(m: usize, n: usize, count: usize) -> Vec<Matrix> {
@@ -736,6 +653,36 @@ mod tests {
     /// One SoA solve of `mats` on a fresh workspace.
     fn soa(solver: &HestenesSvd, mats: &[Matrix]) -> Vec<Result<SingularValues, SvdError>> {
         BatchDriver::new(solver).solve(&mut BatchWorkspace::new(), mats)
+    }
+
+    /// A write of `value` to `D[i][j]` of problem `problem`, made before
+    /// sweep `sweep` runs.
+    #[derive(Clone, Copy)]
+    struct Poison {
+        problem: usize,
+        sweep: usize,
+        i: usize,
+        j: usize,
+        value: f64,
+    }
+
+    /// [`soa`] with every write of `plan` made before its sweep.
+    fn soa_poisoned(
+        solver: &HestenesSvd,
+        mats: &[Matrix],
+        plan: &[Poison],
+    ) -> Vec<Result<SingularValues, SvdError>> {
+        let driver = BatchDriver::new(solver);
+        let mut ws = BatchWorkspace::new();
+        driver.load(&mut ws, mats);
+        driver.sweep_inner(&mut ws, |sweep, ws| {
+            for c in plan.iter().filter(|c| c.sweep == sweep) {
+                let (r, col) = (c.i.min(c.j), c.i.max(c.j));
+                let at = ws.at(ops::packed_row_start(ws.n, r) + col - r, c.problem);
+                ws.d[at] = c.value;
+            }
+        });
+        driver.extract(&ws, mats)
     }
 
     #[test]
@@ -842,7 +789,6 @@ mod tests {
 
     #[test]
     fn expired_budget_aborts_every_active_lane() {
-        use crate::SolveBudget;
         use std::time::{Duration, Instant};
         let mats = uniform_batch(12, 4, 3);
         let solver = HestenesSvd::new(SvdOptions::default())
@@ -923,5 +869,134 @@ mod tests {
         let row =
             HestenesSvd::new(SvdOptions { ordering: Ordering::RowCyclic, ..Default::default() });
         assert!(!soa_eligible(&row, &uniform), "other orderings stay looped");
+    }
+
+    #[test]
+    fn poisoned_batch_lane_aborts_alone_and_neighbors_are_bit_unaffected() {
+        // Per-lane fault isolation: a NaN written into one problem's
+        // interleaved Gram triangle aborts THAT lane with a structured
+        // non-finite-gram fault, while every other lane's spectrum, sweep
+        // count, and history match the clean batch run bit-for-bit — the
+        // software analogue of the paper's independent processing elements.
+        let mats: Vec<_> = (0..12).map(|k| gen::uniform(18, 6, 500 + k)).collect();
+        let s = HestenesSvd::new(SvdOptions::default());
+        let clean = soa(&s, &mats);
+        let plan = [Poison { problem: 4, sweep: 2, i: 1, j: 3, value: f64::NAN }];
+        let batch = soa_poisoned(&s, &mats, &plan);
+
+        for (p, (res, want)) in batch.iter().zip(&clean).enumerate() {
+            if p == 4 {
+                match res {
+                    Err(SvdError::SolveFault { fault, sweeps_completed, .. }) => {
+                        assert_eq!(fault.kind(), "non-finite-gram", "{fault}");
+                        assert!(*sweeps_completed >= 2, "detected at the poisoned sweep");
+                    }
+                    other => panic!("poisoned lane must abort with a solve fault, got {other:?}"),
+                }
+            } else {
+                let (got, want) = (res.as_ref().unwrap(), want.as_ref().unwrap());
+                assert_eq!(got.values, want.values, "lane {p} perturbed by its neighbor's fault");
+                assert_eq!(got.sweeps, want.sweeps, "lane {p} sweep count drifted");
+                assert_eq!(got.history, want.history, "lane {p} history drifted");
+            }
+        }
+    }
+
+    #[test]
+    fn multiple_poisoned_lanes_fail_independently() {
+        // Several corrupted lanes, several fault classes (NaN gram entry and
+        // a hard-negative diagonal), one shared sweep loop: each poisoned
+        // lane reports its own fault; the survivors still match the clean
+        // run.
+        let mats: Vec<_> = (0..8).map(|k| gen::uniform(16, 5, 800 + k)).collect();
+        let s = HestenesSvd::new(SvdOptions::default());
+        let clean = soa(&s, &mats);
+        let plan = [
+            Poison { problem: 1, sweep: 1, i: 0, j: 2, value: f64::NAN },
+            Poison { problem: 6, sweep: 2, i: 3, j: 3, value: -1e12 },
+        ];
+        let batch = soa_poisoned(&s, &mats, &plan);
+
+        let mut kinds = Vec::new();
+        for (p, (res, want)) in batch.iter().zip(&clean).enumerate() {
+            match (p, res) {
+                (1 | 6, Err(SvdError::SolveFault { fault, .. })) => kinds.push(fault.kind()),
+                (1 | 6, other) => panic!("lane {p} must abort, got {other:?}"),
+                (_, res) => {
+                    let (got, want) = (res.as_ref().unwrap(), want.as_ref().unwrap());
+                    assert_eq!(got.values, want.values, "lane {p} perturbed");
+                }
+            }
+        }
+        assert_eq!(kinds, ["non-finite-gram", "negative-diagonal"]);
+    }
+
+    /// A [`Sequential`] engine that makes `poison`'s write to `D` before its
+    /// sweep.
+    struct Poisoning(Poison);
+
+    impl SweepEngine for Poisoning {
+        fn name(&self) -> &'static str {
+            "poisoning"
+        }
+
+        fn sweep_traced(
+            &mut self,
+            state: &mut SweepState<'_>,
+            order: &Sweep,
+            idx: usize,
+            tracer: &mut Tracer<'_, '_>,
+        ) -> SweepRecord {
+            let c = self.0;
+            if idx == c.sweep {
+                let mut d = state.gram.packed().clone();
+                d.set(c.i, c.j, c.value);
+                *state.gram = GramState::from_packed(d);
+            }
+            Sequential.sweep_traced(state, order, idx, tracer)
+        }
+    }
+
+    #[test]
+    fn poisoned_lane_reports_the_fault_the_scalar_driver_reports() {
+        // One fault rule on both paths: the same entry poisoned before the
+        // same sweep gives the same fault (kind, sweep and index) and the
+        // same number of completed sweeps on a SoA lane and on the scalar
+        // driver.
+        let mats: Vec<_> = (0..8).map(|k| gen::uniform(20, 6, 300 + k)).collect();
+        let s = HestenesSvd::new(SvdOptions::default());
+        let cases = [
+            Poison { problem: 2, sweep: 2, i: 1, j: 3, value: f64::NAN },
+            Poison { problem: 3, sweep: 1, i: 0, j: 4, value: f64::INFINITY },
+            Poison { problem: 5, sweep: 3, i: 2, j: 2, value: f64::NEG_INFINITY },
+            Poison { problem: 6, sweep: 2, i: 4, j: 4, value: -1e12 },
+        ];
+        let batch = soa_poisoned(&s, &mats, &cases);
+        for c in cases {
+            let mut gram = GramState::from_matrix(&mats[c.problem]);
+            let mut state = SweepState {
+                gram: &mut gram,
+                target: RotationTarget::gram_only(),
+                guard: PairGuard::default(),
+            };
+            let mut plan = Sweep::new();
+            let mut schedule =
+                SweepSchedule { strategy: Ordering::RoundRobin, plan: &mut plan, threshold: None };
+            let mut monitor = SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default());
+            let driver = SolveDriver {
+                convergence: s.options().convergence,
+                max_sweeps: s.options().max_sweeps,
+            };
+            let run =
+                driver.run_monitored(&mut Poisoning(c), &mut state, &mut schedule, &mut monitor);
+            let scalar = run.fault.expect("the scalar driver detects the poison");
+            match &batch[c.problem] {
+                Err(SvdError::SolveFault { fault, sweeps_completed }) => {
+                    assert_eq!(*fault, scalar, "lane {}", c.problem);
+                    assert_eq!(*sweeps_completed, run.history.len(), "lane {}", c.problem);
+                }
+                other => panic!("lane {} must abort, got {other:?}", c.problem),
+            }
+        }
     }
 }

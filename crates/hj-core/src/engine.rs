@@ -293,8 +293,9 @@ pub struct SolveDriver {
 
 /// Monitoring attached to one [`SolveDriver::run_monitored`] call: a latency
 /// [`SolveBudget`] checked at sweep boundaries, the per-sweep
-/// [`HealthCheck`], and the caller's [`Request`] (trace sink, and under the
-/// `fault-injection` feature an injector hook).
+/// [`HealthCheck`], and the caller's [`Request`] (its trace sink). Nothing
+/// here writes `D`: a test that corrupts a solve passes
+/// [`SolveDriver::run_monitored`] its own [`SweepEngine`] instead.
 pub struct SolveMonitor<'a> {
     /// Deadline/cancellation limits, checked before each sweep starts.
     pub budget: SolveBudget,
@@ -374,10 +375,6 @@ impl SolveDriver {
                 fault = Some(f);
                 break;
             }
-            #[cfg(feature = "fault-injection")]
-            if let Some(inj) = monitor.request.injector.as_deref_mut() {
-                inj.before_sweep(s, state.gram);
-            }
             // Sweep 1's clock covers the solve's planning.
             let t0 = Instant::now();
             if s == 1 {
@@ -395,10 +392,6 @@ impl SolveDriver {
                 tracer.emit(TraceEvent::SweepStart { sweep: s, engine: engine.name() });
             }
             let rec = engine.sweep_traced(state, schedule.plan, s, &mut tracer);
-            #[cfg(feature = "fault-injection")]
-            if let Some(inj) = monitor.request.injector.as_deref_mut() {
-                inj.after_sweep(s, state.gram);
-            }
             let seconds = t0.elapsed().as_secs_f64();
             stats.record_sweep(seconds, &rec);
             if threshold_active {
@@ -414,7 +407,8 @@ impl SolveDriver {
                 });
             }
             history.push(rec);
-            if let Some(f) = monitor.health.inspect(state.gram, &rec, &mut health_state) {
+            let scan = state.gram.diagonal_scan();
+            if let Some(f) = monitor.health.inspect(&scan, n, &rec, &mut health_state) {
                 fault = Some(f);
                 break;
             }

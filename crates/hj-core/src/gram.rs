@@ -144,14 +144,6 @@ impl GramState {
         &self.d
     }
 
-    /// Mutable borrow of the underlying packed matrix — for the fault
-    /// injector's corruptions, which write `D` entries in place.
-    #[cfg(feature = "fault-injection")]
-    #[inline]
-    pub(crate) fn packed_mut(&mut self) -> &mut PackedSymmetric {
-        &mut self.d
-    }
-
     /// Apply the plane rotation `rot` of column pair `(i, j)` to `D`
     /// (Algorithm 1 lines 15–26, with the required temporaries).
     ///
@@ -220,7 +212,10 @@ impl GramState {
     }
 }
 
-/// Summary of one [`GramState::diagonal_scan`] pass.
+/// Summary of one pass over the diagonal of `D` — what
+/// [`crate::HealthCheck`] reads. The scalar driver takes it from
+/// [`GramState::diagonal_scan`]; an SoA lane builds it from its own metric
+/// scan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiagonalScan {
     /// All diagonal entries are finite (when `false` the other fields stop

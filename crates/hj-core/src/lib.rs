@@ -49,18 +49,16 @@
 //! * [`convergence`] — stopping rules and per-sweep instrumentation
 //!   (the paper's Figs. 10–11 metric).
 //! * [`recovery`] — the fault-detection layer: [`recovery::Fault`]
-//!   taxonomy, per-sweep [`recovery::HealthCheck`], and
-//!   [`recovery::SolveBudget`] deadline/cancellation. Every solve path
-//!   aborts on its first fault with [`SvdError::SolveFault`].
-//! * `inject` *(feature `fault-injection` only)* — deterministic
-//!   fault-injection harness used by the robustness test campaign; compiles
-//!   out of production builds entirely.
+//!   taxonomy, per-sweep [`recovery::HealthCheck`] (the one fault rule of
+//!   the scalar driver and every SoA lane), and [`recovery::SolveBudget`]
+//!   deadline/cancellation. Every solve path aborts on its first fault with
+//!   [`SvdError::SolveFault`]. Tests corrupt a solve through the public
+//!   [`engine::SweepEngine`] seam.
 //! * [`svd`] — user-facing drivers: [`HestenesSvd::singular_values`]
 //!   (paper-faithful, D-only after the first pass) and
 //!   [`HestenesSvd::decompose`] (full `A = UΣVᵀ`), each also taking a
-//!   [`Request`] (`_with`) that attaches a trace sink, or in test builds a
-//!   fault injector. The scalar and SoA paths share one exact power-of-two
-//!   scaler and one spectrum step.
+//!   [`Request`] (`_with`) that attaches a trace sink. The scalar and SoA
+//!   paths share one exact power-of-two scaler and one spectrum step.
 //! * [`pca`], [`lowrank`] — the downstream applications the paper
 //!   motivates: PCA (fit/transform/explained variance) and low-rank /
 //!   pseudoinverse / least-squares utilities.
@@ -87,8 +85,6 @@ pub mod eigh;
 pub mod engine;
 mod error;
 pub mod gram;
-#[cfg(feature = "fault-injection")]
-pub mod inject;
 pub mod kernel;
 pub mod lowrank;
 pub mod ordering;
@@ -106,8 +102,6 @@ pub use engine::{
 };
 pub use error::SvdError;
 pub use gram::{DiagonalScan, GramState};
-#[cfg(feature = "fault-injection")]
-pub use inject::{Corruption, FaultInjector, SeededInjector};
 pub use ordering::{Ordering, PlanBuffers, SweepSchedule, ThresholdSchedule};
 pub use pca::Pca;
 pub use recovery::{Fault, HealthCheck, SolveBudget};

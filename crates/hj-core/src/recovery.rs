@@ -13,9 +13,10 @@
 //! [`crate::svd`]):
 //!
 //! * [`Fault`] — the closed set of mid-solve failure classes.
-//! * [`HealthCheck`] — a cheap `O(n)` per-sweep scan of `D` run by
-//!   [`crate::SolveDriver::run_monitored`]: non-finite metrics, negative
-//!   diagonals (impossible for a true Gram matrix), and convergence stalls.
+//! * [`HealthCheck`] — a cheap `O(n)` per-sweep judgement of `D` run by
+//!   [`crate::SolveDriver::run_monitored`] and by every lane of the SoA
+//!   batch engine: non-finite metrics, negative diagonals (impossible for a
+//!   true Gram matrix), and convergence stalls.
 //! * [`SolveBudget`] — deadline/cancellation checked at sweep boundaries, so
 //!   batch and CLI callers can bound worst-case latency.
 //!
@@ -25,9 +26,15 @@
 //! deterministic, so running it again could only repeat the fault, and a
 //! finite input whose result fits in `f64` does not fault
 //! (`tests/extreme_conditioning.rs` searches for one).
+//!
+//! Tests corrupt `D` mid-solve through the public seams, not through a
+//! build option: a [`crate::SweepEngine`] that writes `D` before it
+//! delegates to [`crate::engine::Sequential`] (`tests/fault_injection.rs`),
+//! and a hook before each shared sweep of the SoA batch engine (its unit
+//! tests).
 
 use crate::convergence::SweepRecord;
-use crate::gram::GramState;
+use crate::gram::DiagonalScan;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,9 +48,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// A NaN or ±∞ reached the maintained covariance matrix — an overflowed
-    /// squared norm, a poisoned rotation, or injected corruption. From
-    /// [`crate::eigh`] it can also mean a spectrum beyond `f64::MAX`,
-    /// found when the eigenvalues of a prescaled solve are scaled back.
+    /// squared norm or a poisoned rotation. From [`crate::eigh`] it can also
+    /// mean a spectrum beyond `f64::MAX`, found when the eigenvalues of a
+    /// prescaled solve are scaled back.
     NonFiniteGram {
         /// Sweep at which the non-finite value was detected.
         sweep: usize,
@@ -128,33 +135,35 @@ impl fmt::Display for Fault {
 /// roundoff dust, not a fault. Legitimate dust sits many orders below this
 /// (|D_ii| ≲ n·ε·max|D_kk| ≈ 1e-14·max), while corruption-induced negatives
 /// are O(max) — the gap is wide on both sides.
-pub(crate) const NEGATIVE_DIAG_TOL: f64 = 1e-10;
+const NEGATIVE_DIAG_TOL: f64 = 1e-10;
 
 /// Relative floor below which the off-diagonal norm counts as converged dust
 /// for stall purposes: no stall is ever declared once
 /// `off(D) ≤ floor ≈ 1e-13·n·max|D_kk|`.
-pub(crate) const STALL_OFF_FLOOR: f64 = 1e-13;
+const STALL_OFF_FLOOR: f64 = 1e-13;
 
 /// Minimum relative improvement per sweep that counts as progress for the
 /// stall detector. Healthy Jacobi sweeps reduce `off(D)` by large factors
 /// (quadratically near convergence); anything under 0.1% for several
 /// consecutive sweeps means the iteration is wedged.
-pub(crate) const STALL_MIN_PROGRESS: f64 = 1e-3;
+const STALL_MIN_PROGRESS: f64 = 1e-3;
 
 /// Consecutive no-progress sweeps before a stall is declared. Jacobi
 /// converges quadratically: six flat sweeps is decisively wedged, while
 /// legitimate solves never produce even two.
-pub(crate) const STALL_SWEEPS: usize = 6;
+const STALL_SWEEPS: usize = 6;
 
-/// The per-sweep `O(n)` health scan run by
-/// [`crate::SolveDriver::run_monitored`].
+/// The per-sweep health judgement run by
+/// [`crate::SolveDriver::run_monitored`] and by every lane of the SoA batch
+/// engine — one rule for both paths.
 ///
 /// Checks, in order: non-finite sweep metrics (one NaN/∞ anywhere in `D`
 /// poisons the off-diagonal sums), non-finite or materially negative
 /// diagonal entries, and convergence stalls (`off(D)` not decreasing across
 /// six sweeps while still above the dust floor).
-/// The scan iterates the diagonal in place and allocates nothing, preserving
-/// the engines' steady-state zero-allocation invariant.
+/// It reads the sweep's [`SweepRecord`] and a [`DiagonalScan`] of `D` that
+/// the caller has already made, and allocates nothing, preserving the
+/// engines' steady-state zero-allocation invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthCheck {
     /// Flag materially negative diagonals. Valid for Gram matrices (PSD by
@@ -177,12 +186,14 @@ impl HealthCheck {
         HealthCheck { negative_diagonal: false }
     }
 
-    /// Inspect the post-sweep state; returns the first fault found.
-    /// `state` carries the stall detector's memory across the sweeps of
-    /// one run.
+    /// Inspect the post-sweep state of an `n`-column `D`, given its
+    /// diagonal `scan` and the sweep's record; returns the first fault
+    /// found. `state` carries the stall detector's memory across the sweeps
+    /// of one run.
     pub(crate) fn inspect(
         &self,
-        gram: &GramState,
+        scan: &DiagonalScan,
+        n: usize,
         rec: &SweepRecord,
         state: &mut HealthState,
     ) -> Option<Fault> {
@@ -192,9 +203,6 @@ impl HealthCheck {
         if !rec.off_frobenius.is_finite() || !rec.mean_abs_cov.is_finite() {
             return Some(Fault::NonFiniteGram { sweep: rec.sweep });
         }
-        // O(n) diagonal scan, allocation-free.
-        let n = gram.dim();
-        let scan = gram.diagonal_scan();
         if !scan.finite {
             return Some(Fault::NonFiniteGram { sweep: rec.sweep });
         }
@@ -221,7 +229,7 @@ impl HealthCheck {
     }
 }
 
-/// The stall detector's cross-sweep memory (one per run).
+/// The stall detector's cross-sweep memory (one per run, or per SoA lane).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HealthState {
     best_off: f64,
@@ -341,6 +349,7 @@ impl SolveBudget {
 mod tests {
     use super::*;
     use crate::convergence::MAX_SWEEP_CAP;
+    use crate::gram::GramState;
     use hj_matrix::{gen, PackedSymmetric};
 
     fn rec(sweep: usize, off: f64) -> SweepRecord {
@@ -352,6 +361,16 @@ mod tests {
             rotations_applied: 1,
             rotations_skipped: 0,
         }
+    }
+
+    /// `hc` judging `g` after the sweep `rec` describes.
+    fn inspect(
+        hc: HealthCheck,
+        g: &GramState,
+        rec: &SweepRecord,
+        st: &mut HealthState,
+    ) -> Option<Fault> {
+        hc.inspect(&g.diagonal_scan(), g.dim(), rec, st)
     }
 
     #[test]
@@ -404,7 +423,7 @@ mod tests {
         let hc = HealthCheck::default();
         let mut st = HealthState::new();
         let bad = rec(1, f64::NAN);
-        assert_eq!(hc.inspect(&g, &bad, &mut st), Some(Fault::NonFiniteGram { sweep: 1 }));
+        assert_eq!(inspect(hc, &g, &bad, &mut st), Some(Fault::NonFiniteGram { sweep: 1 }));
     }
 
     #[test]
@@ -416,7 +435,7 @@ mod tests {
         let g = GramState::from_packed(p);
         let hc = HealthCheck::default();
         let mut st = HealthState::new();
-        assert_eq!(hc.inspect(&g, &rec(2, 0.5), &mut st), Some(Fault::NonFiniteGram { sweep: 2 }));
+        assert_eq!(inspect(hc, &g, &rec(2, 0.5), &mut st), Some(Fault::NonFiniteGram { sweep: 2 }));
     }
 
     #[test]
@@ -428,18 +447,18 @@ mod tests {
         let g = GramState::from_packed(p.clone());
         let hc = HealthCheck::default();
         let mut st = HealthState::new();
-        assert_eq!(hc.inspect(&g, &rec(1, 0.1), &mut st), None);
+        assert_eq!(inspect(hc, &g, &rec(1, 0.1), &mut st), None);
 
         p.set(1, 1, -1.0); // material negative: fault, with the right index
         let g = GramState::from_packed(p.clone());
         assert_eq!(
-            hc.inspect(&g, &rec(1, 0.1), &mut st),
+            inspect(hc, &g, &rec(1, 0.1), &mut st),
             Some(Fault::NegativeDiagonal { sweep: 1, index: 1 })
         );
 
         // ... but the indefinite profile (eigh) accepts it.
         let mut st2 = HealthState::new();
-        assert_eq!(HealthCheck::indefinite().inspect(&g, &rec(1, 0.1), &mut st2), None);
+        assert_eq!(inspect(HealthCheck::indefinite(), &g, &rec(1, 0.1), &mut st2), None);
     }
 
     #[test]
@@ -449,17 +468,17 @@ mod tests {
         let hc = HealthCheck::default();
         let mut st = HealthState::new();
         let off = g.trace(); // far above the dust floor
-        assert_eq!(hc.inspect(&g, &rec(1, off), &mut st), None);
+        assert_eq!(inspect(hc, &g, &rec(1, off), &mut st), None);
         // Five flat sweeps (stalled = 1..=5) stay inside the window.
         for s in 2..=6 {
-            assert_eq!(hc.inspect(&g, &rec(s, off), &mut st), None, "sweep {s}");
+            assert_eq!(inspect(hc, &g, &rec(s, off), &mut st), None, "sweep {s}");
         }
-        assert_eq!(hc.inspect(&g, &rec(7, off * 0.5), &mut st), None); // progress resets
+        assert_eq!(inspect(hc, &g, &rec(7, off * 0.5), &mut st), None); // progress resets
         for s in 8..=12 {
-            assert_eq!(hc.inspect(&g, &rec(s, off * 0.5), &mut st), None, "sweep {s}");
+            assert_eq!(inspect(hc, &g, &rec(s, off * 0.5), &mut st), None, "sweep {s}");
         }
         assert_eq!(
-            hc.inspect(&g, &rec(13, off * 0.5), &mut st),
+            inspect(hc, &g, &rec(13, off * 0.5), &mut st),
             Some(Fault::ConvergenceStall { sweep: 13, stalled_sweeps: STALL_SWEEPS })
         );
     }
@@ -472,7 +491,7 @@ mod tests {
         let mut st = HealthState::new();
         let dust = 1e-16 * g.trace();
         for s in 1..=3 * STALL_SWEEPS {
-            assert_eq!(hc.inspect(&g, &rec(s, dust), &mut st), None);
+            assert_eq!(inspect(hc, &g, &rec(s, dust), &mut st), None);
         }
     }
 

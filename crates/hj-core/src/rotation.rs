@@ -60,14 +60,6 @@ impl Rotation {
     pub fn angle(&self) -> f64 {
         self.sin.atan2(self.cos)
     }
-
-    /// True if all three parameters are finite. A rotation computed from
-    /// finite, in-range Gram entries always is; the fault-injection harness
-    /// uses this to tell deliberately poisoned rotations apart.
-    #[inline]
-    pub fn is_finite(&self) -> bool {
-        self.cos.is_finite() && self.sin.is_finite() && self.t.is_finite()
-    }
 }
 
 /// Classical formulation (paper's Algorithm 1 lines 8–14, sign-corrected).

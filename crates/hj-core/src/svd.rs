@@ -8,9 +8,9 @@
 //!
 //! Each mode has one entry point, [`HestenesSvd::singular_values_with`] and
 //! [`HestenesSvd::decompose_with`], taking a [`Request`]: what the solve is
-//! watched by (a trace sink, and in test builds a fault injector). The plain
-//! [`HestenesSvd::singular_values`] and [`HestenesSvd::decompose`] pass the
-//! default request, which watches nothing.
+//! watched by (a trace sink). The plain [`HestenesSvd::singular_values`]
+//! and [`HestenesSvd::decompose`] pass the default request, which watches
+//! nothing.
 
 use crate::convergence::{Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::engine::{PairGuard, RotationTarget, Sequential, SolveDriver, SolveMonitor, SweepState};
@@ -107,8 +107,7 @@ pub(crate) fn spectrum(mut d: Vec<f64>, rows: usize, exp: i32) -> Result<Vec<f64
 }
 
 /// What one solve is watched by: an optional trace sink with the level to
-/// emit at and, under the `fault-injection` feature only, an optional fault
-/// injector. [`Request::default`] watches nothing — the plain solve that
+/// emit at. [`Request::default`] watches nothing — the plain solve that
 /// [`HestenesSvd::singular_values`] and [`HestenesSvd::decompose`] run. A
 /// trace sink observes and never influences: a traced solve computes the
 /// same bits as the plain one.
@@ -125,40 +124,17 @@ pub(crate) fn spectrum(mut d: Vec<f64>, rows: usize, exp: i32) -> Result<Vec<f64
 /// // One sweep_start + sweep_end + convergence_check triple per sweep.
 /// assert_eq!(sink.recorded(), 3 * sv.sweeps);
 /// ```
-#[cfg_attr(
-    not(feature = "fault-injection"),
-    doc = "A production build has no injector field: this request compiles,",
-    doc = "",
-    doc = "```",
-    doc = "let _ = hj_core::Request { trace: None, ..Default::default() };",
-    doc = "```",
-    doc = "",
-    doc = "and the same request setting `injector` does not:",
-    doc = "",
-    doc = "```compile_fail,E0560",
-    doc = "let _ = hj_core::Request { trace: None, injector: None, ..Default::default() };",
-    doc = "```"
-)]
 #[derive(Default)]
 pub struct Request<'a> {
     /// Sink receiving the solve's [`TraceEvent`](crate::TraceEvent)s, with
     /// the finest [`TraceLevel`] to emit; `None` traces nothing.
     pub trace: Option<(&'a mut dyn TraceSink, TraceLevel)>,
-    /// Test-only corruption hook, called around every sweep.
-    #[cfg(feature = "fault-injection")]
-    pub injector: Option<&'a mut dyn crate::inject::FaultInjector>,
 }
 
 impl<'a> Request<'a> {
-    /// A request streaming the solve's events up to `level` into `sink`. It
-    /// builds the same request in every build, where a struct literal
-    /// would have to name the fields of one.
+    /// A request streaming the solve's events up to `level` into `sink`.
     pub fn traced(sink: &'a mut dyn TraceSink, level: TraceLevel) -> Self {
-        Request {
-            trace: Some((sink, level)),
-            #[cfg(feature = "fault-injection")]
-            injector: None,
-        }
+        Request { trace: Some((sink, level)) }
     }
 }
 

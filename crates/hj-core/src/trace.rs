@@ -542,23 +542,10 @@ impl<'a, 'k> Tracer<'a, 'k> {
         Tracer { sink: None, level: TraceLevel::Off }
     }
 
-    /// Tracer over `sink`, emitting events up to `level`.
-    pub fn new(sink: &'a mut (dyn TraceSink + 'k), level: TraceLevel) -> Tracer<'a, 'k> {
-        Tracer { sink: Some(sink), level }
-    }
-
-    /// Tracer over an optional sink — disabled when `sink` is `None`.
+    /// Tracer over an optional sink, emitting events up to `level` —
+    /// disabled when `sink` is `None`.
     pub fn attach(sink: Option<&'a mut (dyn TraceSink + 'k)>, level: TraceLevel) -> Tracer<'a, 'k> {
         Tracer { sink, level }
-    }
-
-    /// The active level ([`TraceLevel::Off`] when no sink is attached).
-    pub fn level(&self) -> TraceLevel {
-        if self.sink.is_some() {
-            self.level
-        } else {
-            TraceLevel::Off
-        }
     }
 
     /// True when events of `level` would be emitted.
@@ -617,12 +604,12 @@ mod tests {
     #[test]
     fn tracer_filters_by_level() {
         let mut sink = RingBufferSink::new(16);
-        let mut t = Tracer::new(&mut sink, TraceLevel::Sweep);
+        let mut t = Tracer::attach(Some(&mut sink), TraceLevel::Sweep);
         t.emit(TraceEvent::SweepStart { sweep: 1, engine: "sequential" });
         t.emit(TraceEvent::RotationApplied { sweep: 1, i: 0, j: 1 });
         assert_eq!(sink.events().len(), 1, "only the sweep-level event passes");
-        assert!(!Tracer::disabled().rotation_enabled());
-        assert_eq!(Tracer::disabled().level(), TraceLevel::Off);
+        assert!(!Tracer::disabled().sweep_enabled());
+        assert!(!Tracer::attach(None, TraceLevel::Rotation).sweep_enabled(), "no sink, no events");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Job vocabulary: what a caller submits, how it is prioritized, and how the
 //! result comes back.
 
-use hj_core::{SingularValues, SvdError};
+use hj_core::{SingularValues, SolveBudget, SvdError};
 use hj_matrix::Matrix;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -148,11 +148,12 @@ impl JobSpec {
         self
     }
 
-    /// Set a deadline `timeout` from now (saturating, like
-    /// [`hj_core::SolveBudget::with_timeout`]).
+    /// Set a deadline `timeout` from now, saturating as
+    /// [`SolveBudget::with_timeout`] does: a `timeout` beyond the platform's
+    /// `Instant` range gives a deadline decades ahead, never one that has
+    /// already passed.
     pub fn deadline_in(mut self, timeout: Duration) -> JobSpec {
-        let now = Instant::now();
-        self.deadline = Some(now.checked_add(timeout).unwrap_or(now));
+        self.deadline = SolveBudget::with_timeout(timeout).deadline;
         self
     }
 

@@ -19,7 +19,7 @@ use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wire error code for a rejected submission (the CLI exits with it).
 pub const CODE_REJECTED: u8 = 10;
@@ -204,12 +204,11 @@ fn decode_spec(
             message: format!("unknown ordering byte {ordering}"),
         });
     };
-    let mut spec = spec.ordering(ordering).priority(priority).tenant(tenant);
-    if deadline_ms != NO_DEADLINE {
-        let now = Instant::now();
-        spec.deadline = Some(now.checked_add(Duration::from_millis(deadline_ms)).unwrap_or(now));
+    let spec = spec.ordering(ordering).priority(priority).tenant(tenant);
+    if deadline_ms == NO_DEADLINE {
+        return Ok(spec);
     }
-    Ok(spec)
+    Ok(spec.deadline_in(Duration::from_millis(deadline_ms)))
 }
 
 /// Admit, wait, and shape the outcome into a reply frame.

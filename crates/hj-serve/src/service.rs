@@ -9,7 +9,6 @@ use crate::job::{JobOutcome, JobPayload, JobResult, JobSpec, JobTicket, RejectRe
 use crate::queue::{QueuedJob, Scheduler};
 use crate::stats::ServiceStats;
 use hj_core::{HestenesSvd, SolveBudget, SvdError, SvdOptions, TraceEvent, TraceSink};
-use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -278,17 +277,13 @@ fn fault_kind(err: &SvdError) -> &'static str {
     }
 }
 
-/// Convenience for tests: has the ticket's cancel flag been raised?
-pub(crate) fn _cancel_raised(ticket: &JobTicket) -> bool {
-    ticket.cancel.load(AtomicOrdering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::Priority;
     use hj_core::recovery::Fault;
     use hj_matrix::gen;
+    use std::sync::atomic::Ordering as AtomicOrdering;
 
     #[test]
     fn service_solves_and_matches_direct_call() {
@@ -326,6 +321,18 @@ mod tests {
     }
 
     #[test]
+    fn a_job_with_the_largest_timeout_solves() {
+        // `Duration::MAX` overflows `Instant`: the deadline saturates decades
+        // ahead instead of collapsing to an already-passed "now".
+        let service = SolveService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+        let a = gen::uniform(20, 5, 9);
+        let direct = HestenesSvd::new(SvdOptions::default()).singular_values(&a).unwrap();
+        let outcome = service.solve(JobSpec::new(a).deadline_in(Duration::MAX)).unwrap();
+        assert_eq!(outcome.result.into_single().unwrap().values, direct.values);
+        service.shutdown(Duration::from_secs(5));
+    }
+
+    #[test]
     fn input_errors_are_not_retried() {
         let service = SolveService::start(ServiceConfig::default());
         let outcome = service.solve(JobSpec::new(hj_matrix::Matrix::zeros(0, 3))).unwrap();
@@ -343,7 +350,7 @@ mod tests {
         let blocker = service.submit(JobSpec::new(gen::uniform(120, 60, 1))).unwrap();
         let victim = service.submit(JobSpec::new(gen::uniform(60, 30, 2))).unwrap();
         victim.cancel();
-        assert!(super::_cancel_raised(&victim));
+        assert!(victim.cancel.load(AtomicOrdering::Relaxed));
         let outcome = victim.wait();
         match outcome.result.into_single() {
             Err(SvdError::SolveFault { fault: Fault::Cancelled { .. }, .. }) => {}

@@ -1,19 +1,23 @@
-//! Fault-injection campaign (requires `--features fault-injection`).
+//! Fault-injection campaign.
 //!
-//! Drives the public solver API with a deterministic [`SeededInjector`],
-//! attached through [`Request`]'s `injector` field, corrupting the solve
-//! mid-flight, and proves the abort contract: every
-//! fault class is detected by the health check within one sweep of firing,
-//! and the solve is *rejected* with the matching structured
-//! [`SvdError::SolveFault`] at that sweep — never retried, and never a
-//! silently wrong answer.
-#![cfg(feature = "fault-injection")]
+//! Drives [`SolveDriver::run_monitored`], the one sweep loop every solve
+//! runs, with a test-local [`SweepEngine`] that corrupts the solve
+//! mid-flight: before it delegates each sweep to [`Sequential`], it writes
+//! `D` or sleeps. The campaign proves the abort contract: every fault
+//! class is detected by the health check within one sweep of firing, and
+//! the run stops with the matching structured [`Fault`] at that sweep —
+//! never retried, and never a silently wrong answer. The SoA batch
+//! engine's lanes are corrupted the same way in its unit tests.
 
+use hjsvd::core::engine::Sequential;
+use hjsvd::core::ordering::Sweep;
 use hjsvd::core::{
-    Corruption, Fault, HestenesSvd, Request, SeededInjector, SolveBudget, SvdError, SvdOptions,
+    Fault, GramState, HealthCheck, HestenesSvd, MonitoredRun, Ordering, PairGuard, Rotation,
+    RotationTarget, SolveBudget, SolveDriver, SolveMonitor, SvdError, SvdOptions, SweepEngine,
+    SweepRecord, SweepSchedule, SweepState, Tracer,
 };
-use hjsvd::matrix::gen;
-use std::sync::atomic::{AtomicBool, Ordering};
+use hjsvd::matrix::{gen, Matrix};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,9 +25,55 @@ fn solver() -> HestenesSvd {
     HestenesSvd::new(SvdOptions::default())
 }
 
-/// A request that watches the solve with `injector`.
-fn injecting(injector: &mut SeededInjector) -> Request<'_> {
-    Request { injector: Some(injector), ..Request::default() }
+/// [`Sequential`], with `before(sweep, D)` run ahead of every sweep.
+struct Corrupting<F: FnMut(usize, &mut GramState)>(F);
+
+impl<F: FnMut(usize, &mut GramState)> SweepEngine for Corrupting<F> {
+    fn name(&self) -> &'static str {
+        "corrupting"
+    }
+
+    fn sweep_traced(
+        &mut self,
+        state: &mut SweepState<'_>,
+        order: &Sweep,
+        idx: usize,
+        tracer: &mut Tracer<'_, '_>,
+    ) -> SweepRecord {
+        (self.0)(idx, state.gram);
+        Sequential.sweep_traced(state, order, idx, tracer)
+    }
+}
+
+/// Overwrite `D[i][j]` (and `D[j][i]`) with `value`.
+fn write(gram: &mut GramState, i: usize, j: usize, value: f64) {
+    let mut d = gram.packed().clone();
+    d.set(i, j, value);
+    *gram = GramState::from_packed(d);
+}
+
+/// Solve `a` as the default solver does, on `engine` and under `budget`:
+/// values only, or with the columns and `V` rotated too when `full`.
+/// Returns the run and the final `D`.
+fn run(
+    a: &Matrix,
+    full: bool,
+    budget: SolveBudget,
+    engine: &mut dyn SweepEngine,
+) -> (MonitoredRun, GramState) {
+    let opts = SvdOptions::default();
+    let mut gram = GramState::from_matrix(a);
+    let (mut b, mut v) = (a.clone(), Matrix::identity(a.cols()));
+    let target =
+        if full { RotationTarget::full(&mut b, &mut v) } else { RotationTarget::gram_only() };
+    let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
+    let mut plan = Sweep::new();
+    let mut schedule =
+        SweepSchedule { strategy: Ordering::RoundRobin, plan: &mut plan, threshold: None };
+    let mut monitor = SolveMonitor::new(budget, HealthCheck::default());
+    let driver = SolveDriver { convergence: opts.convergence, max_sweeps: opts.max_sweeps };
+    let run = driver.run_monitored(engine, &mut state, &mut schedule, &mut monitor);
+    (run, gram)
 }
 
 /// A spectrum returned despite a corruption must match the clean solve to
@@ -36,100 +86,109 @@ fn assert_spectrum_close(got: &[f64], clean: &[f64]) {
     }
 }
 
+/// The values-only spectrum of a converged `D`: `√D_ii`, descending.
+fn spectrum(gram: &GramState) -> Vec<f64> {
+    let mut values = gram.singular_values_unsorted();
+    values.sort_by(|x, y| y.partial_cmp(x).unwrap());
+    values
+}
+
 #[test]
 fn transient_nan_gram_entry_aborts_at_the_sweep_it_fired() {
     let a = gen::uniform(24, 8, 42);
-    let mut inj =
-        SeededInjector::new(7).at_sweep(2, Corruption::GramEntry { i: 1, j: 4, value: f64::NAN });
-    match solver().singular_values_with(&a, injecting(&mut inj)) {
-        Err(SvdError::SolveFault { fault, sweeps_completed }) => {
-            assert_eq!(fault, Fault::NonFiniteGram { sweep: 2 });
-            assert_eq!(sweeps_completed, 2, "the corrupted sweep is the last one run");
+    let mut fired = 0;
+    let mut engine = Corrupting(|sweep, d: &mut GramState| {
+        if sweep == 2 {
+            write(d, 1, 4, f64::NAN);
+            fired += 1;
         }
-        other => panic!("expected NonFiniteGram SolveFault, got {other:?}"),
-    }
-    assert_eq!(inj.fired().len(), 1, "corruption fired once");
+    });
+    let (run, _) = run(&a, false, SolveBudget::unlimited(), &mut engine);
+    assert_eq!(run.fault, Some(Fault::NonFiniteGram { sweep: 2 }));
+    assert_eq!(run.history.len(), 2, "the corrupted sweep is the last one run");
+    assert_eq!(fired, 1, "corruption fired once");
 }
 
 #[test]
 fn transient_negative_diagonal_aborts_at_the_sweep_it_fired() {
-    // A corrupted norm update: a squared column norm goes hard negative.
+    // A corrupted norm update: a squared column norm goes hard negative,
+    // in a full solve that rotates the columns and `V` too.
     let a = gen::uniform(20, 6, 11);
-    let mut inj =
-        SeededInjector::new(3).at_sweep(1, Corruption::GramEntry { i: 3, j: 3, value: -5.0 });
-    match solver().decompose_with(&a, injecting(&mut inj)) {
-        Err(SvdError::SolveFault {
-            fault: Fault::NegativeDiagonal { sweep, .. },
-            sweeps_completed,
-        }) => {
-            assert_eq!(sweep, 1);
-            assert_eq!(sweeps_completed, 1, "the corrupted sweep is the last one run");
+    let mut fired = 0;
+    let mut engine = Corrupting(|sweep, d: &mut GramState| {
+        if sweep == 1 {
+            write(d, 3, 3, -5.0);
+            fired += 1;
         }
-        other => panic!("expected NegativeDiagonal SolveFault, got {other:?}"),
-    }
-    assert_eq!(inj.fired().len(), 1, "corruption fired once");
+    });
+    let (run, _) = run(&a, true, SolveBudget::unlimited(), &mut engine);
+    assert!(
+        matches!(run.fault, Some(Fault::NegativeDiagonal { sweep: 1, .. })),
+        "expected a NegativeDiagonal fault at sweep 1, got {:?}",
+        run.fault
+    );
+    assert_eq!(run.history.len(), 1, "the corrupted sweep is the last one run");
+    assert_eq!(fired, 1, "corruption fired once");
 }
 
 #[test]
 fn persistent_nan_aborts_with_non_finite_gram_fault() {
     let a = gen::uniform(18, 6, 5);
-    let s = solver();
-    let mut inj = SeededInjector::new(9)
-        .at_sweep(1, Corruption::GramEntry { i: 0, j: 2, value: f64::INFINITY })
-        .persistent();
-    let err = s.singular_values_with(&a, injecting(&mut inj)).unwrap_err();
-    match err {
-        SvdError::SolveFault { fault: Fault::NonFiniteGram { sweep }, sweeps_completed } => {
-            assert_eq!(sweep, 1, "detected in the sweep the corruption fired");
-            assert_eq!(sweeps_completed, 1);
-        }
-        other => panic!("expected NonFiniteGram SolveFault, got {other:?}"),
-    }
-    assert_eq!(inj.fired().len(), 1, "the solve aborted before the fault could re-fire");
+    let mut fired = 0;
+    let mut engine = Corrupting(|_, d: &mut GramState| {
+        write(d, 0, 2, f64::INFINITY);
+        fired += 1;
+    });
+    let (run, _) = run(&a, false, SolveBudget::unlimited(), &mut engine);
+    assert_eq!(run.fault, Some(Fault::NonFiniteGram { sweep: 1 }), "detected where it fired");
+    assert_eq!(run.history.len(), 1);
+    assert_eq!(fired, 1, "the solve aborted before the fault could re-fire");
 }
 
 #[test]
 fn persistent_bogus_rotation_never_returns_a_silent_answer() {
     // A broken rotation kernel (cos² + sin² = 2) re-corrupts the Gram state
     // before every sweep. Whatever path the solve takes, the one forbidden
-    // outcome is Ok with a spectrum that disagrees with the clean solve.
+    // outcome is a clean run with a spectrum that disagrees with the clean
+    // solve.
     let a = gen::uniform(20, 6, 17);
-    let s = solver();
-    let clean = s.singular_values(&a).unwrap();
-    let mut inj = SeededInjector::new(31)
-        .at_sweep(1, Corruption::BogusRotation { i: 1, j: 3, cos: 1.0, sin: 1.0 })
-        .persistent();
-    match s.singular_values_with(&a, injecting(&mut inj)) {
-        Err(SvdError::SolveFault { fault, .. }) => {
-            assert!(
-                matches!(
-                    fault,
-                    Fault::ConvergenceStall { .. }
-                        | Fault::NonFiniteGram { .. }
-                        // cos = sin = 1 makes d_j' = d_i + d_j − 2·cov, which
-                        // goes negative whenever the pair is strongly
-                        // correlated — the diagonal check fires first.
-                        | Fault::NegativeDiagonal { .. }
-                ),
-                "unexpected fault class: {fault:?}"
-            );
-        }
-        Err(other) => panic!("expected a SolveFault, got {other:?}"),
-        Ok(sv) => assert_spectrum_close(&sv.values, &clean.values),
+    let clean = solver().singular_values(&a).unwrap();
+    let bogus = Rotation { cos: 1.0, sin: 1.0, t: 1.0 };
+    let mut fired = 0;
+    let mut engine = Corrupting(|_, d: &mut GramState| {
+        d.rotate(1, 3, &bogus);
+        fired += 1;
+    });
+    let (run, gram) = run(&a, false, SolveBudget::unlimited(), &mut engine);
+    match run.fault {
+        Some(fault) => assert!(
+            matches!(
+                fault,
+                Fault::ConvergenceStall { .. }
+                    | Fault::NonFiniteGram { .. }
+                    // cos = sin = 1 makes d_j' = d_i + d_j − 2·cov, which
+                    // goes negative whenever the pair is strongly
+                    // correlated — the diagonal check fires first.
+                    | Fault::NegativeDiagonal { .. }
+            ),
+            "unexpected fault class: {fault:?}"
+        ),
+        None => assert_spectrum_close(&spectrum(&gram), &clean.values),
     }
-    assert!(!inj.fired().is_empty());
+    assert!(fired > 0);
 }
 
 #[test]
 fn slow_sweeps_trip_the_deadline() {
     let a = gen::uniform(30, 10, 23);
-    let s = solver().with_budget(SolveBudget::with_timeout(Duration::from_millis(20)));
-    let mut inj = SeededInjector::new(1).at_sweep(1, Corruption::Delay { millis: 60 }).persistent();
-    let err = s.singular_values_with(&a, injecting(&mut inj)).unwrap_err();
-    match err {
-        SvdError::SolveFault { fault: Fault::DeadlineExceeded { sweep }, sweeps_completed } => {
+    let budget = SolveBudget::with_timeout(Duration::from_millis(20));
+    let mut engine =
+        Corrupting(|_, _: &mut GramState| std::thread::sleep(Duration::from_millis(60)));
+    let (run, _) = run(&a, false, budget, &mut engine);
+    match run.fault {
+        Some(Fault::DeadlineExceeded { sweep }) => {
             assert!(sweep >= 2, "the first sweep ran before the deadline fired");
-            assert_eq!(sweeps_completed, sweep - 1, "no sweep runs past the deadline");
+            assert_eq!(run.history.len(), sweep - 1, "no sweep runs past the deadline");
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -149,93 +208,20 @@ fn cancellation_flag_aborts_between_sweeps() {
         "pre-set flag stops before the first sweep: {err:?}"
     );
     // Clearing the flag lets the same solver run to completion.
-    flag.store(false, Ordering::Relaxed);
+    flag.store(false, AtomicOrdering::Relaxed);
     assert!(s.singular_values(&a).is_ok());
 }
 
 #[test]
 fn injected_run_with_no_planned_corruptions_matches_clean_run_bitwise() {
-    // The monitoring/injection plumbing itself must not perturb results.
+    // The seam itself must not perturb results: a corrupting engine with
+    // nothing planned reproduces `singular_values` bit for bit.
     let a = gen::uniform(20, 6, 53);
-    let s = solver();
-    let clean = s.decompose(&a).unwrap();
-    let mut inj = SeededInjector::new(1);
-    let injected = s.decompose_with(&a, injecting(&mut inj)).unwrap();
-    assert!(inj.fired().is_empty());
-    assert_eq!(injected.singular_values, clean.singular_values);
-    assert_eq!(injected.u.as_slice(), clean.u.as_slice());
-    assert_eq!(injected.v.as_slice(), clean.v.as_slice());
-}
-
-#[test]
-fn poisoned_batch_lane_aborts_alone_and_neighbors_are_bit_unaffected() {
-    // Per-lane fault isolation in the SoA batch engine: a NaN written into
-    // one problem's interleaved Gram triangle aborts THAT lane with a
-    // structured non-finite-gram fault, while every other lane's spectrum,
-    // sweep count, and history match the clean batch run bit-for-bit — the
-    // software analogue of the paper's independent processing elements.
-    use hjsvd::core::batch_engine::{BatchDriver, BatchWorkspace, LaneCorruption};
-
-    let mats: Vec<_> = (0..12).map(|k| gen::uniform(18, 6, 500 + k)).collect();
-    let s = solver();
-    let clean = BatchDriver::new(&s).solve(&mut BatchWorkspace::new(), &mats);
-
-    let driver = BatchDriver::new(&s);
-    let mut ws = BatchWorkspace::new();
-    driver.load(&mut ws, &mats);
-    let plan = [LaneCorruption { problem: 4, sweep: 2, i: 1, j: 3, value: f64::NAN }];
-    driver.sweep_to_convergence_corrupted(&mut ws, &plan);
-    let batch = driver.extract(&ws, &mats);
-
-    for (p, (res, want)) in batch.iter().zip(&clean).enumerate() {
-        if p == 4 {
-            match res {
-                Err(SvdError::SolveFault { fault, sweeps_completed, .. }) => {
-                    assert_eq!(fault.kind(), "non-finite-gram", "{fault}");
-                    assert!(*sweeps_completed >= 2, "detected at the poisoned sweep");
-                }
-                other => panic!("poisoned lane must abort with a solve fault, got {other:?}"),
-            }
-        } else {
-            let (got, want) = (res.as_ref().unwrap(), want.as_ref().unwrap());
-            assert_eq!(got.values, want.values, "lane {p} perturbed by its neighbor's fault");
-            assert_eq!(got.sweeps, want.sweeps, "lane {p} sweep count drifted");
-            assert_eq!(got.history, want.history, "lane {p} history drifted");
-        }
-    }
-}
-
-#[test]
-fn multiple_poisoned_lanes_fail_independently() {
-    // Several corrupted lanes, several fault classes (NaN gram entry and a
-    // hard-negative diagonal), one shared sweep loop: each poisoned lane
-    // reports its own fault; the survivors still match the clean run.
-    use hjsvd::core::batch_engine::{BatchDriver, BatchWorkspace, LaneCorruption};
-
-    let mats: Vec<_> = (0..8).map(|k| gen::uniform(16, 5, 800 + k)).collect();
-    let s = solver();
-    let clean = BatchDriver::new(&s).solve(&mut BatchWorkspace::new(), &mats);
-
-    let driver = BatchDriver::new(&s);
-    let mut ws = BatchWorkspace::new();
-    driver.load(&mut ws, &mats);
-    let plan = [
-        LaneCorruption { problem: 1, sweep: 1, i: 0, j: 2, value: f64::NAN },
-        LaneCorruption { problem: 6, sweep: 2, i: 3, j: 3, value: -1e12 },
-    ];
-    driver.sweep_to_convergence_corrupted(&mut ws, &plan);
-    let batch = driver.extract(&ws, &mats);
-
-    let mut kinds = Vec::new();
-    for (p, (res, want)) in batch.iter().zip(&clean).enumerate() {
-        match (p, res) {
-            (1 | 6, Err(SvdError::SolveFault { fault, .. })) => kinds.push(fault.kind()),
-            (1 | 6, other) => panic!("lane {p} must abort, got {other:?}"),
-            (_, res) => {
-                let (got, want) = (res.as_ref().unwrap(), want.as_ref().unwrap());
-                assert_eq!(got.values, want.values, "lane {p} perturbed");
-            }
-        }
-    }
-    assert_eq!(kinds, ["non-finite-gram", "negative-diagonal"]);
+    let clean = solver().singular_values(&a).unwrap();
+    let mut engine = Corrupting(|_, _: &mut GramState| {});
+    let (run, gram) = run(&a, false, SolveBudget::unlimited(), &mut engine);
+    assert_eq!(run.fault, None);
+    assert_eq!(run.history, clean.history);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&spectrum(&gram)), bits(&clean.values));
 }
