@@ -6,15 +6,18 @@
 //! values-only and full drivers, [`crate::eigh`], PCA, and the batch API —
 //! runs its sweeps through exactly one loop, [`SolveDriver::run_monitored`],
 //! against an engine implementing [`SweepEngine`]. The one engine is
-//! [`Sequential`], faithful to Algorithm 1's data flow: pairs are visited
-//! one at a time and `D` (plus any columns) is rotated in place.
+//! [`Sequential`], which gives Algorithm 1's results bit for bit.
 //!
 //! The paper's hardware issues each round of disjoint pairs to its rotation
-//! units concurrently (Fig. 6). That concurrency is modelled cycle by cycle
-//! in `hj-arch`'s rotation unit, not executed here: on a CPU with a few
-//! cores, synchronizing once per round costs more than the round's work
-//! (EXPERIMENTS.md, "One sweep engine"). A round kernel that wins on the
-//! measurement ledger would enter as a second [`SweepEngine`].
+//! units together (Fig. 6). [`Sequential`] does the same with a round-robin
+//! plan, on one thread: a parameter pass takes every pair of the round from
+//! the round-start `D` (no pair of a round writes another's `D_ii`, `D_jj`
+//! or `D_ij`), then the round kernel ([`crate::kernel`]) updates every
+//! off-diagonal 2×2 block of `D` once. Row-cyclic plans, whose rounds hold
+//! one pair, are visited pair by pair and rotate `D` in place. Splitting a
+//! round over cores costs more than the round's work (EXPERIMENTS.md, "One
+//! sweep engine"); the cycle-level concurrency is modelled in `hj-arch`'s
+//! rotation unit.
 //!
 //! What gets rotated is expressed once, by [`RotationTarget`]: the Gram
 //! matrix alone (values-only mode), Gram + matrix columns + accumulated `V`
@@ -30,9 +33,9 @@
 
 use crate::convergence::{is_converged, off_frobenius, Convergence, SweepRecord, MAX_SWEEP_CAP};
 use crate::gram::GramState;
-use crate::ordering::{Sweep, SweepSchedule};
+use crate::ordering::{Ordering, Sweep, SweepSchedule};
 use crate::recovery::{Fault, HealthCheck, HealthState, SolveBudget};
-use crate::rotation::{pair_converged, textbook_params};
+use crate::rotation::{pair_converged, textbook_params, Rotation};
 use crate::stats::SolveStats;
 use crate::svd::Request;
 use crate::trace::{SkipReason, TraceEvent, TraceLevel, Tracer};
@@ -93,7 +96,7 @@ impl PairGuard {
                 ReadyGuard { relative: true, tol, scale: 0.0, reason: SkipReason::ThresholdGuard }
             }
             PairGuard::DiagonalScale { tol } => {
-                let scale = gram.packed().diagonal().iter().fold(0.0f64, |m, &d| m.max(d.abs()));
+                let scale = (0..gram.dim()).fold(0.0f64, |m, i| m.max(gram.norm_sq(i).abs()));
                 ReadyGuard {
                     relative: false,
                     tol,
@@ -203,8 +206,17 @@ pub trait SweepEngine {
     }
 }
 
-/// The in-place pair-at-a-time engine — Algorithm 1's literal data flow.
-/// Stateless and allocation-free; works with any pair ordering.
+/// The one sweep engine, faithful to Algorithm 1's results bit for bit.
+///
+/// A round-robin plan runs round by round on the round kernel
+/// ([`crate::kernel`]'s `RoundBuffer`, which [`GramState`] owns): a
+/// parameter pass takes every pair's guard decision and rotation from the
+/// round-start `D`, updates its diagonal block and rotates its columns,
+/// then one block pass applies the round's rotations to every off-diagonal
+/// 2×2 block of `D`. Any other plan — row-cyclic, whose rounds hold one
+/// pair — visits its pairs one at a time and rotates `D` in place. Both
+/// paths give the same bits, the same counts and the same trace. A unit
+/// struct that never allocates.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sequential;
 
@@ -221,38 +233,93 @@ impl SweepEngine for Sequential {
         tracer: &mut Tracer<'_, '_>,
     ) -> SweepRecord {
         let guard = state.guard.ready(state.gram);
-        let mut applied = 0usize;
-        let mut skipped = 0usize;
-        for (i, j) in order.pairs() {
-            let (ni, nj, cov) =
-                (state.gram.norm_sq(i), state.gram.norm_sq(j), state.gram.covariance(i, j));
-            if guard.skip(ni, nj, cov) {
-                skipped += 1;
-                if tracer.rotation_enabled() {
-                    tracer.emit(TraceEvent::RotationSkipped {
-                        sweep: idx,
-                        i,
-                        j,
-                        reason: guard.reason(),
-                    });
+        let n = state.gram.dim();
+        let mut visit = Visit { guard, idx, tracer, applied: 0, skipped: 0 };
+        // A round-robin plan over these n columns runs by rounds.
+        let whole = order.pair_count() == n * n.saturating_sub(1) / 2;
+        if order.ordering() == Ordering::RoundRobin && whole {
+            sweep_rounds(state, &mut visit);
+        } else {
+            for (i, j) in order.pairs() {
+                let g = &*state.gram;
+                let entries = (g.norm_sq(i), g.norm_sq(j), g.covariance(i, j));
+                if let Some(rot) = visit.pair(&mut state.target, i, j, entries) {
+                    state.gram.rotate(i, j, &rot);
                 }
-                continue;
-            }
-            let rot = textbook_params(ni, nj, cov);
-            state.gram.rotate(i, j, &rot);
-            if let Some(b) = state.target.columns.as_deref_mut() {
-                b.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
-            }
-            if let Some(vm) = state.target.v.as_deref_mut() {
-                vm.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
-            }
-            applied += 1;
-            if tracer.rotation_enabled() {
-                tracer.emit(TraceEvent::RotationApplied { sweep: idx, i, j });
             }
         }
-        finish_record(state.gram, idx, applied, skipped)
+        finish_record(state.gram, idx, visit.applied, visit.skipped)
     }
+}
+
+/// One sweep's pair decisions: the guard, the trace and the counts.
+struct Visit<'t, 'a, 'b> {
+    guard: ReadyGuard,
+    idx: usize,
+    tracer: &'t mut Tracer<'a, 'b>,
+    applied: usize,
+    skipped: usize,
+}
+
+impl Visit<'_, '_, '_> {
+    /// Visit pair `(i, j)`, `i < j`, whose `D_ii`, `D_jj`, `D_ij` are
+    /// `entries`: trace it and, unless the guard skips it, rotate its
+    /// columns and return its rotation for `D`.
+    fn pair(
+        &mut self,
+        target: &mut RotationTarget<'_>,
+        i: usize,
+        j: usize,
+        (ni, nj, cov): (f64, f64, f64),
+    ) -> Option<Rotation> {
+        if self.guard.skip(ni, nj, cov) {
+            self.skipped += 1;
+            if self.tracer.rotation_enabled() {
+                let reason = self.guard.reason();
+                self.tracer.emit(TraceEvent::RotationSkipped { sweep: self.idx, i, j, reason });
+            }
+            return None;
+        }
+        let rot = textbook_params(ni, nj, cov);
+        if let Some(b) = target.columns.as_deref_mut() {
+            b.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
+        }
+        if let Some(vm) = target.v.as_deref_mut() {
+            vm.column_pair(i, j).expect("sweep pairs are valid").rotate(rot.cos, rot.sin);
+        }
+        self.applied += 1;
+        if self.tracer.rotation_enabled() {
+            self.tracer.emit(TraceEvent::RotationApplied { sweep: self.idx, i, j });
+        }
+        Some(rot)
+    }
+}
+
+/// A round-robin sweep on the round kernel: `D` goes into the round buffer,
+/// each round runs a parameter pass over its pairs in plan order and then
+/// the block pass, and `D` comes back at the end. A pair's parameters read
+/// only its own `D_ii`, `D_jj`, `D_ij`, which no other pair of its round
+/// writes, so the round-start values are the ones a pair-at-a-time sweep
+/// would read.
+fn sweep_rounds(state: &mut SweepState<'_>, visit: &mut Visit<'_, '_, '_>) {
+    let n = state.gram.dim();
+    let (d, round) = state.gram.round_parts();
+    round.load(d);
+    for r in 0..round.rounds() {
+        round.start_round(r);
+        for k in 0..round.pair_count() {
+            let (f, g) = round.pair(k);
+            // The bye pairs a column with the phantom column n.
+            if f < n && g < n {
+                let entries = round.pair_entries(f, g);
+                if let Some(rot) = visit.pair(&mut state.target, f.min(g), f.max(g), entries) {
+                    round.rotate_pair(k, &rot);
+                }
+            }
+        }
+        round.finish_round();
+    }
+    round.store(d);
 }
 
 /// Close a sweep: its instrumentation record, labelled `sweep_index`.

@@ -11,6 +11,7 @@
 //! [`GramState`] owns that matrix and implements the update — with the
 //! temporaries that the paper's pseudocode forgets (see DESIGN.md).
 
+use crate::kernel::RoundBuffer;
 use crate::rotation::Rotation;
 use hj_matrix::ops::{self, GramScan};
 use hj_matrix::{Matrix, OffDiagonalSummary, PackedSymmetric};
@@ -88,6 +89,9 @@ fn build(a: &Matrix, d: &mut PackedSymmetric, scan: Option<&GramScan<'_>>) -> Op
 #[derive(Clone, Debug)]
 pub struct GramState {
     d: PackedSymmetric,
+    /// The round kernel's buffer, sized with `D` so that no sweep
+    /// allocates.
+    round: RoundBuffer,
 }
 
 impl GramState {
@@ -100,7 +104,7 @@ impl GramState {
     pub fn from_matrix(a: &Matrix) -> Self {
         let mut d = PackedSymmetric::zeros(a.cols());
         build(a, &mut d, None).expect("a build without a scan runs to the end");
-        GramState { d }
+        GramState::from_packed(d)
     }
 
     /// [`Self::from_matrix`] with the input scan in the same pass, so `A`
@@ -111,13 +115,14 @@ impl GramState {
         let stop = AtomicBool::new(false);
         let mut d = PackedSymmetric::zeros(a.cols());
         let max_abs = build(a, &mut d, Some(&GramScan { window, stop: &stop }))?;
-        Some((GramState { d }, max_abs))
+        Some((GramState::from_packed(d), max_abs))
     }
 
     /// Wrap an existing packed symmetric matrix (must be a Gram matrix, i.e.
     /// positive semidefinite, for the algorithm's invariants to hold).
     pub fn from_packed(d: PackedSymmetric) -> Self {
-        GramState { d }
+        let round = RoundBuffer::new(d.dim());
+        GramState { d, round }
     }
 
     /// Dimension `n` (number of columns of the original matrix).
@@ -154,6 +159,11 @@ impl GramState {
     /// `get`/`set` traversal of "all k ≠ i, j".
     pub fn rotate(&mut self, i: usize, j: usize, rot: &Rotation) {
         crate::kernel::rotate_packed(&mut self.d, i, j, rot);
+    }
+
+    /// `D` and the round kernel's buffer, for a round-robin sweep.
+    pub(crate) fn round_parts(&mut self) -> (&mut PackedSymmetric, &mut RoundBuffer) {
+        (&mut self.d, &mut self.round)
     }
 
     /// Mean absolute off-diagonal covariance — the paper's convergence metric

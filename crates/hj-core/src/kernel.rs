@@ -12,20 +12,27 @@
 //!   lines 15–26, decomposed into the triangle's three natural regions so
 //!   the dominant region runs on two contiguous slices (autovectorized via
 //!   [`ops::rotate_pair`]) and the strided regions walk incrementally with
-//!   no per-element offset math.
+//!   no per-element offset math. Row-cyclic sweeps use it.
+//! * The round kernel (`RoundBuffer`, crate-private) — a round-robin round
+//!   at once: every off-diagonal 2×2 block of `D` takes its two pairs'
+//!   rotations in one pass over contiguous runs of a full `n × n` buffer,
+//!   which `GramState` owns.
 //! * [`batch_params_soa`] / [`rotate_packed_soa`] — the batch SoA engine's
 //!   lanes-wide kernels: one pair's rotation across many interleaved
 //!   problems at once.
 //!
 //! # Bit-compat policy
 //!
-//! [`rotate_packed`] computes **exactly** the elementwise expressions of the
-//! scalar path it replaces — same operations, same order per element, no
-//! re-association, no FMA contraction — so results are bit-identical to the
-//! pre-kernel code. The only freedom taken is *traversal* order across
-//! independent elements (chunking, region splitting, loop interchange),
-//! which cannot change any bit because each element is read and written by
-//! exactly one rotation expression.
+//! [`rotate_packed`] and the round kernel compute **exactly** the
+//! elementwise expressions of the scalar pair-at-a-time path — same
+//! operations, same order per element, no re-association, no FMA
+//! contraction — so results are bit-identical to it. The only freedom
+//! taken is *traversal* order across independent elements (chunking,
+//! region splitting, loop interchange, and in the round kernel a round's
+//! pairs taken together), which cannot change any bit because each element
+//! still meets the same rotation expressions in the same order. The round
+//! kernel may negate a sine to orient a pair, which is exact: IEEE
+//! `a − (−b)` is `a + b`, and `+` commutes.
 //!
 //! Two kernels are deliberately exempt, both confined to the batch engine
 //! whose accuracy contract is a pinned `1e-12·σ_max` envelope rather than
@@ -45,7 +52,8 @@
 //!   bit-exact on every target.
 //!
 //! [`rotate_packed`]'s compat test pins exact equality against the scalar
-//! reference.
+//! reference, and `tests/kernel_compat.rs` pins whole round-robin solves on
+//! the round kernel against a pair-at-a-time reference engine.
 //!
 //! # Lane layout and tails
 //!
@@ -55,6 +63,7 @@
 //! storage; they instead walk with two adds per step, replacing the offset
 //! polynomial + branch of the `get`/`set` path.
 
+use crate::ordering::{ring_column, ring_slots};
 use crate::rotation::{rotate_norms, Rotation};
 use hj_matrix::{ops, PackedSymmetric};
 
@@ -128,6 +137,285 @@ pub fn rotate_packed(d: &mut PackedSymmetric, i: usize, j: usize, rot: &Rotation
         let (head, row_j) = data.split_at_mut(rj + 1);
         let row_i = &mut head[ri + (j - i) + 1..ri + (j - i) + 1 + tail];
         ops::rotate_pair(row_i, &mut row_j[..tail], cos, sin);
+    }
+}
+
+/// The round kernel's storage for one `D`: a full `S × S` buffer of the
+/// off-diagonal entries indexed by column, `S` = [`ring_slots`]`(n)` (a
+/// zero phantom "bye" column `n` for odd `n`), the diagonal, and the
+/// current round's pairs and rotations.
+///
+/// Each off-diagonal entry `{x, y}` is current in one place only: the row of
+/// whichever column has the lower pair index this round, and within one
+/// pair the row of the column in the lower slot `F` (the other is `G`).
+/// So block row `k` — every 2×2 block `{pair k, pair l}` with `l > k` —
+/// sits in rows `F_k` and `G_k`, where the columns `F_l` run forward and
+/// `G_l` backward through the ring. The ring's columns wrap from `S − 1`
+/// back to 1 in one place, so a block row is at most two runs along which
+/// both are contiguous.
+///
+/// [`RoundBuffer::load`] fills it from the packed triangle at sweep start,
+/// and [`RoundBuffer::store`] writes it back at sweep end, so everything
+/// outside a sweep reads `D` as before. It is sized when `D` is built and
+/// never grows.
+#[derive(Clone, Debug)]
+pub(crate) struct RoundBuffer {
+    slots: usize,
+    m: Vec<f64>,
+    diag: Vec<f64>,
+    /// Per pair `k` of the current round: its columns `F_k`, `G_k`, the
+    /// cosine, the sine oriented from `F_k` to `G_k` (negated when
+    /// `F_k > G_k`), and whether it rotates. A pair that does not rotate is
+    /// left out, never multiplied by the identity, which could flip a
+    /// `−0.0`.
+    f: Vec<usize>,
+    g: Vec<usize>,
+    cos: Vec<f64>,
+    sin: Vec<f64>,
+    live: Vec<bool>,
+    /// The rotating pairs' indices, in order.
+    rotating: Vec<usize>,
+}
+
+impl RoundBuffer {
+    /// The buffer for a `D` of dimension `n`.
+    pub(crate) fn new(n: usize) -> RoundBuffer {
+        let slots = ring_slots(n);
+        let pairs = slots / 2;
+        RoundBuffer {
+            slots,
+            m: vec![0.0; slots * slots],
+            diag: vec![0.0; slots],
+            f: vec![0; pairs],
+            g: vec![0; pairs],
+            cos: vec![0.0; pairs],
+            sin: vec![0.0; pairs],
+            live: vec![false; pairs],
+            rotating: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// Rounds per sweep, `S − 1`.
+    pub(crate) fn rounds(&self) -> usize {
+        self.slots.saturating_sub(1)
+    }
+
+    /// Place round `r`'s pairs: pair `k` is `(F_k, G_k)`, the columns in
+    /// ring slots `k` and `S − 1 − k`, and holds still until
+    /// [`RoundBuffer::rotate_pair`].
+    pub(crate) fn start_round(&mut self, r: usize) {
+        let s = self.slots;
+        for k in 0..s / 2 {
+            self.f[k] = ring_column(k, r, s);
+            self.g[k] = ring_column(s - 1 - k, r, s);
+            self.live[k] = false;
+        }
+    }
+
+    /// Pairs per round, `S / 2`, the bye included.
+    pub(crate) fn pair_count(&self) -> usize {
+        self.slots / 2
+    }
+
+    /// Pair `k` of the current round as `(F_k, G_k)` (either may be the
+    /// phantom column `n`).
+    pub(crate) fn pair(&self, k: usize) -> (usize, usize) {
+        (self.f[k], self.g[k])
+    }
+
+    /// `(D_ii, D_jj, D_ij)` of pair `(f, g)`, `i = min(f, g)`, `j = max`.
+    pub(crate) fn pair_entries(&self, f: usize, g: usize) -> (f64, f64, f64) {
+        (self.diag[f.min(g)], self.diag[f.max(g)], self.m[f * self.slots + g])
+    }
+
+    /// Pair `k` = `(f, g)` rotates by `rot` this round: its diagonal block
+    /// takes [`rotate_packed`]'s exact update now, and its rows and columns
+    /// take the rotation in [`RoundBuffer::finish_round`].
+    pub(crate) fn rotate_pair(&mut self, k: usize, rot: &Rotation) {
+        let (f, g) = (self.f[k], self.g[k]);
+        let (i, j) = (f.min(g), f.max(g));
+        let cov = &mut self.m[f * self.slots + g];
+        (self.diag[i], self.diag[j], _) = rotate_norms(self.diag[i], self.diag[j], *cov, rot);
+        *cov = 0.0;
+        self.cos[k] = rot.cos;
+        self.sin[k] = if f < g { rot.sin } else { -rot.sin };
+        self.live[k] = true;
+    }
+
+    /// Fill the buffer from the packed triangle (both halves, so every
+    /// owner's row is current) and zero the phantom column.
+    pub(crate) fn load(&mut self, d: &PackedSymmetric) {
+        let (n, s) = (d.dim(), self.slots);
+        let data = d.as_slice();
+        for x in 0..n {
+            let row = &data[d.row_offset(x)..d.row_offset(x + 1)];
+            self.diag[x] = row[0];
+            self.m[x * s + x + 1..x * s + n].copy_from_slice(&row[1..]);
+            for (y, &v) in (x + 1..n).zip(&row[1..]) {
+                self.m[y * s + x] = v;
+            }
+        }
+        for t in n..s {
+            self.diag[t] = 0.0;
+            self.m[t * s..(t + 1) * s].fill(0.0);
+            for x in 0..s {
+                self.m[x * s + t] = 0.0;
+            }
+        }
+    }
+
+    /// Write the buffer back to the packed triangle. After a whole sweep
+    /// the ring is back at round 0, where slot `c` holds column `c` and
+    /// `{x, y}`, `x < y`, is owned by `x` exactly when `x + y ≤ S − 1`.
+    pub(crate) fn store(&self, d: &mut PackedSymmetric) {
+        let (n, s) = (d.dim(), self.slots);
+        let data = d.as_mut_slice();
+        let mut at = 0;
+        for x in 0..n {
+            let split = (s - x).clamp(x + 1, n);
+            data[at] = self.diag[x];
+            let owned = split - x - 1;
+            data[at + 1..at + 1 + owned].copy_from_slice(&self.m[x * s + x + 1..x * s + split]);
+            for (out, y) in data[at + 1 + owned..at + n - x].iter_mut().zip(split..n) {
+                *out = self.m[y * s + x];
+            }
+            at += n - x;
+        }
+    }
+
+    /// Close the round: apply every off-diagonal 2×2 block's rotations,
+    /// then hand the entries whose owner changes to their next owner's
+    /// row.
+    ///
+    /// Block `{pair k, pair l}`, `k < l`, takes pair `k`'s rotation and then
+    /// pair `l`'s, the order in which a pair-at-a-time sweep reaches them,
+    /// each through [`rotate_packed`]'s element expressions `x·c − y·s`,
+    /// `x·s + y·c`. With the sine oriented from `F` to `G` these are
+    /// [`rotate_packed`]'s bits whichever of `F`, `G` is the smaller
+    /// column: IEEE `a − (−b)` is `a + b`, and `+` commutes. A block whose
+    /// pairs both hold still is not touched.
+    pub(crate) fn finish_round(&mut self) {
+        let (live, rotating) = (&self.live, &mut self.rotating);
+        rotating.clear();
+        rotating.extend((0..live.len()).filter(|&k| live[k]));
+        for i in 0..self.rotating.len() {
+            self.rotating_row(self.rotating[i]);
+        }
+        self.still_rows();
+        self.turn();
+    }
+
+    /// Block row `k`, whose pair rotates: rows `F_k`, `G_k` against every
+    /// pair `l > k`, run by run.
+    fn rotating_row(&mut self, k: usize) {
+        let (s, pairs) = (self.slots, self.pair_count());
+        let (ck, sk) = (self.cos[k], self.sin[k]);
+        let (row_f, row_g) = two_rows(&mut self.m, s, self.f[k], self.g[k]);
+        let mut l = k + 1;
+        while l < pairs {
+            let (f, g) = (self.f[l], self.g[l]);
+            // F_l counts up to column S − 1, G_l down to column 1.
+            let len = (pairs - l).min(s - f).min(g);
+            let g0 = g + 1 - len;
+            let (xf, xg) = two_runs(row_f, f, g0, len);
+            let (yf, yg) = two_runs(row_g, f, g0, len);
+            let run = l..l + len;
+            let params = (&self.cos[run.clone()], &self.sin[run.clone()], &self.live[run]);
+            rotate_run(xf, xg, yf, yg, params, ck, sk);
+            l += len;
+        }
+    }
+
+    /// The blocks `{pair k, pair l}`, `k < l`, of every pair `k` that holds
+    /// still against a pair `l` that rotates: pair `l`'s rotation alone, on
+    /// the entries at `F_l` and `G_l` in rows `F_k` and `G_k`.
+    fn still_rows(&mut self) {
+        let s = self.slots;
+        let mut after = 0; // the first rotating pair after k
+        for k in (0..self.pair_count()).filter(|&k| !self.live[k]) {
+            while after < self.rotating.len() && self.rotating[after] < k {
+                after += 1;
+            }
+            for &l in &self.rotating[after..] {
+                let (fl, gl, c, sn) = (self.f[l], self.g[l], self.cos[l], self.sin[l]);
+                for row in [self.f[k], self.g[k]] {
+                    let (x, y) = (self.m[row * s + fl], self.m[row * s + gl]);
+                    self.m[row * s + fl] = x * c - y * sn;
+                    self.m[row * s + gl] = x * sn + y * c;
+                }
+            }
+        }
+    }
+
+    /// Move ownership from this round to the next. The ring shifts `F`
+    /// columns one pair up and `G` columns one pair down, so the owner
+    /// changes only for `(F_a, G_a)`, `a ≥ 1`; `(F_a, G_{a+1})`,
+    /// `1 ≤ a ≤ P − 2`; and `(G_0, G_1)`: about `n` copies.
+    fn turn(&mut self) {
+        let (s, pairs) = (self.slots, self.pair_count());
+        let (f, g, m) = (&self.f, &self.g, &mut self.m);
+        let mut hand_over = |from: usize, to: usize| m[to * s + from] = m[from * s + to];
+        for a in 1..pairs {
+            hand_over(f[a], g[a]);
+            if a + 1 < pairs {
+                hand_over(f[a], g[a + 1]);
+            }
+        }
+        if pairs >= 2 {
+            hand_over(g[0], g[1]);
+        }
+    }
+}
+
+/// Rows `a` and `b ≠ a` of the row-major `s`-wide buffer `m`.
+fn two_rows(m: &mut [f64], s: usize, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
+    debug_assert_ne!(a, b);
+    if a < b {
+        let (lo, hi) = m.split_at_mut(b * s);
+        (&mut lo[a * s..(a + 1) * s], &mut hi[..s])
+    } else {
+        let (lo, hi) = m.split_at_mut(a * s);
+        (&mut hi[..s], &mut lo[b * s..(b + 1) * s])
+    }
+}
+
+/// The disjoint runs `row[a..a + len]` and `row[b..b + len]`.
+fn two_runs(row: &mut [f64], a: usize, b: usize, len: usize) -> (&mut [f64], &mut [f64]) {
+    if a < b {
+        let (lo, hi) = row.split_at_mut(b);
+        (&mut lo[a..a + len], &mut hi[..len])
+    } else {
+        let (lo, hi) = row.split_at_mut(a);
+        (&mut hi[..len], &mut lo[b..b + len])
+    }
+}
+
+/// One run of a rotating block row: `xf`, `xg`, `yf`, `yg` are rows `F_k`,
+/// `G_k` at the run's `F_l` columns (forward) and `G_l` columns
+/// (backward), and `params` the run's `(cos, sin, live)`. Pair `k`'s
+/// rotation `(ck, sk)` applies first, then each live pair `l`'s.
+fn rotate_run(
+    xf: &mut [f64],
+    xg: &mut [f64],
+    yf: &mut [f64],
+    yg: &mut [f64],
+    (cos, sin, live): (&[f64], &[f64], &[bool]),
+    ck: f64,
+    sk: f64,
+) {
+    let len = xf.len();
+    let (xg, yf, yg) = (&mut xg[..len], &mut yf[..len], &mut yg[..len]);
+    let (cos, sin, live) = (&cos[..len], &sin[..len], &live[..len]);
+    for t in 0..len {
+        let u = len - 1 - t;
+        let (a, b) = (xf[t] * ck - yf[t] * sk, xf[t] * sk + yf[t] * ck);
+        let (c, d) = (xg[u] * ck - yg[u] * sk, xg[u] * sk + yg[u] * ck);
+        let (cl, sl) = (cos[t], sin[t]);
+        let m = live[t];
+        xf[t] = if m { a * cl - c * sl } else { a };
+        xg[u] = if m { a * sl + c * cl } else { c };
+        yf[t] = if m { b * cl - d * sl } else { b };
+        yg[u] = if m { b * sl + d * cl } else { d };
     }
 }
 
@@ -473,6 +761,65 @@ mod tests {
                     rotate_packed(&mut fast, i, j, &rot);
                     rotate_reference(&mut refr, i, j, &rot);
                     assert_eq!(fast.as_slice(), refr.as_slice(), "n={n} pair ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_buffer_stores_the_triangle_it_loaded() {
+        for n in 1..20 {
+            let d = packed_from_seed(n, 50 + n as u64);
+            let mut round = RoundBuffer::new(n);
+            round.load(&d);
+            let mut back = PackedSymmetric::zeros(n);
+            round.store(&mut back);
+            assert_eq!(back.as_slice(), d.as_slice(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn turns_keep_every_entry_in_its_owners_row() {
+        // Entry {x, y} must sit in the row of the column with the lower
+        // pair index (F before G within a pair) at every round. Mark each
+        // owner's copy, poison the other, and turn through a whole sweep.
+        for n in 2..40 {
+            let mut round = RoundBuffer::new(n);
+            let s = round.slots;
+            let owner_row = |round: &RoundBuffer, x: usize, y: usize| {
+                let rank = |c: usize| {
+                    let k = (0..s / 2).find(|&k| round.f[k] == c || round.g[k] == c).unwrap();
+                    2 * k + usize::from(round.g[k] == c)
+                };
+                if rank(x) < rank(y) {
+                    x
+                } else {
+                    y
+                }
+            };
+            round.start_round(0);
+            for x in 0..s {
+                for y in (0..s).filter(|&y| y != x) {
+                    let o = owner_row(&round, x, y);
+                    let id = (x.min(y) * s + x.max(y)) as f64;
+                    round.m[x * s + y] = if o == x { id } else { f64::NAN };
+                }
+            }
+            for r in 0..s - 1 {
+                round.turn();
+                round.start_round((r + 1) % (s - 1));
+                for x in 0..s {
+                    for y in (x + 1)..s {
+                        let o = owner_row(&round, x, y);
+                        let other = x + y - o;
+                        let id = (x * s + y) as f64;
+                        assert_eq!(
+                            round.m[o * s + other],
+                            id,
+                            "n={n} round {} {{{x}, {y}}}",
+                            r + 1
+                        );
+                    }
                 }
             }
         }

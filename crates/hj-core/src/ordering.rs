@@ -30,11 +30,13 @@ use crate::engine::PAIR_TOL;
 /// rounds are the natural unit of parallel execution; both orderings
 /// uphold this invariant. Every round of a plan has the same width —
 /// `⌊n/2⌋` pairs for round-robin, one for row-cyclic — so the plan is one
-/// flat pair list cut into rounds of that width.
+/// flat pair list cut into rounds of that width. The plan remembers the
+/// [`Ordering`] it was made with, which picks the engine's sweep path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Sweep {
     pairs: Vec<(usize, usize)>,
     width: usize,
+    ordering: Ordering,
 }
 
 impl Sweep {
@@ -81,12 +83,18 @@ impl Sweep {
         self.rounds().flat_map(move |round| round.chunks(group))
     }
 
-    /// Empty the plan for `rounds` rounds of `width` pairs each, keeping
-    /// the pair list's capacity.
-    fn reset(&mut self, rounds: usize, width: usize) {
+    /// The ordering this plan was made with.
+    pub(crate) fn ordering(&self) -> Ordering {
+        self.ordering
+    }
+
+    /// Empty the plan for `rounds` rounds of `width` pairs each of
+    /// `ordering`, keeping the pair list's capacity.
+    fn reset(&mut self, rounds: usize, width: usize, ordering: Ordering) {
         self.pairs.clear();
         self.pairs.reserve_exact(rounds * width);
         self.width = width;
+        self.ordering = ordering;
     }
 }
 
@@ -182,32 +190,48 @@ pub fn row_cyclic(n: usize) -> Sweep {
     sweep
 }
 
+/// Ring slots of the circle method over `n` columns: `n`, plus a phantom
+/// "bye" column `n` when `n` is odd.
+pub(crate) fn ring_slots(n: usize) -> usize {
+    if n.is_multiple_of(2) {
+        n
+    } else {
+        n + 1
+    }
+}
+
+/// The column in ring slot `slot` in round `r` of the circle method over
+/// `slots` slots: slot 0 stays fixed and slots `1..slots` rotate right by
+/// one each round, so slot `k ≥ 1` holds column
+/// `1 + (k − 1 − r) mod (slots − 1)`. Round `r` pairs slot `k` with slot
+/// `slots − 1 − k`. The planner and the engine's round kernel both place
+/// columns with this one function.
+#[inline]
+pub(crate) fn ring_column(slot: usize, r: usize, slots: usize) -> usize {
+    if slot == 0 {
+        return 0;
+    }
+    let turns = slots - 1;
+    // (slot − 1 − r) mod turns, from an operand already in 0..2·turns.
+    let k = slot - 1 + turns - r;
+    1 + if k >= turns { k - turns } else { k }
+}
+
 /// The circle-method planner behind [`round_robin`] and
-/// [`Ordering::RoundRobin`].
-///
-/// Slot 0 stays fixed and slots `1..slots` rotate right by one each round,
-/// so in round `r` slot `k ≥ 1` holds column `1 + (k − 1 − r) mod (slots − 1)`
-/// and round `r` pairs slot `k` with slot `slots − 1 − k`. Odd `n` gets a
-/// phantom "bye" column `n`, whose pair is left out.
+/// [`Ordering::RoundRobin`]: round `r` visits the pairs of
+/// [`ring_column`]'s slots `k` and `slots − 1 − k` in slot order. Odd `n`'s
+/// phantom "bye" column `n` has its pair left out.
 fn fill_round_robin(n: usize, out: &mut Sweep) {
     if n < 2 {
-        out.reset(0, 0);
+        out.reset(0, 0, Ordering::RoundRobin);
         return;
     }
-    let slots = if n.is_multiple_of(2) { n } else { n + 1 };
+    let slots = ring_slots(n);
     let turns = slots - 1;
-    out.reset(turns, n / 2);
-    let column = |slot: usize, r: usize| {
-        if slot == 0 {
-            return 0;
-        }
-        // (slot − 1 − r) mod turns, from an operand already in 0..2·turns.
-        let k = slot - 1 + turns - r;
-        1 + if k >= turns { k - turns } else { k }
-    };
+    out.reset(turns, n / 2, Ordering::RoundRobin);
     for r in 0..turns {
         for k in 0..slots / 2 {
-            let (a, b) = (column(k, r), column(slots - 1 - k, r));
+            let (a, b) = (ring_column(k, r, slots), ring_column(slots - 1 - k, r, slots));
             if a < n && b < n {
                 out.pairs.push((a.min(b), a.max(b)));
             }
@@ -217,7 +241,7 @@ fn fill_round_robin(n: usize, out: &mut Sweep) {
 
 /// Row-cyclic planner: `n(n−1)/2` rounds of one pair.
 fn fill_row_cyclic(n: usize, out: &mut Sweep) {
-    out.reset(n * n.saturating_sub(1) / 2, 1);
+    out.reset(n * n.saturating_sub(1) / 2, 1, Ordering::RowCyclic);
     for i in 0..n.saturating_sub(1) {
         for j in i + 1..n {
             out.pairs.push((i, j));

@@ -108,9 +108,9 @@ pub(crate) fn spectrum(mut d: Vec<f64>, rows: usize, exp: i32) -> Result<Vec<f64
 
 /// What one solve is watched by: an optional trace sink with the level to
 /// emit at. [`Request::default`] watches nothing — the plain solve that
-/// [`HestenesSvd::singular_values`] and [`HestenesSvd::decompose`] run. A
-/// trace sink observes and never influences: a traced solve computes the
-/// same bits as the plain one.
+/// [`HestenesSvd::singular_values`] and [`HestenesSvd::decompose`] run —
+/// and [`Request::traced`] attaches a sink. A trace sink observes and never
+/// influences: a traced solve computes the same bits as the plain one.
 ///
 /// ```
 /// use hj_core::{HestenesSvd, Request, RingBufferSink, SvdOptions, TraceLevel};
@@ -128,7 +128,7 @@ pub(crate) fn spectrum(mut d: Vec<f64>, rows: usize, exp: i32) -> Result<Vec<f64
 pub struct Request<'a> {
     /// Sink receiving the solve's [`TraceEvent`](crate::TraceEvent)s, with
     /// the finest [`TraceLevel`] to emit; `None` traces nothing.
-    pub trace: Option<(&'a mut dyn TraceSink, TraceLevel)>,
+    pub(crate) trace: Option<(&'a mut dyn TraceSink, TraceLevel)>,
 }
 
 impl<'a> Request<'a> {

@@ -20,19 +20,27 @@
 //!   is its fallback): a non-finite entry is rejected wherever it sits and
 //!   whichever part scans it, and the prescale exponent is the one the
 //!   separate scans gave.
+//! * `Sequential` sweeps a round-robin plan one round at a time on the
+//!   round kernel, and must give the bits of the pair-at-a-time sweep it
+//!   replaced (`per_pair::PerPair`): `D` after every sweep, every record,
+//!   `B`, `V`, the counts and the faults.
 //!
 //! All strategies span twelve orders of magnitude in the norms (1e-6..1e6),
 //! like the scalar rotation proptests.
 
+mod per_pair;
+
 use hjsvd::core::engine::Sequential;
 use hjsvd::core::kernel::rotate_packed;
+use hjsvd::core::ordering::Sweep;
 use hjsvd::core::rotation::{textbook_params, Rotation};
 use hjsvd::core::{
-    BatchDriver, BatchWorkspace, GramState, HealthCheck, HestenesSvd, Ordering, PairGuard,
-    PlanBuffers, RotationTarget, SolveBudget, SolveDriver, SolveMonitor, SvdError, SvdOptions,
-    SweepSchedule, SweepState,
+    BatchDriver, BatchWorkspace, Convergence, Fault, GramState, HealthCheck, HestenesSvd, Ordering,
+    PairGuard, PlanBuffers, RotationTarget, SolveBudget, SolveDriver, SolveMonitor, SvdError,
+    SvdOptions, SweepEngine, SweepRecord, SweepSchedule, SweepState, ThresholdSchedule, Tracer,
 };
 use hjsvd::matrix::{gen, ops, Matrix, PackedSymmetric};
+use per_pair::PerPair;
 use proptest::prelude::*;
 
 /// A plausible (norm_i, norm_j, cov) triple satisfying Cauchy-Schwarz,
@@ -324,6 +332,149 @@ fn a_scan_stopped_inside_the_window_rebuilds_the_same_bits() {
     let sv = solver.singular_values(&plain).unwrap();
     let want = replayed_values(&solver, &plain);
     assert!(sv.values.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
+}
+
+/// An engine that keeps the bits of `D` after every sweep of `inner`.
+struct Snapshots<E> {
+    inner: E,
+    d: Vec<Vec<u64>>,
+}
+
+impl<E: SweepEngine> SweepEngine for Snapshots<E> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn sweep_traced(
+        &mut self,
+        state: &mut SweepState<'_>,
+        order: &Sweep,
+        idx: usize,
+        tracer: &mut Tracer<'_, '_>,
+    ) -> SweepRecord {
+        let rec = self.inner.sweep_traced(state, order, idx, tracer);
+        self.d.push(bit_vec(state.gram.packed().as_slice()));
+        rec
+    }
+}
+
+fn bit_vec(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Everything a monitored round-robin run produces, as bits.
+#[derive(Debug, PartialEq)]
+struct PinnedRun {
+    d: Vec<Vec<u64>>,
+    history: Vec<SweepRecord>,
+    b: Vec<u64>,
+    v: Vec<u64>,
+    counts: (usize, usize, usize),
+    fault: Option<Fault>,
+}
+
+/// What a pinned run sweeps: `D` from `a`'s columns (the SVD drivers'
+/// guards), or `s` itself with the eigensolver's guard.
+enum PinInput<'a> {
+    Columns { a: &'a Matrix, full: bool, threshold: bool },
+    Symmetric(&'a PackedSymmetric),
+}
+
+/// One monitored round-robin run of `input` on `engine`.
+fn pinned_run<E: SweepEngine>(engine: E, input: &PinInput<'_>) -> PinnedRun {
+    let mut engine = Snapshots { inner: engine, d: Vec::new() };
+    let (mut gram, mut b, mut v, guard, threshold, health) = match *input {
+        PinInput::Columns { a, full, threshold } => (
+            GramState::from_matrix(a),
+            full.then(|| a.clone()),
+            full.then(|| Matrix::identity(a.cols())),
+            PairGuard::default(),
+            threshold.then(ThresholdSchedule::default),
+            HealthCheck::default(),
+        ),
+        PinInput::Symmetric(s) => (
+            GramState::from_packed(s.clone()),
+            None,
+            Some(Matrix::identity(s.dim())),
+            PairGuard::DiagonalScale { tol: 1e-14 },
+            None,
+            HealthCheck::indefinite(),
+        ),
+    };
+    let target = RotationTarget { columns: b.as_mut(), v: v.as_mut() };
+    let mut state = SweepState { gram: &mut gram, target, guard };
+    let mut plan = Sweep::new();
+    let mut schedule = SweepSchedule { strategy: Ordering::RoundRobin, plan: &mut plan, threshold };
+    let mut monitor = SolveMonitor::new(SolveBudget::unlimited(), health);
+    let driver = SolveDriver { convergence: Convergence::default(), max_sweeps: 40 };
+    let run = driver.run_monitored(&mut engine, &mut state, &mut schedule, &mut monitor);
+    let stats = run.stats;
+    PinnedRun {
+        d: engine.d,
+        history: run.history,
+        b: b.map_or_else(Vec::new, |b| bit_vec(b.as_slice())),
+        v: v.map_or_else(Vec::new, |v| bit_vec(v.as_slice())),
+        counts: (stats.sweeps, stats.rotations_applied, stats.pairs_skipped_by_threshold),
+        fault: run.fault,
+    }
+}
+
+/// A pin input of `n` columns: tall, square or wide by `shape`, with a
+/// zero, a `−0.0` and a duplicated column when `n` has room.
+fn pin_matrix(n: usize, shape: usize, seed: u64) -> Matrix {
+    let m = match shape {
+        0 => 2 * n + 3,
+        1 => n,
+        _ => n / 2 + 1,
+    };
+    let mut a = gen::uniform(m, n, seed);
+    if n >= 4 && seed % 2 == 1 {
+        a.col_mut(n / 3).fill(0.0);
+        a.col_mut(n - 1).fill(-0.0);
+        let dup = a.col(1).to_vec();
+        a.col_mut(n / 2).copy_from_slice(&dup);
+    }
+    a
+}
+
+/// An indefinite symmetric input of dimension `n`: a Gram matrix with its
+/// diagonal shifted by half its mean.
+fn pin_indefinite(n: usize, seed: u64) -> PackedSymmetric {
+    let mut s = gen::uniform(n + 2, n, seed).gram();
+    let shift = 0.5 * s.trace() / n as f64;
+    for i in (0..n).step_by(2) {
+        s.set(i, i, s.get(i, i) - 3.0 * shift);
+    }
+    s
+}
+
+#[test]
+fn round_kernel_sweeps_are_the_pair_at_a_time_bits() {
+    // Every (shape, mode, guard) combination recurs across n = 1–70, and
+    // n = 127–129 take three of them; odd seeds add the special columns.
+    let wide: Vec<usize> = (1..=70).chain(127..=129).collect();
+    for (case, &n) in wide.iter().enumerate() {
+        let seed = 900 + case as u64;
+        let a = pin_matrix(n, case % 3, seed);
+        let combo = case / 3 % 4;
+        let input = match combo {
+            0 => PinInput::Columns { a: &a, full: false, threshold: false },
+            1 => PinInput::Columns { a: &a, full: true, threshold: false },
+            2 => PinInput::Columns { a: &a, full: case % 2 == 0, threshold: true },
+            _ => {
+                let s = pin_indefinite(n, seed);
+                let (got, want) = (
+                    pinned_run(Sequential, &PinInput::Symmetric(&s)),
+                    pinned_run(PerPair, &PinInput::Symmetric(&s)),
+                );
+                assert_eq!(got, want, "n={n} indefinite, DiagonalScale guard");
+                continue;
+            }
+        };
+        let (got, want) = (pinned_run(Sequential, &input), pinned_run(PerPair, &input));
+        assert!(!got.history.is_empty() || n < 2, "n={n}: no sweep ran");
+        assert_eq!(got, want, "n={n} shape {} combo {combo}", case % 3);
+    }
 }
 
 proptest! {

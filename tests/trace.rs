@@ -14,14 +14,24 @@
 //! 3. **Honest accounting** — the JSONL stream is valid (one JSON object
 //!    per line) and its per-sweep rotation counts sum to the solve's own
 //!    `SolveStats.rotations_applied`.
+//! 4. **Plan order** — a round-robin sweep runs round by round, yet its
+//!    rotation-level events come in the plan's pair order, event for event
+//!    the trace of the pair-at-a-time reference engine.
 //!
 //! Lives in the root package (not hj-core) because hj-core carries
 //! `#![forbid(unsafe_code)]` and a `GlobalAlloc` impl requires unsafe.
 
+mod per_pair;
+
+use hjsvd::core::engine::Sequential;
+use hjsvd::core::ordering::Sweep;
 use hjsvd::core::{
-    HestenesSvd, JsonlSink, NoopSink, Request, RingBufferSink, SvdOptions, TraceLevel,
+    GramState, HealthCheck, HestenesSvd, JsonlSink, NoopSink, Ordering as SweepOrdering, PairGuard,
+    Request, RingBufferSink, RotationTarget, SolveBudget, SolveDriver, SolveMonitor, SvdOptions,
+    SweepEngine, SweepSchedule, SweepState, TraceEvent, TraceLevel,
 };
 use hjsvd::matrix::{gen, Matrix};
+use per_pair::PerPair;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -188,4 +198,56 @@ fn jsonl_stream_is_valid_and_rotation_counts_match_stats() {
         applied_events, svd.stats.rotations_applied,
         "rotation_applied event count disagrees with SolveStats"
     );
+}
+
+/// The rotation-level events of a default monitored round-robin run of `a`
+/// on `engine`: values only, or with the columns and `V` when `full`.
+fn rotation_events(engine: &mut dyn SweepEngine, a: &Matrix, full: bool) -> Vec<TraceEvent> {
+    let opts = SvdOptions::default();
+    let mut gram = GramState::from_matrix(a);
+    let (mut b, mut v) = (a.clone(), Matrix::identity(a.cols()));
+    let target =
+        if full { RotationTarget::full(&mut b, &mut v) } else { RotationTarget::gram_only() };
+    let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
+    let mut plan = Sweep::new();
+    let mut schedule =
+        SweepSchedule { strategy: SweepOrdering::RoundRobin, plan: &mut plan, threshold: None };
+    let mut sink = RingBufferSink::new(1 << 20);
+    let mut monitor = SolveMonitor {
+        request: Request::traced(&mut sink, TraceLevel::Rotation),
+        ..SolveMonitor::new(SolveBudget::unlimited(), HealthCheck::default())
+    };
+    let driver = SolveDriver { convergence: opts.convergence, max_sweeps: opts.max_sweeps };
+    let run = driver.run_monitored(engine, &mut state, &mut schedule, &mut monitor);
+    assert_eq!(run.fault, None);
+    drop(monitor);
+    sink.events()
+        .into_iter()
+        .filter(|e| {
+            matches!(e, TraceEvent::RotationApplied { .. } | TraceEvent::RotationSkipped { .. })
+        })
+        .collect()
+}
+
+#[test]
+fn round_robin_rotation_trace_follows_the_plan_pair_by_pair() {
+    let _guard = SERIAL.lock().unwrap();
+    // Even and odd n (the bye pair leaves no event), values and full mode;
+    // every solve runs to convergence, so its last sweeps skip pairs, and
+    // the zero column is skipped from sweep 1.
+    for (case, (m, n)) in [(30, 8), (25, 9), (12, 12), (40, 17), (9, 14)].into_iter().enumerate() {
+        let mut a = gen::uniform(m, n, 60 + case as u64);
+        if case % 2 == 1 {
+            a.col_mut(n / 2).fill(0.0);
+        }
+        for full in [false, true] {
+            let got = rotation_events(&mut Sequential, &a, full);
+            let want = rotation_events(&mut PerPair, &a, full);
+            assert!(
+                got.iter().any(|e| matches!(e, TraceEvent::RotationSkipped { .. })),
+                "{m}x{n}: no sweep skipped a pair"
+            );
+            assert_eq!(got, want, "{m}x{n} full={full}");
+        }
+    }
 }

@@ -2,7 +2,8 @@
 //!
 //! A counting global allocator wraps `System`. Sweeps — gram-only and full
 //! (B, Gram, V) — must perform **zero** heap allocations after the first:
-//! the [`Sequential`] engine rotates `D` and the columns in place, and the
+//! the [`Sequential`] engine rotates the columns in place, its round kernel
+//! works in a buffer that [`GramState`] sizes when `D` is built, and the
 //! schedule reuses its plan. This is the software analogue of the paper's
 //! fixed BRAM budget: the FPGA design claims all covariance/column storage
 //! up front and reuses it every sweep. A solve's plan is one flat pair list,
@@ -69,9 +70,9 @@ fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Allocation events of one [`SolveDriver`] run of exactly `sweeps`
-/// [`Sequential`] sweeps over a fresh copy of `a` (values-only, or with the
-/// columns and `V` when `full`), planning into `plan`. The state is built
-/// outside the measured region.
+/// [`Sequential`] sweeps over a fresh copy of `a` under `guard` (values-only,
+/// or with the columns and `V` when `full`), planning into `plan`. The state
+/// is built outside the measured region.
 ///
 /// The minimum over `tries` runs is kept: the counter is process-global and
 /// libtest's main thread occasionally allocates mid-test (timeout
@@ -82,6 +83,7 @@ fn driver_run_allocations(
     a: &Matrix,
     sweeps: usize,
     full: bool,
+    guard: PairGuard,
     plan: &mut Sweep,
     tries: usize,
 ) -> usize {
@@ -93,7 +95,7 @@ fn driver_run_allocations(
         let mut gram = GramState::from_matrix(a);
         let target =
             if full { RotationTarget::full(&mut b, &mut v) } else { RotationTarget::gram_only() };
-        let mut state = SweepState { gram: &mut gram, target, guard: PairGuard::default() };
+        let mut state = SweepState { gram: &mut gram, target, guard };
         let mut schedule = SweepSchedule {
             strategy: SweepOrdering::RoundRobin,
             plan: &mut *plan,
@@ -119,17 +121,34 @@ fn gram_sweeps_allocate_nothing_after_warmup() {
     let _guard = serial_guard();
     let a = gen::uniform(48, 24, 11);
     let mut plan = Sweep::new();
-    let one = driver_run_allocations(&a, 1, false, &mut plan, 5);
-    let four = driver_run_allocations(&a, 4, false, &mut plan, 5);
+    let one = driver_run_allocations(&a, 1, false, PairGuard::default(), &mut plan, 5);
+    let four = driver_run_allocations(&a, 4, false, PairGuard::default(), &mut plan, 5);
     assert!(four <= one, "gram sweeps 2–4 allocated: {four} events vs {one} for one sweep");
 }
 
 #[test]
+fn diagonal_scale_sweeps_allocate_nothing_after_warmup() {
+    // The eigensolver's guard measures max|D_kk| at the start of every
+    // sweep; it must fold over `D` in place, not copy its diagonal, so
+    // sweeps 2–4 allocate nothing here either.
+    let _guard = serial_guard();
+    let a = gen::uniform(48, 24, 11);
+    let guard = PairGuard::DiagonalScale { tol: 1e-14 };
+    let mut plan = Sweep::new();
+    let one = driver_run_allocations(&a, 1, false, guard, &mut plan, 5);
+    let four = driver_run_allocations(&a, 4, false, guard, &mut plan, 5);
+    assert!(
+        four <= one,
+        "DiagonalScale sweeps 2–4 allocated: {four} events vs {one} for one sweep"
+    );
+}
+
+#[test]
 fn sequential_fallback_sweeps_allocate_nothing_at_all() {
-    // The in-place sequential kernels — what the solve falls back to when
-    // there is nothing to parallelize, and now the only sweep engine — have
-    // no scratch: driven directly over a fixed order, without the driver's
-    // bookkeeping, not even the first sweep allocates.
+    // The one sweep engine's scratch — the round kernel's buffer — lives in
+    // `GramState`, sized when `D` is built outside the measured region:
+    // driven directly over a fixed order, without the driver's bookkeeping,
+    // not even the first sweep allocates.
     let _guard = serial_guard();
     let a = gen::uniform(48, 24, 11);
     let order = round_robin(a.cols());
@@ -159,8 +178,8 @@ fn full_sweeps_allocate_nothing_after_warmup() {
     let _guard = serial_guard();
     let a = gen::uniform(32, 12, 13);
     let mut plan = Sweep::new();
-    let one = driver_run_allocations(&a, 1, true, &mut plan, 5);
-    let four = driver_run_allocations(&a, 4, true, &mut plan, 5);
+    let one = driver_run_allocations(&a, 1, true, PairGuard::default(), &mut plan, 5);
+    let four = driver_run_allocations(&a, 4, true, PairGuard::default(), &mut plan, 5);
     assert!(four <= one, "full sweeps 2–4 allocated: {four} events vs {one} for one sweep");
 }
 
@@ -343,8 +362,8 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
         let previous = &problems[(k + problems.len() - 1) % problems.len()];
         let warmup = (0..5)
             .map(|_| {
-                driver_run_allocations(previous, 1, true, &mut plan, 1);
-                driver_run_allocations(a, 1, true, &mut plan, 1)
+                driver_run_allocations(previous, 1, true, PairGuard::default(), &mut plan, 1);
+                driver_run_allocations(a, 1, true, PairGuard::default(), &mut plan, 1)
             })
             .min()
             .expect("five tries");
@@ -352,8 +371,8 @@ fn reused_workspace_allocations_are_per_problem_not_per_sweep() {
         assert!(warmup <= bound, "warm-up on {m}x{n} allocated {warmup} times (> {bound})");
 
         // Steady state: zero allocations per sweep, hence zero per round.
-        let one = driver_run_allocations(a, 1, true, &mut plan, 5);
-        let four = driver_run_allocations(a, 4, true, &mut plan, 5);
+        let one = driver_run_allocations(a, 1, true, PairGuard::default(), &mut plan, 5);
+        let four = driver_run_allocations(a, 4, true, PairGuard::default(), &mut plan, 5);
         assert!(four <= one, "steady-state sweeps on {m}x{n} allocated ({four} vs {one})");
     }
 }
