@@ -779,6 +779,62 @@ mod tests {
     }
 
     #[test]
+    fn round_sweeps_match_rotate_packed_on_signed_zeros() {
+        // Whole sweeps of chosen rotations, a third of the pairs holding
+        // still, over a `D` sprinkled with ±0.0: the round kernel must give
+        // `rotate_packed`'s bits pair by pair in plan order. A still pair
+        // multiplied by the identity instead of left out flips a −0.0.
+        let rots = [(1.0, 0.0), (0.8, 0.6), (0.6, -0.8), (1.0, -0.0), (0.28, 0.96)]
+            .map(|(cos, sin)| Rotation { cos, sin, t: sin / cos });
+        // Each n runs once with a third of its pairs still, and even n ≥ 4
+        // once more with only round 0's pair (0, n−1) turning.
+        let cases = (2..30).map(|n| (n, false)).chain((4..12).step_by(2).map(|n| (n, true)));
+        for (n, lone) in cases {
+            let mut d = packed_from_seed(n, 90 + n as u64);
+            for i in 0..n {
+                for j in i + 1..n {
+                    match (3 * i + 5 * j) % 7 {
+                        0 | 3 => d.set(i, j, -0.0),
+                        5 => d.set(i, j, 0.0),
+                        _ => {}
+                    }
+                }
+            }
+            if lone {
+                // Round 0 turns pair (0, n−1) by (1, 0) next to the still
+                // pair (1, n−2), and nothing turns after it: D_01 = −0.0
+                // must survive, where the identity would give
+                // −0.0 − (−1.0·0.0) = +0.0.
+                d.set(0, 1, -0.0);
+                d.set(1, n - 1, 1.0);
+                d.set(0, n - 2, -1.0);
+                d.set(n - 2, n - 1, 1.0);
+            }
+            let mut want = d.clone();
+            let mut round = RoundBuffer::new(n);
+            round.load(&d);
+            for r in 0..round.rounds() {
+                round.start_round(r);
+                for k in 0..round.pair_count() {
+                    let (f, g) = round.pair(k);
+                    let turns = if lone { r == 0 && k == 0 } else { (r + k) % 3 != 1 };
+                    if f < n && g < n && turns {
+                        let rot = rots[(r + 2 * k) % rots.len()];
+                        round.rotate_pair(k, &rot);
+                        rotate_packed(&mut want, f.min(g), f.max(g), &rot);
+                    }
+                }
+                round.finish_round();
+            }
+            let mut got = PackedSymmetric::zeros(n);
+            round.store(&mut got);
+            let bits =
+                |p: &PackedSymmetric| p.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n={n} lone={lone}");
+        }
+    }
+
+    #[test]
     fn turns_keep_every_entry_in_its_owners_row() {
         // Entry {x, y} must sit in the row of the column with the lower
         // pair index (F before G within a pair) at every round. Mark each
