@@ -140,10 +140,10 @@ pub fn rotate_packed(d: &mut PackedSymmetric, i: usize, j: usize, rot: &Rotation
     }
 }
 
-/// The round kernel's storage for one `D`: a full `S × S` buffer of the
-/// off-diagonal entries indexed by column, `S` = [`ring_slots`]`(n)` (a
-/// zero phantom "bye" column `n` for odd `n`), the diagonal, and the
-/// current round's pairs and rotations.
+/// The round kernel's storage for one `D`: a full `S × S` buffer indexed
+/// by column, `S` = [`ring_slots`]`(n)` (a zero phantom "bye" column `n`
+/// for odd `n`), and the current round's pairs and rotations. `D_xx` sits
+/// on the buffer's diagonal, where no block update reaches.
 ///
 /// Each off-diagonal entry `{x, y}` is current in one place only: the row of
 /// whichever column has the lower pair index this round, and within one
@@ -162,7 +162,6 @@ pub fn rotate_packed(d: &mut PackedSymmetric, i: usize, j: usize, rot: &Rotation
 pub(crate) struct RoundBuffer {
     slots: usize,
     m: Vec<f64>,
-    diag: Vec<f64>,
     /// Per pair `k` of the current round: its columns `F_k`, `G_k`, the
     /// cosine, the sine oriented from `F_k` to `G_k` (negated when
     /// `F_k > G_k`), and whether it rotates. A pair that does not rotate is
@@ -185,7 +184,6 @@ impl RoundBuffer {
         RoundBuffer {
             slots,
             m: vec![0.0; slots * slots],
-            diag: vec![0.0; slots],
             f: vec![0; pairs],
             g: vec![0; pairs],
             cos: vec![0.0; pairs],
@@ -225,7 +223,8 @@ impl RoundBuffer {
 
     /// `(D_ii, D_jj, D_ij)` of pair `(f, g)`, `i = min(f, g)`, `j = max`.
     pub(crate) fn pair_entries(&self, f: usize, g: usize) -> (f64, f64, f64) {
-        (self.diag[f.min(g)], self.diag[f.max(g)], self.m[f * self.slots + g])
+        let (s, i, j) = (self.slots, f.min(g), f.max(g));
+        (self.m[i * s + i], self.m[j * s + j], self.m[f * s + g])
     }
 
     /// Pair `k` = `(f, g)` rotates by `rot` this round: its diagonal block
@@ -233,10 +232,10 @@ impl RoundBuffer {
     /// take the rotation in [`RoundBuffer::finish_round`].
     pub(crate) fn rotate_pair(&mut self, k: usize, rot: &Rotation) {
         let (f, g) = (self.f[k], self.g[k]);
-        let (i, j) = (f.min(g), f.max(g));
-        let cov = &mut self.m[f * self.slots + g];
-        (self.diag[i], self.diag[j], _) = rotate_norms(self.diag[i], self.diag[j], *cov, rot);
-        *cov = 0.0;
+        let (s, i, j) = (self.slots, f.min(g), f.max(g));
+        let (ni, nj, cov) = self.pair_entries(f, g);
+        (self.m[i * s + i], self.m[j * s + j], _) = rotate_norms(ni, nj, cov, rot);
+        self.m[f * s + g] = 0.0;
         self.cos[k] = rot.cos;
         self.sin[k] = if f < g { rot.sin } else { -rot.sin };
         self.live[k] = true;
@@ -249,14 +248,12 @@ impl RoundBuffer {
         let data = d.as_slice();
         for x in 0..n {
             let row = &data[d.row_offset(x)..d.row_offset(x + 1)];
-            self.diag[x] = row[0];
-            self.m[x * s + x + 1..x * s + n].copy_from_slice(&row[1..]);
+            self.m[x * s + x..x * s + n].copy_from_slice(row);
             for (y, &v) in (x + 1..n).zip(&row[1..]) {
                 self.m[y * s + x] = v;
             }
         }
         for t in n..s {
-            self.diag[t] = 0.0;
             self.m[t * s..(t + 1) * s].fill(0.0);
             for x in 0..s {
                 self.m[x * s + t] = 0.0;
@@ -273,10 +270,10 @@ impl RoundBuffer {
         let mut at = 0;
         for x in 0..n {
             let split = (s - x).clamp(x + 1, n);
-            data[at] = self.diag[x];
-            let owned = split - x - 1;
-            data[at + 1..at + 1 + owned].copy_from_slice(&self.m[x * s + x + 1..x * s + split]);
-            for (out, y) in data[at + 1 + owned..at + n - x].iter_mut().zip(split..n) {
+            // D_xx and the entries x owns, then the ones its partners own.
+            let owned = split - x;
+            data[at..at + owned].copy_from_slice(&self.m[x * s + x..x * s + split]);
+            for (out, y) in data[at + owned..at + n - x].iter_mut().zip(split..n) {
                 *out = self.m[y * s + x];
             }
             at += n - x;
