@@ -19,18 +19,23 @@
 //! The strided packed-triangle accesses that dominate the scalar
 //! [`crate::kernel::rotate_packed`] at small `n` vanish entirely.
 //!
-//! For very large batches the interleave is additionally tiled into cache
-//! *blocks* (AoSoA): lanes are grouped so one block's triangles stay inside
-//! an L2-sized budget (`BLOCK_TRI_BYTES`), and the pair schedule runs
-//! block by block so each pair's sweep streams a footprint the cache can
-//! hold instead of the whole `tri·k` region. At the default `k = 256` and
-//! `n ≤ 32` the footprint fits one block, so the batch runs *flat* — a
-//! single full-width interleave, which measures fastest on cores with a
-//! MiB-class L2 (narrow tiles trade cache residency for per-call overhead
-//! and lose).
+//! The interleave is tiled into cache *blocks* (AoSoA), and a block is the
+//! unit of parallel work. Each block holds whole `ROTATE_LANES` groups of
+//! lanes with its own triangles and every per-lane buffer, and sweeps the
+//! pair schedule to convergence on its own: lanes never read each other, so
+//! blocks share nothing but the schedule. A batch is cut into the fewest
+//! evenly sized blocks whose triangles fit an L2-sized budget
+//! (`BLOCK_TRI_BYTES`), and into at least one block per rayon pool thread
+//! whenever it has that many lane groups. [`BatchDriver::load`] and
+//! [`BatchDriver::sweep_to_convergence`] then run each block on its own pool
+//! thread; [`BatchDriver::extract`] gathers the results on the caller's. A
+//! busy pool — a nested call, or another thread's batch in flight, such as
+//! a second hj-serve worker's bulk job — runs every block in turn on the
+//! caller instead. A lane's bits do not depend on its block, so they are the
+//! same at any thread count and on either path.
 //!
-//! [`BatchDriver`] runs the shared cyclic sweep schedule over a
-//! [`BatchWorkspace`] with a **per-problem active mask**:
+//! [`BatchDriver`] runs the shared cyclic sweep schedule over each block
+//! with a **per-problem active mask**:
 //!
 //! * a problem that satisfies the solver's [`crate::Convergence`] criterion
 //!   drops out (its lane gets identity rotation parameters — bit-preserving
@@ -41,7 +46,9 @@
 //!   stall memory) faults **alone**: lanes never read each other, so a
 //!   NaN-poisoned problem cannot perturb its neighbors' bits;
 //! * a [`crate::SolveBudget`] deadline/cancellation aborts every
-//!   still-active problem at the shared sweep boundary.
+//!   still-active problem of a block at *that block's* next sweep boundary.
+//!   Blocks sweep independently, so the problems of one batch can abort at
+//!   different sweeps, each fault naming its own block's sweep.
 //!
 //! A faulted problem aborts, as on every solve path: nothing is retried.
 //! The guarded-numerics prescaling of [`crate::svd`] applies per problem at
@@ -66,7 +73,10 @@ use crate::recovery::{Fault, HealthCheck, HealthState};
 use crate::stats::SolveStats;
 use crate::svd::{prescale_exponent, scale_exp2, spectrum, HestenesSvd, SingularValues};
 use crate::SvdError;
-use hj_matrix::{ops, soa, Matrix, PackedSymmetric};
+use hj_matrix::ops::{self, GramScan};
+use hj_matrix::{soa, Matrix, PackedSymmetric};
+use rayon::prelude::*;
+use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 /// Stable engine name reported in [`SolveStats::engine`] for batched-SoA
@@ -84,13 +94,14 @@ pub const SOA_DISPATCH_MAX_N: usize = 32;
 /// of `B` lanes holds `n(n+1)/2 · B` doubles that every pair of a sweep
 /// re-touches; keeping that within an L2-sized budget stops the rotation
 /// kernel from streaming the whole batch footprint from L3/DRAM once per
-/// pair. The budget is deliberately generous (~1.5 MiB): the default
-/// `k = 256, n ≤ 32` workload fits a single block and runs flat, because
-/// measured on wide-vector cores the per-block loop and call overhead of
-/// narrow tiles costs far more than L2 misses save.
+/// pair. The budget is deliberately generous (~1.5 MiB): on one thread the
+/// default `k = 256, n ≤ 32` workload fits a single block, because measured
+/// on wide-vector cores the per-block loop and call overhead of narrow
+/// tiles costs far more than L2 misses save. The pool's thread count, not
+/// this budget, sets the block count of such batches.
 const BLOCK_TRI_BYTES: usize = 1536 * 1024;
 
-/// Why a lane stopped participating in the shared sweep loop.
+/// Why a lane stopped participating in its block's sweep loop.
 #[derive(Debug, Clone)]
 enum LaneOutcome {
     /// Still sweeping (or finished the budget without meeting the criterion
@@ -98,33 +109,36 @@ enum LaneOutcome {
     Running,
     /// Rejected at pack time, before any sweep ran.
     Invalid(SvdError),
-    /// Tripped a health check or the shared solve budget mid-flight.
+    /// Tripped a health check or the solve budget mid-flight.
     Faulted(Fault),
     /// Met the solver's convergence criterion.
     Converged,
 }
 
-/// Reusable scratch for one batch of interleaved problems: the SoA Gram
-/// triangles, the per-pair parameter lanes, the active mask, and every
-/// per-problem accumulator the driver needs — all reused across calls, so a
-/// warm workspace solves batch after batch of the same shape with **zero**
-/// steady-state heap allocations (pinned in `tests/zero_alloc.rs`).
-///
-/// Buffer growth events are counted in [`BatchWorkspace::allocations`].
+/// Refill `buf` with exactly `len` copies of `fill`, counting a growth
+/// event in `allocations` only when the capacity actually increases.
+fn reset<T: Clone>(allocations: &mut usize, buf: &mut Vec<T>, len: usize, fill: T) {
+    if buf.capacity() < len {
+        *allocations += 1;
+    }
+    buf.clear();
+    buf.resize(len, fill);
+}
+
+/// One cache block of lanes: its interleaved triangles, the pair kernels'
+/// per-lane scratch and every per-problem accumulator of the sweep loop.
+/// Blocks share nothing but the pair schedule, so each one loads and sweeps
+/// on whichever pool thread takes it.
 #[derive(Debug, Default)]
-pub struct BatchWorkspace {
-    /// Problem dimension `n` of the loaded batch.
-    n: usize,
-    /// Problems actually loaded (lanes `problems..lanes` are padding).
+struct Block {
+    /// Batch index of the block's first problem.
+    first: usize,
+    /// Problems loaded into the block (lanes `problems..lanes` are padding).
     problems: usize,
-    /// Lane count: `problems` rounded up to a whole number of blocks.
+    /// Lane count: a whole number of `ROTATE_LANES` groups.
     lanes: usize,
-    /// Lanes per cache block (the AoSoA tile width): the widest SIMD-friendly
-    /// count whose interleaved triangles fit [`BLOCK_TRI_BYTES`].
-    block: usize,
-    /// Block-major interleaved packed triangles: entry `e` of problem `p`
-    /// lives in block `b = p / block` at
-    /// `d[b · tri · block + e · block + (p mod block)]`.
+    /// Interleaved packed triangles: entry `e` of lane `q` lives at
+    /// `d[e · lanes + q]`.
     d: Vec<f64>,
     /// Per-lane rotation parameters for the current pair.
     cos: Vec<f64>,
@@ -134,20 +148,18 @@ pub struct BatchWorkspace {
     applied: Vec<u8>,
     /// Per-lane participation mask (0 for converged/faulted/padding lanes).
     active: Vec<u8>,
-    /// Shared cyclic pair schedule for dimension `n`.
-    pairs: Vec<(usize, usize)>,
     /// Per-problem prescale exponents (guarded numerics, applied at pack).
     exps: Vec<i32>,
     /// Per-problem outcome.
     outcome: Vec<LaneOutcome>,
     /// Per-problem sweep histories.
     histories: Vec<Vec<SweepRecord>>,
-    /// Wall-clock seconds of each shared sweep.
+    /// Wall-clock seconds of each of the block's sweeps.
     sweep_seconds: Vec<f64>,
     /// Per-lane rotations applied during the current sweep.
     applied_count: Vec<usize>,
     // Per-lane post-sweep metric accumulators (off-diagonal summary,
-    // diagonal scan, trace) — one fused pass over the SoA triangle.
+    // diagonal scan, trace) — one fused pass over the SoA triangles.
     abs_sum: Vec<f64>,
     sum_sq: Vec<f64>,
     max_abs: Vec<f64>,
@@ -160,7 +172,276 @@ pub struct BatchWorkspace {
     health: Vec<HealthState>,
     /// Prescale scratch: one problem's scaled column data.
     scaled: Vec<f64>,
-    /// Buffer creation/growth events (the zero-alloc observability hook).
+    /// Buffer creation/growth events.
+    allocations: usize,
+}
+
+impl Block {
+    /// Size every buffer for `problems` problems of `tri` triangle entries
+    /// in `lanes` lanes, starting at batch index `first`, clearing per-call
+    /// state but never shrinking capacity.
+    fn prepare(&mut self, tri: usize, first: usize, problems: usize, lanes: usize) {
+        let a = &mut self.allocations;
+        reset(a, &mut self.d, tri * lanes, 0.0);
+        reset(a, &mut self.cos, lanes, 0.0);
+        reset(a, &mut self.sin, lanes, 0.0);
+        reset(a, &mut self.t, lanes, 0.0);
+        reset(a, &mut self.applied, lanes, 0);
+        reset(a, &mut self.active, lanes, 0);
+        reset(a, &mut self.abs_sum, lanes, 0.0);
+        reset(a, &mut self.sum_sq, lanes, 0.0);
+        reset(a, &mut self.max_abs, lanes, 0.0);
+        reset(a, &mut self.diag_min, lanes, 0.0);
+        reset(a, &mut self.diag_argmin, lanes, 0);
+        reset(a, &mut self.diag_max_abs, lanes, 0.0);
+        reset(a, &mut self.diag_finite, lanes, 1);
+        reset(a, &mut self.trace, lanes, 0.0);
+        reset(a, &mut self.health, lanes, HealthState::new());
+        reset(a, &mut self.applied_count, lanes, 0);
+        reset(a, &mut self.exps, problems, 0);
+        reset(a, &mut self.outcome, problems, LaneOutcome::Running);
+        if self.histories.len() < problems {
+            self.allocations += 1;
+            self.histories.resize_with(problems, Vec::new);
+        }
+        for h in &mut self.histories[..problems] {
+            h.clear();
+        }
+        self.sweep_seconds.clear();
+        self.first = first;
+        self.problems = problems;
+        self.lanes = lanes;
+    }
+
+    /// Build lane `q`'s Gram triangle from `mat`, reading it once: the
+    /// build scans the input as it goes, as the scalar path's does. Only a
+    /// build the scan stopped — a NaN or ±∞, or a running max outside the
+    /// prescale window — falls back to one full scan, which gives
+    /// `NonFiniteInput` or the exact max, and then to a build from the
+    /// input scaled by the exponent that max gives. Input errors come in
+    /// the scalar path's order: `EmptyInput`, `NonFiniteInput`,
+    /// `ZeroSweepBudget`.
+    fn load_lane(&mut self, q: usize, mat: &Matrix, zero_budget: bool) {
+        let (rows, n) = mat.shape();
+        let data = mat.as_slice();
+        if mat.is_empty() {
+            self.outcome[q] = LaneOutcome::Invalid(SvdError::EmptyInput);
+            return;
+        }
+        if zero_budget {
+            let err = match ops::finite_max_abs(data) {
+                Some(_) => SvdError::ZeroSweepBudget,
+                None => SvdError::NonFiniteInput,
+            };
+            self.outcome[q] = LaneOutcome::Invalid(err);
+            return;
+        }
+        // Lane q's entries stride by the block width from its lane base.
+        let out = &mut self.d[q..];
+        let stop = AtomicBool::new(false);
+        let scan = GramScan { window: |max_abs| prescale_exponent(max_abs) == 0, stop: &stop };
+        let exp = if ops::gram_packed_rows(data, rows, n, 0..n, out, self.lanes, Some(&scan))
+            .is_some()
+        {
+            0
+        } else {
+            let Some(max_abs) = ops::finite_max_abs(data) else {
+                self.outcome[q] = LaneOutcome::Invalid(SvdError::NonFiniteInput);
+                return;
+            };
+            let exp = prescale_exponent(max_abs);
+            let data = if exp == 0 {
+                data
+            } else {
+                // Out-of-window input: scale a scratch copy by the exact
+                // power of two first (squaring unscaled entries is what
+                // overflows), then build the Gram from the scratch columns.
+                reset(&mut self.allocations, &mut self.scaled, data.len(), 0.0);
+                self.scaled.copy_from_slice(data);
+                scale_exp2(&mut self.scaled, exp);
+                &self.scaled
+            };
+            ops::gram_packed(data, rows, n, &mut self.d[q..], self.lanes);
+            exp
+        };
+        self.active[q] = 1;
+        self.exps[q] = exp;
+    }
+
+    /// Sweep the shared `pairs` schedule over this block until every lane
+    /// has converged, faulted, or exhausted the solver's sweep budget,
+    /// calling `before(sweep, block)` ahead of each sweep that runs (after
+    /// the budget check), so that a test can corrupt a lane's `D` exactly
+    /// where a scalar [`crate::SweepEngine`] would.
+    fn sweep(
+        &mut self,
+        solver: &HestenesSvd,
+        n: usize,
+        pairs: &[(usize, usize)],
+        before: &impl Fn(usize, &mut Block),
+    ) {
+        let opts = solver.options();
+        let max_sweeps = opts.max_sweeps.min(MAX_SWEEP_CAP);
+        let lanes = self.lanes;
+        let off = |r: usize, c: usize| ops::packed_row_start(n, r) + (c - r);
+        for sweep in 1..=max_sweeps {
+            if self.active.iter().all(|&a| a == 0) {
+                break;
+            }
+            if let Some(fault) = solver.budget().check(sweep) {
+                for q in 0..self.problems {
+                    if self.active[q] != 0 {
+                        self.active[q] = 0;
+                        self.outcome[q] = LaneOutcome::Faulted(fault);
+                    }
+                }
+                break;
+            }
+            before(sweep, self);
+            let started = Instant::now();
+            self.applied_count.iter_mut().for_each(|c| *c = 0);
+            for &(i, j) in pairs {
+                let oi = off(i, i) * lanes;
+                let oj = off(j, j) * lanes;
+                let oc = off(i, j) * lanes;
+                let any_live = batch_params_soa(
+                    &self.d[oi..oi + lanes],
+                    &self.d[oj..oj + lanes],
+                    &self.d[oc..oc + lanes],
+                    &self.active,
+                    PAIR_TOL,
+                    &mut self.cos,
+                    &mut self.sin,
+                    &mut self.t,
+                    &mut self.applied,
+                );
+                if any_live {
+                    rotate_packed_soa(
+                        &mut self.d,
+                        n,
+                        lanes,
+                        i,
+                        j,
+                        &self.cos,
+                        &self.sin,
+                        &self.t,
+                        &self.applied,
+                    );
+                    for (c, &a) in self.applied_count.iter_mut().zip(&self.applied) {
+                        *c += usize::from(a);
+                    }
+                }
+            }
+            self.sweep_seconds.push(started.elapsed().as_secs_f64());
+            self.scan_metrics(n);
+            for q in 0..self.problems {
+                if self.active[q] == 0 {
+                    continue;
+                }
+                let d = &self.d;
+                let entries = (0..n)
+                    .flat_map(|r| (r + 1..n).map(move |c| d[off(r, c) * lanes + q]));
+                let rec = SweepRecord {
+                    sweep,
+                    mean_abs_cov: if n < 2 {
+                        0.0
+                    } else {
+                        self.abs_sum[q] / ((n * (n - 1) / 2) as f64)
+                    },
+                    off_frobenius: off_frobenius(self.sum_sq[q], self.max_abs[q], entries),
+                    max_abs_cov: self.max_abs[q],
+                    rotations_applied: self.applied_count[q],
+                    rotations_skipped: pairs.len() - self.applied_count[q],
+                };
+                self.histories[q].push(rec);
+                let scan = DiagonalScan {
+                    finite: self.diag_finite[q] != 0,
+                    min: self.diag_min[q],
+                    argmin: self.diag_argmin[q],
+                    max_abs: self.diag_max_abs[q],
+                };
+                if let Some(fault) =
+                    HealthCheck::default().inspect(&scan, n, &rec, &mut self.health[q])
+                {
+                    self.active[q] = 0;
+                    self.outcome[q] = LaneOutcome::Faulted(fault);
+                    continue;
+                }
+                if is_converged(&opts.convergence, &rec, self.trace[q], n) {
+                    self.active[q] = 0;
+                    self.outcome[q] = LaneOutcome::Converged;
+                }
+            }
+        }
+    }
+
+    /// One fused pass over the interleaved triangles computing, per lane, the
+    /// off-diagonal summary (`abs_sum`, `sum_sq`, `max_abs` — the
+    /// [`hj_matrix::OffDiagonalSummary`] fields), the diagonal scan
+    /// (finiteness, min/argmin, max-abs — the [`crate::DiagonalScan`]
+    /// fields), and the trace.
+    fn scan_metrics(&mut self, n: usize) {
+        let lanes = self.lanes;
+        self.abs_sum.fill(0.0);
+        self.sum_sq.fill(0.0);
+        self.max_abs.fill(0.0);
+        self.diag_min.fill(f64::INFINITY);
+        self.diag_argmin.fill(0);
+        self.diag_max_abs.fill(0.0);
+        self.diag_finite.fill(1);
+        self.trace.fill(0.0);
+        let mut idx = 0usize;
+        for r in 0..n {
+            let row = &self.d[idx * lanes..(idx + 1) * lanes];
+            for (q, &v) in row.iter().enumerate() {
+                self.trace[q] += v;
+                if !v.is_finite() {
+                    self.diag_finite[q] = 0;
+                }
+                if v < self.diag_min[q] {
+                    self.diag_min[q] = v;
+                    self.diag_argmin[q] = r;
+                }
+                self.diag_max_abs[q] = self.diag_max_abs[q].max(v.abs());
+            }
+            idx += 1;
+            for _ in (r + 1)..n {
+                let row = &self.d[idx * lanes..(idx + 1) * lanes];
+                for (q, &v) in row.iter().enumerate() {
+                    let a = v.abs();
+                    self.abs_sum[q] += a;
+                    self.sum_sq[q] += v * v;
+                    self.max_abs[q] = self.max_abs[q].max(a);
+                }
+                idx += 1;
+            }
+        }
+    }
+}
+
+/// Reusable scratch for one batch of interleaved problems: the shared pair
+/// schedule and the batch's cache blocks, each with its SoA Gram triangles,
+/// per-pair parameter lanes, active mask, and every per-problem accumulator
+/// the driver needs — all reused across calls, so a warm workspace solves
+/// batch after batch of the same shape with **zero** steady-state heap
+/// allocations (pinned in `tests/zero_alloc.rs`).
+///
+/// Buffer growth events are counted in [`BatchWorkspace::allocations`].
+#[derive(Debug, Default)]
+pub struct BatchWorkspace {
+    /// Problem dimension `n` of the loaded batch.
+    n: usize,
+    /// Problems actually loaded.
+    problems: usize,
+    /// Shared cyclic pair schedule for dimension `n`.
+    pairs: Vec<(usize, usize)>,
+    /// The loaded batch's blocks are `blocks[..used]`, in problem order; the
+    /// rest stay warm for a later batch that splits wider.
+    blocks: Vec<Block>,
+    /// Blocks of the loaded batch.
+    used: usize,
+    /// Growth events of the schedule and the block list (each block counts
+    /// its own buffers).
     allocations: usize,
 }
 
@@ -175,17 +456,7 @@ impl BatchWorkspace {
     /// repeated same-shape batches — the steady-state zero-allocation
     /// invariant.
     pub fn allocations(&self) -> usize {
-        self.allocations
-    }
-
-    /// Refill `buf` with exactly `len` copies of `fill`, counting a growth
-    /// event only when the capacity actually increases.
-    fn reset<T: Clone>(allocations: &mut usize, buf: &mut Vec<T>, len: usize, fill: T) {
-        if buf.capacity() < len {
-            *allocations += 1;
-        }
-        buf.clear();
-        buf.resize(len, fill);
+        self.allocations + self.blocks.iter().map(|b| b.allocations).sum::<usize>()
     }
 
     /// Problem `p`'s current Gram triangle, gathered out of the interleaved
@@ -197,74 +468,36 @@ impl BatchWorkspace {
     /// Panics if `p` is not a loaded problem.
     pub fn packed(&self, p: usize) -> PackedSymmetric {
         assert!(p < self.problems, "problem {p} out of {}", self.problems);
-        let span = self.tri() * self.block;
-        let blk = &self.d[p / self.block * span..][..span];
+        let blocks = &self.blocks[..self.used];
+        let blk = &blocks[blocks.partition_point(|b| b.first + b.problems <= p)];
         let mut d = PackedSymmetric::zeros(self.n);
-        soa::deinterleave(blk, p % self.block, self.block, d.as_mut_slice());
+        soa::deinterleave(&blk.d, p - blk.first, blk.lanes, d.as_mut_slice());
         d
     }
 
-    /// Number of cache blocks in the loaded batch.
-    fn blocks(&self) -> usize {
-        self.lanes.checked_div(self.block).unwrap_or(0)
-    }
-
-    /// Packed-triangle entry count for the loaded dimension.
-    fn tri(&self) -> usize {
-        self.n * (self.n + 1) / 2
-    }
-
-    /// Flat index of triangle entry `e` for problem `p` in the block-major
-    /// layout.
-    fn at(&self, e: usize, p: usize) -> usize {
-        (p / self.block) * self.tri() * self.block + e * self.block + (p % self.block)
-    }
-
-    /// Size every buffer for a batch of `problems` problems of dimension
-    /// `n`, clearing per-call state but never shrinking capacity.
+    /// Size the schedule and the blocks for a batch of `problems` problems
+    /// of dimension `n`, clearing per-call state but never shrinking
+    /// capacity.
+    ///
+    /// The batch's `ROTATE_LANES` groups are dealt out evenly (block sizes
+    /// differ by at most one group) over the fewest blocks whose triangles
+    /// fit [`BLOCK_TRI_BYTES`], and over at least one block per pool thread
+    /// when there are enough groups, so that every thread gets a block.
     fn prepare(&mut self, n: usize, problems: usize) {
         let tri = n * (n + 1) / 2;
-        // AoSoA tile width: the batch is split into the fewest blocks whose
-        // per-block triangles fit BLOCK_TRI_BYTES, sized evenly so the last
-        // block is not a ragged remnant, then rounded up to a whole number
-        // of SIMD lane groups. Batches within budget (the common case) get
-        // one full-width block — the flat interleave.
-        let padded = soa::lane_padded(problems);
-        let block = if padded == 0 {
-            0
-        } else {
-            let cap = (BLOCK_TRI_BYTES / (tri * 8).max(1)).max(ops::ROTATE_LANES);
-            let nblocks = padded.div_ceil(cap);
-            padded.div_ceil(nblocks).div_ceil(ops::ROTATE_LANES) * ops::ROTATE_LANES
-        };
-        let lanes = if block == 0 { 0 } else { problems.div_ceil(block) * block };
-        let a = &mut self.allocations;
-        Self::reset(a, &mut self.d, tri * lanes, 0.0);
-        Self::reset(a, &mut self.cos, lanes, 0.0);
-        Self::reset(a, &mut self.sin, lanes, 0.0);
-        Self::reset(a, &mut self.t, lanes, 0.0);
-        Self::reset(a, &mut self.applied, lanes, 0);
-        Self::reset(a, &mut self.active, lanes, 0);
-        Self::reset(a, &mut self.abs_sum, lanes, 0.0);
-        Self::reset(a, &mut self.sum_sq, lanes, 0.0);
-        Self::reset(a, &mut self.max_abs, lanes, 0.0);
-        Self::reset(a, &mut self.diag_min, lanes, 0.0);
-        Self::reset(a, &mut self.diag_argmin, lanes, 0);
-        Self::reset(a, &mut self.diag_max_abs, lanes, 0.0);
-        Self::reset(a, &mut self.diag_finite, lanes, 1);
-        Self::reset(a, &mut self.trace, lanes, 0.0);
-        Self::reset(a, &mut self.health, lanes, HealthState::new());
-        Self::reset(a, &mut self.applied_count, lanes, 0);
-        Self::reset(a, &mut self.exps, problems, 0);
-        Self::reset(a, &mut self.outcome, problems, LaneOutcome::Running);
-        if self.histories.len() < problems {
+        let groups = problems.div_ceil(ops::ROTATE_LANES);
+        let fit = (BLOCK_TRI_BYTES / (tri * 8 * ops::ROTATE_LANES).max(1)).max(1);
+        let used = groups.div_ceil(fit).max(rayon::current_num_threads().min(groups));
+        if self.blocks.len() < used {
             self.allocations += 1;
-            self.histories.resize_with(problems, Vec::new);
+            self.blocks.resize_with(used, Block::default);
         }
-        for h in &mut self.histories[..problems] {
-            h.clear();
+        for (b, blk) in self.blocks[..used].iter_mut().enumerate() {
+            let (g0, g1) = (groups * b / used, groups * (b + 1) / used);
+            let first = g0 * ops::ROTATE_LANES;
+            let lanes = (g1 - g0) * ops::ROTATE_LANES;
+            blk.prepare(tri, first, problems.min(first + lanes) - first, lanes);
         }
-        self.sweep_seconds.clear();
         if self.pairs.is_empty() || self.n != n {
             self.allocations += 1;
             self.pairs.clear();
@@ -272,67 +505,13 @@ impl BatchWorkspace {
         }
         self.n = n;
         self.problems = problems;
-        self.lanes = lanes;
-        self.block = block;
-    }
-
-    /// One fused pass over the interleaved triangle computing, per lane, the
-    /// off-diagonal summary (`abs_sum`, `sum_sq`, `max_abs` — the
-    /// [`hj_matrix::OffDiagonalSummary`] fields), the diagonal scan
-    /// (finiteness, min/argmin, max-abs — the [`crate::DiagonalScan`]
-    /// fields), and the trace.
-    fn scan_metrics(&mut self) {
-        let (n, block) = (self.n, self.block);
-        for p in 0..self.lanes {
-            self.abs_sum[p] = 0.0;
-            self.sum_sq[p] = 0.0;
-            self.max_abs[p] = 0.0;
-            self.diag_min[p] = f64::INFINITY;
-            self.diag_argmin[p] = 0;
-            self.diag_max_abs[p] = 0.0;
-            self.diag_finite[p] = 1;
-            self.trace[p] = 0.0;
-        }
-        let tri = self.tri();
-        for b in 0..self.blocks() {
-            let lane0 = b * block;
-            let blk = &self.d[b * tri * block..(b + 1) * tri * block];
-            let mut idx = 0usize;
-            for r in 0..n {
-                let base = idx * block;
-                for q in 0..block {
-                    let p = lane0 + q;
-                    let v = blk[base + q];
-                    self.trace[p] += v;
-                    if !v.is_finite() {
-                        self.diag_finite[p] = 0;
-                    }
-                    if v < self.diag_min[p] {
-                        self.diag_min[p] = v;
-                        self.diag_argmin[p] = r;
-                    }
-                    self.diag_max_abs[p] = self.diag_max_abs[p].max(v.abs());
-                }
-                idx += 1;
-                for _ in (r + 1)..n {
-                    let base = idx * block;
-                    for q in 0..block {
-                        let p = lane0 + q;
-                        let v = blk[base + q];
-                        let a = v.abs();
-                        self.abs_sum[p] += a;
-                        self.sum_sq[p] += v * v;
-                        self.max_abs[p] = self.max_abs[p].max(a);
-                    }
-                    idx += 1;
-                }
-            }
-        }
+        self.used = used;
     }
 }
 
-/// Runs the shared cyclic sweep schedule over a [`BatchWorkspace`] with the
-/// owning solver's convergence criterion, budget, and health thresholds.
+/// Runs the shared cyclic sweep schedule over a [`BatchWorkspace`]'s
+/// blocks with the owning solver's convergence criterion, budget, and
+/// health thresholds.
 ///
 /// The three phases are public so callers (and the zero-allocation tests)
 /// can drive them separately; [`BatchDriver::solve`] chains them.
@@ -347,13 +526,14 @@ impl<'a> BatchDriver<'a> {
         BatchDriver { solver }
     }
 
-    /// Load + sweep + extract in one call: all problems swept together, one
-    /// rotation kernel invocation per `(i, j)` pair across the whole batch.
-    /// Results are within `1e-12·σ_max` of the looped
-    /// [`crate::HestenesSvd::singular_values`] per problem; per-problem
-    /// errors (invalid input, mid-solve faults) land in their own slots. A
-    /// warm workspace solves repeated same-shape batches with zero
-    /// steady-state heap allocations.
+    /// Load + sweep + extract in one call: every block's problems swept
+    /// together, one rotation kernel invocation per `(i, j)` pair per
+    /// block, the blocks on the pool's threads. Results are within
+    /// `1e-12·σ_max` of the looped [`crate::HestenesSvd::singular_values`]
+    /// per problem, and each problem's are the same bits whatever batch it
+    /// rides in; per-problem errors (invalid input, mid-solve faults) land
+    /// in their own slots. A warm workspace solves repeated same-shape
+    /// batches with zero steady-state heap allocations.
     ///
     /// ```
     /// use hj_core::{BatchDriver, BatchWorkspace, HestenesSvd, SvdOptions};
@@ -382,13 +562,14 @@ impl<'a> BatchDriver<'a> {
         self.extract(ws, mats)
     }
 
-    /// Pack the batch into the workspace's SoA layout: per problem,
-    /// validate (empty / non-finite inputs are rejected into their own
-    /// slot), choose the guarded-numerics prescale exponent from the same
-    /// single scan ([`ops::finite_max_abs`]), and build the Gram triangle
-    /// straight into the problem's lane with the kernel behind
-    /// [`crate::GramState::from_matrix`] ([`ops::gram_packed`], strided by
-    /// the block width).
+    /// Pack the batch into the workspace's SoA layout, each block on a pool
+    /// thread: per problem, validate (empty / non-finite inputs are
+    /// rejected into their own slot) and build the Gram triangle straight
+    /// into the problem's lane with the kernel behind
+    /// [`crate::GramState::from_matrix`] ([`ops::gram_packed_rows`], strided
+    /// by the block width), scanning the input in the same pass. The scan
+    /// gives the guarded-numerics prescale; an input outside its window is
+    /// rebuilt from an exactly scaled copy.
     ///
     /// # Panics
     /// Panics if the matrices do not all share one column count — the SoA
@@ -403,176 +584,35 @@ impl<'a> BatchDriver<'a> {
         );
         ws.prepare(n, mats.len());
         let zero_budget = self.solver.options().max_sweeps == 0;
-        for (p, mat) in mats.iter().enumerate() {
-            if mat.is_empty() {
-                ws.outcome[p] = LaneOutcome::Invalid(SvdError::EmptyInput);
-                continue;
+        ws.blocks[..ws.used].par_iter_mut().for_each(|blk| {
+            for (q, mat) in mats[blk.first..blk.first + blk.problems].iter().enumerate() {
+                blk.load_lane(q, mat, zero_budget);
             }
-            let Some(max_abs) = ops::finite_max_abs(mat.as_slice()) else {
-                ws.outcome[p] = LaneOutcome::Invalid(SvdError::NonFiniteInput);
-                continue;
-            };
-            if zero_budget {
-                ws.outcome[p] = LaneOutcome::Invalid(SvdError::ZeroSweepBudget);
-                continue;
-            }
-            ws.active[p] = 1;
-            let exp = prescale_exponent(max_abs);
-            ws.exps[p] = exp;
-            let block = ws.block;
-            // Problem p's entries stride by `block` from its lane base.
-            let base = (p / block) * ws.tri() * block + (p % block);
-            let data = if exp == 0 {
-                mat.as_slice()
-            } else {
-                // Out-of-window input: scale a scratch copy by the exact
-                // power of two first (squaring unscaled entries is what
-                // overflows), then build the Gram from the scratch columns.
-                BatchWorkspace::reset(
-                    &mut ws.allocations,
-                    &mut ws.scaled,
-                    mat.as_slice().len(),
-                    0.0,
-                );
-                ws.scaled.copy_from_slice(mat.as_slice());
-                scale_exp2(&mut ws.scaled, exp);
-                &ws.scaled
-            };
-            ops::gram_packed(data, mat.rows(), n, &mut ws.d[base..], block);
-        }
+        });
     }
 
-    /// Run shared cyclic sweeps until every lane has converged, faulted, or
-    /// exhausted the solver's sweep budget. Allocation-free in the steady
-    /// state (same shape, warm workspace).
+    /// Sweep every block, each on a pool thread, until each of its lanes
+    /// has converged, faulted, or exhausted the solver's sweep budget. The
+    /// budget is checked at each block's own sweep boundaries.
+    /// Allocation-free in the steady state (same shape, warm workspace).
     pub fn sweep_to_convergence(&self, ws: &mut BatchWorkspace) {
         self.sweep_inner(ws, |_, _| {});
     }
 
-    /// The shared sweep loop, calling `before(sweep, ws)` ahead of each
-    /// sweep that runs (after the budget check), so that a test can corrupt
-    /// a lane's `D` exactly where a scalar [`crate::SweepEngine`] would.
-    fn sweep_inner(
-        &self,
-        ws: &mut BatchWorkspace,
-        mut before: impl FnMut(usize, &mut BatchWorkspace),
-    ) {
-        let opts = self.solver.options();
-        let budget = self.solver.budget();
-        let max_sweeps = opts.max_sweeps.min(MAX_SWEEP_CAP);
-        let n = ws.n;
-        let pair_count = ws.pairs.len();
-        for sweep in 1..=max_sweeps {
-            if ws.active.iter().all(|&a| a == 0) {
-                break;
-            }
-            if let Some(fault) = budget.check(sweep) {
-                for p in 0..ws.problems {
-                    if ws.active[p] != 0 {
-                        ws.active[p] = 0;
-                        ws.outcome[p] = LaneOutcome::Faulted(fault);
-                    }
-                }
-                break;
-            }
-            before(sweep, ws);
-            let started = Instant::now();
-            ws.applied_count.iter_mut().for_each(|c| *c = 0);
-            let (block, tri) = (ws.block, ws.tri());
-            for b in 0..ws.blocks() {
-                let lane0 = b * block;
-                // The mask only changes at sweep boundaries, so a block
-                // whose lanes have all dropped out skips the whole pair
-                // schedule — finished blocks cost nothing while stragglers
-                // keep sweeping.
-                if ws.active[lane0..lane0 + block].iter().all(|&a| a == 0) {
-                    continue;
-                }
-                let base = b * tri * block;
-                let off = |r: usize, c: usize| r * (2 * n - r + 1) / 2 + (c - r);
-                for pi in 0..pair_count {
-                    let (i, j) = ws.pairs[pi];
-                    let oi = base + off(i, i) * block;
-                    let oj = base + off(j, j) * block;
-                    let oc = base + off(i, j) * block;
-                    let any_live = batch_params_soa(
-                        &ws.d[oi..oi + block],
-                        &ws.d[oj..oj + block],
-                        &ws.d[oc..oc + block],
-                        &ws.active[lane0..lane0 + block],
-                        PAIR_TOL,
-                        &mut ws.cos[lane0..lane0 + block],
-                        &mut ws.sin[lane0..lane0 + block],
-                        &mut ws.t[lane0..lane0 + block],
-                        &mut ws.applied[lane0..lane0 + block],
-                    );
-                    if any_live {
-                        rotate_packed_soa(
-                            &mut ws.d[base..base + tri * block],
-                            n,
-                            block,
-                            i,
-                            j,
-                            &ws.cos[lane0..lane0 + block],
-                            &ws.sin[lane0..lane0 + block],
-                            &ws.t[lane0..lane0 + block],
-                            &ws.applied[lane0..lane0 + block],
-                        );
-                        for q in lane0..lane0 + block {
-                            ws.applied_count[q] += usize::from(ws.applied[q]);
-                        }
-                    }
-                }
-            }
-            ws.sweep_seconds.push(started.elapsed().as_secs_f64());
-            ws.scan_metrics();
-            for p in 0..ws.problems {
-                if ws.active[p] == 0 {
-                    continue;
-                }
-                let lane = &*ws;
-                let entries = (0..n).flat_map(|r| {
-                    (r + 1..n).map(move |c| lane.d[lane.at(r * (2 * n - r + 1) / 2 + c - r, p)])
-                });
-                let off = off_frobenius(ws.sum_sq[p], ws.max_abs[p], entries);
-                let rec = SweepRecord {
-                    sweep,
-                    mean_abs_cov: if n < 2 {
-                        0.0
-                    } else {
-                        ws.abs_sum[p] / ((n * (n - 1) / 2) as f64)
-                    },
-                    off_frobenius: off,
-                    max_abs_cov: ws.max_abs[p],
-                    rotations_applied: ws.applied_count[p],
-                    rotations_skipped: pair_count - ws.applied_count[p],
-                };
-                ws.histories[p].push(rec);
-                let scan = DiagonalScan {
-                    finite: ws.diag_finite[p] != 0,
-                    min: ws.diag_min[p],
-                    argmin: ws.diag_argmin[p],
-                    max_abs: ws.diag_max_abs[p],
-                };
-                if let Some(fault) =
-                    HealthCheck::default().inspect(&scan, n, &rec, &mut ws.health[p])
-                {
-                    ws.active[p] = 0;
-                    ws.outcome[p] = LaneOutcome::Faulted(fault);
-                    continue;
-                }
-                if is_converged(&opts.convergence, &rec, ws.trace[p], n) {
-                    ws.active[p] = 0;
-                    ws.outcome[p] = LaneOutcome::Converged;
-                }
-            }
-        }
+    /// The blocks' sweep loops, each calling `before(sweep, block)` ahead
+    /// of each of its sweeps that runs (see [`Block::sweep`]).
+    fn sweep_inner(&self, ws: &mut BatchWorkspace, before: impl Fn(usize, &mut Block) + Sync) {
+        let (n, pairs) = (ws.n, &ws.pairs[..]);
+        ws.blocks[..ws.used]
+            .par_iter_mut()
+            .for_each(|blk| blk.sweep(self.solver, n, pairs, &before));
     }
 
-    /// Extract per-problem results: the scalar path's spectrum step
-    /// (`σᵢ = √D_ii` sorted descending, the wide-matrix truncated-tail
-    /// check, prescale undo) and a per-problem [`SolveStats`] under the
-    /// `"batch-soa"` engine name. `mats` must be the slice passed to
+    /// Extract per-problem results on the calling thread: the scalar path's
+    /// spectrum step (`σᵢ = √D_ii` sorted descending, the wide-matrix
+    /// truncated-tail check, prescale undo) and a per-problem
+    /// [`SolveStats`] under the `"batch-soa"` engine name, timed by the
+    /// problem's block. `mats` must be the slice passed to
     /// [`BatchDriver::load`] (the row counts size each problem's thin
     /// spectrum).
     pub fn extract(
@@ -582,35 +622,37 @@ impl<'a> BatchDriver<'a> {
     ) -> Vec<Result<SingularValues, SvdError>> {
         assert_eq!(mats.len(), ws.problems, "extract: batch size mismatch");
         let n = ws.n;
-        let diag = |r: usize, p: usize| ws.d[ws.at(r * (2 * n - r + 1) / 2, p)];
-        (0..ws.problems)
-            .map(|p| {
-                match &ws.outcome[p] {
+        let mut out = Vec::with_capacity(ws.problems);
+        for blk in &ws.blocks[..ws.used] {
+            let diag = |r: usize, q: usize| blk.d[ops::packed_row_start(n, r) * blk.lanes + q];
+            out.extend((0..blk.problems).map(|q| {
+                match &blk.outcome[q] {
                     LaneOutcome::Invalid(e) => return Err(e.clone()),
                     LaneOutcome::Faulted(fault) => {
                         return Err(SvdError::SolveFault {
                             fault: *fault,
-                            sweeps_completed: ws.histories[p].len(),
+                            sweeps_completed: blk.histories[q].len(),
                         })
                     }
                     LaneOutcome::Running | LaneOutcome::Converged => {}
                 }
-                let values =
-                    spectrum((0..n).map(|r| diag(r, p)).collect(), mats[p].rows(), ws.exps[p])?;
-                let history = ws.histories[p].clone();
+                let rows = mats[blk.first + q].rows();
+                let values = spectrum((0..n).map(|r| diag(r, q)).collect(), rows, blk.exps[q])?;
+                let history = blk.histories[q].clone();
                 let sweeps = history.len();
                 let mut stats = SolveStats {
                     engine: BATCH_SOA_ENGINE,
                     ordering: "cyclic",
-                    prescale_exp: ws.exps[p],
+                    prescale_exp: blk.exps[q],
                     ..SolveStats::default()
                 };
-                for (rec, &secs) in history.iter().zip(&ws.sweep_seconds) {
+                for (rec, &secs) in history.iter().zip(&blk.sweep_seconds) {
                     stats.record_sweep(secs, rec);
                 }
                 Ok(SingularValues { values, sweeps, history, stats })
-            })
-            .collect()
+            }));
+        }
+        out
     }
 }
 
@@ -675,11 +717,13 @@ mod tests {
         let driver = BatchDriver::new(solver);
         let mut ws = BatchWorkspace::new();
         driver.load(&mut ws, mats);
-        driver.sweep_inner(&mut ws, |sweep, ws| {
-            for c in plan.iter().filter(|c| c.sweep == sweep) {
+        let n = ws.n;
+        driver.sweep_inner(&mut ws, |sweep, blk| {
+            let held = blk.first..blk.first + blk.problems;
+            for c in plan.iter().filter(|c| c.sweep == sweep && held.contains(&c.problem)) {
                 let (r, col) = (c.i.min(c.j), c.i.max(c.j));
-                let at = ws.at(ops::packed_row_start(ws.n, r) + col - r, c.problem);
-                ws.d[at] = c.value;
+                let e = ops::packed_row_start(n, r) + col - r;
+                blk.d[e * blk.lanes + c.problem - blk.first] = c.value;
             }
         });
         driver.extract(&ws, mats)
@@ -840,6 +884,118 @@ mod tests {
         assert_eq!(ws.allocations(), warm_allocs, "steady-state batches must not grow buffers");
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.as_ref().unwrap().values, b.as_ref().unwrap().values);
+        }
+    }
+
+    /// Bits of a packed triangle.
+    fn bits(d: &PackedSymmetric) -> Vec<u64> {
+        d.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn load_reads_each_input_once_and_keeps_errors_prescales_and_bits() {
+        // The scanned build stops on a NaN in the very last entry and on a
+        // max just outside the prescale window; both fall back exactly as
+        // the separate scan did. Every built lane's D is the Gram of its
+        // exactly prescaled input, and the clean neighbors' results are the
+        // bits of each solved alone.
+        let (m, n) = (20, 6);
+        let mut mats: Vec<_> = (0..10).map(|k| gen::uniform(m, n, 40 + k)).collect();
+        mats[2].set(m - 1, n - 1, f64::NAN);
+        mats[5].set(3, 1, 1.5 * 2f64.powi(251));
+        mats[6].set(3, 1, 1.5 * 2f64.powi(250));
+        mats[8] = mats[8].scaled(2f64.powi(-300));
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let driver = BatchDriver::new(&solver);
+        let mut ws = BatchWorkspace::new();
+        driver.load(&mut ws, &mats);
+        let loaded: Vec<_> = (0..mats.len()).map(|p| bits(&ws.packed(p))).collect();
+        driver.sweep_to_convergence(&mut ws);
+        let solved = driver.extract(&ws, &mats);
+        assert!(matches!(solved[2], Err(SvdError::NonFiniteInput)));
+        for (p, mat) in mats.iter().enumerate().filter(|&(p, _)| p != 2) {
+            let exp = solver.singular_values(mat).unwrap().stats.prescale_exp;
+            assert_eq!(solved[p].as_ref().unwrap().stats.prescale_exp, exp, "lane {p}");
+            let mut scaled = mat.clone();
+            scale_exp2(scaled.as_mut_slice(), exp);
+            assert_eq!(loaded[p], bits(GramState::from_matrix(&scaled).packed()), "lane {p}: D");
+        }
+        let exp = |p: usize| solved[p].as_ref().unwrap().stats.prescale_exp;
+        assert_eq!((exp(5), exp(6)), (-251, 0), "just outside and just inside the window");
+        assert!(exp(8) > 0);
+        for p in [0, 1, 3, 4, 7, 9] {
+            let alone = soa(&solver, std::slice::from_ref(&mats[p])).remove(0).unwrap();
+            let got = solved[p].as_ref().unwrap();
+            let vbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(vbits(&got.values), vbits(&alone.values), "lane {p}");
+            assert_eq!(got.history, alone.history, "lane {p}");
+        }
+        // A zero sweep budget builds nothing, and still reports the errors
+        // in the scalar path's order.
+        let mut mats = mats;
+        mats[4] = Matrix::zeros(0, n);
+        let zero = HestenesSvd::new(SvdOptions { max_sweeps: 0, ..Default::default() });
+        for (p, res) in soa(&zero, &mats).iter().enumerate() {
+            match p {
+                2 => assert!(matches!(res, Err(SvdError::NonFiniteInput)), "{res:?}"),
+                4 => assert!(matches!(res, Err(SvdError::EmptyInput)), "{res:?}"),
+                _ => assert!(matches!(res, Err(SvdError::ZeroSweepBudget)), "{res:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_deal_the_lane_groups_evenly_over_the_pool() {
+        let threads = rayon::current_num_threads();
+        let mut ws = BatchWorkspace::new();
+        for (n, problems) in [(4, 1), (4, 5), (8, 9), (16, 24), (32, 128), (32, 1000), (2, 301)] {
+            ws.prepare(n, problems);
+            let groups = problems.div_ceil(ops::ROTATE_LANES);
+            let blocks = &ws.blocks[..ws.used];
+            assert!(blocks.len() >= threads.min(groups), "{problems} problems: too few blocks");
+            let mut next = 0;
+            for blk in blocks {
+                assert_eq!(blk.first, next, "blocks hold consecutive problems");
+                assert!(blk.problems > 0 && blk.problems <= blk.lanes);
+                assert_eq!(blk.lanes % ops::ROTATE_LANES, 0);
+                let bytes = n * (n + 1) / 2 * 8 * blk.lanes;
+                assert!(bytes <= BLOCK_TRI_BYTES || blk.lanes == ops::ROTATE_LANES);
+                next += blk.problems;
+            }
+            assert_eq!(next, problems);
+            let widths: Vec<_> = blocks.iter().map(|b| b.lanes).collect();
+            let (lo, hi) = (widths.iter().min().unwrap(), widths.iter().max().unwrap());
+            assert!(hi - lo <= ops::ROTATE_LANES, "uneven blocks {widths:?}");
+        }
+        // 1000 lanes of n = 32 outgrow the cache budget on any pool.
+        ws.prepare(32, 1000);
+        assert!(ws.used >= 3);
+    }
+
+    #[test]
+    fn a_busy_pool_runs_every_block_inline_with_the_same_bits() {
+        // Called from inside a pool part, the batch finds the pool busy and
+        // runs all its blocks on that thread; the results are the bits of
+        // the same batch run from outside.
+        let mut mats = uniform_batch(24, 8, 37);
+        mats[9] = mats[9].scaled(1e200);
+        mats[20].set(0, 0, f64::NAN);
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let outside = soa(&solver, &mats);
+        let mut inside = vec![Vec::new(); 2];
+        inside.par_iter_mut().for_each(|slot| *slot = soa(&solver, &mats));
+        for run in &inside {
+            assert_eq!(run.len(), outside.len());
+            for (got, want) in run.iter().zip(&outside) {
+                match (got, want) {
+                    (Ok(g), Ok(w)) => {
+                        assert_eq!(g.values, w.values);
+                        assert_eq!(g.history, w.history);
+                        assert_eq!(g.stats.prescale_exp, w.stats.prescale_exp);
+                    }
+                    (g, w) => assert_eq!(format!("{g:?}"), format!("{w:?}")),
+                }
+            }
         }
     }
 

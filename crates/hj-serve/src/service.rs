@@ -19,7 +19,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads (each keeps one warm SoA batch workspace for bulk
-    /// jobs). At least 1.
+    /// jobs). At least 1. A bulk job also borrows the process-wide rayon
+    /// pool for its cache blocks; while another worker's job holds the pool,
+    /// it runs its blocks on its own worker thread instead.
     pub workers: usize,
     /// Bounded queue capacity — submissions beyond it are rejected, never
     /// blocked. At least 1.

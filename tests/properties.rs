@@ -392,3 +392,82 @@ proptest! {
         prop_assert!((cs - direct.sin).abs() < 1e-7, "sin {cs} vs {}", direct.sin);
     }
 }
+
+/// Everything of a batch slot that must not depend on the batch: σ bits,
+/// sweeps, every history field's bits, the prescale, or the error.
+fn slot_bits(res: &Result<hjsvd::core::SingularValues, hjsvd::core::SvdError>) -> String {
+    match res {
+        Ok(sv) => {
+            let values: Vec<u64> = sv.values.iter().map(|v| v.to_bits()).collect();
+            let history: Vec<_> = sv
+                .history
+                .iter()
+                .map(|r| {
+                    let f = [r.mean_abs_cov, r.off_frobenius, r.max_abs_cov].map(f64::to_bits);
+                    (r.sweep, f, r.rotations_applied, r.rotations_skipped)
+                })
+                .collect();
+            format!("{values:?} {} {history:?} {}", sv.sweeps, sv.stats.prescale_exp)
+        }
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn a_batch_slot_is_the_bits_of_its_matrix_solved_alone(
+        seed in 0u64..1_000_000,
+        k in 1usize..300,
+        n in 2usize..33,
+        wide in any::<bool>(),
+        with_empty in any::<bool>(),
+    ) {
+        // Lanes never read each other, so a slot's result cannot depend on
+        // the batch around it: not on its neighbours, its cache block, or
+        // the pool's thread count (CI runs this file at 1 and 3 threads).
+        // Batches mix in NaN, 0×n, 1e±160-scaled and duplicate-column slots.
+        use hjsvd::matrix::Matrix;
+        let m = if wide { 1 + seed as usize % n } else { n + seed as usize % 9 };
+        let mats: Vec<Matrix> = (0..k)
+            .map(|slot| {
+                let s = seed.wrapping_mul(1_000).wrapping_add(slot as u64);
+                let mut a = gen::uniform(m, n, s);
+                match s.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60 {
+                    0 => a.set(s as usize % m, (s / 7) as usize % n, f64::NAN),
+                    1 if with_empty => a = Matrix::zeros(0, n),
+                    2 => a = a.scaled(1e160),
+                    3 => a = a.scaled(1e-160),
+                    4 => {
+                        for r in 0..m {
+                            let v = a.get(r, 0);
+                            a.set(r, n - 1, v);
+                        }
+                    }
+                    _ => {}
+                }
+                a
+            })
+            .collect();
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let alone = |a: &Matrix| {
+            BatchDriver::new(&solver).solve(&mut BatchWorkspace::new(), std::slice::from_ref(a))
+        };
+        let want: Vec<String> = mats.iter().map(|a| slot_bits(&alone(a)[0])).collect();
+        let batch = BatchDriver::new(&solver).solve(&mut BatchWorkspace::new(), &mats);
+        prop_assert_eq!(batch.len(), k);
+        for (slot, res) in batch.iter().enumerate() {
+            prop_assert_eq!(&slot_bits(res), &want[slot], "slot {} of {}", slot, k);
+        }
+        let eligible = k >= 2 && mats.iter().all(|a| a.shape() == (m, n));
+        if eligible {
+            for (slot, res) in solver.singular_values_batch(&mats).iter().enumerate() {
+                if let Ok(sv) = res {
+                    prop_assert_eq!(sv.stats.engine, "batch-soa");
+                }
+                prop_assert_eq!(&slot_bits(res), &want[slot], "dispatched slot {} of {}", slot, k);
+            }
+        }
+    }
+}

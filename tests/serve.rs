@@ -244,6 +244,51 @@ fn tenant_caps_isolate_noisy_neighbours() {
     service.shutdown(Duration::from_secs(5));
 }
 
+/// Two bulk jobs on a two-worker service, both submitted before either is
+/// awaited, plus a 4096×64 single job whose Gram build splits over the
+/// pool. The jobs contend for the pool: whichever holds it, the others run
+/// their blocks or Gram parts inline. Every slot must still be the bits of
+/// the local solve.
+#[test]
+fn concurrent_bulk_jobs_on_a_busy_pool_match_local_solves() {
+    let service = SolveService::start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+    let solver = HestenesSvd::new(SvdOptions::default());
+    let batches: Vec<Vec<_>> = (0..2u64)
+        .map(|b| {
+            let mut mats: Vec<_> = (0..48).map(|k| gen::uniform(20, 16, 900 * b + k)).collect();
+            mats[5].set(3, 3, f64::NAN);
+            mats[11] = mats[11].scaled(1e160);
+            mats
+        })
+        .collect();
+    let tall = gen::uniform(4096, 64, 17);
+    let bulk: Vec<_> =
+        batches.iter().map(|b| service.submit(JobSpec::bulk(b.clone())).expect("admit")).collect();
+    let single = service.submit(JobSpec::new(tall.clone())).expect("admit");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (ticket, mats) in bulk.into_iter().zip(&batches) {
+        let served = ticket.wait().result.into_bulk();
+        let local = solver.singular_values_batch(mats);
+        assert_eq!(served.len(), local.len());
+        for (k, (got, want)) in served.iter().zip(&local).enumerate() {
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.stats.engine, "batch-soa", "slot {k}");
+                    assert_eq!(bits(&got.values), bits(&want.values), "slot {k}");
+                    assert_eq!(got.sweeps, want.sweeps, "slot {k}");
+                    assert_eq!(got.history, want.history, "slot {k}");
+                }
+                (got, want) => assert_eq!(format!("{got:?}"), format!("{want:?}"), "slot {k}"),
+            }
+        }
+    }
+    let served = single.wait().result.into_single().expect("tall job solves");
+    let local = solver.singular_values(&tall).expect("tall solve");
+    assert_eq!(bits(&served.values), bits(&local.values));
+    assert_eq!(served.history, local.history);
+    assert!(service.shutdown(Duration::from_secs(5)).drained_cleanly);
+}
+
 /// Spawn a server on an ephemeral port and run it on a background thread.
 fn spawn_server(config: ServiceConfig) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
