@@ -25,8 +25,9 @@
 //! pair schedule to convergence on its own: lanes never read each other, so
 //! blocks share nothing but the schedule. A batch is cut into the fewest
 //! evenly sized blocks whose triangles fit an L2-sized budget
-//! (`BLOCK_TRI_BYTES`), and into at least one block per rayon pool thread
-//! whenever it has that many lane groups. [`BatchDriver::load`] and
+//! (`BLOCK_TRI_BYTES`), and, once it has the work to pay for a dispatch
+//! (`SPLIT_WORK`), into at least one block of two or more lane groups per
+//! rayon pool thread. [`BatchDriver::load`] and
 //! [`BatchDriver::sweep_to_convergence`] then run each block on its own pool
 //! thread; [`BatchDriver::extract`] gathers the results on the caller's. A
 //! busy pool — a nested call, or another thread's batch in flight, such as
@@ -100,6 +101,15 @@ pub const SOA_DISPATCH_MAX_N: usize = 32;
 /// tiles costs far more than L2 misses save. The pool's thread count, not
 /// this budget, sets the block count of such batches.
 const BLOCK_TRI_BYTES: usize = 1536 * 1024;
+
+/// Work `k·n³` from which a batch is split over the pool, and lane groups
+/// each block then gets at least. Below them the dispatch (about 20 µs) or
+/// four-lane blocks cost more than the second core saves: 8 problems of
+/// 8×4 took 25 µs split against 6–10 µs on one thread, and 8 of 32×32
+/// 1.6–1.8 ms against 1.24 ms, while 64 of 8×8 and 16 of 16×16 won
+/// (EXPERIMENTS.md, "Bulk batches on both cores").
+const SPLIT_WORK: usize = 1 << 15;
+const SPLIT_GROUPS: usize = 2;
 
 /// Why a lane stopped participating in its block's sweep loop.
 #[derive(Debug, Clone)]
@@ -237,14 +247,10 @@ impl Block {
             return;
         }
         // Lane q's entries stride by the block width from its lane base.
-        let out = &mut self.d[q..];
+        let (out, lanes) = (&mut self.d[q..], self.lanes);
         let stop = AtomicBool::new(false);
         let scan = GramScan { window: |max_abs| prescale_exponent(max_abs) == 0, stop: &stop };
-        let exp = if ops::gram_packed_rows(data, rows, n, 0..n, out, self.lanes, Some(&scan))
-            .is_some()
-        {
-            0
-        } else {
+        if ops::gram_packed_rows(data, rows, n, 0..n, out, lanes, Some(&scan)).is_none() {
             let Some(max_abs) = ops::finite_max_abs(data) else {
                 self.outcome[q] = LaneOutcome::Invalid(SvdError::NonFiniteInput);
                 return;
@@ -261,11 +267,10 @@ impl Block {
                 scale_exp2(&mut self.scaled, exp);
                 &self.scaled
             };
-            ops::gram_packed(data, rows, n, &mut self.d[q..], self.lanes);
-            exp
-        };
+            ops::gram_packed(data, rows, n, &mut self.d[q..], lanes);
+            self.exps[q] = exp;
+        }
         self.active[q] = 1;
-        self.exps[q] = exp;
     }
 
     /// Sweep the shared `pairs` schedule over this block until every lane
@@ -339,8 +344,8 @@ impl Block {
                     continue;
                 }
                 let d = &self.d;
-                let entries = (0..n)
-                    .flat_map(|r| (r + 1..n).map(move |c| d[off(r, c) * lanes + q]));
+                let entries =
+                    (0..n).flat_map(|r| (r + 1..n).map(move |c| d[off(r, c) * lanes + q]));
                 let rec = SweepRecord {
                     sweep,
                     mean_abs_cov: if n < 2 {
@@ -481,13 +486,18 @@ impl BatchWorkspace {
     ///
     /// The batch's `ROTATE_LANES` groups are dealt out evenly (block sizes
     /// differ by at most one group) over the fewest blocks whose triangles
-    /// fit [`BLOCK_TRI_BYTES`], and over at least one block per pool thread
-    /// when there are enough groups, so that every thread gets a block.
+    /// fit [`BLOCK_TRI_BYTES`], and, once the batch has [`SPLIT_WORK`], over
+    /// at least one block per pool thread that can get [`SPLIT_GROUPS`].
     fn prepare(&mut self, n: usize, problems: usize) {
         let tri = n * (n + 1) / 2;
         let groups = problems.div_ceil(ops::ROTATE_LANES);
         let fit = (BLOCK_TRI_BYTES / (tri * 8 * ops::ROTATE_LANES).max(1)).max(1);
-        let used = groups.div_ceil(fit).max(rayon::current_num_threads().min(groups));
+        let parts = if problems.saturating_mul(n.saturating_pow(3)) >= SPLIT_WORK {
+            rayon::current_num_threads().min(groups / SPLIT_GROUPS)
+        } else {
+            1
+        };
+        let used = groups.div_ceil(fit).max(parts.min(groups));
         if self.blocks.len() < used {
             self.allocations += 1;
             self.blocks.resize_with(used, Block::default);
@@ -932,7 +942,6 @@ mod tests {
         }
         // A zero sweep budget builds nothing, and still reports the errors
         // in the scalar path's order.
-        let mut mats = mats;
         mats[4] = Matrix::zeros(0, n);
         let zero = HestenesSvd::new(SvdOptions { max_sweeps: 0, ..Default::default() });
         for (p, res) in soa(&zero, &mats).iter().enumerate() {
@@ -952,7 +961,9 @@ mod tests {
             ws.prepare(n, problems);
             let groups = problems.div_ceil(ops::ROTATE_LANES);
             let blocks = &ws.blocks[..ws.used];
-            assert!(blocks.len() >= threads.min(groups), "{problems} problems: too few blocks");
+            let split = problems * n * n * n >= SPLIT_WORK;
+            let want = if split { threads.min(groups / SPLIT_GROUPS).max(1) } else { 1 };
+            assert!(blocks.len() >= want, "{problems} problems: too few blocks");
             let mut next = 0;
             for blk in blocks {
                 assert_eq!(blk.first, next, "blocks hold consecutive problems");
@@ -977,7 +988,7 @@ mod tests {
         // Called from inside a pool part, the batch finds the pool busy and
         // runs all its blocks on that thread; the results are the bits of
         // the same batch run from outside.
-        let mut mats = uniform_batch(24, 8, 37);
+        let mut mats = uniform_batch(24, 16, 48);
         mats[9] = mats[9].scaled(1e200);
         mats[20].set(0, 0, f64::NAN);
         let solver = HestenesSvd::new(SvdOptions::default());

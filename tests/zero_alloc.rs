@@ -297,6 +297,29 @@ fn serving_loop_reuses_one_workspace_and_bounds_per_job_allocations() {
 }
 
 #[test]
+fn split_batch_workspace_solves_allocate_only_results_after_warmup() {
+    // A batch with the work to split sweeps one cache block per pool thread
+    // (each on its own thread, or all inline on one): the warm workspace
+    // still stops growing, and a batch allocates only its results.
+    let _guard = serial_guard();
+    let solver = HestenesSvd::new(SvdOptions::default());
+    let mats: Vec<Matrix> = (0..64).map(|k| gen::uniform(24, 16, 170 + k)).collect();
+    let mut ws = BatchWorkspace::new();
+    assert!(BatchDriver::new(&solver).solve(&mut ws, &mats).iter().all(|r| r.is_ok()));
+    let warm = ws.allocations();
+    let mut deltas = Vec::new();
+    for _ in 0..4 {
+        let before = allocation_count();
+        let batch = BatchDriver::new(&solver).solve(&mut ws, &mats);
+        deltas.push(allocation_count() - before);
+        assert!(batch.iter().all(|r| r.is_ok()));
+    }
+    assert_eq!(ws.allocations(), warm, "workspace grew after warm-up");
+    let worst = deltas.iter().copied().max().unwrap();
+    assert!(worst <= mats.len() * 16, "a batch solve allocated {worst} times: {deltas:?}");
+}
+
+#[test]
 fn batch_workspace_solves_allocate_only_results_after_warmup() {
     // The SoA batch engine follows the same discipline as the sweep
     // workspaces: the first batch sizes the interleaved triangle and every
