@@ -26,14 +26,16 @@
 //! blocks share nothing but the schedule. A batch is cut into the fewest
 //! evenly sized blocks whose triangles fit an L2-sized budget
 //! (`BLOCK_TRI_BYTES`), and, once it has the work to pay for a dispatch
-//! (`SPLIT_WORK`), into at least one block of two or more lane groups per
-//! rayon pool thread. [`BatchDriver::load`] and
+//! (`SPLIT_WORK`) and lanes enough for blocks of 64 (`SPLIT_GROUPS`), into
+//! a multiple of the rayon pool's thread count. [`BatchDriver::load`] and
 //! [`BatchDriver::sweep_to_convergence`] then run each block on its own pool
-//! thread; [`BatchDriver::extract`] gathers the results on the caller's. A
+//! thread; a batch of one block runs on the caller with no dispatch, and
+//! [`BatchDriver::extract`] gathers the results on the caller's thread. A
 //! busy pool — a nested call, or another thread's batch in flight, such as
 //! a second hj-serve worker's bulk job — runs every block in turn on the
-//! caller instead. A lane's bits do not depend on its block, so they are the
-//! same at any thread count and on either path.
+//! caller instead; blocks of at least 64 lanes keep that within a few
+//! percent of one wide block. A lane's bits do not depend on its block, so
+//! they are the same at any thread count and on either path.
 //!
 //! [`BatchDriver`] runs the shared cyclic sweep schedule over each block
 //! with a **per-problem active mask**:
@@ -103,13 +105,16 @@ pub const SOA_DISPATCH_MAX_N: usize = 32;
 const BLOCK_TRI_BYTES: usize = 1536 * 1024;
 
 /// Work `k·n³` from which a batch is split over the pool, and lane groups
-/// each block then gets at least. Below them the dispatch (about 20 µs) or
-/// four-lane blocks cost more than the second core saves: 8 problems of
-/// 8×4 took 25 µs split against 6–10 µs on one thread, and 8 of 32×32
-/// 1.6–1.8 ms against 1.24 ms, while 64 of 8×8 and 16 of 16×16 won
-/// (EXPERIMENTS.md, "Bulk batches on both cores").
+/// each block then gets at least (64 lanes). Below the work, the dispatch
+/// (about 20 µs) costs more than the second core saves: 8 problems of 8×4
+/// took 25 µs split against 6–10 µs on one thread. Narrower blocks cost
+/// per-pair loop overhead on every lane group: swept one after the other,
+/// as on a busy pool, two blocks of 32 lanes took 1.03–1.09× one block of
+/// 64, and two of 16 lanes 1.21–1.28×, while two of 64 lanes took
+/// 0.97–1.05× one block of 128 (EXPERIMENTS.md, "Bulk batches on both
+/// cores").
 const SPLIT_WORK: usize = 1 << 15;
-const SPLIT_GROUPS: usize = 2;
+const SPLIT_GROUPS: usize = 16;
 
 /// Why a lane stopped participating in its block's sweep loop.
 #[derive(Debug, Clone)]
@@ -487,17 +492,18 @@ impl BatchWorkspace {
     /// The batch's `ROTATE_LANES` groups are dealt out evenly (block sizes
     /// differ by at most one group) over the fewest blocks whose triangles
     /// fit [`BLOCK_TRI_BYTES`], and, once the batch has [`SPLIT_WORK`], over
-    /// at least one block per pool thread that can get [`SPLIT_GROUPS`].
+    /// a multiple of the pool threads that can each get [`SPLIT_GROUPS`],
+    /// so that every thread sweeps as many blocks.
     fn prepare(&mut self, n: usize, problems: usize) {
         let tri = n * (n + 1) / 2;
         let groups = problems.div_ceil(ops::ROTATE_LANES);
         let fit = (BLOCK_TRI_BYTES / (tri * 8 * ops::ROTATE_LANES).max(1)).max(1);
         let parts = if problems.saturating_mul(n.saturating_pow(3)) >= SPLIT_WORK {
-            rayon::current_num_threads().min(groups / SPLIT_GROUPS)
+            rayon::current_num_threads().min(groups / SPLIT_GROUPS).max(1)
         } else {
             1
         };
-        let used = groups.div_ceil(fit).max(parts.min(groups));
+        let used = groups.div_ceil(fit).next_multiple_of(parts).min(groups);
         if self.blocks.len() < used {
             self.allocations += 1;
             self.blocks.resize_with(used, Block::default);
@@ -964,6 +970,11 @@ mod tests {
             let split = problems * n * n * n >= SPLIT_WORK;
             let want = if split { threads.min(groups / SPLIT_GROUPS).max(1) } else { 1 };
             assert!(blocks.len() >= want, "{problems} problems: too few blocks");
+            assert!(
+                blocks.len().is_multiple_of(want) || blocks.len() == groups,
+                "{problems} problems: {} blocks deal unevenly over {want} threads",
+                blocks.len()
+            );
             let mut next = 0;
             for blk in blocks {
                 assert_eq!(blk.first, next, "blocks hold consecutive problems");
@@ -984,11 +995,29 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_below_the_split_work_sweeps_on_the_caller() {
+        // One block, and no dispatch to hand it to a worker while the
+        // caller waits.
+        let mats = uniform_batch(8, 4, 8);
+        assert!(mats.len() * 4 * 4 * 4 < SPLIT_WORK);
+        let solver = HestenesSvd::new(SvdOptions::default());
+        let driver = BatchDriver::new(&solver);
+        let mut ws = BatchWorkspace::new();
+        driver.load(&mut ws, &mats);
+        assert_eq!(ws.used, 1);
+        let ran = std::sync::Mutex::new(Vec::new());
+        driver.sweep_inner(&mut ws, |_, _| ran.lock().unwrap().push(std::thread::current().id()));
+        let ran = ran.into_inner().unwrap();
+        assert!(!ran.is_empty());
+        assert!(ran.iter().all(|&t| t == std::thread::current().id()), "a worker swept");
+    }
+
+    #[test]
     fn a_busy_pool_runs_every_block_inline_with_the_same_bits() {
         // Called from inside a pool part, the batch finds the pool busy and
         // runs all its blocks on that thread; the results are the bits of
         // the same batch run from outside.
-        let mut mats = uniform_batch(24, 16, 48);
+        let mut mats = uniform_batch(24, 16, 136);
         mats[9] = mats[9].scaled(1e200);
         mats[20].set(0, 0, f64::NAN);
         let solver = HestenesSvd::new(SvdOptions::default());

@@ -255,7 +255,7 @@ fn concurrent_bulk_jobs_on_a_busy_pool_match_local_solves() {
     let solver = HestenesSvd::new(SvdOptions::default());
     let batches: Vec<Vec<_>> = (0..2u64)
         .map(|b| {
-            let mut mats: Vec<_> = (0..48).map(|k| gen::uniform(20, 16, 900 * b + k)).collect();
+            let mut mats: Vec<_> = (0..160).map(|k| gen::uniform(20, 16, 900 * b + k)).collect();
             mats[5].set(3, 3, f64::NAN);
             mats[11] = mats[11].scaled(1e160);
             mats
